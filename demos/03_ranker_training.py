@@ -26,6 +26,7 @@ from kgcausal.ltr import (
     train_ngram_lm,
 )
 from kgcausal.synthetic import make_planted_world
+from kgcausal.util import descending_order
 
 
 def heldout_metrics(model, records, lm, k=5):
@@ -33,7 +34,7 @@ def heldout_metrics(model, records, lm, k=5):
     for record in records:
         subs = record_subgraphs(record)
         scores = score_subgraphs(model, record_pair(record), subs, lm)
-        order = sorted(range(len(subs)), key=lambda i: (-scores[i], i))
+        order = descending_order(scores)
         gains = [record.metapaths[i].relscore for i in order]
         relevant = [record.metapaths[i].relevant == "1" for i in order]
         ndcgs.append(ndcg_at_k(gains, 1))

@@ -38,11 +38,11 @@ from .llm import (
     MockOracle,
     MockOracleConfig,
     canonical_label,
-    complete,
     label_probability,
 )
 from .relevance import (
     DatasetSummary,
+    EstimateResult,
     PairInstance,
     RankedMetapath,
     RankedPairRecord,
@@ -50,6 +50,7 @@ from .relevance import (
     build_ranked_dataset,
     build_sre_prompt,
     candidate_subgraphs,
+    estimate_relevance,
     rank_pair,
     read_instances,
     read_ranked_dataset,
@@ -78,6 +79,7 @@ from .discovery import (
     baseline_rank,
     build_discovery_prompt,
     classify_pair,
+    classify_pairs,
     evaluate_classification,
     f1_score,
     hamming_distance,

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import argparse
 import copy
-import hashlib
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -26,12 +24,12 @@ from .discovery import (
     EvaluationReport,
     GraphMetrics,
     aggregate_graph,
-    classify_pair,
+    classify_pairs,
     evaluate_classification,
     hamming_distance,
     read_predictions,
 )
-from .errors import BackendRejected, BackendUnavailable, KgcausalError
+from .errors import KgcausalError
 from .kg import MetapathSubgraph, load_kg
 from .llm import HttpBackend, MockOracle, MockOracleConfig
 from .ltr.metrics import ndcg_at_k, recall_at_k
@@ -57,10 +55,11 @@ from .relevance import (
     PairInstance,
     RankedPairRecord,
     candidate_subgraphs,
-    rank_pair,
+    estimate_relevance,
     read_instances,
     read_ranked_dataset,
 )
+from .util import atomic_write, descending_order, read_jsonl, stable_hash, write_jsonl
 from .verbalize import VerbalizationStyle
 
 logger = logging.getLogger(__name__)
@@ -121,8 +120,7 @@ def redact_config(config: dict) -> dict:
 
 
 def stage_seed(seed: int, stage: str) -> int:
-    digest = hashlib.blake2b(f"{seed}:{stage}".encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
+    return stable_hash(f"{seed}:{stage}")
 
 
 def make_backend(config: dict):
@@ -148,18 +146,13 @@ def _read_template(path: Optional[str], default: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _write_jsonl(path: Path, rows) -> None:
-    tmp = Path(str(path) + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
-    os.replace(tmp, path)
+def _write_json(path, doc: dict) -> None:
+    atomic_write(path, json.dumps(doc, ensure_ascii=False, indent=2) + "\n")
 
 
 def _write_meta(out: Path, command: str, config: dict, summary: dict) -> None:
-    meta = {"command": command, "config": redact_config(config), "summary": summary}
-    Path(str(out) + ".meta.json").write_text(
-        json.dumps(meta, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
+    _write_json(str(out) + ".meta.json",
+                {"command": command, "config": redact_config(config), "summary": summary})
 
 
 def cmd_extract(args) -> int:
@@ -184,7 +177,7 @@ def cmd_extract(args) -> int:
         row = inst.to_dict()
         row["subgraphs"] = [sg.to_dict() for sg in candidates]
         rows.append(row)
-    _write_jsonl(args.out, rows)
+    write_jsonl(args.out, rows)
     summary = {"pairs": len(instances), "pairs_with_candidates": with_candidates,
                "pairs_without_candidates": len(instances) - with_candidates}
     _write_meta(args.out, "extract", config, summary)
@@ -200,38 +193,26 @@ def cmd_estimate(args) -> int:
     template = _read_template(config["sre"]["template_path"], DEFAULT_SRE_TEMPLATE)
     k_max = config["sre"]["k_max"]
 
-    lines = []
-    skipped_empty = 0
-    backend_failures = 0
-    attempted = 0
-    with open(args.candidates, encoding="utf-8") as fh:
-        rows = [json.loads(line) for line in fh if line.strip()]
+    rows = read_jsonl(args.candidates)
+    jobs = []
     for row in rows:
         subgraphs = [MetapathSubgraph.from_dict(d) for d in row.get("subgraphs", [])]
-        if not subgraphs:
-            skipped_empty += 1
-            continue
-        inst = PairInstance.from_dict(row)
-        attempted += 1
-        try:
-            record = rank_pair(inst, subgraphs[:k_max], backend, template=template)
-        except (BackendUnavailable, BackendRejected) as exc:
-            logger.warning("skipping %s: %s", inst.qid, exc)
-            backend_failures += 1
-            continue
-        lines.append(record.to_dict())
+        if subgraphs:
+            jobs.append((PairInstance.from_dict(row), subgraphs[:k_max]))
+    result = estimate_relevance(jobs, backend, template=template)
 
-    if attempted and backend_failures == attempted:
+    failures = result.skipped_backend_error
+    if jobs and failures == len(jobs):
         logger.error("backend failed for every pair; writing no output")
         return EXIT_CONFIG
-    _write_jsonl(args.out, lines)
-    summary = {"pairs": len(rows), "records_written": len(lines),
-               "skipped_no_subgraphs": skipped_empty,
-               "skipped_backend_error": backend_failures,
-               "backend_calls": getattr(backend, "calls", None)}
+    write_jsonl(args.out, [record.to_dict() for record in result.records])
+    summary = {"pairs": len(rows), "records_written": len(result.records),
+               "skipped_no_subgraphs": len(rows) - len(jobs),
+               "skipped_backend_error": failures,
+               "backend_calls": result.backend_calls}
     _write_meta(args.out, "estimate", config, summary)
     logger.info("estimate: %s", summary)
-    return EXIT_DEGRADED if backend_failures else EXIT_OK
+    return EXIT_DEGRADED if failures else EXIT_OK
 
 
 def _train_seed(config: dict) -> int:
@@ -305,8 +286,7 @@ def _rows_to_subgraph_sets(rows):
 def cmd_rank(args) -> int:
     config = load_config(args.config)
     model, lm = load_model(args.model)
-    with open(args.candidates, encoding="utf-8") as fh:
-        rows = [json.loads(line) for line in fh if line.strip()]
+    rows = read_jsonl(args.candidates)
 
     out_rows = []
     for qid, pair, subgraphs, gains, relevant in _rows_to_subgraph_sets(rows):
@@ -314,7 +294,7 @@ def cmd_rank(args) -> int:
             out_rows.append({"qid": qid, "order": [], "entries": []})
             continue
         scores = score_subgraphs(model, pair, subgraphs, lm)
-        order = sorted(range(len(subgraphs)), key=lambda i: (-scores[i], i))
+        order = descending_order(scores)
         entries = []
         for i in order:
             entry = {"stops": " - ".join(subgraphs[i].node_names),
@@ -324,7 +304,7 @@ def cmd_rank(args) -> int:
                 entry["relevant"] = relevant[i]
             entries.append(entry)
         out_rows.append({"qid": qid, "order": order, "entries": entries})
-    _write_jsonl(args.out, out_rows)
+    write_jsonl(args.out, out_rows)
     summary = {"pairs": len(out_rows), "model_kind": model.kind}
     _write_meta(args.out, "rank", config, summary)
     return EXIT_OK
@@ -356,17 +336,12 @@ def cmd_discover(args) -> int:
         instruction=DEFAULT_INSTRUCTION,
     )
 
-    rows = []
-    unparseable = 0
-    for inst in instances:
-        prediction = classify_pair(inst, kg, model, backend,
-                                   config=discovery_config, lm=lm)
-        if prediction.predicted is None:
-            unparseable += 1
-        rows.append(prediction.to_dict())
-    _write_jsonl(args.out, rows)
+    predictions = classify_pairs(instances, kg, model, backend,
+                                 config=discovery_config, lm=lm)
+    unparseable = sum(1 for p in predictions if p.predicted is None)
+    write_jsonl(args.out, [p.to_dict() for p in predictions])
     summary = {"pairs": len(instances), "unparseable": unparseable,
-               "backend_calls": getattr(backend, "calls", None),
+               "backend_calls": backend.calls,
                "k": discovery_config.k}
     _write_meta(args.out, "discover", config, summary)
     logger.info("discover: %s", summary)
@@ -374,8 +349,7 @@ def cmd_discover(args) -> int:
 
 
 def _ranking_metrics(rankings_path: Path, ks) -> dict:
-    with open(rankings_path, encoding="utf-8") as fh:
-        rows = [json.loads(line) for line in fh if line.strip()]
+    rows = read_jsonl(rankings_path)
     scored = [r for r in rows if r["entries"] and "gain" in r["entries"][0]]
     out = {}
     for k in ks:
@@ -399,7 +373,7 @@ def _template_hashes(config: dict) -> dict:
             ("discovery", config["discovery"]["template_path"],
              DEFAULT_DISCOVERY_TEMPLATE)):
         text = _read_template(path, default)
-        out[name] = hashlib.blake2b(text.encode("utf-8"), digest_size=8).hexdigest()
+        out[name] = f"{stable_hash(text):016x}"
     return out
 
 
@@ -435,9 +409,7 @@ def cmd_eval(args) -> int:
         doc["graph"]["orientation"] = "all-ordered-pairs"
     doc["config"] = redact_config(config)
     doc["template_hashes"] = _template_hashes(config)
-    tmp = Path(str(args.out) + ".tmp")
-    tmp.write_text(json.dumps(doc, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
-    os.replace(tmp, args.out)
+    _write_json(args.out, doc)
     logger.info("eval: P=%.2f R=%.2f F1=%.2f", classification.precision,
                 classification.recall, classification.f1)
     unparseable = sum(1 for p in predictions if p.predicted is None)

@@ -4,7 +4,6 @@ plus the baselines and evaluation metrics used to compare approaches.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from dataclasses import dataclass, field
@@ -18,6 +17,7 @@ from .llm import CAUSAL, CompletionRequest, label_probability
 from .ltr.models import RANDOM, SIMILARITY, RankerModel, rank_subgraphs
 from .ltr.ngram import NgramLM
 from .relevance import DEFAULT_INSTRUCTION, PairInstance
+from .util import descending_order, map_in_order, read_jsonl
 from .verbalize import PLAIN_ARROWS_STYLE, VerbalizationStyle, verbalize
 
 logger = logging.getLogger(__name__)
@@ -106,7 +106,7 @@ def select_top_k(scored: Sequence[tuple[MetapathSubgraph, float]], k: int
     """First k subgraphs by descending score; stable under ties."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    order = sorted(range(len(scored)), key=lambda i: (-scored[i][1], i))
+    order = descending_order([score for _, score in scored])
     return [scored[i][0] for i in order[:k]]
 
 
@@ -175,6 +175,18 @@ def classify_pair(instance: PairInstance, kg: Optional[KnowledgeGraph],
         subgraphs_used=tuple(verbalize(sg, config.style) for sg in top),
         backend_id=completion.backend_id,
     )
+
+
+def classify_pairs(instances: Sequence[PairInstance], kg: Optional[KnowledgeGraph],
+                   ranker: Optional[RankerModel], backend,
+                   config: DiscoveryConfig = DiscoveryConfig(),
+                   lm: Optional[NgramLM] = None) -> list[CausalPrediction]:
+    """:func:`classify_pair` for every instance on up to ``backend.parallelism``
+    threads, in input order.  The first backend error aborts the stage: pairs
+    not yet started are cancelled and the error is re-raised."""
+    return map_in_order(
+        lambda instance: classify_pair(instance, kg, ranker, backend, config=config, lm=lm),
+        instances, getattr(backend, "parallelism", 1))
 
 
 def parse_permutation(text: str, k: int) -> list[int]:
@@ -385,10 +397,4 @@ class EvaluationReport:
 
 
 def read_predictions(path) -> list[CausalPrediction]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(CausalPrediction.from_dict(json.loads(line)))
-    return out
+    return [CausalPrediction.from_dict(d) for d in read_jsonl(path)]

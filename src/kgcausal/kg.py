@@ -202,91 +202,57 @@ class KnowledgeGraph:
         return ids
 
 
-def _parse_endpoint(raw, lineno: int, path) -> tuple[str, Optional[str], Optional[str]]:
-    """Returns (id, name, type); name/type are None for a bare reference."""
+def _parse_endpoint(raw, where: str) -> tuple[str, Optional[str], Optional[str]]:
+    """(id, name, type); name and type are None when the JSON omits them."""
     if isinstance(raw, str):
         return raw, None, None
     if isinstance(raw, dict) and "id" in raw:
-        node_id = raw["id"]
-        name = raw.get("name")
-        node_type = raw.get("type")
-        if name is not None or node_type is not None:
-            if not name or not node_type:
-                raise KGLoadError(
-                    f"{path}:{lineno}: node {node_id!r} needs both name and type")
-            return node_id, name, node_type
-        return node_id, None, None
-    raise KGLoadError(f"{path}:{lineno}: endpoint must be an id string or an object with 'id'")
+        return raw["id"], raw.get("name"), raw.get("type")
+    raise KGLoadError(f"{where}: endpoint must be an id string or an object with 'id'")
 
 
-def _load_jsonl(path: Path):
-    declared: dict[str, tuple[str, str]] = {}
-    referenced: list[str] = []
-    edges: list[EdgeRecord] = []
+def _jsonl_triples(path: Path):
+    """(location, head, relation, tail) per line; endpoints as in _parse_endpoint."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise KGLoadError(f"{path}:{lineno}: malformed line: {exc.msg}") from exc
+                raise KGLoadError(f"{where}: malformed line: {exc.msg}") from exc
             if not isinstance(obj, dict) or "head" not in obj or "tail" not in obj:
-                raise KGLoadError(f"{path}:{lineno}: each line needs head, relation, tail")
+                raise KGLoadError(f"{where}: each line needs head, relation, tail")
             relation = obj.get("relation")
             if not relation or not isinstance(relation, str):
-                raise KGLoadError(f"{path}:{lineno}: relation must be a non-empty string")
-            endpoints = []
-            for raw in (obj["head"], obj["tail"]):
-                node_id, name, node_type = _parse_endpoint(raw, lineno, path)
-                if name is not None:
-                    prev = declared.get(node_id)
-                    if prev is not None and prev != (name, node_type):
-                        raise KGLoadError(
-                            f"{path}:{lineno}: node id {node_id!r} redeclared with "
-                            f"conflicting name/type")
-                    declared[node_id] = (name, node_type)
-                else:
-                    referenced.append(node_id)
-                endpoints.append(node_id)
-            edges.append(EdgeRecord(head=endpoints[0], relation=relation, tail=endpoints[1]))
-    return declared, referenced, edges
+                raise KGLoadError(f"{where}: relation must be a non-empty string")
+            yield (where, _parse_endpoint(obj["head"], where), relation,
+                   _parse_endpoint(obj["tail"], where))
 
 
-def _load_tsv(path: Path):
-    declared: dict[str, tuple[str, str]] = {}
-    referenced: list[str] = []
-    edges: list[EdgeRecord] = []
+def _tsv_triples(path: Path):
+    """Same rows as _jsonl_triples; an empty name or type field counts as absent."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():
                 continue
+            where = f"{path}:{lineno}"
             fields = line.split("\t")
             if len(fields) != 7:
                 raise KGLoadError(
-                    f"{path}:{lineno}: malformed line: expected 7 tab-separated fields, "
+                    f"{where}: malformed line: expected 7 tab-separated fields, "
                     f"got {len(fields)}")
             head_id, head_name, head_type, relation, tail_id, tail_name, tail_type = fields
             if not relation:
-                raise KGLoadError(f"{path}:{lineno}: relation must be non-empty")
-            for node_id, name, node_type in ((head_id, head_name, head_type),
-                                             (tail_id, tail_name, tail_type)):
-                if name or node_type:
-                    if not name or not node_type:
-                        raise KGLoadError(
-                            f"{path}:{lineno}: node {node_id!r} needs both name and type")
-                    prev = declared.get(node_id)
-                    if prev is not None and prev != (name, node_type):
-                        raise KGLoadError(
-                            f"{path}:{lineno}: node id {node_id!r} redeclared with "
-                            f"conflicting name/type")
-                    declared[node_id] = (name, node_type)
-                else:
-                    referenced.append(node_id)
-            edges.append(EdgeRecord(head=head_id, relation=relation, tail=tail_id))
-    return declared, referenced, edges
+                raise KGLoadError(f"{where}: relation must be non-empty")
+            yield (where, (head_id, head_name or None, head_type or None), relation,
+                   (tail_id, tail_name or None, tail_type or None))
+
+
+_TRIPLE_READERS = {FORMAT_JSONL: _jsonl_triples, FORMAT_TSV: _tsv_triples}
 
 
 def load_kg(path, format: str = FORMAT_JSONL) -> KnowledgeGraph:
@@ -299,12 +265,25 @@ def load_kg(path, format: str = FORMAT_JSONL) -> KnowledgeGraph:
     path = Path(path)
     if not path.exists():
         raise KGLoadError(f"knowledge graph file not found: {path}")
-    if format == FORMAT_JSONL:
-        declared, referenced, edges = _load_jsonl(path)
-    elif format == FORMAT_TSV:
-        declared, referenced, edges = _load_tsv(path)
-    else:
+    if format not in _TRIPLE_READERS:
         raise KGLoadError(f"unknown KG file format {format!r}")
+
+    declared: dict[str, tuple[str, str]] = {}
+    referenced: list[str] = []
+    edges: list[EdgeRecord] = []
+    for where, head, relation, tail in _TRIPLE_READERS[format](path):
+        for node_id, name, node_type in (head, tail):
+            if name is None and node_type is None:
+                referenced.append(node_id)
+                continue
+            if not name or not node_type:
+                raise KGLoadError(f"{where}: node {node_id!r} needs both name and type")
+            prev = declared.get(node_id)
+            if prev is not None and prev != (name, node_type):
+                raise KGLoadError(
+                    f"{where}: node id {node_id!r} redeclared with conflicting name/type")
+            declared[node_id] = (name, node_type)
+        edges.append(EdgeRecord(head=head[0], relation=relation, tail=tail[0]))
 
     missing = sorted(set(referenced) - set(declared))
     if missing:

@@ -7,7 +7,6 @@ callers can turn a generated label into a confidence value.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import math
@@ -27,6 +26,7 @@ from .errors import (
     CapabilityMissing,
     UnparseableLabel,
 )
+from .util import stable_hash
 
 logger = logging.getLogger(__name__)
 
@@ -168,13 +168,6 @@ class MockOracleConfig:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")
 
 
-def _stable_unit_float(*parts) -> float:
-    """Hash the parts to a float in [0, 1); stable across processes."""
-    digest = hashlib.blake2b("\x1f".join(str(p) for p in parts).encode("utf-8"),
-                             digest_size=8).digest()
-    return int.from_bytes(digest, "big") / 2**64
-
-
 def _path_block(prompt: str) -> str:
     """Text of the relation-path section, or the whole prompt without it."""
     idx = prompt.rfind(PATH_BLOCK_MARKER)
@@ -199,7 +192,7 @@ def _motif_matches(motif: Sequence[str], block: str) -> bool:
 class MockOracle:
     """Pure function of (prompt, config); usable wherever a backend is.
 
-    ``calls`` counts completions served, for call-accounting tests.
+    ``calls`` counts ``complete`` calls; it is safe to share across threads.
     """
 
     def __init__(self, config: MockOracleConfig):
@@ -207,13 +200,15 @@ class MockOracle:
         self.backend_id = "mock"
         self.parallelism = 1
         self.calls = 0
+        self._calls_lock = threading.Lock()
 
     def complete(self, request: CompletionRequest) -> Completion:
-        self.calls += 1
+        with self._calls_lock:
+            self.calls += 1
         block = _path_block(request.prompt)
         is_causal = any(_motif_matches(m, block) for m in self.config.causal_motifs)
         if self.config.flip_rate > 0:
-            roll = _stable_unit_float("flip", self.config.noise_seed, request.prompt)
+            roll = stable_hash("flip", self.config.noise_seed, request.prompt) / 2**64
             if roll < self.config.flip_rate:
                 is_causal = not is_causal
         label = CAUSAL if is_causal else NON_CAUSAL
@@ -224,9 +219,10 @@ class MockOracle:
 class HttpBackend:
     """Client for OpenAI-compatible completion endpoints.
 
-    Transient failures (connection errors, HTTP 5xx) are retried with
-    exponential backoff up to ``max_retries`` extra attempts; client errors
-    are surfaced immediately.  ``parallelism`` bounds in-flight requests.
+    Transient failures (connection errors, HTTP 5xx, a success whose body is
+    not JSON) are retried with exponential backoff up to ``max_retries`` extra
+    attempts; client errors are surfaced immediately.  ``parallelism`` bounds
+    in-flight requests; ``calls`` counts ``complete`` calls.
     """
 
     def __init__(self, endpoint: str, model: str, credential_env: Optional[str] = None,
@@ -242,6 +238,8 @@ class HttpBackend:
         self.backend_id = f"http:{model}"
         self._session = session or requests.Session()
         self._slots = threading.Semaphore(self.parallelism)
+        self.calls = 0
+        self._calls_lock = threading.Lock()
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -259,6 +257,8 @@ class HttpBackend:
             "temperature": request.temperature,
             "logprobs": request.want_logprobs,
         }
+        with self._calls_lock:
+            self.calls += 1
         last_error: Optional[Exception] = None
         with self._slots:
             for attempt in range(1 + self.max_retries):
@@ -280,7 +280,13 @@ class HttpBackend:
                     logger.warning("backend attempt %d failed: HTTP %d",
                                    attempt + 1, response.status_code)
                     continue
-                return self._parse(response.json(), request)
+                try:
+                    body = response.json()
+                except ValueError as exc:
+                    last_error = BackendUnavailable(f"response body is not JSON: {exc}")
+                    logger.warning("backend attempt %d failed: body is not JSON", attempt + 1)
+                    continue
+                return self._parse(body, request)
         raise BackendUnavailable(
             f"backend unreachable after {1 + self.max_retries} attempts: {last_error}")
 
@@ -302,8 +308,3 @@ class HttpBackend:
         if request.want_logprobs and not tokens:
             raise CapabilityMissing("backend did not return token log-probabilities")
         return Completion(text=text, tokens=tokens, backend_id=self.backend_id)
-
-
-def complete(backend, request: CompletionRequest) -> Completion:
-    """Run one completion against any configured backend."""
-    return backend.complete(request)

@@ -40,13 +40,10 @@ from .models import (
 )
 from .ngram import (
     UNK,
-    FeatureVector,
     NgramLM,
     dense_features,
-    featurize,
     hashed_counts,
     next_token_accuracy,
-    predict_next,
     train_ngram_lm,
 )
 
@@ -62,7 +59,6 @@ __all__ = [
     "record_pair", "record_subgraphs", "save_model", "score_subgraphs",
     "scorer_forward", "scorer_loss_and_grads",
     "train_gbdt_ranker", "train_neural_ranker",
-    "UNK", "FeatureVector", "NgramLM",
-    "dense_features", "featurize", "hashed_counts",
-    "next_token_accuracy", "predict_next", "train_ngram_lm",
+    "UNK", "NgramLM", "dense_features", "hashed_counts",
+    "next_token_accuracy", "train_ngram_lm",
 ]

@@ -12,7 +12,6 @@ text and a seeded random scorer.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 from dataclasses import dataclass, field
@@ -23,6 +22,7 @@ import numpy as np
 
 from ..kg import FORWARD, MetapathSubgraph
 from ..relevance import RankedPairRecord
+from ..util import atomic_write, descending_order, stable_hash
 from ..verbalize import HYPHEN_STYLE, encode_ranker_input, tokenize, verbalize
 from .losses import (
     LISTNET,
@@ -291,12 +291,6 @@ def _hashed_matrix(lm: NgramLM, pair, subgraphs, cfg: FeatureConfig) -> np.ndarr
         for sg in subgraphs])
 
 
-def _stable_unit(seed: int, *parts) -> float:
-    digest = hashlib.blake2b("\x1f".join([str(seed), *map(str, parts)]).encode("utf-8"),
-                             digest_size=8).digest()
-    return int.from_bytes(digest, "big") / 2**64
-
-
 def score_subgraphs(model: RankerModel, pair: tuple[str, str],
                     subgraphs: Sequence[MetapathSubgraph],
                     lm: Optional[NgramLM] = None) -> np.ndarray:
@@ -320,7 +314,7 @@ def score_subgraphs(model: RankerModel, pair: tuple[str, str],
         return np.asarray(scores, dtype=np.float64)
     # random: a seeded value per candidate position, stable across runs
     return np.asarray([
-        _stable_unit(model.seed, pair[0], pair[1], i) for i in range(len(subgraphs))])
+        stable_hash(model.seed, pair[0], pair[1], i) / 2**64 for i in range(len(subgraphs))])
 
 
 def rank_subgraphs(model: RankerModel, pair: tuple[str, str],
@@ -330,8 +324,7 @@ def rank_subgraphs(model: RankerModel, pair: tuple[str, str],
     if not subgraphs:
         raise ValueError("subgraphs must be non-empty")
     scores = score_subgraphs(model, pair, subgraphs, lm)
-    order = sorted(range(len(subgraphs)), key=lambda i: (-scores[i], i))
-    return [(subgraphs[i], float(scores[i])) for i in order]
+    return [(subgraphs[i], float(scores[i])) for i in descending_order(scores)]
 
 
 def _eligible_records(dataset: Sequence[RankedPairRecord], loss_kind: str):
@@ -540,7 +533,7 @@ def save_model(model: RankerModel, path, lm: Optional[NgramLM] = None) -> None:
         "train_rmse_history": model.train_rmse_history,
         "ngram_lm": lm.to_dict() if lm else None,
     }
-    Path(path).write_text(json.dumps(doc, ensure_ascii=False) + "\n", encoding="utf-8")
+    atomic_write(path, json.dumps(doc, ensure_ascii=False) + "\n")
 
 
 def load_model(path) -> tuple[RankerModel, Optional[NgramLM]]:

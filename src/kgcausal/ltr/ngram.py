@@ -8,12 +8,14 @@ into a sparse count vector for tree-based models.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
+
+from ..util import stable_hash
 
 logger = logging.getLogger(__name__)
 
@@ -63,14 +65,6 @@ class NgramLM:
             embeddings=np.asarray(d["embeddings"], dtype=np.float64),
             output_weights=np.asarray(d["output_weights"], dtype=np.float64),
         )
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Dense mean-pooled embedding plus hashed n-gram counts."""
-
-    dense: np.ndarray
-    hashed: np.ndarray
 
 
 def _context_windows(sequences: Sequence[Sequence[str]], n: int):
@@ -147,37 +141,32 @@ def train_ngram_lm(corpus: Sequence[Sequence[str]], n: int = 2, d: int = DEFAULT
                    output_weights=output_weights, loss_history=loss_history)
 
 
-def predict_next(lm: NgramLM, context: Sequence[str]) -> str:
-    """Most likely next token for a context of n-1 tokens."""
-    idx = np.array([lm.token_index(t) for t in context[-(lm.n - 1):]], dtype=np.int64)
-    x = lm.embeddings[idx].mean(axis=0)
-    logits = x @ lm.output_weights
-    ordered = sorted(lm.vocab.items(), key=lambda kv: kv[1])
-    return ordered[int(np.argmax(logits))][0]
-
-
 def next_token_accuracy(lm: NgramLM, sequence: Sequence[str]) -> float:
     """Fraction of positions where the model's argmax equals the held token."""
+    by_index = sorted(lm.vocab, key=lm.vocab.get)
     hits = 0
     total = 0
     for ctx, target in _context_windows([sequence], lm.n):
+        idx = np.array([lm.token_index(t) for t in ctx], dtype=np.int64)
+        logits = lm.embeddings[idx].mean(axis=0) @ lm.output_weights
         total += 1
-        if predict_next(lm, ctx) == target:
+        if by_index[int(np.argmax(logits))] == target:
             hits += 1
     return hits / total if total else 0.0
 
 
-def _hash_index(parts: Sequence[str], hash_dim: int) -> int:
-    digest = hashlib.blake2b("\x1f".join(parts).encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big") % hash_dim
+@lru_cache(maxsize=1 << 14)
+def _ngram_slot(ngram: tuple[str, ...], hash_dim: int) -> int:
+    return stable_hash(*ngram) % hash_dim
 
 
 def hashed_counts(tokens: Sequence[str], n: int, hash_dim: int = DEFAULT_HASH_DIM) -> np.ndarray:
     """Counts of all 1..n-grams, hashed into a fixed-size vector."""
     counts = np.zeros(hash_dim, dtype=np.float64)
+    tokens = tuple(tokens)
     for order in range(1, n + 1):
         for i in range(len(tokens) - order + 1):
-            counts[_hash_index(tokens[i:i + order], hash_dim)] += 1.0
+            counts[_ngram_slot(tokens[i:i + order], hash_dim)] += 1.0
     return counts
 
 
@@ -187,12 +176,3 @@ def dense_features(lm: NgramLM, tokens: Sequence[str]) -> np.ndarray:
         raise ValueError("tokens must be non-empty")
     idx = np.array([lm.token_index(t) for t in tokens], dtype=np.int64)
     return lm.embeddings[idx].mean(axis=0)
-
-
-def featurize(lm: NgramLM, tokens: Sequence[str],
-              hash_dim: int = DEFAULT_HASH_DIM) -> FeatureVector:
-    """Dense and hashed features for one token sequence."""
-    return FeatureVector(
-        dense=dense_features(lm, tokens),
-        hashed=hashed_counts(tokens, lm.n, hash_dim),
-    )

@@ -9,13 +9,10 @@ in [0, 2] with 1.0 the no-signal midpoint.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional, Sequence
 
 from .errors import (
@@ -28,6 +25,7 @@ from .errors import (
 )
 from .kg import KnowledgeGraph, MetapathSubgraph, enumerate_subgraphs, sample_subgraphs
 from .llm import CAUSAL, NON_CAUSAL, CompletionRequest, label_probability
+from .util import descending_order, map_in_order, read_jsonl, stable_hash, write_jsonl
 from .verbalize import HYPHEN_STYLE, verbalize
 
 logger = logging.getLogger(__name__)
@@ -221,9 +219,8 @@ def rank_pair(instance: PairInstance, subgraphs: Sequence[MetapathSubgraph], bac
         raise EmptyCandidatesError(f"{instance.qid}: no candidate subgraphs")
     scores = [score_subgraph(instance, sg, backend, template=template, instruction=instruction)
               for sg in subgraphs]
-    order = sorted(range(len(subgraphs)), key=lambda i: (-scores[i].s, i))
     metapaths = []
-    for rank, idx in enumerate(order, start=1):
+    for rank, idx in enumerate(descending_order([sc.s for sc in scores]), start=1):
         sg, sc = subgraphs[idx], scores[idx]
         metapaths.append(RankedMetapath(
             pathid=rank,
@@ -251,7 +248,7 @@ class DatasetSummary:
     records_written: int
     skipped_no_subgraphs: int
     skipped_backend_error: int
-    backend_calls: int
+    backend_calls: Optional[int]
 
     def to_dict(self) -> dict:
         return {
@@ -263,12 +260,6 @@ class DatasetSummary:
         }
 
 
-def _sub_seed(seed: int, *parts) -> int:
-    digest = hashlib.blake2b(
-        "\x1f".join([str(seed), *map(str, parts)]).encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
-
-
 def candidate_subgraphs(instance: PairInstance, kg: KnowledgeGraph, max_hops: int = 4,
                         candidate_limit: Optional[int] = 64, k_max: int = DEFAULT_K_MAX,
                         seed: int = 0) -> list[MetapathSubgraph]:
@@ -276,10 +267,47 @@ def candidate_subgraphs(instance: PairInstance, kg: KnowledgeGraph, max_hops: in
     try:
         found = enumerate_subgraphs(kg, (instance.e1, instance.e2), max_hops=max_hops,
                                     limit=candidate_limit,
-                                    seed=_sub_seed(seed, "enumerate", instance.qid))
+                                    seed=stable_hash(seed, "enumerate", instance.qid))
     except NoSuchNodeError:
         return []
-    return sample_subgraphs(found, k_max, seed=_sub_seed(seed, "sample", instance.qid))
+    return sample_subgraphs(found, k_max, seed=stable_hash(seed, "sample", instance.qid))
+
+
+@dataclass(frozen=True)
+class EstimateResult:
+    """Records of the pairs that were ranked, in input order, plus counts.
+
+    ``backend_calls`` is the number of ``complete`` calls made, or None for a
+    backend that does not count them.
+    """
+
+    records: list[RankedPairRecord]
+    skipped_backend_error: int
+    backend_calls: Optional[int]
+
+
+def estimate_relevance(jobs: Sequence[tuple[PairInstance, Sequence[MetapathSubgraph]]],
+                       backend, template: str = DEFAULT_SRE_TEMPLATE,
+                       instruction: str = DEFAULT_INSTRUCTION) -> EstimateResult:
+    """Rank each (instance, candidates) job on up to ``backend.parallelism``
+    threads.  A backend failure on one pair skips and counts that pair rather
+    than aborting the run."""
+    def run_job(job):
+        instance, candidates = job
+        try:
+            return rank_pair(instance, candidates, backend,
+                             template=template, instruction=instruction)
+        except (BackendUnavailable, BackendRejected) as exc:
+            logger.warning("skipping %s: %s", instance.qid, exc)
+            return None
+
+    calls_before = getattr(backend, "calls", None)
+    outcomes = map_in_order(run_job, jobs, getattr(backend, "parallelism", 1))
+    records = [record for record in outcomes if record is not None]
+    return EstimateResult(
+        records=records,
+        skipped_backend_error=len(outcomes) - len(records),
+        backend_calls=None if calls_before is None else backend.calls - calls_before)
 
 
 def build_ranked_dataset(instances: Sequence[PairInstance], kg: KnowledgeGraph, backend,
@@ -294,73 +322,29 @@ def build_ranked_dataset(instances: Sequence[PairInstance], kg: KnowledgeGraph, 
     aborting the run.  Output order follows input order, so a rerun with the
     same seed and a deterministic backend reproduces the file byte for byte.
     """
-    jobs: list[tuple[PairInstance, list[MetapathSubgraph]]] = []
-    skipped_no_subgraphs = 0
+    jobs = []
     for instance in instances:
         candidates = candidate_subgraphs(instance, kg, max_hops=max_hops,
                                          candidate_limit=candidate_limit,
                                          k_max=k_max, seed=seed)
-        if not candidates:
-            skipped_no_subgraphs += 1
-            continue
-        jobs.append((instance, candidates))
-
-    def run_job(job):
-        instance, candidates = job
-        try:
-            record = rank_pair(instance, candidates, backend,
-                               template=template, instruction=instruction)
-            return record, len(candidates)
-        except (BackendUnavailable, BackendRejected) as exc:
-            logger.warning("skipping %s: %s", instance.qid, exc)
-            return None, len(candidates)
-
-    parallelism = max(1, getattr(backend, "parallelism", 1))
-    if parallelism > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            outcomes = list(pool.map(run_job, jobs))
-    else:
-        outcomes = [run_job(j) for j in jobs]
-
-    records_written = 0
-    skipped_backend = 0
-    backend_calls = 0
-    out_path = Path(out_path)
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        for record, calls in outcomes:
-            backend_calls += calls
-            if record is None:
-                skipped_backend += 1
-                continue
-            fh.write(record.to_json_line() + "\n")
-            records_written += 1
-
+        if candidates:
+            jobs.append((instance, candidates))
+    result = estimate_relevance(jobs, backend, template=template, instruction=instruction)
+    write_jsonl(out_path, [record.to_dict() for record in result.records])
     return DatasetSummary(
         pairs_total=len(instances),
-        records_written=records_written,
-        skipped_no_subgraphs=skipped_no_subgraphs,
-        skipped_backend_error=skipped_backend,
-        backend_calls=backend_calls,
+        records_written=len(result.records),
+        skipped_no_subgraphs=len(instances) - len(jobs),
+        skipped_backend_error=result.skipped_backend_error,
+        backend_calls=result.backend_calls,
     )
 
 
 def read_instances(path) -> list[PairInstance]:
     """Parse a JSON Lines instance file."""
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(PairInstance.from_dict(json.loads(line)))
-    return out
+    return [PairInstance.from_dict(d) for d in read_jsonl(path)]
 
 
 def read_ranked_dataset(path) -> list[RankedPairRecord]:
     """Parse a ranked-dataset JSON Lines file."""
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(RankedPairRecord.from_json_line(line))
-    return out
+    return [RankedPairRecord.from_dict(d) for d in read_jsonl(path)]

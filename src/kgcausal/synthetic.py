@@ -9,13 +9,13 @@ gives every stage of the pipeline a known ground truth to recover.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
 from .kg import EdgeRecord, KnowledgeGraph, NodeRecord
 from .llm import CAUSAL, NON_CAUSAL, MockOracleConfig
 from .relevance import PairInstance
+from .util import write_jsonl
 
 MOTIF_TYPE = "StressHormone"
 MOTIF_NAME_PREFIX = "stress hormone"
@@ -101,22 +101,17 @@ def make_planted_world(n_pairs: int = 220, decoys_per_pair: int = 4, seed: int =
 
 def write_kg_jsonl(world: SyntheticWorld, path) -> Path:
     """Write the world's graph in the triples-jsonl snapshot format."""
-    path = Path(path)
     by_id = {n.id: n for n in world.nodes}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for edge in world.edges:
-            head, tail = by_id[edge.head], by_id[edge.tail]
-            fh.write(json.dumps({
-                "head": {"id": head.id, "name": head.name, "type": head.node_type},
-                "relation": edge.relation,
-                "tail": {"id": tail.id, "name": tail.name, "type": tail.node_type},
-            }, ensure_ascii=False) + "\n")
-    return path
+
+    def endpoint(node_id: str) -> dict:
+        node = by_id[node_id]
+        return {"id": node.id, "name": node.name, "type": node.node_type}
+
+    write_jsonl(path, [{"head": endpoint(e.head), "relation": e.relation,
+                        "tail": endpoint(e.tail)} for e in world.edges])
+    return Path(path)
 
 
 def write_instances_jsonl(instances, path) -> Path:
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for inst in instances:
-            fh.write(json.dumps(inst.to_dict(), ensure_ascii=False) + "\n")
-    return path
+    write_jsonl(path, [inst.to_dict() for inst in instances])
+    return Path(path)

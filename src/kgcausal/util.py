@@ -1,0 +1,67 @@
+"""Small helpers shared by the pipeline stages: the seeded hash, the stable
+descending sort, atomic artifact writes, JSON Lines I/O and the in-order
+thread pool."""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+from typing import Callable, Iterable, Sequence, TypeVar
+
+T = TypeVar("T")
+R = TypeVar("R")
+
+
+def stable_hash(*parts) -> int:
+    """64-bit BLAKE2b of the parts joined with U+001F; stable across processes."""
+    key = "\x1f".join(map(str, parts)).encode("utf-8")
+    return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
+
+
+def descending_order(scores: Sequence[float]) -> list[int]:
+    """Indices sorted by descending score; ties keep input order."""
+    return sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+
+
+def atomic_write(path, text: str) -> None:
+    """Replace ``path`` with ``text`` in one step: readers see the old file or
+    the new one, never a partial write, and a failure leaves the old file."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_jsonl(path, rows: Iterable[dict]) -> None:
+    """Atomically write one JSON object per line."""
+    atomic_write(path, "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
+
+
+def read_jsonl(path) -> list:
+    """The JSON value on each non-blank line of a JSON Lines file."""
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()]
+
+
+def map_in_order(fn: Callable[[T], R], items: Iterable[T], parallelism: int) -> list[R]:
+    """``fn`` over ``items`` on up to ``parallelism`` threads, results in input
+    order.  The first error (in input order) cancels the jobs not yet started
+    and is re-raised."""
+    items = list(items)
+    if parallelism <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+        futures = [pool.submit(fn, item) for item in items]
+        try:
+            return [future.result() for future in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import math
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -71,3 +74,44 @@ def hetionet_style_kg():
         EdgeRecord(head="n1", relation="AFFECTS", tail="n5"),
     ]
     return KnowledgeGraph(nodes, edges)
+
+
+class StubHandler(BaseHTTPRequestHandler):
+    """Replays the scripted (status, body) responses of its server; a bytes
+    body is sent as is, anything else as JSON."""
+
+    def do_POST(self):
+        length = int(self.headers.get("Content-Length", 0))
+        request = json.loads(self.rfile.read(length))
+        with self.server.lock:
+            self.server.requests.append(request)
+            served = len(self.server.requests)
+        status, body = self.server.script[min(served, len(self.server.script)) - 1]
+        payload = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def stub_server():
+    """Loopback completion endpoint; set ``script`` and read ``requests``."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), StubHandler)
+    server.script = [(200, {})]
+    server.requests = []
+    server.lock = threading.Lock()
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    thread.join(timeout=2)
+
+
+def ok_body(text="causal", logprob=-0.2):
+    return {"choices": [{"text": text,
+                         "logprobs": {"tokens": [text], "token_logprobs": [logprob]}}]}

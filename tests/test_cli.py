@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import pytest
 
+from conftest import ok_body
 from kgcausal.cli import EXIT_CONFIG, EXIT_DEGRADED, EXIT_OK, main
 from kgcausal.synthetic import make_planted_world, write_instances_jsonl, write_kg_jsonl
 
@@ -166,6 +168,28 @@ class TestEstimate:
         assert not out.exists()
 
 
+    def test_http_sidecar_counts_requests_served(self, workdir, pipeline, stub_server,
+                                                 tmp_path):
+        root, world, out = pipeline
+        stub_server.script = [(200, ok_body("causal"))]
+        config = {
+            "kg": {"path": str(root / "kg.jsonl")},
+            "llm": {"backend": "http", "model": "m", "parallelism": 2,
+                    "endpoint": f"http://127.0.0.1:{stub_server.server_address[1]}"},
+            "seed": 42,
+        }
+        cfg = tmp_path / "http.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        ranked = tmp_path / "ranked.jsonl"
+        assert run("estimate", out / "candidates.jsonl", "--config", cfg,
+                   "--out", ranked) == EXIT_OK
+        rows = [json.loads(line) for line in ranked.read_text().splitlines()]
+        assert [row["qid"] for row in rows] == [inst.qid for inst in world.instances]
+        meta = json.loads(Path(str(ranked) + ".meta.json").read_text())
+        assert meta["summary"]["backend_calls"] == len(stub_server.requests)
+        assert len(stub_server.requests) == sum(len(row["metapaths"]) for row in rows)
+
+
 class TestTrainRankDiscoverEval:
     def test_model_file_is_versioned_json(self, pipeline):
         _, _, out = pipeline
@@ -205,6 +229,40 @@ class TestTrainRankDiscoverEval:
         rows = [json.loads(line) for line in predictions.read_text().splitlines()]
         assert all(row["subgraphs_used"] == [] for row in rows)
         assert all(row["predicted"] == "non-causal" for row in rows)
+
+    def test_discover_backend_down_exits_2_without_output(self, pipeline, tmp_path):
+        root, _, out = pipeline
+        config = {
+            "kg": {"path": str(root / "kg.jsonl")},
+            "llm": {"backend": "http", "endpoint": "http://127.0.0.1:1/v1/completions",
+                    "model": "m", "max_retries": 0, "parallelism": 2},
+        }
+        cfg = tmp_path / "http.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        predictions = tmp_path / "predictions.jsonl"
+        code = run("discover", out / "model.json", root / "pairs.jsonl", "--config", cfg,
+                   "--out", predictions)
+        assert code == EXIT_CONFIG
+        assert not predictions.exists()
+
+    def test_failed_write_leaves_previous_artifacts(self, pipeline, tmp_path, monkeypatch):
+        root, _, out = pipeline
+        model_path = tmp_path / "model.json"
+        meta_path = Path(str(model_path) + ".meta.json")
+        assert run("train", out / "ranked.jsonl", "--config", root / "config.json",
+                   "--out", model_path) == EXIT_OK
+        before = model_path.read_bytes(), meta_path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        code = run("train", out / "ranked.jsonl", "--config", root / "config.json",
+                   "--kind", "random", "--out", model_path)
+        assert code == EXIT_CONFIG
+        assert (model_path.read_bytes(), meta_path.read_bytes()) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "model.json", "model.json.meta.json"]
 
     def test_discover_rerun_byte_identical(self, pipeline, tmp_path):
         root, _, out = pipeline

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from kgcausal.discovery import (
     baseline_rank,
     build_discovery_prompt,
     classify_pair,
+    classify_pairs,
     evaluate_classification,
     f1_score,
     hamming_distance,
@@ -20,7 +24,7 @@ from kgcausal.discovery import (
     parse_permutation,
     select_top_k,
 )
-from kgcausal.errors import TemplateError
+from kgcausal.errors import BackendUnavailable, TemplateError
 from kgcausal.llm import MockOracle
 from kgcausal.ltr.models import RankerModel
 from kgcausal.relevance import PairInstance
@@ -115,6 +119,41 @@ class TestClassifyPair:
                                    config=DiscoveryConfig(k=1), candidates=[])
         assert prediction.predicted is None
         assert prediction.p == 0.0
+
+
+class TestClassifyPairs:
+    def test_parallel_matches_serial_in_input_order(self):
+        world = make_planted_world(n_pairs=12, flip_rate=0.1, seed=3)
+        ranker = RankerModel(kind="random", seed=2)
+        config = DiscoveryConfig(k=2)
+        serial = [classify_pair(inst, world.kg, ranker, MockOracle(world.mock_config),
+                                config=config) for inst in world.instances]
+        backend = MockOracle(world.mock_config)
+        backend.parallelism = 3
+        assert classify_pairs(world.instances, world.kg, ranker, backend,
+                              config=config) == serial
+        assert backend.calls == len(world.instances)
+
+    def test_first_error_cancels_pending_pairs(self):
+        world = make_planted_world(n_pairs=40, flip_rate=0.0)
+
+        class DeadBackend:
+            parallelism = 2
+
+            def __init__(self):
+                self.calls = 0
+                self.lock = threading.Lock()
+
+            def complete(self, request):
+                with self.lock:
+                    self.calls += 1
+                time.sleep(0.02)
+                raise BackendUnavailable("down")
+
+        backend = DeadBackend()
+        with pytest.raises(BackendUnavailable, match="qid q0000"):
+            classify_pairs(world.instances, None, None, backend)
+        assert backend.calls < 10
 
 
 class TestParsePermutation:

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from conftest import ok_body
 from kgcausal.errors import (
     BackendRejected,
     BackendUnavailable,
@@ -22,7 +23,6 @@ from kgcausal.llm import (
     MockOracle,
     MockOracleConfig,
     canonical_label,
-    complete,
     label_probability,
 )
 
@@ -39,7 +39,7 @@ class TestMockOracle:
     def test_motif_prompt_answers_causal_with_base_confidence(self):
         backend = MockOracle(MOTIF_CONFIG)
         request = CompletionRequest(prompt=sre_like_prompt("a - stress hormone m1 - b"))
-        completion = complete(backend, request)
+        completion = backend.complete(request)
         assert completion.text == "causal"
         label, p = label_probability(completion)
         assert label == "causal"
@@ -91,6 +91,27 @@ class TestMockOracle:
         for _ in range(4):
             backend.complete(CompletionRequest(prompt="x [Relation]: "))
         assert backend.calls == 4
+
+    def test_call_counter_under_threads(self):
+        backend = MockOracle(MOTIF_CONFIG)
+        request = CompletionRequest(prompt="x [Relation]: ")
+
+        def hammer():
+            for _ in range(300):
+                backend.complete(request)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert backend.calls == 8 * 300
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -164,42 +185,6 @@ class TestLabelProbability:
         assert canonical_label("CAUSAL") == "causal"
 
 
-class StubHandler(BaseHTTPRequestHandler):
-    """Replays the scripted (status, body) responses of its server."""
-
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        self.server.requests.append(json.loads(self.rfile.read(length)))
-        status, body = self.server.script[min(len(self.server.requests) - 1,
-                                              len(self.server.script) - 1)]
-        payload = json.dumps(body).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def stub_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), StubHandler)
-    server.script = [(200, {})]
-    server.requests = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield server
-    server.shutdown()
-    thread.join(timeout=2)
-
-
-def ok_body(text="causal", logprob=-0.2):
-    return {"choices": [{"text": text,
-                         "logprobs": {"tokens": [text], "token_logprobs": [logprob]}}]}
-
-
 class TestHttpBackend:
     def backend(self, server, **kwargs):
         kwargs.setdefault("backoff_base", 0.0)
@@ -236,6 +221,26 @@ class TestHttpBackend:
         assert info.value.status == 400
         assert "bad request" in info.value.body_excerpt
         assert len(stub_server.requests) == 1
+
+    def test_non_json_success_body_is_retried(self, stub_server):
+        stub_server.script = [(200, b"<html>gateway hiccup</html>"), (200, ok_body())]
+        completion = self.backend(stub_server, max_retries=1).complete(
+            CompletionRequest(prompt="p"))
+        assert completion.text == "causal"
+        assert len(stub_server.requests) == 2
+
+    def test_non_json_success_body_unavailable_after_retries(self, stub_server):
+        stub_server.script = [(200, b"not json")]
+        with pytest.raises(BackendUnavailable, match="not JSON"):
+            self.backend(stub_server, max_retries=2).complete(CompletionRequest(prompt="p"))
+        assert len(stub_server.requests) == 1 + 2
+
+    def test_call_counter(self, stub_server):
+        stub_server.script = [(200, ok_body())]
+        backend = self.backend(stub_server)
+        for _ in range(3):
+            backend.complete(CompletionRequest(prompt="p"))
+        assert backend.calls == 3
 
     def test_missing_logprobs_raises_capability(self, stub_server):
         stub_server.script = [(200, {"choices": [{"text": "causal"}]})]

@@ -8,7 +8,6 @@ import pytest
 from kgcausal.ltr.ngram import (
     UNK,
     dense_features,
-    featurize,
     hashed_counts,
     next_token_accuracy,
     train_ngram_lm,
@@ -67,10 +66,10 @@ class TestFeatures:
         assert np.allclose(dense_features(toy_lm, ["a", "b"]), expected)
 
     def test_permutation_changes_hashed_not_dense(self, toy_lm):
-        fv1 = featurize(toy_lm, ["a", "b", "c"])
-        fv2 = featurize(toy_lm, ["c", "b", "a"])
-        assert np.allclose(fv1.dense, fv2.dense)
-        assert not np.array_equal(fv1.hashed, fv2.hashed)
+        forward, backward = ["a", "b", "c"], ["c", "b", "a"]
+        assert np.allclose(dense_features(toy_lm, forward), dense_features(toy_lm, backward))
+        assert not np.array_equal(hashed_counts(forward, toy_lm.n),
+                                  hashed_counts(backward, toy_lm.n))
 
     def test_hashed_counts_total(self):
         counts = hashed_counts(["a", "b", "c"], n=2, hash_dim=64)

@@ -185,6 +185,26 @@ class TestBuildRankedDataset:
         assert backend.calls == 3 + 10
         assert summary.backend_calls == backend.calls
 
+    def test_calls_counted_as_made_when_a_record_fails_partway(self, world, tmp_path):
+        kg, instances = world
+
+        class DiesOnSecondPath(MockOracle):
+            seen = 0
+
+            def complete(self, request):
+                completion = super().complete(request)
+                if "right 1" in request.prompt:
+                    self.seen += 1
+                    if self.seen == 2:
+                        raise BackendUnavailable("down")
+                return completion
+
+        backend = DiesOnSecondPath(MockOracleConfig(causal_motifs=(("x",),)))
+        summary = build_ranked_dataset(instances, kg, backend, tmp_path / "r.jsonl",
+                                       k_max=10, seed=4)
+        assert summary.skipped_backend_error == 1
+        assert summary.backend_calls == backend.calls == 3 + 2
+
     def test_backend_failure_skips_pair(self, world, tmp_path):
         kg, instances = world
 
