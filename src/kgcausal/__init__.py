@@ -41,13 +41,11 @@ from .llm import (
     label_probability,
 )
 from .relevance import (
-    DatasetSummary,
     EstimateResult,
     PairInstance,
     RankedMetapath,
     RankedPairRecord,
     RelevanceScore,
-    build_ranked_dataset,
     build_sre_prompt,
     candidate_subgraphs,
     estimate_relevance,
@@ -72,7 +70,6 @@ from .discovery import (
     CausalPrediction,
     ClassificationMetrics,
     DiscoveryConfig,
-    DiscoveryPrompt,
     EvaluationReport,
     GraphMetrics,
     aggregate_graph,

@@ -76,8 +76,7 @@ DEFAULT_CONFIG: dict = {
     "ranker": {"kind": "neural", "loss": "ranknet",
                "ngram": {"n": 2, "d": 128, "epochs": 10, "lr": 0.5},
                "gbdt": {"rounds": 100, "depth": 3, "lr": 0.1},
-               "train": {"epochs": 200, "lr": 0.05, "batch": 8, "seed": None,
-                         "patience": None}},
+               "train": {"epochs": 200, "lr": 0.05, "batch": 8}},
     "discovery": {"k": 1, "style": "plain_arrows", "template_path": None},
     "eval": {"ks": [1, 3, 5]},
     "seed": 0,
@@ -96,6 +95,15 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return merged
 
 
+def _check_keys(user: dict, defaults: dict, prefix: str = "") -> None:
+    """Reject a key that DEFAULT_CONFIG does not have, naming its dotted path."""
+    for key, value in user.items():
+        if key not in defaults:
+            raise KgcausalError(f"unknown config key {prefix}{key}")
+        if isinstance(value, dict) and isinstance(defaults[key], dict):
+            _check_keys(value, defaults[key], f"{prefix}{key}.")
+
+
 def load_config(path: Optional[Path]) -> dict:
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
@@ -105,6 +113,7 @@ def load_config(path: Optional[Path]) -> dict:
         raise KgcausalError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise KgcausalError(f"config file {path} is not valid JSON: {exc}")
+    _check_keys(user, DEFAULT_CONFIG)
     return _deep_merge(DEFAULT_CONFIG, user)
 
 
@@ -215,11 +224,6 @@ def cmd_estimate(args) -> int:
     return EXIT_DEGRADED if failures else EXIT_OK
 
 
-def _train_seed(config: dict) -> int:
-    explicit = config["ranker"]["train"].get("seed")
-    return explicit if explicit is not None else stage_seed(config["seed"], "train")
-
-
 def cmd_train(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
@@ -232,7 +236,7 @@ def cmd_train(args) -> int:
     if not dataset:
         raise KgcausalError(f"ranked dataset {args.dataset} is empty")
     rcfg = config["ranker"]
-    seed = _train_seed(config)
+    seed = stage_seed(config["seed"], "train")
 
     corpus = []
     for record in dataset:
@@ -248,7 +252,7 @@ def cmd_train(args) -> int:
         epochs=rcfg["train"]["epochs"], learning_rate=rcfg["train"]["lr"],
         batch=rcfg["train"]["batch"], seed=seed,
         gbdt_rounds=rcfg["gbdt"]["rounds"], gbdt_max_depth=rcfg["gbdt"]["depth"],
-        gbdt_learning_rate=rcfg["gbdt"]["lr"], patience=rcfg["train"]["patience"])
+        gbdt_learning_rate=rcfg["gbdt"]["lr"])
     kind = rcfg["kind"]
     if kind == NEURAL:
         model = train_neural_ranker(dataset, lm, rcfg["loss"], train_config)

@@ -11,13 +11,13 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import NoSuchNodeError, TemplateError, UnparseableLabel
+from .errors import NoSuchNodeError, UnparseableLabel
 from .kg import KnowledgeGraph, MetapathSubgraph, enumerate_subgraphs
 from .llm import CAUSAL, CompletionRequest, label_probability
 from .ltr.models import RANDOM, SIMILARITY, RankerModel, rank_subgraphs
 from .ltr.ngram import NgramLM
 from .relevance import DEFAULT_INSTRUCTION, PairInstance
-from .util import descending_order, map_in_order, read_jsonl
+from .util import descending_order, fill_template, map_in_order, read_jsonl
 from .verbalize import PLAIN_ARROWS_STYLE, VerbalizationStyle, verbalize
 
 logger = logging.getLogger(__name__)
@@ -29,37 +29,12 @@ DEFAULT_DISCOVERY_TEMPLATE = (
     "The relation between {a} and {b} is"
 )
 
-_DISCOVERY_PLACEHOLDERS = ("{instruction}", "{context}", "{paths}", "{a}", "{b}")
-
 BASELINE_RANDOM = "random"
 BASELINE_SIMILARITY = "similarity"
 BASELINE_PERMUTATION = "permutation"
 BASELINE_KINDS = (BASELINE_RANDOM, BASELINE_SIMILARITY, BASELINE_PERMUTATION)
 
 _BRACKETED_INT = re.compile(r"\[(\d+)\]")
-
-
-@dataclass(frozen=True)
-class DiscoveryPrompt:
-    """The assembled zero-shot prompt and its ingredients."""
-
-    instruction: str
-    context: str
-    subgraph_block: str
-    pair: tuple[str, str]
-    template: str = DEFAULT_DISCOVERY_TEMPLATE
-
-    def render(self) -> str:
-        for placeholder in _DISCOVERY_PLACEHOLDERS:
-            if placeholder not in self.template:
-                raise TemplateError(f"template is missing placeholder {placeholder}")
-        return self.template.format(
-            instruction=self.instruction,
-            context=self.context,
-            paths=self.subgraph_block,
-            a=self.pair[0],
-            b=self.pair[1],
-        )
 
 
 @dataclass(frozen=True)
@@ -116,15 +91,14 @@ def build_discovery_prompt(instance: PairInstance,
                            template: str = DEFAULT_DISCOVERY_TEMPLATE,
                            instruction: str = DEFAULT_INSTRUCTION) -> str:
     """Zero-shot prompt with one verbalized path per line (possibly none)."""
-    block = "\n".join(verbalize(sg, style) for sg in top_subgraphs)
-    prompt = DiscoveryPrompt(
+    return fill_template(
+        template,
         instruction=instruction,
         context=instance.context,
-        subgraph_block=block,
-        pair=(instance.e1, instance.e2),
-        template=template,
+        paths="\n".join(verbalize(sg, style) for sg in top_subgraphs),
+        a=instance.e1,
+        b=instance.e2,
     )
-    return prompt.render()
 
 
 def classify_pair(instance: PairInstance, kg: Optional[KnowledgeGraph],

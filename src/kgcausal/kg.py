@@ -124,8 +124,8 @@ class KnowledgeGraph:
     """Typed, directed, relation-labeled multigraph; read-only after load.
 
     ``name_index`` maps lowercased names to node ids (a multimap: name
-    collisions keep every id), ``type_index`` maps node types to id sets.
-    Safe to share across threads once constructed.
+    collisions keep every id).  Safe to share across threads once
+    constructed.
     """
 
     def __init__(self, nodes: Iterable[NodeRecord], edges: Iterable[EdgeRecord],
@@ -154,12 +154,9 @@ class KnowledgeGraph:
         self._edges = tuple(edge_list)
 
         name_index: dict[str, list[str]] = {}
-        type_index: dict[str, set[str]] = {}
         for node in node_map.values():
             name_index.setdefault(node.name.lower(), []).append(node.id)
-            type_index.setdefault(node.node_type, set()).add(node.id)
         self._name_index = {k: tuple(sorted(v)) for k, v in name_index.items()}
-        self._type_index = {k: frozenset(v) for k, v in type_index.items()}
 
         # Undirected adjacency; each entry remembers the crossing direction.
         adj: dict[str, list[tuple[str, str, str]]] = {}
@@ -182,10 +179,6 @@ class KnowledgeGraph:
     @property
     def name_index(self) -> dict[str, tuple[str, ...]]:
         return dict(self._name_index)
-
-    @property
-    def type_index(self) -> dict[str, frozenset]:
-        return dict(self._type_index)
 
     def node(self, node_id: str) -> NodeRecord:
         return self._nodes[node_id]
@@ -259,8 +252,8 @@ def load_kg(path, format: str = FORMAT_JSONL) -> KnowledgeGraph:
     """Load a graph snapshot; the result is immutable.
 
     Endpoints may be bare id references as long as the id is declared with
-    name and type somewhere in the file; an id that is only ever referenced
-    raises :class:`KGLoadError` naming it.
+    name and type somewhere in the file; the graph raises
+    :class:`KGLoadError` naming an id that is only ever referenced.
     """
     path = Path(path)
     if not path.exists():
@@ -269,12 +262,10 @@ def load_kg(path, format: str = FORMAT_JSONL) -> KnowledgeGraph:
         raise KGLoadError(f"unknown KG file format {format!r}")
 
     declared: dict[str, tuple[str, str]] = {}
-    referenced: list[str] = []
     edges: list[EdgeRecord] = []
     for where, head, relation, tail in _TRIPLE_READERS[format](path):
         for node_id, name, node_type in (head, tail):
             if name is None and node_type is None:
-                referenced.append(node_id)
                 continue
             if not name or not node_type:
                 raise KGLoadError(f"{where}: node {node_id!r} needs both name and type")
@@ -284,10 +275,6 @@ def load_kg(path, format: str = FORMAT_JSONL) -> KnowledgeGraph:
                     f"{where}: node id {node_id!r} redeclared with conflicting name/type")
             declared[node_id] = (name, node_type)
         edges.append(EdgeRecord(head=head[0], relation=relation, tail=tail[0]))
-
-    missing = sorted(set(referenced) - set(declared))
-    if missing:
-        raise KGLoadError(f"edge endpoint references undeclared node id {missing[0]!r}")
 
     nodes = [NodeRecord(id=i, name=n, node_type=t) for i, (n, t) in sorted(declared.items())]
     graph = KnowledgeGraph(nodes, edges)
@@ -307,6 +294,16 @@ def _bfs_distances(kg: KnowledgeGraph, sources: Sequence[str]) -> dict[str, int]
                 dist[v] = dist[u] + 1
                 queue.append(v)
     return dist
+
+
+def _distinct_neighbors(kg: KnowledgeGraph, u: str):
+    """Neighbour ids of u in sorted order, each once however many parallel
+    edges join them (those sit side by side in the sorted adjacency)."""
+    previous = None
+    for v, _rel, _direction in kg.neighbors(u):
+        if v != previous:
+            previous = v
+            yield v
 
 
 def _hop_options(kg: KnowledgeGraph, u: str, v: str) -> list[tuple[str, str]]:
@@ -374,27 +371,19 @@ def enumerate_subgraphs(kg: KnowledgeGraph, pair: tuple[str, str], max_hops: int
                 options = [_hop_options(kg, path[i], path[i + 1]) for i in range(len(path) - 1)]
                 results.extend(_expand_node_path(kg, path, options))
             return
-        for v, _rel, _direction in kg.neighbors(u):
+        for v in _distinct_neighbors(kg, u):
             # Nodes on a shortest path sit at strictly decreasing remaining
             # distance, which also guarantees the path is simple.
             if dist_b.get(v) == shortest - depth - 1:
-                if v not in path:
-                    path.append(v)
-                    extend(path, depth + 1)
-                    path.pop()
+                path.append(v)
+                extend(path, depth + 1)
+                path.pop()
 
-    seen_starts = set()
     for start in a_ids:
-        if start in seen_starts:
-            continue
-        seen_starts.add(start)
         if dist_b.get(start) == shortest:
             extend([start], 0)
 
-    # Deduplicate hop combinations discovered via different starts (cannot
-    # happen for distinct start ids, but keeps the contract airtight).
-    unique = {s.sort_key(): s for s in results}
-    ordered = [unique[k] for k in sorted(unique)]
+    ordered = sorted(results, key=MetapathSubgraph.sort_key)
     if limit is not None and len(ordered) > limit:
         ordered = [ordered[i] for i in _sample_indices(len(ordered), limit, seed)]
     return ordered
@@ -435,17 +424,16 @@ def pattern_query(kg: KnowledgeGraph, pair: tuple[str, str], type_pattern: Seque
                     results.extend(_expand_node_path(kg, path, options))
             return
         wanted_type = type_pattern[depth + 1]
-        for v, _rel, _direction in kg.neighbors(u):
+        for v in _distinct_neighbors(kg, u):
             if v not in path and kg.node(v).node_type == wanted_type:
                 path.append(v)
                 extend(path, depth + 1)
                 path.pop()
 
-    for start in sorted(set(a_ids)):
+    for start in a_ids:
         extend([start], 0)
 
-    unique = {s.sort_key(): s for s in results}
-    return [unique[k] for k in sorted(unique)]
+    return sorted(results, key=MetapathSubgraph.sort_key)
 
 
 def sample_subgraphs(subgraphs: Sequence[MetapathSubgraph], k: int,

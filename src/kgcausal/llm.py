@@ -39,6 +39,9 @@ DEFAULT_LABEL_VARIANTS = ("non-causal", "noncausal", "non causal", CAUSAL)
 
 PATH_BLOCK_MARKER = "[Relation Paths]:"
 
+# Client errors that are transient in practice: rate limited, request timeout.
+_RETRIED_CLIENT_ERRORS = (429, 408)
+
 
 @dataclass(frozen=True)
 class CompletionRequest:
@@ -219,10 +222,11 @@ class MockOracle:
 class HttpBackend:
     """Client for OpenAI-compatible completion endpoints.
 
-    Transient failures (connection errors, HTTP 5xx, a success whose body is
-    not JSON) are retried with exponential backoff up to ``max_retries`` extra
-    attempts; client errors are surfaced immediately.  ``parallelism`` bounds
-    in-flight requests; ``calls`` counts ``complete`` calls.
+    Transient failures (connection errors, HTTP 5xx, 429 and 408, a success
+    whose body is not JSON) are retried with exponential backoff up to
+    ``max_retries`` extra attempts; other client errors are surfaced
+    immediately.  ``parallelism`` bounds in-flight requests; ``calls`` counts
+    ``complete`` calls.
     """
 
     def __init__(self, endpoint: str, model: str, credential_env: Optional[str] = None,
@@ -272,14 +276,13 @@ class HttpBackend:
                     last_error = exc
                     logger.warning("backend attempt %d failed: %s", attempt + 1, exc)
                     continue
-                if 400 <= response.status_code < 500:
-                    raise BackendRejected(response.status_code, response.text[:200])
-                if response.status_code >= 500:
-                    last_error = BackendUnavailable(
-                        f"HTTP {response.status_code}: {response.text[:200]}")
-                    logger.warning("backend attempt %d failed: HTTP %d",
-                                   attempt + 1, response.status_code)
+                status = response.status_code
+                if status >= 500 or status in _RETRIED_CLIENT_ERRORS:
+                    last_error = BackendUnavailable(f"HTTP {status}: {response.text[:200]}")
+                    logger.warning("backend attempt %d failed: HTTP %d", attempt + 1, status)
                     continue
+                if status >= 400:
+                    raise BackendRejected(status, response.text[:200])
                 try:
                     body = response.json()
                 except ValueError as exc:

@@ -43,7 +43,6 @@ from .ngram import (
     NgramLM,
     dense_features,
     hashed_counts,
-    next_token_accuracy,
     train_ngram_lm,
 )
 
@@ -59,6 +58,5 @@ __all__ = [
     "record_pair", "record_subgraphs", "save_model", "score_subgraphs",
     "scorer_forward", "scorer_loss_and_grads",
     "train_gbdt_ranker", "train_neural_ranker",
-    "UNK", "NgramLM", "dense_features", "hashed_counts",
-    "next_token_accuracy", "train_ngram_lm",
+    "UNK", "NgramLM", "dense_features", "hashed_counts", "train_ngram_lm",
 ]

@@ -47,6 +47,7 @@ RANDOM = "random"
 MODEL_KINDS = (NEURAL, GBDT, SIMILARITY, RANDOM)
 
 DEFAULT_HIDDEN = 64
+MIN_LEAF = 1
 MODEL_FORMAT_VERSION = "v1"
 
 
@@ -69,8 +70,7 @@ class TrainConfig:
 
     ``lr_decay`` applies inverse-time decay, lr / (1 + decay * epoch); the
     pointwise objective needs it to converge tightly because its gradient
-    magnitude does not vanish at the optimum.  ``weight_decay`` is L2
-    shrinkage on the weight matrices (never the biases).
+    magnitude does not vanish at the optimum.
     """
 
     epochs: int = 200
@@ -78,19 +78,17 @@ class TrainConfig:
     batch: int = 8
     seed: int = 0
     lr_decay: float = 0.0
-    weight_decay: float = 0.0
     gbdt_rounds: int = 100
     gbdt_max_depth: int = 3
     gbdt_learning_rate: float = 0.1
-    patience: Optional[int] = None
 
     def __post_init__(self):
         if min(self.epochs, self.batch, self.gbdt_rounds) < 1:
             raise ValueError("epochs, batch and gbdt_rounds must be positive")
         if self.learning_rate <= 0 or self.gbdt_learning_rate <= 0:
             raise ValueError("learning rates must be positive")
-        if self.lr_decay < 0 or self.weight_decay < 0:
-            raise ValueError("lr_decay and weight_decay must be >= 0")
+        if self.lr_decay < 0:
+            raise ValueError("lr_decay must be >= 0")
         if self.gbdt_max_depth < 0:
             raise ValueError("gbdt_max_depth must be >= 0")
 
@@ -381,8 +379,6 @@ def train_neural_ranker(dataset: Sequence[RankedPairRecord], lm: NgramLM, loss_k
     )
 
     history: list[float] = []
-    best = np.inf
-    stale = 0
     for epoch in range(config.epochs):
         learning_rate = config.learning_rate / (1.0 + config.lr_decay * epoch)
         order = rng.permutation(len(data))
@@ -399,31 +395,22 @@ def train_neural_ranker(dataset: Sequence[RankedPairRecord], lm: NgramLM, loss_k
                 for key in acc:
                     acc[key] += grads[key]
             scale = learning_rate / len(batch)
-            params.w1 -= scale * acc["w1"] + learning_rate * config.weight_decay * params.w1
+            params.w1 -= scale * acc["w1"]
             params.b1 -= scale * acc["b1"]
-            params.w2 -= scale * acc["w2"] + learning_rate * config.weight_decay * params.w2
+            params.w2 -= scale * acc["w2"]
             params.b2 -= scale * acc["b2"]
         mean_loss = epoch_loss / len(data)
         history.append(float(mean_loss))
         logger.debug("ranker epoch %d: %s loss %.5f", epoch + 1, loss_kind, mean_loss)
-        if config.patience is not None:
-            if mean_loss < best - 1e-9:
-                best = mean_loss
-                stale = 0
-            else:
-                stale += 1
-                if stale >= config.patience:
-                    logger.info("early stop after %d epochs", epoch + 1)
-                    break
 
     return RankerModel(kind=NEURAL, loss_kind=loss_kind, seed=config.seed,
                        feature_config=feature_config, neural=params,
                        train_loss_history=history)
 
 
-def _fit_tree(X: np.ndarray, residuals: np.ndarray, max_depth: int,
-              min_leaf: int = 1) -> RegressionTree:
-    """Greedy variance-reduction regression tree on integer count features."""
+def _fit_tree(X: np.ndarray, residuals: np.ndarray, max_depth: int) -> RegressionTree:
+    """Greedy variance-reduction regression tree on integer count features;
+    every leaf keeps at least MIN_LEAF rows."""
     tree = RegressionTree(feature=[], threshold=[], left=[], right=[], value=[])
 
     def add_node() -> int:
@@ -438,7 +425,7 @@ def _fit_tree(X: np.ndarray, residuals: np.ndarray, max_depth: int,
         node = add_node()
         r = residuals[rows]
         tree.value[node] = float(r.mean())
-        if depth >= max_depth or len(rows) < 2 * min_leaf or np.ptp(r) == 0.0:
+        if depth >= max_depth or len(rows) < 2 * MIN_LEAF or np.ptp(r) == 0.0:
             return node
         Xn = X[rows]
         total_sum = r.sum()
@@ -456,7 +443,7 @@ def _fit_tree(X: np.ndarray, residuals: np.ndarray, max_depth: int,
             cnts = np.bincount(col, minlength=vmax + 1)
             left_sum = np.cumsum(sums)[:-1]
             left_cnt = np.cumsum(cnts)[:-1]
-            valid = (left_cnt >= min_leaf) & (total_cnt - left_cnt >= min_leaf)
+            valid = (left_cnt >= MIN_LEAF) & (total_cnt - left_cnt >= MIN_LEAF)
             if not valid.any():
                 continue
             right_sum = total_sum - left_sum

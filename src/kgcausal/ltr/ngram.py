@@ -22,6 +22,7 @@ logger = logging.getLogger(__name__)
 UNK = "<unk>"
 DEFAULT_EMBED_DIM = 128
 DEFAULT_HASH_DIM = 1024
+BATCH_SIZE = 256
 
 
 @dataclass
@@ -35,10 +36,6 @@ class NgramLM:
     embeddings: np.ndarray
     output_weights: np.ndarray
     loss_history: list[float] = field(default_factory=list)
-
-    @property
-    def unk_index(self) -> int:
-        return self.vocab[UNK]
 
     def token_index(self, token: str) -> int:
         return self.vocab.get(token, self.vocab[UNK])
@@ -82,7 +79,7 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 def train_ngram_lm(corpus: Sequence[Sequence[str]], n: int = 2, d: int = DEFAULT_EMBED_DIM,
                    seed: int = 0, epochs: int = 10, learning_rate: float = 0.5,
-                   batch_size: int = 256, min_count: int = 1) -> NgramLM:
+                   min_count: int = 1) -> NgramLM:
     """Fit the model by minibatch gradient descent on next-token cross-entropy.
 
     Deterministic in ``seed``; the per-epoch mean loss is kept on the model
@@ -116,8 +113,8 @@ def train_ngram_lm(corpus: Sequence[Sequence[str]], n: int = 2, d: int = DEFAULT
     for epoch in range(epochs):
         order = rng.permutation(n_samples)
         total = 0.0
-        for start in range(0, n_samples, batch_size):
-            batch = order[start:start + batch_size]
+        for start in range(0, n_samples, BATCH_SIZE):
+            batch = order[start:start + BATCH_SIZE]
             ctx = contexts[batch]
             tgt = targets[batch]
             x = embeddings[ctx].mean(axis=1)
@@ -139,20 +136,6 @@ def train_ngram_lm(corpus: Sequence[Sequence[str]], n: int = 2, d: int = DEFAULT
 
     return NgramLM(n=n, d=d, seed=seed, vocab=vocab, embeddings=embeddings,
                    output_weights=output_weights, loss_history=loss_history)
-
-
-def next_token_accuracy(lm: NgramLM, sequence: Sequence[str]) -> float:
-    """Fraction of positions where the model's argmax equals the held token."""
-    by_index = sorted(lm.vocab, key=lm.vocab.get)
-    hits = 0
-    total = 0
-    for ctx, target in _context_windows([sequence], lm.n):
-        idx = np.array([lm.token_index(t) for t in ctx], dtype=np.int64)
-        logits = lm.embeddings[idx].mean(axis=0) @ lm.output_weights
-        total += 1
-        if by_index[int(np.argmax(logits))] == target:
-            hits += 1
-    return hits / total if total else 0.0
 
 
 @lru_cache(maxsize=1 << 14)

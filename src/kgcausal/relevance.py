@@ -20,12 +20,11 @@ from .errors import (
     BackendUnavailable,
     EmptyCandidatesError,
     NoSuchNodeError,
-    TemplateError,
     UnparseableLabel,
 )
 from .kg import KnowledgeGraph, MetapathSubgraph, enumerate_subgraphs, sample_subgraphs
 from .llm import CAUSAL, NON_CAUSAL, CompletionRequest, label_probability
-from .util import descending_order, map_in_order, read_jsonl, stable_hash, write_jsonl
+from .util import descending_order, fill_template, map_in_order, read_jsonl, stable_hash
 from .verbalize import HYPHEN_STYLE, verbalize
 
 logger = logging.getLogger(__name__)
@@ -44,8 +43,6 @@ DEFAULT_SRE_TEMPLATE = (
     "[Relation Paths]: {paths}\n\n"
     "[Relation]: "
 )
-
-_SRE_PLACEHOLDERS = ("{instruction}", "{pair}", "{context}", "{paths}")
 
 DEFAULT_K_MAX = 10
 
@@ -163,10 +160,6 @@ class RankedPairRecord:
             metapaths=tuple(RankedMetapath.from_dict(m) for m in d["metapaths"]),
         )
 
-    @classmethod
-    def from_json_line(cls, line: str) -> "RankedPairRecord":
-        return cls.from_dict(json.loads(line))
-
 
 def encode_groundtruth(label: str) -> str:
     return "1" if label == CAUSAL else "0"
@@ -176,10 +169,8 @@ def build_sre_prompt(instance: PairInstance, subgraph: MetapathSubgraph,
                      template: str = DEFAULT_SRE_TEMPLATE,
                      instruction: str = DEFAULT_INSTRUCTION) -> str:
     """Fill the relevance-estimation template for one candidate path."""
-    for placeholder in _SRE_PLACEHOLDERS:
-        if placeholder not in template:
-            raise TemplateError(f"template is missing placeholder {placeholder}")
-    return template.format(
+    return fill_template(
+        template,
         instruction=instruction,
         pair=f"{instance.e1} and {instance.e2}",
         context=instance.context,
@@ -240,26 +231,6 @@ def rank_pair(instance: PairInstance, subgraphs: Sequence[MetapathSubgraph], bac
     )
 
 
-@dataclass(frozen=True)
-class DatasetSummary:
-    """What a ranked-dataset build did."""
-
-    pairs_total: int
-    records_written: int
-    skipped_no_subgraphs: int
-    skipped_backend_error: int
-    backend_calls: Optional[int]
-
-    def to_dict(self) -> dict:
-        return {
-            "pairs_total": self.pairs_total,
-            "records_written": self.records_written,
-            "skipped_no_subgraphs": self.skipped_no_subgraphs,
-            "skipped_backend_error": self.skipped_backend_error,
-            "backend_calls": self.backend_calls,
-        }
-
-
 def candidate_subgraphs(instance: PairInstance, kg: KnowledgeGraph, max_hops: int = 4,
                         candidate_limit: Optional[int] = 64, k_max: int = DEFAULT_K_MAX,
                         seed: int = 0) -> list[MetapathSubgraph]:
@@ -308,36 +279,6 @@ def estimate_relevance(jobs: Sequence[tuple[PairInstance, Sequence[MetapathSubgr
         records=records,
         skipped_backend_error=len(outcomes) - len(records),
         backend_calls=None if calls_before is None else backend.calls - calls_before)
-
-
-def build_ranked_dataset(instances: Sequence[PairInstance], kg: KnowledgeGraph, backend,
-                         out_path, max_hops: int = 4, candidate_limit: Optional[int] = 64,
-                         k_max: int = DEFAULT_K_MAX, seed: int = 0,
-                         template: str = DEFAULT_SRE_TEMPLATE,
-                         instruction: str = DEFAULT_INSTRUCTION) -> DatasetSummary:
-    """Write one ranked record per instance that has at least one subgraph.
-
-    Pairs without any path (or with unresolvable names) are skipped and
-    counted; a backend failure on one pair skips that pair rather than
-    aborting the run.  Output order follows input order, so a rerun with the
-    same seed and a deterministic backend reproduces the file byte for byte.
-    """
-    jobs = []
-    for instance in instances:
-        candidates = candidate_subgraphs(instance, kg, max_hops=max_hops,
-                                         candidate_limit=candidate_limit,
-                                         k_max=k_max, seed=seed)
-        if candidates:
-            jobs.append((instance, candidates))
-    result = estimate_relevance(jobs, backend, template=template, instruction=instruction)
-    write_jsonl(out_path, [record.to_dict() for record in result.records])
-    return DatasetSummary(
-        pairs_total=len(instances),
-        records_written=len(result.records),
-        skipped_no_subgraphs=len(instances) - len(jobs),
-        skipped_backend_error=result.skipped_backend_error,
-        backend_calls=result.backend_calls,
-    )
 
 
 def read_instances(path) -> list[PairInstance]:

@@ -302,6 +302,37 @@ class TestVariants:
         assert set(report["template_hashes"]) == {"sre", "discovery"}
 
 
+class TestConfigKeys:
+    def _write_config(self, root, tmp_path, edit):
+        config = json.loads((root / "config.json").read_text())
+        edit(config)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        return path
+
+    def test_misspelt_key_exits_2_naming_its_path(self, workdir, tmp_path, capsys):
+        root, _ = workdir
+        cfg = self._write_config(root, tmp_path,
+                                 lambda config: config["llm"].update(paralellism=4))
+        out = tmp_path / "candidates.jsonl"
+        code = run("extract", root / "pairs.jsonl", "--config", cfg, "--out", out)
+        assert code == EXIT_CONFIG
+        assert "unknown config key llm.paralellism" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["seed", "patience"])
+    def test_removed_train_key_exits_2_without_a_model(self, pipeline, tmp_path, capsys,
+                                                       key):
+        root, _, out = pipeline
+        cfg = self._write_config(root, tmp_path,
+                                 lambda config: config["ranker"].update(train={key: 3}))
+        model_path = tmp_path / "model.json"
+        code = run("train", out / "ranked.jsonl", "--config", cfg, "--out", model_path)
+        assert code == EXIT_CONFIG
+        assert f"unknown config key ranker.train.{key}" in capsys.readouterr().err
+        assert not model_path.exists()
+
+
 class TestEvalArithmetic:
     def _write_predictions(self, path, rows):
         path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import threading
 import time
 
@@ -10,6 +11,7 @@ import pytest
 
 from conftest import FakeBackend, make_subgraph
 from kgcausal.discovery import (
+    DEFAULT_DISCOVERY_TEMPLATE,
     CausalPrediction,
     DiscoveryConfig,
     aggregate_graph,
@@ -83,10 +85,12 @@ class TestBuildDiscoveryPrompt:
         prompt = build_discovery_prompt(inst, [first, second])
         assert prompt.index("a → x → b") < prompt.index("a → y → b")
 
-    def test_missing_placeholder(self):
+    @pytest.mark.parametrize("field", ["instruction", "context", "paths", "a", "b"])
+    def test_missing_placeholder(self, field):
         inst = PairInstance(qid="1", e1="a", e2="b", context="", groundtruth="causal")
-        with pytest.raises(TemplateError):
-            build_discovery_prompt(inst, [], template="no placeholders here")
+        template = DEFAULT_DISCOVERY_TEMPLATE.replace("{%s}" % field, "")
+        with pytest.raises(TemplateError, match=re.escape("{%s}" % field)):
+            build_discovery_prompt(inst, [], template=template)
 
 
 class TestClassifyPair:

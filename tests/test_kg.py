@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from kgcausal import kg as kg_module
 from kgcausal.errors import KGLoadError, NoSuchNodeError
 from kgcausal.kg import (
     FORWARD,
@@ -126,6 +127,28 @@ def chain_graph(*names, relation="r"):
     edges = [EdgeRecord(head=names[i].lower(), relation=relation, tail=names[i + 1].lower())
              for i in range(len(names) - 1)]
     return KnowledgeGraph(nodes, edges)
+
+
+def doubled_chain():
+    """a - x - y - b with two relations on every hop: 2**3 = 8 paths over one
+    node path."""
+    nodes = [NodeRecord(id=i, name=i, node_type="T") for i in "axyb"]
+    edges = [EdgeRecord(head=u, relation=rel, tail=v)
+             for u, v in ("ax", "xy", "yb") for rel in ("r1", "r2")]
+    return KnowledgeGraph(nodes, edges)
+
+
+def count_expansions(monkeypatch):
+    """Count the node paths that get expanded into subgraphs."""
+    calls = []
+    expand = kg_module._expand_node_path
+
+    def counting(kg, id_path, hop_options):
+        calls.append(tuple(id_path))
+        return expand(kg, id_path, hop_options)
+
+    monkeypatch.setattr(kg_module, "_expand_node_path", counting)
+    return calls
 
 
 def brute_force_shortest_paths(kg: KnowledgeGraph, a: str, b: str, max_hops: int):
@@ -263,6 +286,14 @@ class TestEnumerate:
             assert as_key_set(found) == brute_force_shortest_paths(kg, a, b, max_hops), (
                 f"trial {trial}: pair ({a}, {b}), max_hops {max_hops}")
 
+    def test_parallel_edges_expand_each_node_path_once(self, monkeypatch):
+        kg = doubled_chain()
+        calls = count_expansions(monkeypatch)
+        found = enumerate_subgraphs(kg, ("a", "b"), max_hops=3)
+        assert calls == [("a", "x", "y", "b")]
+        assert len(found) == 8
+        assert as_key_set(found) == brute_force_shortest_paths(kg, "a", "b", 3)
+
     def test_results_satisfy_subgraph_invariants(self, hetionet_style_kg):
         found = enumerate_subgraphs(hetionet_style_kg, ("Aspirin", "Headache"), max_hops=4)
         assert found
@@ -299,6 +330,13 @@ class TestPatternQuery:
         found = pattern_query(hetionet_style_kg, ("PTGS2", "IL6"),
                               ["Gene", "Compound", "Gene"])
         assert [sg.node_ids for sg in found] == [("n2", "n1", "n4")]
+
+    def test_parallel_edges_expand_each_node_path_once(self, monkeypatch):
+        calls = count_expansions(monkeypatch)
+        found = pattern_query(doubled_chain(), ("a", "b"), ["T"] * 4)
+        assert calls == [("a", "x", "y", "b")]
+        assert len(found) == 8
+        assert [sg.sort_key() for sg in found] == sorted(sg.sort_key() for sg in found)
 
     def test_validation(self, hetionet_style_kg):
         with pytest.raises(ValueError):

@@ -201,8 +201,9 @@ class TestHttpBackend:
         assert sent["prompt"] == "p"
         assert sent["logprobs"] is True
 
-    def test_retries_transient_500_then_succeeds(self, stub_server):
-        stub_server.script = [(500, {}), (500, {}), (200, ok_body())]
+    @pytest.mark.parametrize("status", [500, 429, 408])
+    def test_retries_transient_500_then_succeeds(self, stub_server, status):
+        stub_server.script = [(status, {}), (status, {}), (200, ok_body())]
         completion = self.backend(stub_server, max_retries=3).complete(
             CompletionRequest(prompt="p"))
         assert completion.text == "causal"

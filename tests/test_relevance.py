@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import math
+import re
 
 import pytest
 
@@ -14,10 +16,10 @@ from kgcausal.relevance import (
     DEFAULT_SRE_TEMPLATE,
     PairInstance,
     RankedPairRecord,
-    build_ranked_dataset,
     build_sre_prompt,
+    candidate_subgraphs,
+    estimate_relevance,
     rank_pair,
-    read_ranked_dataset,
     score_subgraph,
 )
 
@@ -46,9 +48,10 @@ class TestBuildSrePrompt:
         prompt = build_sre_prompt(inst, fgf6_path)
         assert "[Textual context]:\n\n" in prompt
 
-    def test_missing_placeholder_raises(self, drug_instance, fgf6_path):
-        template = DEFAULT_SRE_TEMPLATE.replace("{paths}", "")
-        with pytest.raises(TemplateError, match="paths"):
+    @pytest.mark.parametrize("field", ["instruction", "pair", "context", "paths"])
+    def test_missing_placeholder_raises(self, drug_instance, fgf6_path, field):
+        template = DEFAULT_SRE_TEMPLATE.replace("{%s}" % field, "")
+        with pytest.raises(TemplateError, match=re.escape("{%s}" % field)):
             build_sre_prompt(drug_instance, fgf6_path, template=template)
 
 
@@ -133,6 +136,9 @@ def star_world(intermediates, pair_id):
 
 
 class TestBuildRankedDataset:
+    """A ranked dataset built as the extract and estimate commands build it:
+    candidates per pair, then relevance estimation of the pairs that have any."""
+
     @pytest.fixture
     def world(self):
         nodes, edges, a0, b0 = star_world(3, 0)
@@ -151,43 +157,42 @@ class TestBuildRankedDataset:
         return MockOracle(MockOracleConfig(causal_motifs=(("never-present",),),
                                            base_confidence=0.9))
 
-    def test_skips_pairs_without_subgraphs(self, world, tmp_path):
+    def jobs(self, world, **kwargs):
         kg, instances = world
-        out = tmp_path / "ranked.jsonl"
-        summary = build_ranked_dataset(instances, kg, self.backend(), out, seed=4)
-        assert summary.pairs_total == 3
-        assert summary.records_written == 2
-        assert summary.skipped_no_subgraphs == 1
-        records = read_ranked_dataset(out)
-        assert [r.qid for r in records] == ["p0", "p1"]
+        pairs = [(inst, candidate_subgraphs(inst, kg, seed=4, **kwargs)) for inst in instances]
+        return [(inst, candidates) for inst, candidates in pairs if candidates]
 
-    def test_k_max_caps_candidates(self, world, tmp_path):
+    def test_skips_pairs_without_subgraphs(self, world):
         kg, instances = world
-        out = tmp_path / "ranked.jsonl"
-        build_ranked_dataset(instances, kg, self.backend(), out, k_max=10, seed=4)
-        by_qid = {r.qid: r for r in read_ranked_dataset(out)}
+        candidates = [candidate_subgraphs(inst, kg, seed=4) for inst in instances]
+        assert len(candidates) == 3
+        assert [bool(c) for c in candidates] == [True, True, False]
+        result = estimate_relevance(self.jobs(world), self.backend())
+        assert len(result.records) == 2
+        assert [r.qid for r in result.records] == ["p0", "p1"]
+
+    def test_k_max_caps_candidates(self, world):
+        kg, instances = world
+        assert [len(candidate_subgraphs(inst, kg, k_max=10, seed=4)) for inst in instances] \
+            == [3, 10, 0]
+        result = estimate_relevance(self.jobs(world, k_max=10), self.backend())
+        by_qid = {r.qid: r for r in result.records}
         assert len(by_qid["p1"].metapaths) == 10
         assert len(by_qid["p0"].metapaths) == 3
 
-    def test_rerun_is_byte_identical(self, world, tmp_path):
-        kg, instances = world
-        first = tmp_path / "one.jsonl"
-        second = tmp_path / "two.jsonl"
-        build_ranked_dataset(instances, kg, self.backend(), first, seed=4)
-        build_ranked_dataset(instances, kg, self.backend(), second, seed=4)
-        assert first.read_bytes() == second.read_bytes()
+    def test_rerun_is_byte_identical(self, world):
+        first = estimate_relevance(self.jobs(world), self.backend())
+        second = estimate_relevance(self.jobs(world), self.backend())
+        assert [r.to_json_line() for r in first.records] \
+            == [r.to_json_line() for r in second.records]
 
-    def test_backend_call_count_matches_scored_pairs(self, world, tmp_path):
-        kg, instances = world
+    def test_backend_call_count_matches_scored_pairs(self, world):
         backend = self.backend()
-        summary = build_ranked_dataset(instances, kg, backend, tmp_path / "r.jsonl",
-                                       k_max=10, seed=4)
+        result = estimate_relevance(self.jobs(world, k_max=10), backend)
         assert backend.calls == 3 + 10
-        assert summary.backend_calls == backend.calls
+        assert result.backend_calls == backend.calls
 
-    def test_calls_counted_as_made_when_a_record_fails_partway(self, world, tmp_path):
-        kg, instances = world
-
+    def test_calls_counted_as_made_when_a_record_fails_partway(self, world):
         class DiesOnSecondPath(MockOracle):
             seen = 0
 
@@ -200,14 +205,11 @@ class TestBuildRankedDataset:
                 return completion
 
         backend = DiesOnSecondPath(MockOracleConfig(causal_motifs=(("x",),)))
-        summary = build_ranked_dataset(instances, kg, backend, tmp_path / "r.jsonl",
-                                       k_max=10, seed=4)
-        assert summary.skipped_backend_error == 1
-        assert summary.backend_calls == backend.calls == 3 + 2
+        result = estimate_relevance(self.jobs(world, k_max=10), backend)
+        assert result.skipped_backend_error == 1
+        assert result.backend_calls == backend.calls == 3 + 2
 
-    def test_backend_failure_skips_pair(self, world, tmp_path):
-        kg, instances = world
-
+    def test_backend_failure_skips_pair(self, world):
         class FlakyBackend:
             parallelism = 1
 
@@ -220,11 +222,10 @@ class TestBuildRankedDataset:
                     raise BackendUnavailable("down")
                 return self.inner.complete(request)
 
-        out = tmp_path / "ranked.jsonl"
-        summary = build_ranked_dataset(instances, kg, FlakyBackend(), out, seed=4)
-        assert summary.records_written == 1
-        assert summary.skipped_backend_error == 1
-        assert [r.qid for r in read_ranked_dataset(out)] == ["p0"]
+        result = estimate_relevance(self.jobs(world), FlakyBackend())
+        assert len(result.records) == 1
+        assert result.skipped_backend_error == 1
+        assert [r.qid for r in result.records] == ["p0"]
 
 
 class TestRecordSerialization:
@@ -238,7 +239,7 @@ class TestRecordSerialization:
         ])
         paths = [make_subgraph(["a", f"m{i}", "b"]) for i in range(3)]
         record = rank_pair(inst, paths, backend)
-        parsed = RankedPairRecord.from_json_line(record.to_json_line())
+        parsed = RankedPairRecord.from_dict(json.loads(record.to_json_line()))
         assert parsed == record
         assert parsed.to_json_line() == record.to_json_line()
 
