@@ -82,7 +82,6 @@ from .discovery import (
     hamming_distance,
     metrics_from_counts,
     parse_permutation,
-    select_top_k,
 )
 from . import ltr
 

@@ -50,7 +50,6 @@ from .ltr.models import (
 )
 from .ltr.ngram import train_ngram_lm
 from .relevance import (
-    DEFAULT_INSTRUCTION,
     DEFAULT_SRE_TEMPLATE,
     PairInstance,
     RankedPairRecord,
@@ -96,11 +95,16 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 
 def _check_keys(user: dict, defaults: dict, prefix: str = "") -> None:
-    """Reject a key that DEFAULT_CONFIG does not have, naming its dotted path."""
+    """Reject a key that DEFAULT_CONFIG lacks, or whose value is a section where
+    DEFAULT_CONFIG has a scalar or the other way round, naming its dotted path."""
     for key, value in user.items():
         if key not in defaults:
             raise KgcausalError(f"unknown config key {prefix}{key}")
-        if isinstance(value, dict) and isinstance(defaults[key], dict):
+        is_section = isinstance(defaults[key], dict)
+        if isinstance(value, dict) != is_section:
+            kind = "a section" if is_section else "a value, not a section"
+            raise KgcausalError(f"config key {prefix}{key} must be {kind}")
+        if is_section:
             _check_keys(value, defaults[key], f"{prefix}{key}.")
 
 
@@ -149,6 +153,12 @@ def make_backend(config: dict):
     raise KgcausalError(f"unknown llm backend {llm['backend']!r}")
 
 
+def _load_kg(config: dict):
+    if not config["kg"]["path"]:
+        raise KgcausalError("kg.path is required")
+    return load_kg(config["kg"]["path"], config["kg"]["format"])
+
+
 def _read_template(path: Optional[str], default: str) -> str:
     if not path:
         return default
@@ -170,7 +180,7 @@ def cmd_extract(args) -> int:
         config["seed"] = args.seed
     if args.max_hops is not None:
         config["kg"]["max_hops"] = args.max_hops
-    kg = load_kg(config["kg"]["path"], config["kg"]["format"])
+    kg = _load_kg(config)
     instances = read_instances(args.pairs)
     seed = stage_seed(config["seed"], "extract")
 
@@ -322,7 +332,7 @@ def cmd_discover(args) -> int:
         config["discovery"]["k"] = args.k
     backend = make_backend(config)
     instances = read_instances(args.pairs)
-    kg = load_kg(config["kg"]["path"], config["kg"]["format"])
+    kg = _load_kg(config)
 
     if str(args.model).lower() == "none":
         model, lm = None, None
@@ -337,7 +347,6 @@ def cmd_discover(args) -> int:
         style=VerbalizationStyle(variant=config["discovery"]["style"]),
         template=_read_template(config["discovery"]["template_path"],
                                 DEFAULT_DISCOVERY_TEMPLATE),
-        instruction=DEFAULT_INSTRUCTION,
     )
 
     predictions = classify_pairs(instances, kg, model, backend,

@@ -6,18 +6,18 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import NoSuchNodeError, UnparseableLabel
+from .errors import NoSuchNodeError
 from .kg import KnowledgeGraph, MetapathSubgraph, enumerate_subgraphs
-from .llm import CAUSAL, CompletionRequest, label_probability
+from .llm import CAUSAL, CompletionRequest, ask_label
 from .ltr.models import RANDOM, SIMILARITY, RankerModel, rank_subgraphs
 from .ltr.ngram import NgramLM
 from .relevance import DEFAULT_INSTRUCTION, PairInstance
-from .util import descending_order, fill_template, map_in_order, read_jsonl
+from .util import fill_template, map_in_order, read_jsonl
 from .verbalize import PLAIN_ARROWS_STYLE, VerbalizationStyle, verbalize
 
 logger = logging.getLogger(__name__)
@@ -53,8 +53,7 @@ class CausalPrediction:
             raise ValueError("p must be in [0, 1]")
 
     def to_dict(self) -> dict:
-        return {"qid": self.qid, "predicted": self.predicted, "p": self.p,
-                "subgraphs_used": list(self.subgraphs_used), "backend_id": self.backend_id}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "CausalPrediction":
@@ -65,7 +64,8 @@ class CausalPrediction:
 
 @dataclass(frozen=True)
 class DiscoveryConfig:
-    """Knobs for the per-pair classification pipeline."""
+    """Settings of the per-pair classification pipeline; the ``k`` >= 1 top
+    ranked paths go into the prompt, after ``DEFAULT_INSTRUCTION``."""
 
     k: int = 1
     max_hops: int = 4
@@ -73,27 +73,20 @@ class DiscoveryConfig:
     seed: int = 0
     style: VerbalizationStyle = PLAIN_ARROWS_STYLE
     template: str = DEFAULT_DISCOVERY_TEMPLATE
-    instruction: str = DEFAULT_INSTRUCTION
 
-
-def select_top_k(scored: Sequence[tuple[MetapathSubgraph, float]], k: int
-                 ) -> list[MetapathSubgraph]:
-    """First k subgraphs by descending score; stable under ties."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    order = descending_order([score for _, score in scored])
-    return [scored[i][0] for i in order[:k]]
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
 
 
 def build_discovery_prompt(instance: PairInstance,
                            top_subgraphs: Sequence[MetapathSubgraph],
                            style: VerbalizationStyle = PLAIN_ARROWS_STYLE,
-                           template: str = DEFAULT_DISCOVERY_TEMPLATE,
-                           instruction: str = DEFAULT_INSTRUCTION) -> str:
+                           template: str = DEFAULT_DISCOVERY_TEMPLATE) -> str:
     """Zero-shot prompt with one verbalized path per line (possibly none)."""
     return fill_template(
         template,
-        instruction=instruction,
+        instruction=DEFAULT_INSTRUCTION,
         context=instance.context,
         paths="\n".join(verbalize(sg, style) for sg in top_subgraphs),
         a=instance.e1,
@@ -125,29 +118,24 @@ def classify_pair(instance: PairInstance, kg: Optional[KnowledgeGraph],
                 candidates = []
 
     if ranker is not None and candidates:
-        scored = rank_subgraphs(ranker, (instance.e1, instance.e2), candidates, lm)
-        top = select_top_k(scored, config.k)
+        ranked = rank_subgraphs(ranker, (instance.e1, instance.e2), candidates, lm)
+        top = [sg for sg, _score in ranked[:config.k]]
     else:
         top = []
 
     prompt = build_discovery_prompt(instance, top, style=config.style,
-                                    template=config.template,
-                                    instruction=config.instruction)
+                                    template=config.template)
     try:
-        completion = backend.complete(CompletionRequest(prompt=prompt, want_logprobs=True))
+        label, p, backend_id = ask_label(backend, prompt)
     except Exception as exc:
         exc.args = (f"qid {instance.qid}: {exc}",)
         raise
-    try:
-        label, p = label_probability(completion)
-    except UnparseableLabel:
-        label, p = None, 0.0
     return CausalPrediction(
         qid=instance.qid,
         predicted=label,
         p=p,
         subgraphs_used=tuple(verbalize(sg, config.style) for sg in top),
-        backend_id=completion.backend_id,
+        backend_id=backend_id,
     )
 
 
@@ -246,9 +234,7 @@ class ClassificationMetrics:
     degenerate: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {"precision": self.precision, "recall": self.recall, "f1": self.f1,
-                "tp": self.tp, "fp": self.fp, "fn": self.fn, "tn": self.tn,
-                "degenerate": list(self.degenerate)}
+        return asdict(self)
 
 
 def f1_score(precision: float, recall: float) -> float:
@@ -351,7 +337,7 @@ class GraphMetrics:
     n: int
 
     def to_dict(self) -> dict:
-        return {"hd": self.hd, "nhd": self.nhd, "n": self.n}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -363,11 +349,7 @@ class EvaluationReport:
     graph: Optional[GraphMetrics] = None
 
     def to_dict(self) -> dict:
-        return {
-            "classification": self.classification.to_dict(),
-            "ranking": self.ranking,
-            "graph": self.graph.to_dict() if self.graph else None,
-        }
+        return asdict(self)
 
 
 def read_predictions(path) -> list[CausalPrediction]:

@@ -13,9 +13,10 @@ import json
 import logging
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import KGLoadError, NoSuchNodeError
 
@@ -92,13 +93,7 @@ class MetapathSubgraph:
         return (self.node_ids, tuple(zip(self.edge_labels, self.edge_directions)))
 
     def to_dict(self) -> dict:
-        return {
-            "node_ids": list(self.node_ids),
-            "node_names": list(self.node_names),
-            "node_types": list(self.node_types),
-            "edge_labels": list(self.edge_labels),
-            "edge_directions": list(self.edge_directions),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetapathSubgraph":
@@ -128,8 +123,7 @@ class KnowledgeGraph:
     constructed.
     """
 
-    def __init__(self, nodes: Iterable[NodeRecord], edges: Iterable[EdgeRecord],
-                 duplicates_dropped: int = 0):
+    def __init__(self, nodes: Iterable[NodeRecord], edges: Iterable[EdgeRecord]):
         node_map: dict[str, NodeRecord] = {}
         for node in nodes:
             if node.id in node_map and node_map[node.id] != node:
@@ -139,6 +133,7 @@ class KnowledgeGraph:
 
         seen: set[tuple[str, str, str]] = set()
         edge_list: list[EdgeRecord] = []
+        duplicates_dropped = 0
         for edge in edges:
             for endpoint in (edge.head, edge.tail):
                 if endpoint not in node_map:
@@ -296,21 +291,6 @@ def _bfs_distances(kg: KnowledgeGraph, sources: Sequence[str]) -> dict[str, int]
     return dist
 
 
-def _distinct_neighbors(kg: KnowledgeGraph, u: str):
-    """Neighbour ids of u in sorted order, each once however many parallel
-    edges join them (those sit side by side in the sorted adjacency)."""
-    previous = None
-    for v, _rel, _direction in kg.neighbors(u):
-        if v != previous:
-            previous = v
-            yield v
-
-
-def _hop_options(kg: KnowledgeGraph, u: str, v: str) -> list[tuple[str, str]]:
-    """All (relation, direction) pairs connecting u to v, sorted."""
-    return sorted((rel, direction) for w, rel, direction in kg.neighbors(u) if w == v)
-
-
 def _expand_node_path(kg: KnowledgeGraph, id_path: Sequence[str],
                       hop_options: Sequence[Sequence[tuple[str, str]]]) -> list[MetapathSubgraph]:
     """One subgraph per combination of parallel edges along the node path."""
@@ -332,6 +312,39 @@ def _sample_indices(n: int, k: int, seed: int) -> list[int]:
     """Uniform k-subset of range(n), deterministic in seed, in ascending order."""
     rng = random.Random(seed)
     return sorted(rng.sample(range(n), k))
+
+
+def _walk(kg: KnowledgeGraph, starts: Iterable[str], targets: set[str], n_hops: int,
+          admit: Callable) -> list[MetapathSubgraph]:
+    """Subgraphs of every simple ``n_hops``-hop path from a start to a target.
+
+    Parallel edges sit side by side in the sorted adjacency, so each neighbour
+    ``v`` is visited once, with ``hops`` yielding all of its adjacency triples.
+    ``admit(depth, v, hops)`` returns the (relation, direction) options of the
+    hop onto ``v`` at path position ``depth``, or nothing to prune ``v``.
+    """
+    results: list[MetapathSubgraph] = []
+    path: list[str] = []
+    options: list[list[tuple[str, str]]] = []
+
+    def extend(u: str, depth: int):
+        if depth == n_hops:
+            if u in targets:
+                results.extend(_expand_node_path(kg, path, options))
+            return
+        for v, hops in itertools.groupby(kg.neighbors(u), key=itemgetter(0)):
+            hop = admit(depth + 1, v, hops)
+            if hop and v not in path:
+                path.append(v)
+                options.append(hop)
+                extend(v, depth + 1)
+                path.pop()
+                options.pop()
+
+    for start in starts:
+        path[:] = [start]
+        extend(start, 0)
+    return results
 
 
 def enumerate_subgraphs(kg: KnowledgeGraph, pair: tuple[str, str], max_hops: int,
@@ -361,28 +374,14 @@ def enumerate_subgraphs(kg: KnowledgeGraph, pair: tuple[str, str], max_hops: int
         # A zero-length "path" (shared node) carries no relational evidence.
         return []
 
-    b_id_set = set(b_ids)
-    results: list[MetapathSubgraph] = []
+    def admit(depth, v, hops):
+        # Nodes on a shortest path sit at strictly decreasing remaining distance.
+        if dist_b.get(v) != shortest - depth:
+            return None
+        return [(rel, direction) for _v, rel, direction in hops]
 
-    def extend(path: list[str], depth: int):
-        u = path[-1]
-        if depth == shortest:
-            if u in b_id_set:
-                options = [_hop_options(kg, path[i], path[i + 1]) for i in range(len(path) - 1)]
-                results.extend(_expand_node_path(kg, path, options))
-            return
-        for v in _distinct_neighbors(kg, u):
-            # Nodes on a shortest path sit at strictly decreasing remaining
-            # distance, which also guarantees the path is simple.
-            if dist_b.get(v) == shortest - depth - 1:
-                path.append(v)
-                extend(path, depth + 1)
-                path.pop()
-
-    for start in a_ids:
-        if dist_b.get(start) == shortest:
-            extend([start], 0)
-
+    starts = [s for s in a_ids if dist_b.get(s) == shortest]
+    results = _walk(kg, starts, set(b_ids), shortest, admit)
     ordered = sorted(results, key=MetapathSubgraph.sort_key)
     if limit is not None and len(ordered) > limit:
         ordered = [ordered[i] for i in _sample_indices(len(ordered), limit, seed)]
@@ -407,32 +406,13 @@ def pattern_query(kg: KnowledgeGraph, pair: tuple[str, str], type_pattern: Seque
     if not a_ids or not b_id_set:
         return []
 
-    n_hops = len(type_pattern) - 1
-    results: list[MetapathSubgraph] = []
+    def admit(depth, v, hops):
+        if kg.node(v).node_type != type_pattern[depth]:
+            return None
+        wanted = None if relation_pattern is None else relation_pattern[depth - 1]
+        return [(rel, direction) for _v, rel, direction in hops if wanted in (None, rel)]
 
-    def extend(path: list[str], depth: int):
-        u = path[-1]
-        if depth == n_hops:
-            if u in b_id_set:
-                options = []
-                for i in range(len(path) - 1):
-                    hops = _hop_options(kg, path[i], path[i + 1])
-                    if relation_pattern is not None:
-                        hops = [h for h in hops if h[0] == relation_pattern[i]]
-                    options.append(hops)
-                if all(options):
-                    results.extend(_expand_node_path(kg, path, options))
-            return
-        wanted_type = type_pattern[depth + 1]
-        for v in _distinct_neighbors(kg, u):
-            if v not in path and kg.node(v).node_type == wanted_type:
-                path.append(v)
-                extend(path, depth + 1)
-                path.pop()
-
-    for start in a_ids:
-        extend([start], 0)
-
+    results = _walk(kg, a_ids, b_id_set, len(type_pattern) - 1, admit)
     return sorted(results, key=MetapathSubgraph.sort_key)
 
 

@@ -14,7 +14,7 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -35,7 +35,7 @@ NON_CAUSAL = "non-causal"
 
 # Non-causal spellings are checked first: "causal" is a substring of every
 # one of them, so priority order is what keeps the matching safe.
-DEFAULT_LABEL_VARIANTS = ("non-causal", "noncausal", "non causal", CAUSAL)
+LABEL_VARIANTS = ("non-causal", "noncausal", "non causal", CAUSAL)
 
 PATH_BLOCK_MARKER = "[Relation Paths]:"
 
@@ -47,7 +47,6 @@ _RETRIED_CLIENT_ERRORS = (429, 408)
 class CompletionRequest:
     prompt: str
     max_tokens: int = 16
-    temperature: float = 0.0
     want_logprobs: bool = True
 
     def __post_init__(self):
@@ -55,8 +54,6 @@ class CompletionRequest:
             raise ValueError("prompt must be non-empty")
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -77,12 +74,10 @@ def canonical_label(variant: str) -> str:
     return NON_CAUSAL if collapsed.startswith("non") else CAUSAL
 
 
-def label_probability(completion: Completion,
-                      label_variants: Sequence[str] = DEFAULT_LABEL_VARIANTS
-                      ) -> tuple[str, float]:
+def label_probability(completion: Completion) -> tuple[str, float]:
     """Which label the completion expresses and with what probability.
 
-    The first variant (in the given priority order) found in the text wins;
+    The first of ``LABEL_VARIANTS`` found in the text wins;
     the probability is the exponentiated mean log-probability of the tokens
     whose spans overlap the matched label, i.e. the geometric mean of the
     per-token probabilities.
@@ -97,7 +92,7 @@ def label_probability(completion: Completion,
 
     for haystack in haystacks:
         lowered = haystack.lower()
-        for variant in label_variants:
+        for variant in LABEL_VARIANTS:
             pos = lowered.find(variant.lower())
             if pos < 0:
                 continue
@@ -120,6 +115,17 @@ def label_probability(completion: Completion,
             p = math.exp(sum(logprobs) / len(logprobs))
             return label, min(p, 1.0)
     raise UnparseableLabel(f"no relation label found in {completion.text!r}")
+
+
+def ask_label(backend, prompt: str) -> tuple[Optional[str], float, str]:
+    """(label, p, backend id) for the backend's answer to ``prompt``; the
+    label is None and p is 0 when the answer names no label."""
+    completion = backend.complete(CompletionRequest(prompt=prompt, want_logprobs=True))
+    try:
+        label, p = label_probability(completion)
+    except UnparseableLabel:
+        return None, 0.0, completion.backend_id
+    return label, p, completion.backend_id
 
 
 @dataclass(frozen=True)
@@ -146,12 +152,7 @@ class MockOracleConfig:
             raise ValueError("flip_rate must be in [0, 0.5)")
 
     def to_dict(self) -> dict:
-        return {
-            "causal_motifs": [list(m) for m in self.causal_motifs],
-            "base_confidence": self.base_confidence,
-            "noise_seed": self.noise_seed,
-            "flip_rate": self.flip_rate,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "MockOracleConfig":
@@ -231,7 +232,7 @@ class HttpBackend:
 
     def __init__(self, endpoint: str, model: str, credential_env: Optional[str] = None,
                  max_retries: int = 3, parallelism: int = 4, timeout: float = 30.0,
-                 backoff_base: float = 0.25, session: Optional[requests.Session] = None):
+                 backoff_base: float = 0.25):
         self.endpoint = endpoint
         self.model = model
         self.credential_env = credential_env
@@ -240,7 +241,7 @@ class HttpBackend:
         self.timeout = timeout
         self.backoff_base = backoff_base
         self.backend_id = f"http:{model}"
-        self._session = session or requests.Session()
+        self._session = requests.Session()
         self._slots = threading.Semaphore(self.parallelism)
         self.calls = 0
         self._calls_lock = threading.Lock()
@@ -258,7 +259,7 @@ class HttpBackend:
             "model": self.model,
             "prompt": request.prompt,
             "max_tokens": request.max_tokens,
-            "temperature": request.temperature,
+            "temperature": 0.0,
             "logprobs": request.want_logprobs,
         }
         with self._calls_lock:

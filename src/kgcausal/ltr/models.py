@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -57,7 +57,7 @@ class FeatureConfig:
     hash_dim: int = DEFAULT_HASH_DIM
 
     def to_dict(self) -> dict:
-        return {"include_types": self.include_types, "hash_dim": self.hash_dim}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureConfig":
@@ -156,8 +156,7 @@ class RegressionTree:
         return out
 
     def to_dict(self) -> dict:
-        return {"feature": self.feature, "threshold": self.threshold,
-                "left": self.left, "right": self.right, "value": self.value}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RegressionTree":
@@ -178,8 +177,7 @@ class GbdtEnsemble:
         return out
 
     def to_dict(self) -> dict:
-        return {"base_score": self.base_score, "learning_rate": self.learning_rate,
-                "trees": [t.to_dict() for t in self.trees]}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "GbdtEnsemble":

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from .errors import (
@@ -20,10 +20,9 @@ from .errors import (
     BackendUnavailable,
     EmptyCandidatesError,
     NoSuchNodeError,
-    UnparseableLabel,
 )
 from .kg import KnowledgeGraph, MetapathSubgraph, enumerate_subgraphs, sample_subgraphs
-from .llm import CAUSAL, NON_CAUSAL, CompletionRequest, label_probability
+from .llm import CAUSAL, NON_CAUSAL, ask_label
 from .util import descending_order, fill_template, map_in_order, read_jsonl, stable_hash
 from .verbalize import HYPHEN_STYLE, verbalize
 
@@ -105,15 +104,7 @@ class RankedMetapath:
     nodelabels: str
 
     def to_dict(self) -> dict:
-        return {
-            "pathid": self.pathid,
-            "relscore": self.relscore,
-            "probscore": self.probscore,
-            "relevant": self.relevant,
-            "stops": self.stops,
-            "reltypes": self.reltypes,
-            "nodelabels": self.nodelabels,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RankedMetapath":
@@ -139,13 +130,7 @@ class RankedPairRecord:
     metapaths: tuple[RankedMetapath, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "qid": self.qid,
-            "e1": self.e1,
-            "e2": self.e2,
-            "groundtruth": self.groundtruth,
-            "metapaths": [m.to_dict() for m in self.metapaths],
-        }
+        return asdict(self)
 
     def to_json_line(self) -> str:
         return json.dumps(self.to_dict(), ensure_ascii=False)
@@ -166,12 +151,11 @@ def encode_groundtruth(label: str) -> str:
 
 
 def build_sre_prompt(instance: PairInstance, subgraph: MetapathSubgraph,
-                     template: str = DEFAULT_SRE_TEMPLATE,
-                     instruction: str = DEFAULT_INSTRUCTION) -> str:
+                     template: str = DEFAULT_SRE_TEMPLATE) -> str:
     """Fill the relevance-estimation template for one candidate path."""
     return fill_template(
         template,
-        instruction=instruction,
+        instruction=DEFAULT_INSTRUCTION,
         pair=f"{instance.e1} and {instance.e2}",
         context=instance.context,
         paths=verbalize(subgraph, HYPHEN_STYLE),
@@ -179,18 +163,14 @@ def build_sre_prompt(instance: PairInstance, subgraph: MetapathSubgraph,
 
 
 def score_subgraph(instance: PairInstance, subgraph: MetapathSubgraph, backend,
-                   template: str = DEFAULT_SRE_TEMPLATE,
-                   instruction: str = DEFAULT_INSTRUCTION) -> RelevanceScore:
+                   template: str = DEFAULT_SRE_TEMPLATE) -> RelevanceScore:
     """Score one candidate: 1 + p when the backend is right, 1 - p when wrong.
 
     Output that names no label counts as a wrong prediction with p = 0,
     which lands exactly on the score midpoint 1.0.
     """
-    prompt = build_sre_prompt(instance, subgraph, template=template, instruction=instruction)
-    completion = backend.complete(CompletionRequest(prompt=prompt, want_logprobs=True))
-    try:
-        label, p = label_probability(completion)
-    except UnparseableLabel:
+    label, p, _backend_id = ask_label(backend, build_sre_prompt(instance, subgraph, template))
+    if label is None:
         return RelevanceScore(s=1.0, p=0.0, predicted=None, correct=False, mean_logprob=None)
     correct = label == instance.groundtruth
     s = 1.0 + p if correct else 1.0 - p
@@ -199,8 +179,7 @@ def score_subgraph(instance: PairInstance, subgraph: MetapathSubgraph, backend,
 
 
 def rank_pair(instance: PairInstance, subgraphs: Sequence[MetapathSubgraph], backend,
-              template: str = DEFAULT_SRE_TEMPLATE,
-              instruction: str = DEFAULT_INSTRUCTION) -> RankedPairRecord:
+              template: str = DEFAULT_SRE_TEMPLATE) -> RankedPairRecord:
     """Score every candidate and emit the record sorted by descending score.
 
     Ties keep the original candidate order; path ids are assigned 1..k in
@@ -208,8 +187,7 @@ def rank_pair(instance: PairInstance, subgraphs: Sequence[MetapathSubgraph], bac
     """
     if not subgraphs:
         raise EmptyCandidatesError(f"{instance.qid}: no candidate subgraphs")
-    scores = [score_subgraph(instance, sg, backend, template=template, instruction=instruction)
-              for sg in subgraphs]
+    scores = [score_subgraph(instance, sg, backend, template=template) for sg in subgraphs]
     metapaths = []
     for rank, idx in enumerate(descending_order([sc.s for sc in scores]), start=1):
         sg, sc = subgraphs[idx], scores[idx]
@@ -258,16 +236,14 @@ class EstimateResult:
 
 
 def estimate_relevance(jobs: Sequence[tuple[PairInstance, Sequence[MetapathSubgraph]]],
-                       backend, template: str = DEFAULT_SRE_TEMPLATE,
-                       instruction: str = DEFAULT_INSTRUCTION) -> EstimateResult:
+                       backend, template: str = DEFAULT_SRE_TEMPLATE) -> EstimateResult:
     """Rank each (instance, candidates) job on up to ``backend.parallelism``
     threads.  A backend failure on one pair skips and counts that pair rather
     than aborting the run."""
     def run_job(job):
         instance, candidates = job
         try:
-            return rank_pair(instance, candidates, backend,
-                             template=template, instruction=instruction)
+            return rank_pair(instance, candidates, backend, template=template)
         except (BackendUnavailable, BackendRejected) as exc:
             logger.warning("skipping %s: %s", instance.qid, exc)
             return None

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 from .kg import FORWARD, MetapathSubgraph
 
@@ -13,35 +13,26 @@ PLAIN_ARROWS = "plain_arrows"
 HYPHEN = "hyphen"
 _VARIANTS = (FULL, TYPED_ARROWS, PLAIN_ARROWS, HYPHEN)
 
-DEFAULT_ARROW = "→"
-DEFAULT_PREFIX = "Relation paths between the pair: "
+# Forward-crossed edges point right, reverse-crossed ones left.
+ARROW = "→"
+MIRROR_ARROW = "←"
+# Only the full variant puts this before its triples.
+PREFIX = "Relation paths between the pair: "
 
 CLS = "CLS"
 SEP = "SEP"
 _MARKERS = frozenset((CLS, SEP))
 
-# Mirror tokens let reverse-crossed edges point the other way; unknown
-# arrow tokens fall back to themselves (direction dropped).
-_MIRRORS = {"→": "←", "->": "<-", "=>": "<=", ">": "<"}
-
 
 @dataclass(frozen=True)
 class VerbalizationStyle:
-    """How a subgraph is rendered: which variant, arrow token, and prefix.
-
-    The prefix only appears in the ``full`` variant; the simplified variants
-    render the bare path.
-    """
+    """Which of the four variants renders a subgraph (see :func:`verbalize`)."""
 
     variant: str = PLAIN_ARROWS
-    arrow_token: str = DEFAULT_ARROW
-    prefix: Optional[str] = DEFAULT_PREFIX
 
     def __post_init__(self):
         if self.variant not in _VARIANTS:
             raise ValueError(f"unknown verbalization variant {self.variant!r}")
-        if self.variant in (TYPED_ARROWS, PLAIN_ARROWS) and not self.arrow_token:
-            raise ValueError("arrow_token must be non-empty for arrow variants")
 
 
 FULL_STYLE = VerbalizationStyle(variant=FULL)
@@ -58,45 +49,29 @@ def verbalize(subgraph: MetapathSubgraph, style: VerbalizationStyle = PLAIN_ARRO
     """Render a subgraph as natural-language path text.
 
     ``full`` lists every hop as an oriented triple "(type name, label,
-    type name)" behind the prefix; ``typed_arrows`` chains typed names with
+    type name)" behind ``PREFIX``; ``typed_arrows`` chains typed names with
     labeled arrows; ``plain_arrows`` chains the bare names with arrows;
     ``hyphen`` joins the names with " - " and drops direction.
     """
     names = subgraph.node_names
-    types = subgraph.node_types
     labels = subgraph.edge_labels
-    directions = subgraph.edge_directions
-    arrow = style.arrow_token
-    mirror = _MIRRORS.get(arrow, arrow)
-
     if style.variant == HYPHEN:
         return " - ".join(names)
 
+    forward = [d == FORWARD for d in subgraph.edge_directions]
+    arrows = [ARROW if f else MIRROR_ARROW for f in forward]
     if style.variant == PLAIN_ARROWS:
-        parts = [names[0]]
-        for i in range(len(labels)):
-            parts.append(f" {arrow if directions[i] == FORWARD else mirror} ")
-            parts.append(names[i + 1])
-        return "".join(parts)
+        return names[0] + "".join(f" {arrow} {name}" for arrow, name in zip(arrows, names[1:]))
 
+    typed = [_typed_name(t, name) for t, name in zip(subgraph.node_types, names)]
     if style.variant == TYPED_ARROWS:
-        parts = [_typed_name(types[0], names[0])]
-        for i in range(len(labels)):
-            tok = arrow if directions[i] == FORWARD else mirror
-            parts.append(f" {tok}{labels[i]}{tok} ")
-            parts.append(_typed_name(types[i + 1], names[i + 1]))
-        return "".join(parts)
+        return typed[0] + "".join(f" {arrow}{label}{arrow} {name}"
+                                  for arrow, label, name in zip(arrows, labels, typed[1:]))
 
     # full: one oriented triple per hop, in the edge's stored orientation.
-    triples = []
-    for i in range(len(labels)):
-        left = _typed_name(types[i], names[i])
-        right = _typed_name(types[i + 1], names[i + 1])
-        if directions[i] != FORWARD:
-            left, right = right, left
-        triples.append(f"({left}, {labels[i]}, {right})")
-    body = ", ".join(triples)
-    return f"{style.prefix}{body}" if style.prefix else body
+    triples = [f"({u}, {label}, {v})" if f else f"({v}, {label}, {u})"
+               for u, label, v, f in zip(typed, labels, typed[1:], forward)]
+    return PREFIX + ", ".join(triples)
 
 
 def encode_ranker_input(pair: tuple[str, str], subgraph: MetapathSubgraph,

@@ -332,6 +332,40 @@ class TestConfigKeys:
         assert f"unknown config key ranker.train.{key}" in capsys.readouterr().err
         assert not model_path.exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("kg", "oops", "config key kg must be a section"),
+        ("seed", {"x": 1}, "config key seed must be a value, not a section"),
+    ], ids=["section-given-a-value", "value-given-a-section"])
+    def test_value_of_the_wrong_kind_exits_2(self, workdir, tmp_path, capsys,
+                                             key, value, message):
+        root, _ = workdir
+        cfg = self._write_config(root, tmp_path, lambda config: config.update({key: value}))
+        out = tmp_path / "candidates.jsonl"
+        code = run("extract", root / "pairs.jsonl", "--config", cfg, "--out", out)
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["extract"], ["discover", "none"]],
+                             ids=["extract", "discover"])
+    def test_missing_kg_path_exits_2(self, workdir, tmp_path, capsys, command):
+        root, _ = workdir
+        cfg = self._write_config(root, tmp_path, lambda config: config.pop("kg"))
+        out = tmp_path / "out.jsonl"
+        code = run(*command, root / "pairs.jsonl", "--config", cfg, "--out", out)
+        assert code == EXIT_CONFIG
+        assert "kg.path is required" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_discover_k_below_one_exits_2(self, workdir, tmp_path, capsys):
+        root, _ = workdir
+        out = tmp_path / "predictions.jsonl"
+        code = run("discover", "none", root / "pairs.jsonl", "--config", root / "config.json",
+                   "--k", 0, "--out", out)
+        assert code == EXIT_CONFIG
+        assert "k must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEvalArithmetic:
     def _write_predictions(self, path, rows):

@@ -24,41 +24,72 @@ from kgcausal.discovery import (
     hamming_distance,
     metrics_from_counts,
     parse_permutation,
-    select_top_k,
 )
 from kgcausal.errors import BackendUnavailable, TemplateError
 from kgcausal.llm import MockOracle
-from kgcausal.ltr.models import RankerModel
+from kgcausal.ltr.models import GbdtEnsemble, RankerModel, rank_subgraphs, score_subgraphs
 from kgcausal.relevance import PairInstance
 from kgcausal.synthetic import make_planted_world
+from kgcausal.verbalize import verbalize
 from test_models import handcrafted_lm
 
 
 class TestSelectTopK:
-    def _scored(self, scores):
-        return [(make_subgraph(["a", f"m{i}", "b"]), s) for i, s in enumerate(scores)]
+    """The top k paths that classify_pair puts into the prompt."""
+
+    PAIR = ("a", "b")
+
+    def _subgraphs(self, count):
+        return [make_subgraph(["a", f"m{i}", "b"]) for i in range(count)]
+
+    def _used(self, ranker, subgraphs, k, lm=None):
+        inst = PairInstance(qid="1", e1="a", e2="b", context="", groundtruth="causal")
+        backend = FakeBackend([FakeBackend.single("causal")])
+        prediction = classify_pair(inst, None, ranker, backend, config=DiscoveryConfig(k=k),
+                                   lm=lm, candidates=subgraphs)
+        return list(prediction.subgraphs_used)
+
+    def _by_score(self, ranker, subgraphs):
+        scores = score_subgraphs(ranker, self.PAIR, subgraphs)
+        return [verbalize(subgraphs[i]) for i in sorted(range(len(subgraphs)),
+                                                        key=lambda i: -scores[i])]
 
     def test_argmax(self):
-        scored = self._scored([0.2, 0.9, 0.5])
-        assert select_top_k(scored, 1) == [scored[1][0]]
+        ranker = RankerModel(kind="random", seed=4)
+        subgraphs = self._subgraphs(3)
+        best = int(np.argmax(score_subgraphs(ranker, self.PAIR, subgraphs)))
+        assert self._used(ranker, subgraphs, 1) == [verbalize(subgraphs[best])]
 
     def test_k_larger_than_list(self):
-        scored = self._scored([0.2, 0.9, 0.5])
-        top = select_top_k(scored, 10)
-        assert top == [scored[1][0], scored[2][0], scored[0][0]]
+        ranker = RankerModel(kind="random", seed=4)
+        subgraphs = self._subgraphs(3)
+        assert self._used(ranker, subgraphs, 10) == self._by_score(ranker, subgraphs)
 
     def test_ties_stable(self):
-        scored = self._scored([0.5, 0.5, 0.5])
-        assert select_top_k(scored, 2) == [scored[0][0], scored[1][0]]
+        subgraphs = self._subgraphs(3)
+        ranked = rank_subgraphs(constant_ranker(), self.PAIR, subgraphs, handcrafted_lm())
+        assert [sg for sg, _ in ranked] == subgraphs
 
     def test_empty(self):
-        assert select_top_k([], 3) == []
+        assert self._used(RankerModel(kind="random"), [], 3) == []
 
     def test_prefix_property(self):
-        scored = self._scored([0.1, 0.8, 0.3, 0.8])
-        full = select_top_k(scored, 4)
+        subgraphs = self._subgraphs(4)
+        lm = handcrafted_lm()
+        full = [verbalize(sg) for sg, _ in
+                rank_subgraphs(constant_ranker(), self.PAIR, subgraphs, lm)]
         for k in range(1, 5):
-            assert select_top_k(scored, k) == full[:k]
+            assert self._used(constant_ranker(), subgraphs, k, lm) == full[:k]
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            DiscoveryConfig(k=k)
+
+
+def constant_ranker():
+    """A GBDT ranker without trees: every path scores its base score."""
+    return RankerModel(kind="gbdt", gbdt=GbdtEnsemble(base_score=0.5, learning_rate=0.1))
 
 
 class TestBuildDiscoveryPrompt:

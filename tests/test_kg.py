@@ -185,18 +185,64 @@ def brute_force_shortest_paths(kg: KnowledgeGraph, a: str, b: str, max_hops: int
     for path in node_paths:
         if len(path) - 1 != shortest:
             continue
-        hop_choices = []
-        for u, v in zip(path, path[1:]):
-            options = []
-            for edge in kg.edges:
-                if edge.head == u and edge.tail == v:
-                    options.append((edge.relation, FORWARD))
-                if edge.head == v and edge.tail == u:
-                    options.append((edge.relation, REVERSE))
-            hop_choices.append(sorted(options))
+        hop_choices = [edge_options(kg, u, v) for u, v in zip(path, path[1:])]
         for combo in itertools.product(*hop_choices):
             expected.add((path, tuple(combo)))
     return expected
+
+
+def edge_options(kg: KnowledgeGraph, u: str, v: str):
+    """Every (relation, direction) by which one hop can cross from u to v."""
+    options = []
+    for edge in kg.edges:
+        if edge.head == u and edge.tail == v:
+            options.append((edge.relation, FORWARD))
+        if edge.head == v and edge.tail == u:
+            options.append((edge.relation, REVERSE))
+    return options
+
+
+def brute_force_pattern_paths(kg: KnowledgeGraph, a: str, b: str, type_pattern,
+                              relation_pattern=None):
+    """Independent oracle for pattern_query: try every sequence of distinct
+    nodes of the pattern's length, keep those whose types match, and expand
+    the edges each hop may cross."""
+    a_ids = kg.name_index[a.lower()]
+    b_ids = kg.name_index[b.lower()]
+    expected = set()
+    for middle in itertools.permutations(sorted(kg.nodes), len(type_pattern) - 2):
+        for path in ((start, *middle, end) for start in a_ids for end in b_ids):
+            if len(set(path)) != len(path):
+                continue
+            if [kg.node(i).node_type for i in path] != list(type_pattern):
+                continue
+            hop_choices = []
+            for i, (u, v) in enumerate(zip(path, path[1:])):
+                options = edge_options(kg, u, v)
+                if relation_pattern is not None:
+                    options = [o for o in options if o[0] == relation_pattern[i]]
+                hop_choices.append(options)
+            for combo in itertools.product(*hop_choices):
+                expected.add((path, tuple(combo)))
+    return expected
+
+
+def random_typed_multigraph(rng: random.Random) -> KnowledgeGraph:
+    """Small graph over three node types where some names are shared by two
+    ids, and node pairs often carry parallel edges in both directions."""
+    n = rng.randint(4, 10)
+    nodes = []
+    for i in range(n):
+        name = f"v{rng.randrange(i)}" if i and rng.random() < 0.2 else f"v{i}"
+        nodes.append(NodeRecord(id=f"n{i}", name=name, node_type=rng.choice("ABC")))
+    edges = []
+    for _ in range(rng.randint(n, 2 * n)):
+        u, v = rng.sample(range(n), 2)
+        for _ in range(rng.choice((1, 1, 2, 3))):
+            head, tail = (u, v) if rng.random() < 0.7 else (v, u)
+            edges.append(EdgeRecord(head=f"n{head}", relation=rng.choice(["r1", "r2", "r3"]),
+                                    tail=f"n{tail}"))
+    return KnowledgeGraph(nodes, edges)
 
 
 def as_key_set(subgraphs):
@@ -337,6 +383,40 @@ class TestPatternQuery:
         assert calls == [("a", "x", "y", "b")]
         assert len(found) == 8
         assert [sg.sort_key() for sg in found] == sorted(sg.sort_key() for sg in found)
+
+    def test_matches_oracle_on_random_multigraphs(self):
+        rng = random.Random(7)
+        nonempty = 0
+        for trial in range(60):
+            kg = random_typed_multigraph(rng)
+            # Take the type and relation patterns from a random walk, so that
+            # most queries have answers, or draw them at random.
+            walk = [rng.choice(sorted(kg.nodes))]
+            relations = []
+            for _ in range(rng.randint(1, 3)):
+                steps = kg.neighbors(walk[-1])
+                if not steps:
+                    break
+                v, rel, _direction = rng.choice(steps)
+                walk.append(v)
+                relations.append(rel)
+            if len(walk) < 2 or kg.node(walk[0]).name == kg.node(walk[-1]).name:
+                continue
+            a, b = kg.node(walk[0]).name, kg.node(walk[-1]).name
+            type_pattern = [kg.node(i).node_type for i in walk]
+            if rng.random() < 0.3:
+                type_pattern = [rng.choice("ABC") for _ in walk]
+            for relation_pattern in (None, relations,
+                                     [rng.choice(["r1", "r2", "r3"]) for _ in relations]):
+                found = pattern_query(kg, (a, b), type_pattern, relation_pattern)
+                expected = brute_force_pattern_paths(kg, a, b, type_pattern, relation_pattern)
+                assert as_key_set(found) == expected, (
+                    f"trial {trial}: pair ({a}, {b}), types {type_pattern}, "
+                    f"relations {relation_pattern}")
+                assert len(found) == len(expected)
+                assert [sg.sort_key() for sg in found] == sorted(sg.sort_key() for sg in found)
+                nonempty += bool(found)
+        assert nonempty >= 30
 
     def test_validation(self, hetionet_style_kg):
         with pytest.raises(ValueError):

@@ -36,11 +36,6 @@ class TestVerbalize:
                            directions=[REVERSE])
         assert verbalize(sg, FULL_STYLE) == "Relation paths between the pair: (tb b, r, ta a)"
 
-    def test_full_prefix_configurable(self):
-        sg = make_subgraph(["a", "b"], types=["ta", "tb"], labels=["r"])
-        style = VerbalizationStyle(variant="full", prefix=None)
-        assert verbalize(sg, style) == "(ta a, r, tb b)"
-
     def test_hyphen(self):
         sg = make_subgraph(["a", "b"])
         assert verbalize(sg, HYPHEN_STYLE) == "a - b"
@@ -51,18 +46,9 @@ class TestVerbalize:
         assert verbalize(sg, TYPED_ARROWS_STYLE) == (
             "T1 a →r1→ T2 x ←r2← T3 b")
 
-    def test_custom_arrow_token(self):
-        sg = make_subgraph(["a", "b"])
-        style = VerbalizationStyle(variant="plain_arrows", arrow_token="->")
-        assert verbalize(sg, style) == "a -> b"
-
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             VerbalizationStyle(variant="prose")
-
-    def test_empty_arrow_token_rejected_for_arrow_variants(self):
-        with pytest.raises(ValueError):
-            VerbalizationStyle(variant="plain_arrows", arrow_token="")
 
     def test_full_style_injective_on_distinct_paths(self):
         rng = random.Random(5)
