@@ -11,7 +11,6 @@ from .errors import (
     KgcausalError,
     KGLoadError,
     NoSuchNodeError,
-    TemplateError,
     UnparseableLabel,
 )
 from .kg import (
@@ -73,7 +72,6 @@ from .discovery import (
     EvaluationReport,
     GraphMetrics,
     aggregate_graph,
-    baseline_rank,
     build_discovery_prompt,
     classify_pair,
     classify_pairs,
@@ -82,6 +80,7 @@ from .discovery import (
     hamming_distance,
     metrics_from_counts,
     parse_permutation,
+    permutation_rank,
 )
 from . import ltr
 

@@ -71,41 +71,58 @@ DEFAULT_CONFIG: dict = {
     "kg": {"path": None, "format": "triples-jsonl", "max_hops": 4, "candidate_limit": 64},
     "llm": {"backend": "mock", "endpoint": None, "model": "", "parallelism": 1,
             "max_retries": 3, "mock_config_path": None, "credential_env": None},
-    "sre": {"k_max": 10, "template_path": None},
+    "sre": {"k_max": 10},
     "ranker": {"kind": "neural", "loss": "ranknet",
                "ngram": {"n": 2, "d": 128, "epochs": 10, "lr": 0.5},
                "gbdt": {"rounds": 100, "depth": 3, "lr": 0.1},
                "train": {"epochs": 200, "lr": 0.05, "batch": 8}},
-    "discovery": {"k": 1, "style": "plain_arrows", "template_path": None},
+    "discovery": {"k": 1, "style": "plain_arrows"},
     "eval": {"ks": [1, 3, 5]},
     "seed": 0,
 }
 
-_SECRET_KEY_PARTS = ("api_key", "apikey", "token", "secret", "password")
+# Keys that take null although their default is not null: no candidate cap.
+_NULLABLE = ("kg.candidate_limit",)
+
+# Command-line flag (argparse dest) -> the dotted config key it overrides.
+_FLAG_KEYS = {"seed": "seed", "max_hops": "kg.max_hops", "kind": "ranker.kind",
+              "loss": "ranker.loss", "k": "discovery.k"}
+
+_TYPE_NAMES = {list: "a list", str: "a string", bool: "a boolean", int: "an integer",
+               float: "a number", type(None): "null"}
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
-    merged = copy.deepcopy(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            merged[key] = _deep_merge(merged[key], value)
-        else:
-            merged[key] = copy.deepcopy(value)
-    return merged
-
-
-def _check_keys(user: dict, defaults: dict, prefix: str = "") -> None:
-    """Reject a key that DEFAULT_CONFIG lacks, or whose value is a section where
-    DEFAULT_CONFIG has a scalar or the other way round, naming its dotted path."""
-    for key, value in user.items():
-        if key not in defaults:
-            raise KgcausalError(f"unknown config key {prefix}{key}")
-        is_section = isinstance(defaults[key], dict)
-        if isinstance(value, dict) != is_section:
-            kind = "a section" if is_section else "a value, not a section"
-            raise KgcausalError(f"config key {prefix}{key} must be {kind}")
-        if is_section:
-            _check_keys(value, defaults[key], f"{prefix}{key}.")
+def _merge_config(default, value, path: str = ""):
+    """``value`` checked against ``default``, its part of DEFAULT_CONFIG, and
+    completed from it; a KgcausalError names the dotted path of a misfit.
+    Sections take only the default's keys and keep the defaults of the others.
+    Values have their default's JSON type (list items that of its first item),
+    except that any number fits a float, a string fits a null default, and
+    null fits there and at the keys in ``_NULLABLE``."""
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise KgcausalError(f"config key {path} must be a section")
+        merged = copy.deepcopy(default)
+        for key, item in value.items():
+            key_path = f"{path}.{key}" if path else key
+            if key not in default:
+                raise KgcausalError(f"unknown config key {key_path}")
+            merged[key] = _merge_config(default[key], item, key_path)
+        return merged
+    if isinstance(value, dict):
+        raise KgcausalError(f"config key {path} must be a value, not a section")
+    if isinstance(default, list) and isinstance(value, list):
+        return [_merge_config(default[0], item, f"{path}[{i}]")
+                for i, item in enumerate(value)]
+    nullable = default is None or path in _NULLABLE
+    if value is None and nullable:
+        return None
+    expected = type("" if default is None else default)
+    if not (type(value) is expected or (expected is float and type(value) is int)):
+        or_null = " or null" if nullable else ""
+        raise KgcausalError(f"config key {path} must be {_TYPE_NAMES[expected]}{or_null}, "
+                            f"not {_TYPE_NAMES[type(value)]}")
+    return value
 
 
 def load_config(path: Optional[Path]) -> dict:
@@ -117,19 +134,9 @@ def load_config(path: Optional[Path]) -> dict:
         raise KgcausalError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise KgcausalError(f"config file {path} is not valid JSON: {exc}")
-    _check_keys(user, DEFAULT_CONFIG)
-    return _deep_merge(DEFAULT_CONFIG, user)
-
-
-def redact_config(config: dict) -> dict:
-    def scrub(value):
-        if isinstance(value, dict):
-            return {k: ("***" if any(part in k.lower() for part in _SECRET_KEY_PARTS)
-                        else scrub(v)) for k, v in value.items()}
-        if isinstance(value, list):
-            return [scrub(v) for v in value]
-        return value
-    return scrub(config)
+    if not isinstance(user, dict):
+        raise KgcausalError(f"config file {path} must hold a JSON object")
+    return _merge_config(DEFAULT_CONFIG, user)
 
 
 def stage_seed(seed: int, stage: str) -> int:
@@ -139,17 +146,15 @@ def stage_seed(seed: int, stage: str) -> int:
 def make_backend(config: dict):
     llm = config["llm"]
     if llm["backend"] == "mock":
-        path = llm.get("mock_config_path")
-        if not path:
+        if not llm["mock_config_path"]:
             raise KgcausalError("llm.mock_config_path is required for the mock backend")
-        return MockOracle(MockOracleConfig.from_json(path))
+        return MockOracle(MockOracleConfig.from_json(llm["mock_config_path"]))
     if llm["backend"] == "http":
-        if not llm.get("endpoint"):
+        if not llm["endpoint"]:
             raise KgcausalError("llm.endpoint is required for the http backend")
-        return HttpBackend(endpoint=llm["endpoint"], model=llm.get("model") or "",
-                           credential_env=llm.get("credential_env"),
-                           max_retries=llm.get("max_retries", 3),
-                           parallelism=llm.get("parallelism", 1))
+        return HttpBackend(endpoint=llm["endpoint"], model=llm["model"],
+                           credential_env=llm["credential_env"],
+                           max_retries=llm["max_retries"], parallelism=llm["parallelism"])
     raise KgcausalError(f"unknown llm backend {llm['backend']!r}")
 
 
@@ -159,10 +164,11 @@ def _load_kg(config: dict):
     return load_kg(config["kg"]["path"], config["kg"]["format"])
 
 
-def _read_template(path: Optional[str], default: str) -> str:
-    if not path:
-        return default
-    return Path(path).read_text(encoding="utf-8")
+def _k_max(config: dict) -> int:
+    k_max = config["sre"]["k_max"]
+    if k_max < 1:
+        raise KgcausalError(f"sre.k_max must be >= 1, not {k_max}")
+    return k_max
 
 
 def _write_json(path, doc: dict) -> None:
@@ -171,15 +177,11 @@ def _write_json(path, doc: dict) -> None:
 
 def _write_meta(out: Path, command: str, config: dict, summary: dict) -> None:
     _write_json(str(out) + ".meta.json",
-                {"command": command, "config": redact_config(config), "summary": summary})
+                {"command": command, "config": config, "summary": summary})
 
 
-def cmd_extract(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if args.max_hops is not None:
-        config["kg"]["max_hops"] = args.max_hops
+def cmd_extract(args, config: dict) -> int:
+    k_max = _k_max(config)
     kg = _load_kg(config)
     instances = read_instances(args.pairs)
     seed = stage_seed(config["seed"], "extract")
@@ -190,7 +192,7 @@ def cmd_extract(args) -> int:
         candidates = candidate_subgraphs(
             inst, kg, max_hops=config["kg"]["max_hops"],
             candidate_limit=config["kg"]["candidate_limit"],
-            k_max=config["sre"]["k_max"], seed=seed)
+            k_max=k_max, seed=seed)
         if candidates:
             with_candidates += 1
         row = inst.to_dict()
@@ -204,13 +206,9 @@ def cmd_extract(args) -> int:
     return EXIT_OK
 
 
-def cmd_estimate(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config["seed"] = args.seed
+def cmd_estimate(args, config: dict) -> int:
+    k_max = _k_max(config)
     backend = make_backend(config)
-    template = _read_template(config["sre"]["template_path"], DEFAULT_SRE_TEMPLATE)
-    k_max = config["sre"]["k_max"]
 
     rows = read_jsonl(args.candidates)
     jobs = []
@@ -218,7 +216,7 @@ def cmd_estimate(args) -> int:
         subgraphs = [MetapathSubgraph.from_dict(d) for d in row.get("subgraphs", [])]
         if subgraphs:
             jobs.append((PairInstance.from_dict(row), subgraphs[:k_max]))
-    result = estimate_relevance(jobs, backend, template=template)
+    result = estimate_relevance(jobs, backend)
 
     failures = result.skipped_backend_error
     if jobs and failures == len(jobs):
@@ -234,14 +232,7 @@ def cmd_estimate(args) -> int:
     return EXIT_DEGRADED if failures else EXIT_OK
 
 
-def cmd_train(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if args.kind:
-        config["ranker"]["kind"] = args.kind
-    if args.loss:
-        config["ranker"]["loss"] = args.loss
+def cmd_train(args, config: dict) -> int:
     dataset = read_ranked_dataset(args.dataset)
     if not dataset:
         raise KgcausalError(f"ranked dataset {args.dataset} is empty")
@@ -297,8 +288,7 @@ def _rows_to_subgraph_sets(rows):
             yield str(row["qid"]), (row["e1"], row["e2"]), subgraphs, None, None
 
 
-def cmd_rank(args) -> int:
-    config = load_config(args.config)
+def cmd_rank(args, config: dict) -> int:
     model, lm = load_model(args.model)
     rows = read_jsonl(args.candidates)
 
@@ -324,12 +314,7 @@ def cmd_rank(args) -> int:
     return EXIT_OK
 
 
-def cmd_discover(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if args.k is not None:
-        config["discovery"]["k"] = args.k
+def cmd_discover(args, config: dict) -> int:
     backend = make_backend(config)
     instances = read_instances(args.pairs)
     kg = _load_kg(config)
@@ -345,8 +330,6 @@ def cmd_discover(args) -> int:
         candidate_limit=config["kg"]["candidate_limit"],
         seed=stage_seed(config["seed"], "discover"),
         style=VerbalizationStyle(variant=config["discovery"]["style"]),
-        template=_read_template(config["discovery"]["template_path"],
-                                DEFAULT_DISCOVERY_TEMPLATE),
     )
 
     predictions = classify_pairs(instances, kg, model, backend,
@@ -378,20 +361,12 @@ def _ranking_metrics(rankings_path: Path, ks) -> dict:
     return out
 
 
-def _template_hashes(config: dict) -> dict:
-    """Short content hashes of the active prompt templates, for provenance."""
-    out = {}
-    for name, path, default in (
-            ("sre", config["sre"]["template_path"], DEFAULT_SRE_TEMPLATE),
-            ("discovery", config["discovery"]["template_path"],
-             DEFAULT_DISCOVERY_TEMPLATE)):
-        text = _read_template(path, default)
-        out[name] = f"{stable_hash(text):016x}"
-    return out
+# Short content hashes of the two prompt templates, for provenance.
+TEMPLATE_HASHES = {"sre": f"{stable_hash(DEFAULT_SRE_TEMPLATE):016x}",
+                   "discovery": f"{stable_hash(DEFAULT_DISCOVERY_TEMPLATE):016x}"}
 
 
-def cmd_eval(args) -> int:
-    config = load_config(args.config)
+def cmd_eval(args, config: dict) -> int:
     predictions = read_predictions(args.predictions)
     golds = read_instances(args.gold)
     classification = evaluate_classification(predictions, golds)
@@ -420,8 +395,8 @@ def cmd_eval(args) -> int:
         # adjacency is built from independently classified ordered pairs,
         # both orientations of every unordered pair
         doc["graph"]["orientation"] = "all-ordered-pairs"
-    doc["config"] = redact_config(config)
-    doc["template_hashes"] = _template_hashes(config)
+    doc["config"] = config
+    doc["template_hashes"] = TEMPLATE_HASHES
     _write_json(args.out, doc)
     logger.info("eval: P=%.2f R=%.2f F1=%.2f", classification.precision,
                 classification.recall, classification.f1)
@@ -485,7 +460,13 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
-        return args.func(args)
+        config = load_config(args.config)
+        for flag, key_path in _FLAG_KEYS.items():
+            value = getattr(args, flag, None)
+            if value is not None:
+                section, _, key = key_path.rpartition(".")
+                (config[section] if section else config)[key] = value
+        return args.func(args, config)
     except (KgcausalError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -13,11 +13,11 @@ import numpy as np
 
 from .errors import NoSuchNodeError
 from .kg import KnowledgeGraph, MetapathSubgraph, enumerate_subgraphs
-from .llm import CAUSAL, CompletionRequest, ask_label
-from .ltr.models import RANDOM, SIMILARITY, RankerModel, rank_subgraphs
+from .llm import CAUSAL, PATH_BLOCK_MARKER, CompletionRequest, ask_label
+from .ltr.models import RankerModel, rank_subgraphs
 from .ltr.ngram import NgramLM
 from .relevance import DEFAULT_INSTRUCTION, PairInstance
-from .util import fill_template, map_in_order, read_jsonl
+from .util import map_in_order, read_jsonl
 from .verbalize import PLAIN_ARROWS_STYLE, VerbalizationStyle, verbalize
 
 logger = logging.getLogger(__name__)
@@ -25,14 +25,9 @@ logger = logging.getLogger(__name__)
 DEFAULT_DISCOVERY_TEMPLATE = (
     "{instruction}\n\n"
     "[Textual context]:\n{context}\n\n"
-    "[Relation Paths]:\n{paths}\n\n"
+    f"{PATH_BLOCK_MARKER}\n{{paths}}\n\n"
     "The relation between {a} and {b} is"
 )
-
-BASELINE_RANDOM = "random"
-BASELINE_SIMILARITY = "similarity"
-BASELINE_PERMUTATION = "permutation"
-BASELINE_KINDS = (BASELINE_RANDOM, BASELINE_SIMILARITY, BASELINE_PERMUTATION)
 
 _BRACKETED_INT = re.compile(r"\[(\d+)\]")
 
@@ -72,7 +67,6 @@ class DiscoveryConfig:
     candidate_limit: Optional[int] = 64
     seed: int = 0
     style: VerbalizationStyle = PLAIN_ARROWS_STYLE
-    template: str = DEFAULT_DISCOVERY_TEMPLATE
 
     def __post_init__(self):
         if self.k < 1:
@@ -81,11 +75,9 @@ class DiscoveryConfig:
 
 def build_discovery_prompt(instance: PairInstance,
                            top_subgraphs: Sequence[MetapathSubgraph],
-                           style: VerbalizationStyle = PLAIN_ARROWS_STYLE,
-                           template: str = DEFAULT_DISCOVERY_TEMPLATE) -> str:
+                           style: VerbalizationStyle = PLAIN_ARROWS_STYLE) -> str:
     """Zero-shot prompt with one verbalized path per line (possibly none)."""
-    return fill_template(
-        template,
+    return DEFAULT_DISCOVERY_TEMPLATE.format(
         instruction=DEFAULT_INSTRUCTION,
         context=instance.context,
         paths="\n".join(verbalize(sg, style) for sg in top_subgraphs),
@@ -123,8 +115,7 @@ def classify_pair(instance: PairInstance, kg: Optional[KnowledgeGraph],
     else:
         top = []
 
-    prompt = build_discovery_prompt(instance, top, style=config.style,
-                                    template=config.template)
+    prompt = build_discovery_prompt(instance, top, style=config.style)
     try:
         label, p, backend_id = ask_label(backend, prompt)
     except Exception as exc:
@@ -179,41 +170,28 @@ DEFAULT_PERMUTATION_TEMPLATE = (
 
 def permutation_rank_prompt(pair: tuple[str, str],
                             subgraphs: Sequence[MetapathSubgraph],
-                            style: VerbalizationStyle = PLAIN_ARROWS_STYLE,
-                            template: str = DEFAULT_PERMUTATION_TEMPLATE) -> str:
+                            style: VerbalizationStyle = PLAIN_ARROWS_STYLE) -> str:
     lines = [f"[{i}] {verbalize(sg, style)}" for i, sg in enumerate(subgraphs, start=1)]
-    return template.format(k=len(subgraphs), a=pair[0], b=pair[1], paths="\n".join(lines))
+    return DEFAULT_PERMUTATION_TEMPLATE.format(k=len(subgraphs), a=pair[0], b=pair[1],
+                                               paths="\n".join(lines))
 
 
-def baseline_rank(kind: str, pair: tuple[str, str],
-                  subgraphs: Sequence[MetapathSubgraph], *,
-                  seed: int = 0, lm: Optional[NgramLM] = None, backend=None,
-                  style: VerbalizationStyle = PLAIN_ARROWS_STYLE
-                  ) -> list[MetapathSubgraph]:
-    """Order candidates with one of the reference strategies.
-
-    random needs a seed, similarity a language model, permutation a backend.
-    A permutation reply that names no index falls back to the input order
-    (and logs a warning).
-    """
+def permutation_rank(pair: tuple[str, str], subgraphs: Sequence[MetapathSubgraph],
+                     backend, style: VerbalizationStyle = PLAIN_ARROWS_STYLE
+                     ) -> list[MetapathSubgraph]:
+    """The LLM permutation baseline: candidates in the order the backend ranks
+    them; a reply that names no index keeps the input order (and logs a
+    warning).  The random and similarity baselines are ``rank_subgraphs``."""
     if not subgraphs:
         raise ValueError("subgraphs must be non-empty")
-    if kind == BASELINE_RANDOM:
-        model = RankerModel(kind=RANDOM, seed=seed)
-        return [sg for sg, _ in rank_subgraphs(model, pair, subgraphs)]
-    if kind == BASELINE_SIMILARITY:
-        model = RankerModel(kind=SIMILARITY, seed=seed)
-        return [sg for sg, _ in rank_subgraphs(model, pair, subgraphs, lm)]
-    if kind == BASELINE_PERMUTATION:
-        prompt = permutation_rank_prompt(pair, subgraphs, style=style)
-        completion = backend.complete(CompletionRequest(prompt=prompt, max_tokens=64,
-                                                        want_logprobs=False))
-        if not _BRACKETED_INT.search(completion.text):
-            logger.warning("permutation reply named no index; keeping input order")
-            return list(subgraphs)
-        order = parse_permutation(completion.text, len(subgraphs))
-        return [subgraphs[i - 1] for i in order]
-    raise ValueError(f"unknown baseline kind {kind!r}")
+    prompt = permutation_rank_prompt(pair, subgraphs, style=style)
+    completion = backend.complete(CompletionRequest(prompt=prompt, max_tokens=64,
+                                                    want_logprobs=False))
+    if not _BRACKETED_INT.search(completion.text):
+        logger.warning("permutation reply named no index; keeping input order")
+        return list(subgraphs)
+    order = parse_permutation(completion.text, len(subgraphs))
+    return [subgraphs[i - 1] for i in order]
 
 
 @dataclass(frozen=True)

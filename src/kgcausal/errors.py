@@ -13,10 +13,6 @@ class NoSuchNodeError(KgcausalError):
     """A variable name does not resolve to any node in the graph."""
 
 
-class TemplateError(KgcausalError):
-    """A prompt template is missing a required placeholder."""
-
-
 class EmptyCandidatesError(KgcausalError):
     """An operation that needs at least one candidate subgraph got none."""
 

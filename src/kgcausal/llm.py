@@ -37,6 +37,7 @@ NON_CAUSAL = "non-causal"
 # one of them, so priority order is what keeps the matching safe.
 LABEL_VARIANTS = ("non-causal", "noncausal", "non causal", CAUSAL)
 
+# Heads the relation-path block of both prompts; the mock oracle matches there.
 PATH_BLOCK_MARKER = "[Relation Paths]:"
 
 # Client errors that are transient in practice: rate limited, request timeout.

@@ -22,8 +22,8 @@ from .errors import (
     NoSuchNodeError,
 )
 from .kg import KnowledgeGraph, MetapathSubgraph, enumerate_subgraphs, sample_subgraphs
-from .llm import CAUSAL, NON_CAUSAL, ask_label
-from .util import descending_order, fill_template, map_in_order, read_jsonl, stable_hash
+from .llm import CAUSAL, NON_CAUSAL, PATH_BLOCK_MARKER, ask_label
+from .util import descending_order, map_in_order, read_jsonl, stable_hash
 from .verbalize import HYPHEN_STYLE, verbalize
 
 logger = logging.getLogger(__name__)
@@ -39,7 +39,7 @@ DEFAULT_SRE_TEMPLATE = (
     "{instruction}\n\n"
     "[Pair]:\n{pair}\n\n"
     "[Textual context]:\n{context}\n\n"
-    "[Relation Paths]: {paths}\n\n"
+    f"{PATH_BLOCK_MARKER} {{paths}}\n\n"
     "[Relation]: "
 )
 
@@ -150,11 +150,9 @@ def encode_groundtruth(label: str) -> str:
     return "1" if label == CAUSAL else "0"
 
 
-def build_sre_prompt(instance: PairInstance, subgraph: MetapathSubgraph,
-                     template: str = DEFAULT_SRE_TEMPLATE) -> str:
+def build_sre_prompt(instance: PairInstance, subgraph: MetapathSubgraph) -> str:
     """Fill the relevance-estimation template for one candidate path."""
-    return fill_template(
-        template,
+    return DEFAULT_SRE_TEMPLATE.format(
         instruction=DEFAULT_INSTRUCTION,
         pair=f"{instance.e1} and {instance.e2}",
         context=instance.context,
@@ -162,14 +160,14 @@ def build_sre_prompt(instance: PairInstance, subgraph: MetapathSubgraph,
     )
 
 
-def score_subgraph(instance: PairInstance, subgraph: MetapathSubgraph, backend,
-                   template: str = DEFAULT_SRE_TEMPLATE) -> RelevanceScore:
+def score_subgraph(instance: PairInstance, subgraph: MetapathSubgraph,
+                   backend) -> RelevanceScore:
     """Score one candidate: 1 + p when the backend is right, 1 - p when wrong.
 
     Output that names no label counts as a wrong prediction with p = 0,
     which lands exactly on the score midpoint 1.0.
     """
-    label, p, _backend_id = ask_label(backend, build_sre_prompt(instance, subgraph, template))
+    label, p, _backend_id = ask_label(backend, build_sre_prompt(instance, subgraph))
     if label is None:
         return RelevanceScore(s=1.0, p=0.0, predicted=None, correct=False, mean_logprob=None)
     correct = label == instance.groundtruth
@@ -178,8 +176,8 @@ def score_subgraph(instance: PairInstance, subgraph: MetapathSubgraph, backend,
                           mean_logprob=math.log(p) if p > 0 else None)
 
 
-def rank_pair(instance: PairInstance, subgraphs: Sequence[MetapathSubgraph], backend,
-              template: str = DEFAULT_SRE_TEMPLATE) -> RankedPairRecord:
+def rank_pair(instance: PairInstance, subgraphs: Sequence[MetapathSubgraph],
+              backend) -> RankedPairRecord:
     """Score every candidate and emit the record sorted by descending score.
 
     Ties keep the original candidate order; path ids are assigned 1..k in
@@ -187,7 +185,7 @@ def rank_pair(instance: PairInstance, subgraphs: Sequence[MetapathSubgraph], bac
     """
     if not subgraphs:
         raise EmptyCandidatesError(f"{instance.qid}: no candidate subgraphs")
-    scores = [score_subgraph(instance, sg, backend, template=template) for sg in subgraphs]
+    scores = [score_subgraph(instance, sg, backend) for sg in subgraphs]
     metapaths = []
     for rank, idx in enumerate(descending_order([sc.s for sc in scores]), start=1):
         sg, sc = subgraphs[idx], scores[idx]
@@ -236,14 +234,14 @@ class EstimateResult:
 
 
 def estimate_relevance(jobs: Sequence[tuple[PairInstance, Sequence[MetapathSubgraph]]],
-                       backend, template: str = DEFAULT_SRE_TEMPLATE) -> EstimateResult:
+                       backend) -> EstimateResult:
     """Rank each (instance, candidates) job on up to ``backend.parallelism``
     threads.  A backend failure on one pair skips and counts that pair rather
     than aborting the run."""
     def run_job(job):
         instance, candidates = job
         try:
-            return rank_pair(instance, candidates, backend, template=template)
+            return rank_pair(instance, candidates, backend)
         except (BackendUnavailable, BackendRejected) as exc:
             logger.warning("skipping %s: %s", instance.qid, exc)
             return None

@@ -1,6 +1,6 @@
 """Small helpers shared by the pipeline stages: the seeded hash, the stable
-descending sort, prompt-template filling, atomic artifact writes, JSON Lines
-I/O and the in-order thread pool."""
+descending sort, atomic artifact writes, JSON Lines I/O and the in-order
+thread pool."""
 
 from __future__ import annotations
 
@@ -10,8 +10,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
-
-from .errors import TemplateError
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -26,15 +24,6 @@ def stable_hash(*parts) -> int:
 def descending_order(scores: Sequence[float]) -> list[int]:
     """Indices sorted by descending score; ties keep input order."""
     return sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-
-
-def fill_template(template: str, **fields) -> str:
-    """``template.format(**fields)`` after checking that every field has its
-    ``{name}`` placeholder; the first one missing raises TemplateError."""
-    for name in fields:
-        if f"{{{name}}}" not in template:
-            raise TemplateError(f"template is missing placeholder {{{name}}}")
-    return template.format(**fields)
 
 
 def atomic_write(path, text: str) -> None:

@@ -78,13 +78,15 @@ def hetionet_style_kg():
 
 class StubHandler(BaseHTTPRequestHandler):
     """Replays the scripted (status, body) responses of its server; a bytes
-    body is sent as is, anything else as JSON."""
+    body is sent as is, anything else as JSON.  Records each request body and
+    its Authorization header (None when absent)."""
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         request = json.loads(self.rfile.read(length))
         with self.server.lock:
             self.server.requests.append(request)
+            self.server.authorizations.append(self.headers.get("Authorization"))
             served = len(self.server.requests)
         status, body = self.server.script[min(served, len(self.server.script)) - 1]
         payload = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
@@ -100,10 +102,12 @@ class StubHandler(BaseHTTPRequestHandler):
 
 @pytest.fixture
 def stub_server():
-    """Loopback completion endpoint; set ``script`` and read ``requests``."""
+    """Loopback completion endpoint; set ``script`` and read ``requests`` and
+    ``authorizations``."""
     server = ThreadingHTTPServer(("127.0.0.1", 0), StubHandler)
     server.script = [(200, {})]
     server.requests = []
+    server.authorizations = []
     server.lock = threading.Lock()
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()

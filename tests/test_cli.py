@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import ok_body
-from kgcausal.cli import EXIT_CONFIG, EXIT_DEGRADED, EXIT_OK, main
+from kgcausal.cli import DEFAULT_CONFIG, EXIT_CONFIG, EXIT_DEGRADED, EXIT_OK, main
 from kgcausal.synthetic import make_planted_world, write_instances_jsonl, write_kg_jsonl
 
 
@@ -189,6 +189,30 @@ class TestEstimate:
         assert meta["summary"]["backend_calls"] == len(stub_server.requests)
         assert len(stub_server.requests) == sum(len(row["metapaths"]) for row in rows)
 
+    def test_credential_goes_to_the_header_and_nowhere_else(self, pipeline, stub_server,
+                                                            tmp_path, monkeypatch):
+        root, _, out = pipeline
+        secret = "sk-do-not-log-3141"
+        monkeypatch.setenv("KGCAUSAL_TEST_CREDENTIAL", secret)
+        stub_server.script = [(200, ok_body("causal"))]
+        config = {
+            "kg": {"path": str(root / "kg.jsonl")},
+            "llm": {"backend": "http", "model": "m",
+                    "endpoint": f"http://127.0.0.1:{stub_server.server_address[1]}",
+                    "credential_env": "KGCAUSAL_TEST_CREDENTIAL"},
+        }
+        cfg = tmp_path / "http.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        ranked = tmp_path / "ranked.jsonl"
+        assert run("estimate", out / "candidates.jsonl", "--config", cfg,
+                   "--out", ranked) == EXIT_OK
+        assert set(stub_server.authorizations) == {f"Bearer {secret}"}
+        meta = Path(str(ranked) + ".meta.json").read_text()
+        assert json.loads(meta)["config"]["llm"]["credential_env"] == \
+            "KGCAUSAL_TEST_CREDENTIAL"
+        assert secret not in meta
+        assert secret not in ranked.read_text()
+
 
 class TestTrainRankDiscoverEval:
     def test_model_file_is_versioned_json(self, pipeline):
@@ -302,6 +326,21 @@ class TestVariants:
         assert set(report["template_hashes"]) == {"sre", "discovery"}
 
 
+def set_key(config, dotted, value):
+    *sections, key = dotted.split(".")
+    for name in sections:
+        config = config.setdefault(name, {})
+    config[key] = value
+
+
+def key_paths(config, prefix=""):
+    for key, value in config.items():
+        if isinstance(value, dict):
+            yield from key_paths(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
 class TestConfigKeys:
     def _write_config(self, root, tmp_path, edit):
         config = json.loads((root / "config.json").read_text())
@@ -309,6 +348,72 @@ class TestConfigKeys:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config), encoding="utf-8")
         return path
+
+    def test_no_default_key_names_a_secret(self):
+        """The echoed configs are not redacted: a credential lives only in the
+        environment variable that llm.credential_env names."""
+        paths = list(key_paths(DEFAULT_CONFIG))
+        assert "llm.credential_env" in paths
+        for path in paths:
+            for part in ("api_key", "apikey", "token", "secret", "password"):
+                assert part not in path.lower(), path
+
+    def test_list_item_of_the_wrong_type_exits_2(self, pipeline, tmp_path, capsys):
+        root, _, out = pipeline
+        cfg = self._write_config(root, tmp_path,
+                                 lambda config: config.update(eval={"ks": ["1"]}))
+        report = tmp_path / "report.json"
+        code = run("eval", out / "predictions.jsonl", root / "pairs.jsonl",
+                   "--rankings", out / "rankings.jsonl", "--config", cfg, "--out", report)
+        assert code == EXIT_CONFIG
+        assert "config key eval.ks[0] must be an integer, not a string" in \
+            capsys.readouterr().err
+        assert not report.exists()
+
+    def test_integer_for_a_float_runs(self, pipeline, tmp_path):
+        root, _, out = pipeline
+        cfg = self._write_config(root, tmp_path, lambda config: config["ranker"].update(
+            kind="neural", train={"lr": 1, "epochs": 2}))
+        model_path = tmp_path / "model.json"
+        assert run("train", out / "ranked.jsonl", "--config", cfg,
+                   "--out", model_path) == EXIT_OK
+        meta = json.loads(Path(str(model_path) + ".meta.json").read_text())
+        assert meta["config"]["ranker"]["train"]["lr"] == 1
+
+    def test_null_candidate_limit_runs_uncapped(self, workdir, tmp_path):
+        root, world = workdir
+        cfg = self._write_config(root, tmp_path,
+                                 lambda config: config["kg"].update(candidate_limit=None))
+        out = tmp_path / "candidates.jsonl"
+        assert run("extract", root / "pairs.jsonl", "--config", cfg,
+                   "--out", out) == EXIT_OK
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert len(rows) == len(world.instances)
+        meta = json.loads(Path(str(out) + ".meta.json").read_text())
+        assert meta["config"]["kg"]["candidate_limit"] is None
+
+    def test_config_that_is_not_an_object_exits_2(self, workdir, tmp_path, capsys):
+        root, _ = workdir
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]", encoding="utf-8")
+        out = tmp_path / "candidates.jsonl"
+        code = run("extract", root / "pairs.jsonl", "--config", cfg, "--out", out)
+        assert code == EXIT_CONFIG
+        assert "must hold a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["extract", "estimate"])
+    @pytest.mark.parametrize("k_max", [0, -1])
+    def test_k_max_below_one_exits_2(self, pipeline, tmp_path, capsys, command, k_max):
+        root, _, out = pipeline
+        cfg = self._write_config(root, tmp_path,
+                                 lambda config: config.update(sre={"k_max": k_max}))
+        source = {"extract": root / "pairs.jsonl", "estimate": out / "candidates.jsonl"}
+        target = tmp_path / "out.jsonl"
+        code = run(command, source[command], "--config", cfg, "--out", target)
+        assert code == EXIT_CONFIG
+        assert "sre.k_max must be >= 1" in capsys.readouterr().err
+        assert not target.exists()
 
     def test_misspelt_key_exits_2_naming_its_path(self, workdir, tmp_path, capsys):
         root, _ = workdir
@@ -335,11 +440,24 @@ class TestConfigKeys:
     @pytest.mark.parametrize("key, value, message", [
         ("kg", "oops", "config key kg must be a section"),
         ("seed", {"x": 1}, "config key seed must be a value, not a section"),
-    ], ids=["section-given-a-value", "value-given-a-section"])
+        ("kg.max_hops", "4", "config key kg.max_hops must be an integer, not a string"),
+        ("kg.max_hops", 4.0, "config key kg.max_hops must be an integer, not a number"),
+        ("kg.candidate_limit", "8",
+         "config key kg.candidate_limit must be an integer or null, not a string"),
+        ("llm.model", None, "config key llm.model must be a string, not null"),
+        ("llm.endpoint", 8080,
+         "config key llm.endpoint must be a string or null, not an integer"),
+        ("ranker.gbdt.lr", True, "config key ranker.gbdt.lr must be a number, not a boolean"),
+        ("seed", True, "config key seed must be an integer, not a boolean"),
+        ("eval.ks", 5, "config key eval.ks must be a list, not an integer"),
+    ], ids=["section-given-a-value", "value-given-a-section", "string-for-integer",
+            "float-for-integer", "string-for-nullable-integer", "null-for-string",
+            "integer-for-optional-string", "boolean-for-number", "boolean-for-integer",
+            "integer-for-list"])
     def test_value_of_the_wrong_kind_exits_2(self, workdir, tmp_path, capsys,
                                              key, value, message):
         root, _ = workdir
-        cfg = self._write_config(root, tmp_path, lambda config: config.update({key: value}))
+        cfg = self._write_config(root, tmp_path, lambda config: set_key(config, key, value))
         out = tmp_path / "candidates.jsonl"
         code = run("extract", root / "pairs.jsonl", "--config", cfg, "--out", out)
         assert code == EXIT_CONFIG
@@ -365,6 +483,28 @@ class TestConfigKeys:
         assert code == EXIT_CONFIG
         assert "k must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestSeedFlag:
+    """--seed overrides the config seed on every command, as the echo shows."""
+
+    @pytest.mark.parametrize("command", ["extract", "estimate", "train", "rank",
+                                         "discover", "eval"])
+    def test_seed_flag_reaches_the_config_echo(self, pipeline, tmp_path, command):
+        root, _, out = pipeline
+        inputs = {
+            "extract": [root / "pairs.jsonl"],
+            "estimate": [out / "candidates.jsonl"],
+            "train": [out / "ranked.jsonl"],
+            "rank": [out / "model.json", out / "ranked.jsonl"],
+            "discover": [out / "model.json", root / "pairs.jsonl"],
+            "eval": [out / "predictions.jsonl", root / "pairs.jsonl"],
+        }
+        target = tmp_path / "out.json"
+        assert run(command, *inputs[command], "--config", root / "config.json",
+                   "--seed", 99, "--out", target) == EXIT_OK
+        echo = target if command == "eval" else Path(str(target) + ".meta.json")
+        assert json.loads(echo.read_text())["config"]["seed"] == 99
 
 
 class TestEvalArithmetic:

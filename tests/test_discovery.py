@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import re
 import threading
 import time
 
@@ -11,11 +10,9 @@ import pytest
 
 from conftest import FakeBackend, make_subgraph
 from kgcausal.discovery import (
-    DEFAULT_DISCOVERY_TEMPLATE,
     CausalPrediction,
     DiscoveryConfig,
     aggregate_graph,
-    baseline_rank,
     build_discovery_prompt,
     classify_pair,
     classify_pairs,
@@ -24,8 +21,9 @@ from kgcausal.discovery import (
     hamming_distance,
     metrics_from_counts,
     parse_permutation,
+    permutation_rank,
 )
-from kgcausal.errors import BackendUnavailable, TemplateError
+from kgcausal.errors import BackendUnavailable
 from kgcausal.llm import MockOracle
 from kgcausal.ltr.models import GbdtEnsemble, RankerModel, rank_subgraphs, score_subgraphs
 from kgcausal.relevance import PairInstance
@@ -115,13 +113,6 @@ class TestBuildDiscoveryPrompt:
         second = make_subgraph(["a", "y", "b"])
         prompt = build_discovery_prompt(inst, [first, second])
         assert prompt.index("a → x → b") < prompt.index("a → y → b")
-
-    @pytest.mark.parametrize("field", ["instruction", "context", "paths", "a", "b"])
-    def test_missing_placeholder(self, field):
-        inst = PairInstance(qid="1", e1="a", e2="b", context="", groundtruth="causal")
-        template = DEFAULT_DISCOVERY_TEMPLATE.replace("{%s}" % field, "")
-        with pytest.raises(TemplateError, match=re.escape("{%s}" % field)):
-            build_discovery_prompt(inst, [], template=template)
 
 
 class TestClassifyPair:
@@ -215,39 +206,46 @@ class TestParsePermutation:
 
 
 class TestBaselineRank:
+    """The random and similarity baselines are rankers of that kind; the
+    permutation baseline asks the backend for an order."""
+
     def _subs(self, n=3):
         return [make_subgraph(["a", f"m{i}", "b"]) for i in range(n)]
 
+    def _ranked(self, kind, pair, subs, seed=0, lm=None):
+        return [sg for sg, _ in rank_subgraphs(RankerModel(kind=kind, seed=seed), pair,
+                                               subs, lm)]
+
     def test_random_deterministic(self):
         subs = self._subs(6)
-        one = baseline_rank("random", ("a", "b"), subs, seed=4)
-        two = baseline_rank("random", ("a", "b"), subs, seed=4)
+        one = self._ranked("random", ("a", "b"), subs, seed=4)
+        two = self._ranked("random", ("a", "b"), subs, seed=4)
         assert [id(s) for s in one] == [id(s) for s in two]
 
     def test_similarity_puts_pair_identical_first(self):
         lm = handcrafted_lm(extra_tokens=("unrelated", "stuff"))
         identical = make_subgraph(["left", "right"])
         other = make_subgraph(["unrelated", "stuff"])
-        ranked = baseline_rank("similarity", ("left", "right"), [other, identical], lm=lm)
+        ranked = self._ranked("similarity", ("left", "right"), [other, identical], lm=lm)
         assert ranked[0] is identical
 
     def test_permutation_reorders_by_reply(self):
         subs = self._subs(3)
         backend = FakeBackend([FakeBackend.single("[2] > [3] > [1]")])
-        ranked = baseline_rank("permutation", ("a", "b"), subs, backend=backend)
+        ranked = permutation_rank(("a", "b"), subs, backend)
         assert ranked == [subs[1], subs[2], subs[0]]
 
     def test_permutation_parse_failure_falls_back(self, caplog):
         subs = self._subs(3)
         backend = FakeBackend([FakeBackend.single("cannot rank these")])
         with caplog.at_level("WARNING"):
-            ranked = baseline_rank("permutation", ("a", "b"), subs, backend=backend)
+            ranked = permutation_rank(("a", "b"), subs, backend)
         assert ranked == subs
         assert any("input order" in r.message for r in caplog.records)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            baseline_rank("oracle", ("a", "b"), self._subs())
+            self._ranked("oracle", ("a", "b"), self._subs())
 
 
 def preds(labels):

@@ -4,16 +4,14 @@ from __future__ import annotations
 
 import json
 import math
-import re
 
 import pytest
 
 from conftest import FakeBackend, make_subgraph
-from kgcausal.errors import BackendUnavailable, EmptyCandidatesError, TemplateError
+from kgcausal.errors import BackendUnavailable, EmptyCandidatesError
 from kgcausal.kg import EdgeRecord, KnowledgeGraph, NodeRecord
 from kgcausal.llm import MockOracle, MockOracleConfig
 from kgcausal.relevance import (
-    DEFAULT_SRE_TEMPLATE,
     PairInstance,
     RankedPairRecord,
     build_sre_prompt,
@@ -47,12 +45,6 @@ class TestBuildSrePrompt:
         inst = PairInstance(qid="1", e1="a", e2="b", context="", groundtruth="causal")
         prompt = build_sre_prompt(inst, fgf6_path)
         assert "[Textual context]:\n\n" in prompt
-
-    @pytest.mark.parametrize("field", ["instruction", "pair", "context", "paths"])
-    def test_missing_placeholder_raises(self, drug_instance, fgf6_path, field):
-        template = DEFAULT_SRE_TEMPLATE.replace("{%s}" % field, "")
-        with pytest.raises(TemplateError, match=re.escape("{%s}" % field)):
-            build_sre_prompt(drug_instance, fgf6_path, template=template)
 
 
 class TestScoreSubgraph:
