@@ -36,11 +36,11 @@ from .llm import (
     HttpBackend,
     MockOracle,
     MockOracleConfig,
+    PairResults,
     canonical_label,
     label_probability,
 )
 from .relevance import (
-    EstimateResult,
     PairInstance,
     RankedMetapath,
     RankedPairRecord,

@@ -84,6 +84,10 @@ DEFAULT_CONFIG: dict = {
 # Keys that take null although their default is not null: no candidate cap.
 _NULLABLE = ("kg.candidate_limit",)
 
+# Smallest value each of these integer keys takes.
+_MINIMUMS = {"sre.k_max": 1, "ranker.ngram.n": 1, "ranker.ngram.d": 1,
+             "llm.max_retries": 0}
+
 # Command-line flag (argparse dest) -> the dotted config key it overrides.
 _FLAG_KEYS = {"seed": "seed", "max_hops": "kg.max_hops", "kind": "ranker.kind",
               "loss": "ranker.loss", "k": "discovery.k"}
@@ -98,7 +102,8 @@ def _merge_config(default, value, path: str = ""):
     Sections take only the default's keys and keep the defaults of the others.
     Values have their default's JSON type (list items that of its first item),
     except that any number fits a float, a string fits a null default, and
-    null fits there and at the keys in ``_NULLABLE``."""
+    null fits there and at the keys in ``_NULLABLE``; the keys in ``_MINIMUMS``
+    take no value below theirs."""
     if isinstance(default, dict):
         if not isinstance(value, dict):
             raise KgcausalError(f"config key {path} must be a section")
@@ -122,6 +127,8 @@ def _merge_config(default, value, path: str = ""):
         or_null = " or null" if nullable else ""
         raise KgcausalError(f"config key {path} must be {_TYPE_NAMES[expected]}{or_null}, "
                             f"not {_TYPE_NAMES[type(value)]}")
+    if path in _MINIMUMS and value < _MINIMUMS[path]:
+        raise KgcausalError(f"config key {path} must be >= {_MINIMUMS[path]}, not {value}")
     return value
 
 
@@ -164,13 +171,6 @@ def _load_kg(config: dict):
     return load_kg(config["kg"]["path"], config["kg"]["format"])
 
 
-def _k_max(config: dict) -> int:
-    k_max = config["sre"]["k_max"]
-    if k_max < 1:
-        raise KgcausalError(f"sre.k_max must be >= 1, not {k_max}")
-    return k_max
-
-
 def _write_json(path, doc: dict) -> None:
     atomic_write(path, json.dumps(doc, ensure_ascii=False, indent=2) + "\n")
 
@@ -181,7 +181,6 @@ def _write_meta(out: Path, command: str, config: dict, summary: dict) -> None:
 
 
 def cmd_extract(args, config: dict) -> int:
-    k_max = _k_max(config)
     kg = _load_kg(config)
     instances = read_instances(args.pairs)
     seed = stage_seed(config["seed"], "extract")
@@ -192,7 +191,7 @@ def cmd_extract(args, config: dict) -> int:
         candidates = candidate_subgraphs(
             inst, kg, max_hops=config["kg"]["max_hops"],
             candidate_limit=config["kg"]["candidate_limit"],
-            k_max=k_max, seed=seed)
+            k_max=config["sre"]["k_max"], seed=seed)
         if candidates:
             with_candidates += 1
         row = inst.to_dict()
@@ -207,7 +206,7 @@ def cmd_extract(args, config: dict) -> int:
 
 
 def cmd_estimate(args, config: dict) -> int:
-    k_max = _k_max(config)
+    k_max = config["sre"]["k_max"]
     backend = make_backend(config)
 
     rows = read_jsonl(args.candidates)
@@ -332,16 +331,20 @@ def cmd_discover(args, config: dict) -> int:
         style=VerbalizationStyle(variant=config["discovery"]["style"]),
     )
 
-    predictions = classify_pairs(instances, kg, model, backend,
-                                 config=discovery_config, lm=lm)
-    unparseable = sum(1 for p in predictions if p.predicted is None)
-    write_jsonl(args.out, [p.to_dict() for p in predictions])
-    summary = {"pairs": len(instances), "unparseable": unparseable,
-               "backend_calls": backend.calls,
-               "k": discovery_config.k}
+    result = classify_pairs(instances, kg, model, backend, config=discovery_config, lm=lm)
+
+    failures = result.skipped_backend_error
+    if instances and failures == len(instances):
+        logger.error("backend failed for every pair; writing no output")
+        return EXIT_CONFIG
+    unparseable = sum(1 for p in result.records if p.predicted is None)
+    write_jsonl(args.out, [p.to_dict() for p in result.records])
+    summary = {"pairs": len(instances), "predictions_written": len(result.records),
+               "skipped_backend_error": failures, "unparseable": unparseable,
+               "backend_calls": result.backend_calls, "k": discovery_config.k}
     _write_meta(args.out, "discover", config, summary)
     logger.info("discover: %s", summary)
-    return EXIT_DEGRADED if unparseable else EXIT_OK
+    return EXIT_DEGRADED if unparseable or failures else EXIT_OK
 
 
 def _ranking_metrics(rankings_path: Path, ks) -> dict:

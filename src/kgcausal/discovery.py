@@ -13,11 +13,11 @@ import numpy as np
 
 from .errors import NoSuchNodeError
 from .kg import KnowledgeGraph, MetapathSubgraph, enumerate_subgraphs
-from .llm import CAUSAL, PATH_BLOCK_MARKER, CompletionRequest, ask_label
+from .llm import CAUSAL, PATH_BLOCK_MARKER, CompletionRequest, PairResults, ask_label, map_pairs
 from .ltr.models import RankerModel, rank_subgraphs
 from .ltr.ngram import NgramLM
 from .relevance import DEFAULT_INSTRUCTION, PairInstance
-from .util import map_in_order, read_jsonl
+from .util import read_jsonl
 from .verbalize import PLAIN_ARROWS_STYLE, VerbalizationStyle, verbalize
 
 logger = logging.getLogger(__name__)
@@ -115,12 +115,8 @@ def classify_pair(instance: PairInstance, kg: Optional[KnowledgeGraph],
     else:
         top = []
 
-    prompt = build_discovery_prompt(instance, top, style=config.style)
-    try:
-        label, p, backend_id = ask_label(backend, prompt)
-    except Exception as exc:
-        exc.args = (f"qid {instance.qid}: {exc}",)
-        raise
+    label, p, backend_id = ask_label(
+        backend, build_discovery_prompt(instance, top, style=config.style))
     return CausalPrediction(
         qid=instance.qid,
         predicted=label,
@@ -133,13 +129,14 @@ def classify_pair(instance: PairInstance, kg: Optional[KnowledgeGraph],
 def classify_pairs(instances: Sequence[PairInstance], kg: Optional[KnowledgeGraph],
                    ranker: Optional[RankerModel], backend,
                    config: DiscoveryConfig = DiscoveryConfig(),
-                   lm: Optional[NgramLM] = None) -> list[CausalPrediction]:
+                   lm: Optional[NgramLM] = None) -> PairResults:
     """:func:`classify_pair` for every instance on up to ``backend.parallelism``
-    threads, in input order.  The first backend error aborts the stage: pairs
-    not yet started are cancelled and the error is re-raised."""
-    return map_in_order(
+    threads; the records are the predictions, in input order.  A backend
+    failure on one pair skips and counts that pair rather than aborting the
+    run."""
+    return map_pairs(
         lambda instance: classify_pair(instance, kg, ranker, backend, config=config, lm=lm),
-        instances, getattr(backend, "parallelism", 1))
+        instances, backend, qid=lambda instance: instance.qid)
 
 
 def parse_permutation(text: str, k: int) -> list[int]:

@@ -12,7 +12,6 @@ import itertools
 import json
 import logging
 import random
-from collections import deque
 from dataclasses import asdict, dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -279,16 +278,53 @@ def load_kg(path, format: str = FORMAT_JSONL) -> KnowledgeGraph:
     return graph
 
 
-def _bfs_distances(kg: KnowledgeGraph, sources: Sequence[str]) -> dict[str, int]:
-    dist = {s: 0 for s in sources}
-    queue = deque(sources)
-    while queue:
-        u = queue.popleft()
-        for v, _rel, _direction in kg.neighbors(u):
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
+def _on_path_depths(kg: KnowledgeGraph, a_ids: Sequence[str], b_ids: Sequence[str],
+                    max_hops: int) -> tuple[dict[str, int], int]:
+    """``(depth, shortest)``: the length of the shortest undirected paths from
+    an ``a_ids`` node to a ``b_ids`` node, and the distance from ``a_ids`` of
+    every node on one of them.  ``({}, 0)`` when the sets share a node or no
+    path is within ``max_hops``.
+
+    A level-synchronous breadth-first search runs from both sets, expanding
+    the smaller frontier one level at a time, and stops at the first level
+    where the frontiers meet (Pohl, 1971) or once the two radii add up to
+    ``max_hops``.  Every shortest path crosses a meeting node.  Walking back,
+    a node of a side's level ``i - 1`` is on a path when it neighbours one
+    found on level ``i``; this reads only the adjacency of nodes the search
+    has already expanded, never that of the (often high-degree) meeting nodes.
+    """
+    seen = (set(a_ids), set(b_ids))
+    levels = ([list(a_ids)], [list(b_ids)])
+    meet = [v for v in a_ids if v in seen[1]]
+    while not meet:
+        if len(levels[0]) + len(levels[1]) - 2 == max_hops:
+            return {}, 0
+        side = 0 if len(levels[0][-1]) <= len(levels[1][-1]) else 1
+        grown = []
+        for u in levels[side][-1]:
+            for v, _rel, _direction in kg.neighbors(u):
+                if v not in seen[side]:
+                    seen[side].add(v)
+                    grown.append(v)
+        if not grown:
+            return {}, 0
+        levels[side].append(grown)
+        # No node was seen by both before, so the sets are at least as far
+        # apart as the two radii add up to now: a node seen by both sits on
+        # the other side's frontier.
+        meet = [v for v in grown if v in seen[1 - side]]
+    shortest = len(levels[0]) + len(levels[1]) - 2
+    if shortest == 0:
+        # A zero-length "path" (shared node) carries no relational evidence.
+        return {}, 0
+    depth = dict.fromkeys(meet, len(levels[0]) - 1)
+    for side in (0, 1):
+        layer = set(meet)
+        for level in range(len(levels[side]) - 2, -1, -1):
+            layer = {u for u in levels[side][level]
+                     if any(v in layer for v, _rel, _direction in kg.neighbors(u))}
+            depth.update(dict.fromkeys(layer, level if side == 0 else shortest - level))
+    return depth, shortest
 
 
 def _expand_node_path(kg: KnowledgeGraph, id_path: Sequence[str],
@@ -356,6 +392,13 @@ def enumerate_subgraphs(kg: KnowledgeGraph, pair: tuple[str, str], max_hops: int
     per relation/direction combination.  Results are ordered
     lexicographically by node-id sequence (then hop labels); when there are
     more than ``limit``, a seeded uniform sample of that order is taken.
+
+    The search meets in the middle: a breadth-first search from each
+    variable's ids, always growing the smaller frontier, stops at the level
+    where the two meet or where their radii reach ``max_hops``.  It reads the
+    neighbours of nodes within about half the path length of either
+    variable, not of the whole component, and the depth-first walk that
+    follows only enters nodes that lie on a shortest path.
     """
     if max_hops < 1:
         raise ValueError("max_hops must be >= 1")
@@ -365,22 +408,16 @@ def enumerate_subgraphs(kg: KnowledgeGraph, pair: tuple[str, str], max_hops: int
     a_ids = kg.resolve(a)
     b_ids = kg.resolve(b)
 
-    dist_b = _bfs_distances(kg, b_ids)
-    reachable = [dist_b[s] for s in a_ids if s in dist_b]
-    if not reachable:
-        return []
-    shortest = min(reachable)
-    if shortest == 0 or shortest > max_hops:
-        # A zero-length "path" (shared node) carries no relational evidence.
+    on_path, shortest = _on_path_depths(kg, a_ids, b_ids, max_hops)
+    if not on_path:
         return []
 
     def admit(depth, v, hops):
-        # Nodes on a shortest path sit at strictly decreasing remaining distance.
-        if dist_b.get(v) != shortest - depth:
+        if on_path.get(v) != depth:
             return None
         return [(rel, direction) for _v, rel, direction in hops]
 
-    starts = [s for s in a_ids if dist_b.get(s) == shortest]
+    starts = [s for s in a_ids if on_path.get(s) == 0]
     results = _walk(kg, starts, set(b_ids), shortest, admit)
     ordered = sorted(results, key=MetapathSubgraph.sort_key)
     if limit is not None and len(ordered) > limit:

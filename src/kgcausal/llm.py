@@ -16,7 +16,7 @@ import threading
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import requests
 
@@ -26,7 +26,7 @@ from .errors import (
     CapabilityMissing,
     UnparseableLabel,
 )
-from .util import stable_hash
+from .util import map_in_order, stable_hash
 
 logger = logging.getLogger(__name__)
 
@@ -127,6 +127,39 @@ def ask_label(backend, prompt: str) -> tuple[Optional[str], float, str]:
     except UnparseableLabel:
         return None, 0.0, completion.backend_id
     return label, p, completion.backend_id
+
+
+@dataclass(frozen=True)
+class PairResults:
+    """What a per-pair backend stage produced: ``records`` of the pairs that
+    were done, in input order, the number of pairs skipped because a backend
+    call failed, and the ``complete`` calls made (None for a backend that
+    does not count them)."""
+
+    records: list
+    skipped_backend_error: int
+    backend_calls: Optional[int]
+
+
+def map_pairs(fn: Callable, jobs: Sequence, backend, qid: Callable) -> PairResults:
+    """``fn`` over ``jobs`` on up to ``backend.parallelism`` threads.  A job
+    whose backend call fails is logged under ``qid(job)``, skipped and counted
+    rather than aborting the stage; any other error cancels the jobs not yet
+    started and is re-raised."""
+    def run(job):
+        try:
+            return fn(job)
+        except (BackendUnavailable, BackendRejected) as exc:
+            logger.warning("skipping %s: %s", qid(job), exc)
+            return None
+
+    calls_before = getattr(backend, "calls", None)
+    outcomes = map_in_order(run, jobs, getattr(backend, "parallelism", 1))
+    records = [record for record in outcomes if record is not None]
+    return PairResults(
+        records=records,
+        skipped_backend_error=len(outcomes) - len(records),
+        backend_calls=None if calls_before is None else backend.calls - calls_before)
 
 
 @dataclass(frozen=True)

@@ -10,23 +10,15 @@ in [0, 2] with 1.0 the no-signal midpoint.
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
-from .errors import (
-    BackendRejected,
-    BackendUnavailable,
-    EmptyCandidatesError,
-    NoSuchNodeError,
-)
+from .errors import EmptyCandidatesError, NoSuchNodeError
 from .kg import KnowledgeGraph, MetapathSubgraph, enumerate_subgraphs, sample_subgraphs
-from .llm import CAUSAL, NON_CAUSAL, PATH_BLOCK_MARKER, ask_label
-from .util import descending_order, map_in_order, read_jsonl, stable_hash
+from .llm import CAUSAL, NON_CAUSAL, PATH_BLOCK_MARKER, PairResults, ask_label, map_pairs
+from .util import descending_order, read_jsonl, stable_hash
 from .verbalize import HYPHEN_STYLE, verbalize
-
-logger = logging.getLogger(__name__)
 
 LABELS = (CAUSAL, NON_CAUSAL)
 
@@ -220,39 +212,13 @@ def candidate_subgraphs(instance: PairInstance, kg: KnowledgeGraph, max_hops: in
     return sample_subgraphs(found, k_max, seed=stable_hash(seed, "sample", instance.qid))
 
 
-@dataclass(frozen=True)
-class EstimateResult:
-    """Records of the pairs that were ranked, in input order, plus counts.
-
-    ``backend_calls`` is the number of ``complete`` calls made, or None for a
-    backend that does not count them.
-    """
-
-    records: list[RankedPairRecord]
-    skipped_backend_error: int
-    backend_calls: Optional[int]
-
-
 def estimate_relevance(jobs: Sequence[tuple[PairInstance, Sequence[MetapathSubgraph]]],
-                       backend) -> EstimateResult:
+                       backend) -> PairResults:
     """Rank each (instance, candidates) job on up to ``backend.parallelism``
     threads.  A backend failure on one pair skips and counts that pair rather
     than aborting the run."""
-    def run_job(job):
-        instance, candidates = job
-        try:
-            return rank_pair(instance, candidates, backend)
-        except (BackendUnavailable, BackendRejected) as exc:
-            logger.warning("skipping %s: %s", instance.qid, exc)
-            return None
-
-    calls_before = getattr(backend, "calls", None)
-    outcomes = map_in_order(run_job, jobs, getattr(backend, "parallelism", 1))
-    records = [record for record in outcomes if record is not None]
-    return EstimateResult(
-        records=records,
-        skipped_backend_error=len(outcomes) - len(records),
-        backend_calls=None if calls_before is None else backend.calls - calls_before)
+    return map_pairs(lambda job: rank_pair(job[0], job[1], backend), jobs, backend,
+                     qid=lambda job: job[0].qid)
 
 
 def read_instances(path) -> list[PairInstance]:

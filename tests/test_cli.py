@@ -269,6 +269,28 @@ class TestTrainRankDiscoverEval:
         assert code == EXIT_CONFIG
         assert not predictions.exists()
 
+    def test_discover_skips_and_counts_failed_pairs_and_exits_1(self, pipeline, stub_server,
+                                                                tmp_path):
+        root, world, out = pipeline
+        stub_server.script = [(400, {"error": "bad request"}), (200, ok_body("causal"))]
+        config = {
+            "kg": {"path": str(root / "kg.jsonl")},
+            "llm": {"backend": "http", "model": "m", "max_retries": 0,
+                    "endpoint": f"http://127.0.0.1:{stub_server.server_address[1]}"},
+        }
+        cfg = tmp_path / "http.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        predictions = tmp_path / "predictions.jsonl"
+        code = run("discover", out / "model.json", root / "pairs.jsonl", "--config", cfg,
+                   "--out", predictions)
+        assert code == EXIT_DEGRADED
+        rows = [json.loads(line) for line in predictions.read_text().splitlines()]
+        assert [row["qid"] for row in rows] == [inst.qid for inst in world.instances[1:]]
+        summary = json.loads(Path(str(predictions) + ".meta.json").read_text())["summary"]
+        assert summary["skipped_backend_error"] == 1
+        assert summary["predictions_written"] == len(world.instances) - 1
+        assert summary["backend_calls"] == len(stub_server.requests) == len(world.instances)
+
     def test_failed_write_leaves_previous_artifacts(self, pipeline, tmp_path, monkeypatch):
         root, _, out = pipeline
         model_path = tmp_path / "model.json"
@@ -413,6 +435,24 @@ class TestConfigKeys:
         code = run(command, source[command], "--config", cfg, "--out", target)
         assert code == EXIT_CONFIG
         assert "sre.k_max must be >= 1" in capsys.readouterr().err
+        assert not target.exists()
+
+    @pytest.mark.parametrize("key, value, command", [
+        ("ranker.ngram.d", 0, "train"),
+        ("ranker.ngram.n", 0, "train"),
+        ("llm.max_retries", -1, "estimate"),
+    ])
+    def test_value_below_its_minimum_exits_2(self, pipeline, tmp_path, capsys,
+                                             key, value, command):
+        root, _, out = pipeline
+        cfg = self._write_config(root, tmp_path, lambda config: set_key(config, key, value))
+        source = {"train": out / "ranked.jsonl", "estimate": out / "candidates.jsonl"}
+        target = tmp_path / "out.json"
+        code = run(command, source[command], "--config", cfg, "--out", target)
+        assert code == EXIT_CONFIG
+        minimum = 0 if key == "llm.max_retries" else 1
+        assert f"config key {key} must be >= {minimum}, not {value}" in \
+            capsys.readouterr().err
         assert not target.exists()
 
     def test_misspelt_key_exits_2_naming_its_path(self, workdir, tmp_path, capsys):

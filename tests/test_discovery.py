@@ -156,14 +156,16 @@ class TestClassifyPairs:
                                 config=config) for inst in world.instances]
         backend = MockOracle(world.mock_config)
         backend.parallelism = 3
-        assert classify_pairs(world.instances, world.kg, ranker, backend,
-                              config=config) == serial
-        assert backend.calls == len(world.instances)
+        result = classify_pairs(world.instances, world.kg, ranker, backend, config=config)
+        assert result.records == serial
+        assert result.skipped_backend_error == 0
+        assert result.backend_calls == backend.calls == len(world.instances)
 
     def test_first_error_cancels_pending_pairs(self):
+        """An error that is not a backend failure still aborts the stage."""
         world = make_planted_world(n_pairs=40, flip_rate=0.0)
 
-        class DeadBackend:
+        class BrokenBackend:
             parallelism = 2
 
             def __init__(self):
@@ -174,12 +176,25 @@ class TestClassifyPairs:
                 with self.lock:
                     self.calls += 1
                 time.sleep(0.02)
-                raise BackendUnavailable("down")
+                raise RuntimeError("broken")
 
-        backend = DeadBackend()
-        with pytest.raises(BackendUnavailable, match="qid q0000"):
+        backend = BrokenBackend()
+        with pytest.raises(RuntimeError, match="broken"):
             classify_pairs(world.instances, None, None, backend)
         assert backend.calls < 10
+
+    def test_backend_failure_skips_and_counts_the_pair(self, caplog):
+        world = make_planted_world(n_pairs=6, flip_rate=0.0, seed=3)
+        down = BackendUnavailable("down")
+        backend = FakeBackend([FakeBackend.single("causal"), down,
+                               FakeBackend.single("non-causal")])
+        result = classify_pairs(world.instances, None, None, backend)
+        qids = [inst.qid for inst in world.instances]
+        assert [p.qid for p in result.records] == [q for i, q in enumerate(qids) if i % 3 != 1]
+        assert [p.predicted for p in result.records] == ["causal", "non-causal"] * 2
+        assert result.skipped_backend_error == 2
+        assert result.backend_calls == backend.calls == 6
+        assert f"skipping {qids[1]}: down" in caplog.text
 
 
 class TestParsePermutation:

@@ -151,6 +151,19 @@ def count_expansions(monkeypatch):
     return calls
 
 
+def record_adjacency_reads(monkeypatch):
+    """The node of every ``KnowledgeGraph.neighbors`` call, in call order."""
+    nodes = []
+    neighbors = KnowledgeGraph.neighbors
+
+    def recording(self, node_id):
+        nodes.append(node_id)
+        return neighbors(self, node_id)
+
+    monkeypatch.setattr(KnowledgeGraph, "neighbors", recording)
+    return nodes
+
+
 def brute_force_shortest_paths(kg: KnowledgeGraph, a: str, b: str, max_hops: int):
     """Independent oracle: exhaustive DFS over all simple paths, then keep
     the minimal length and expand parallel edge choices."""
@@ -227,10 +240,11 @@ def brute_force_pattern_paths(kg: KnowledgeGraph, a: str, b: str, type_pattern,
     return expected
 
 
-def random_typed_multigraph(rng: random.Random) -> KnowledgeGraph:
-    """Small graph over three node types where some names are shared by two
-    ids, and node pairs often carry parallel edges in both directions."""
-    n = rng.randint(4, 10)
+def random_typed_multigraph(rng: random.Random, n: int = 0) -> KnowledgeGraph:
+    """Graph of ``n`` nodes (4 to 10 at random by default) over three node
+    types where some names are shared by two ids, and node pairs often carry
+    parallel edges in both directions."""
+    n = n or rng.randint(4, 10)
     nodes = []
     for i in range(n):
         name = f"v{rng.randrange(i)}" if i and rng.random() < 0.2 else f"v{i}"
@@ -331,6 +345,58 @@ class TestEnumerate:
             found = enumerate_subgraphs(kg, (a, b), max_hops=max_hops)
             assert as_key_set(found) == brute_force_shortest_paths(kg, a, b, max_hops), (
                 f"trial {trial}: pair ({a}, {b}), max_hops {max_hops}")
+
+    def test_matches_oracle_on_random_multigraphs(self):
+        """Shared names give several start and target ids, and parallel edges
+        run both ways; graphs reach 30 nodes and max_hops 6."""
+        rng = random.Random(11)
+        nonempty = 0
+        seen_lengths = set()
+        for trial in range(120):
+            kg = random_typed_multigraph(rng, n=rng.choice((0, rng.randint(11, 30))))
+            names = sorted({node.name for node in kg.nodes.values()})
+            a, b = rng.sample(names, 2)
+            max_hops = rng.randint(1, 6)
+            found = enumerate_subgraphs(kg, (a, b), max_hops=max_hops)
+            expected = brute_force_shortest_paths(kg, a, b, max_hops)
+            assert as_key_set(found) == expected, (
+                f"trial {trial}: pair ({a}, {b}), max_hops {max_hops}")
+            assert len(found) == len(expected)
+            assert [sg.sort_key() for sg in found] == sorted(sg.sort_key() for sg in found)
+            nonempty += bool(found)
+            seen_lengths.update(len(sg) for sg in found)
+        assert nonempty >= 60
+        assert seen_lengths >= {1, 2, 3, 4}
+
+    @pytest.mark.parametrize("middle, found", [(["x"], 1), (["x", "y", "z"], 0)],
+                             ids=["path-within-max-hops", "no-path-within-max-hops"])
+    def test_search_stays_within_max_hops_of_the_pair(self, monkeypatch, middle, found):
+        """The path search reads the adjacency only of nodes within max_hops
+        of either variable, even when a long tail hangs off one of them."""
+        tail = [f"t{i}" for i in range(50)]
+        kg = chain_graph("a", *middle, "b", *tail)
+        expanded = record_adjacency_reads(monkeypatch)
+        assert len(enumerate_subgraphs(kg, ("a", "b"), max_hops=2)) == found
+        chain = ["a", *middle, "b", *tail]
+        hops_to_pair = {v: min(abs(i - chain.index(end)) for end in ("a", "b"))
+                        for i, v in enumerate(chain)}
+        assert expanded
+        assert max(hops_to_pair[v] for v in expanded) <= 2, sorted(
+            set(expanded), key=chain.index)
+
+    def test_search_grows_the_smaller_frontier(self, monkeypatch):
+        """a - x - b with 50 leaves on a: after one level from each side the
+        frontiers meet, so no leaf's adjacency is read."""
+        kg = KnowledgeGraph(
+            [NodeRecord(id=i, name=i, node_type="T")
+             for i in ["a", "x", "b", *(f"leaf{j}" for j in range(50))]],
+            [EdgeRecord(head="a", relation="r", tail="x"),
+             EdgeRecord(head="x", relation="r", tail="b"),
+             *(EdgeRecord(head="a", relation="r", tail=f"leaf{j}") for j in range(50))])
+        expanded = record_adjacency_reads(monkeypatch)
+        assert [sg.node_ids for sg in enumerate_subgraphs(kg, ("a", "b"), max_hops=3)] \
+            == [("a", "x", "b")]
+        assert set(expanded) == {"a", "x", "b"}
 
     def test_parallel_edges_expand_each_node_path_once(self, monkeypatch):
         kg = doubled_chain()
