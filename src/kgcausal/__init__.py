@@ -79,8 +79,6 @@ from .discovery import (
     f1_score,
     hamming_distance,
     metrics_from_counts,
-    parse_permutation,
-    permutation_rank,
 )
 from . import ltr
 

@@ -401,10 +401,11 @@ def cmd_eval(args, config: dict) -> int:
     doc["config"] = config
     doc["template_hashes"] = TEMPLATE_HASHES
     _write_json(args.out, doc)
-    logger.info("eval: P=%.2f R=%.2f F1=%.2f", classification.precision,
-                classification.recall, classification.f1)
+    logger.info("eval: P=%.2f R=%.2f F1=%.2f, %d pairs without a prediction",
+                classification.precision, classification.recall, classification.f1,
+                classification.missing)
     unparseable = sum(1 for p in predictions if p.predicted is None)
-    return EXIT_DEGRADED if unparseable else EXIT_OK
+    return EXIT_DEGRADED if unparseable or classification.missing else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

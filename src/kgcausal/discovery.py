@@ -1,26 +1,22 @@
 """Zero-shot causal classification with ranked subgraphs as prompt context,
-plus the baselines and evaluation metrics used to compare approaches.
+plus the evaluation metrics used to compare approaches.
 """
 
 from __future__ import annotations
 
-import logging
-import re
-from dataclasses import asdict, dataclass, field
-from typing import Mapping, Optional, Sequence, Union
+from dataclasses import asdict, dataclass, field, replace
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import NoSuchNodeError
 from .kg import KnowledgeGraph, MetapathSubgraph, enumerate_subgraphs
-from .llm import CAUSAL, PATH_BLOCK_MARKER, CompletionRequest, PairResults, ask_label, map_pairs
+from .llm import CAUSAL, PATH_BLOCK_MARKER, PairResults, ask_label, map_pairs
 from .ltr.models import RankerModel, rank_subgraphs
 from .ltr.ngram import NgramLM
 from .relevance import DEFAULT_INSTRUCTION, PairInstance
 from .util import read_jsonl
 from .verbalize import PLAIN_ARROWS_STYLE, VerbalizationStyle, verbalize
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_DISCOVERY_TEMPLATE = (
     "{instruction}\n\n"
@@ -28,8 +24,6 @@ DEFAULT_DISCOVERY_TEMPLATE = (
     f"{PATH_BLOCK_MARKER}\n{{paths}}\n\n"
     "The relation between {a} and {b} is"
 )
-
-_BRACKETED_INT = re.compile(r"\[(\d+)\]")
 
 
 @dataclass(frozen=True)
@@ -95,19 +89,17 @@ def classify_pair(instance: PairInstance, kg: Optional[KnowledgeGraph],
     """Enumerate, rank, prompt, and parse for one pair.
 
     Pairs without any subgraph (or with names missing from the graph) fall
-    back to the bare prompt.  Pass ``candidates`` to skip enumeration.
-    ``ranker=None`` also produces the bare prompt (the no-subgraph setting).
+    back to the bare prompt.  Pass ``candidates`` to skip enumeration; ``kg``
+    is then not read and may be None.  ``ranker=None`` also produces the bare
+    prompt (the no-subgraph setting).
     """
     if candidates is None:
-        if kg is None:
+        try:
+            candidates = enumerate_subgraphs(
+                kg, (instance.e1, instance.e2), max_hops=config.max_hops,
+                limit=config.candidate_limit, seed=config.seed)
+        except NoSuchNodeError:
             candidates = []
-        else:
-            try:
-                candidates = enumerate_subgraphs(
-                    kg, (instance.e1, instance.e2), max_hops=config.max_hops,
-                    limit=config.candidate_limit, seed=config.seed)
-            except NoSuchNodeError:
-                candidates = []
 
     if ranker is not None and candidates:
         ranked = rank_subgraphs(ranker, (instance.e1, instance.e2), candidates, lm)
@@ -126,7 +118,7 @@ def classify_pair(instance: PairInstance, kg: Optional[KnowledgeGraph],
     )
 
 
-def classify_pairs(instances: Sequence[PairInstance], kg: Optional[KnowledgeGraph],
+def classify_pairs(instances: Sequence[PairInstance], kg: KnowledgeGraph,
                    ranker: Optional[RankerModel], backend,
                    config: DiscoveryConfig = DiscoveryConfig(),
                    lm: Optional[NgramLM] = None) -> PairResults:
@@ -139,64 +131,13 @@ def classify_pairs(instances: Sequence[PairInstance], kg: Optional[KnowledgeGrap
         instances, backend, qid=lambda instance: instance.qid)
 
 
-def parse_permutation(text: str, k: int) -> list[int]:
-    """Bracketed 1-based indices in order of appearance, repaired into a
-    full permutation: duplicates keep the first occurrence, out-of-range
-    values are dropped, missing indices are appended in ascending order."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    seen = []
-    for match in _BRACKETED_INT.finditer(text):
-        idx = int(match.group(1))
-        if 1 <= idx <= k and idx not in seen:
-            seen.append(idx)
-    for idx in range(1, k + 1):
-        if idx not in seen:
-            seen.append(idx)
-    return seen
-
-
-DEFAULT_PERMUTATION_TEMPLATE = (
-    "You are an assistant that ranks relation paths by how useful they are "
-    "for inferring a causal relationship between an entity pair.\n\n"
-    "Rank the {k} paths between the pair ({a}, {b}), most useful first.\n\n"
-    "{paths}\n\n"
-    "Answer with the ranking in the form [2] > [1] > [3].\n\nRanking:"
-)
-
-
-def permutation_rank_prompt(pair: tuple[str, str],
-                            subgraphs: Sequence[MetapathSubgraph],
-                            style: VerbalizationStyle = PLAIN_ARROWS_STYLE) -> str:
-    lines = [f"[{i}] {verbalize(sg, style)}" for i, sg in enumerate(subgraphs, start=1)]
-    return DEFAULT_PERMUTATION_TEMPLATE.format(k=len(subgraphs), a=pair[0], b=pair[1],
-                                               paths="\n".join(lines))
-
-
-def permutation_rank(pair: tuple[str, str], subgraphs: Sequence[MetapathSubgraph],
-                     backend, style: VerbalizationStyle = PLAIN_ARROWS_STYLE
-                     ) -> list[MetapathSubgraph]:
-    """The LLM permutation baseline: candidates in the order the backend ranks
-    them; a reply that names no index keeps the input order (and logs a
-    warning).  The random and similarity baselines are ``rank_subgraphs``."""
-    if not subgraphs:
-        raise ValueError("subgraphs must be non-empty")
-    prompt = permutation_rank_prompt(pair, subgraphs, style=style)
-    completion = backend.complete(CompletionRequest(prompt=prompt, max_tokens=64,
-                                                    want_logprobs=False))
-    if not _BRACKETED_INT.search(completion.text):
-        logger.warning("permutation reply named no index; keeping input order")
-        return list(subgraphs)
-    order = parse_permutation(completion.text, len(subgraphs))
-    return [subgraphs[i - 1] for i in order]
-
-
 @dataclass(frozen=True)
 class ClassificationMetrics:
     """Precision/recall/F1 on the percent scale, with the confusion counts.
 
     ``degenerate`` flags a precision or recall that was pinned to 100
-    because its denominator was zero.
+    because its denominator was zero; ``missing`` counts gold pairs that had
+    no prediction (each is counted as a wrong answer).
     """
 
     precision: float
@@ -207,6 +148,7 @@ class ClassificationMetrics:
     fn: int
     tn: int
     degenerate: tuple[str, ...] = ()
+    missing: int = 0
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -238,39 +180,34 @@ def metrics_from_counts(tp: int, fp: int, fn: int, tn: int) -> ClassificationMet
 
 
 def evaluate_classification(predictions: Sequence[CausalPrediction],
-                            golds: Union[Mapping[str, str], Sequence[PairInstance]]
-                            ) -> ClassificationMetrics:
+                            golds: Sequence[PairInstance]) -> ClassificationMetrics:
     """P/R/F1 with the causal label as the positive class.
 
-    Predictions and golds must cover the same qids.  A prediction without a
-    recognizable label counts as wrong whatever the gold label is: a miss on
-    causal gold, a false alarm on non-causal gold.
+    A prediction without a recognizable label counts as wrong whatever the
+    gold label is: a miss on causal gold, a false alarm on non-causal gold.
+    A gold pair without a prediction counts the same way and is reported as
+    ``missing``; a prediction for a qid the golds lack is a ValueError.
     """
-    if not isinstance(golds, Mapping):
-        golds = {inst.qid: inst.groundtruth for inst in golds}
+    gold_labels = {inst.qid: inst.groundtruth for inst in golds}
     pred_qids = {p.qid for p in predictions}
-    if pred_qids != set(golds):
-        missing = sorted(set(golds) ^ pred_qids)
-        raise ValueError(f"prediction/gold qid mismatch, first difference: {missing[0]!r}")
+    unknown = sorted(pred_qids - set(gold_labels))
+    if unknown:
+        raise ValueError(f"prediction qid not in the gold file: {unknown[0]!r}")
+    missing = [qid for qid in gold_labels if qid not in pred_qids]
+    answers = [(pred.qid, pred.predicted) for pred in predictions]
+    answers += [(qid, None) for qid in missing]
     tp = fp = fn = tn = 0
-    for pred in predictions:
-        gold_causal = golds[pred.qid] == CAUSAL
-        if pred.predicted is None:
-            if gold_causal:
-                fn += 1
-            else:
-                fp += 1
-        elif pred.predicted == CAUSAL:
-            if gold_causal:
+    for qid, predicted in answers:
+        if gold_labels[qid] == CAUSAL:
+            if predicted == CAUSAL:
                 tp += 1
             else:
-                fp += 1
-        else:
-            if gold_causal:
                 fn += 1
-            else:
-                tn += 1
-    return metrics_from_counts(tp, fp, fn, tn)
+        elif predicted is None or predicted == CAUSAL:
+            fp += 1
+        else:
+            tn += 1
+    return replace(metrics_from_counts(tp, fp, fn, tn), missing=len(missing))
 
 
 def aggregate_graph(pair_labels: Mapping[tuple[str, str], Optional[str]],

@@ -11,11 +11,11 @@ import json
 import logging
 import math
 import os
+import random
 import re
 import threading
 import time
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import requests
@@ -42,6 +42,11 @@ PATH_BLOCK_MARKER = "[Relation Paths]:"
 
 # Client errors that are transient in practice: rate limited, request timeout.
 _RETRIED_CLIENT_ERRORS = (429, 408)
+
+# Seconds an HTTP request may take, and the cap of the first backoff delay;
+# the cap doubles with each further retry.
+TIMEOUT = 30.0
+BACKOFF_BASE = 0.25
 
 
 @dataclass(frozen=True)
@@ -202,9 +207,6 @@ class MockOracleConfig:
         with open(path, encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
 
-    def to_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")
-
 
 def _path_block(prompt: str) -> str:
     """Text of the relation-path section, or the whole prompt without it."""
@@ -254,28 +256,35 @@ class MockOracle:
         return Completion(text=label, tokens=((label, logprob),), backend_id=self.backend_id)
 
 
+def _retry_delay(attempt: int, retry_after: Optional[str], rng: random.Random) -> float:
+    """Seconds to wait before retry number ``attempt`` (1-based): a
+    ``Retry-After`` header given in whole seconds, else a delay drawn
+    uniformly from [0, BACKOFF_BASE * 2 ** (attempt - 1)] (full jitter)."""
+    if retry_after is not None and re.fullmatch(r"[0-9]+", retry_after.strip()):
+        return float(retry_after)
+    return rng.uniform(0.0, BACKOFF_BASE * 2 ** (attempt - 1))
+
+
 class HttpBackend:
     """Client for OpenAI-compatible completion endpoints.
 
     Transient failures (connection errors, HTTP 5xx, 429 and 408, a success
-    whose body is not JSON) are retried with exponential backoff up to
-    ``max_retries`` extra attempts; other client errors are surfaced
+    whose body is not JSON) are retried up to ``max_retries`` extra attempts,
+    after the delay of :func:`_retry_delay`; other client errors are surfaced
     immediately.  ``parallelism`` bounds in-flight requests; ``calls`` counts
     ``complete`` calls.
     """
 
     def __init__(self, endpoint: str, model: str, credential_env: Optional[str] = None,
-                 max_retries: int = 3, parallelism: int = 4, timeout: float = 30.0,
-                 backoff_base: float = 0.25):
+                 max_retries: int = 3, parallelism: int = 4):
         self.endpoint = endpoint
         self.model = model
         self.credential_env = credential_env
         self.max_retries = max_retries
         self.parallelism = max(1, parallelism)
-        self.timeout = timeout
-        self.backoff_base = backoff_base
         self.backend_id = f"http:{model}"
         self._session = requests.Session()
+        self._jitter = random.Random()
         self._slots = threading.Semaphore(self.parallelism)
         self.calls = 0
         self._calls_lock = threading.Lock()
@@ -299,20 +308,22 @@ class HttpBackend:
         with self._calls_lock:
             self.calls += 1
         last_error: Optional[Exception] = None
+        retry_after: Optional[str] = None
         with self._slots:
             for attempt in range(1 + self.max_retries):
                 if attempt:
-                    time.sleep(self.backoff_base * 2 ** (attempt - 1))
+                    time.sleep(_retry_delay(attempt, retry_after, self._jitter))
+                retry_after = None
                 try:
                     response = self._session.post(self.endpoint, json=payload,
-                                                  headers=self._headers(),
-                                                  timeout=self.timeout)
+                                                  headers=self._headers(), timeout=TIMEOUT)
                 except requests.RequestException as exc:
                     last_error = exc
                     logger.warning("backend attempt %d failed: %s", attempt + 1, exc)
                     continue
                 status = response.status_code
                 if status >= 500 or status in _RETRIED_CLIENT_ERRORS:
+                    retry_after = response.headers.get("Retry-After")
                     last_error = BackendUnavailable(f"HTTP {status}: {response.text[:200]}")
                     logger.warning("backend attempt %d failed: HTTP %d", attempt + 1, status)
                     continue

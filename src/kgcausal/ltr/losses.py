@@ -52,7 +52,8 @@ def ranknet_terms(scores: Sequence[float], ranks: Sequence[int]) -> list[float]:
     """One softplus term per ordered pair whose first item ranks better.
 
     Rank 1 is the most relevant item; each term log(1 + exp(-(s_i - s_j)))
-    pushes the better-ranked item's score above the worse-ranked one.
+    pushes the better-ranked item's score above the worse-ranked one.  The
+    loop is the reference that :func:`loss_ranknet` is tested against.
     """
     s = _as_float(scores)
     r = _check_ranks(ranks, len(s))
@@ -64,19 +65,28 @@ def ranknet_terms(scores: Sequence[float], ranks: Sequence[int]) -> list[float]:
     return terms
 
 
+def _ranknet_pairs(scores: Sequence[float], ranks: Sequence[int]
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """(s_i - s_j, whether i ranks better than j) over every ordered pair."""
+    s = _as_float(scores)
+    r = _check_ranks(ranks, len(s))
+    return s[:, None] - s[None, :], r[:, None] < r[None, :]
+
+
 def loss_ranknet(scores: Sequence[float], ranks: Sequence[int]) -> float:
     """Pairwise order loss summed over all k(k-1)/2 preference pairs."""
-    return float(sum(ranknet_terms(scores, ranks)))
+    diff, better = _ranknet_pairs(scores, ranks)
+    # Python's sum in row order adds the terms as ranknet_terms lists them,
+    # so the value is bit-identical to the reference loop.
+    return float(sum(np.logaddexp(0.0, -diff)[better].tolist()))
 
 
 def loss_ranknet_grad(scores: Sequence[float], ranks: Sequence[int]) -> np.ndarray:
-    s = _as_float(scores)
-    r = _check_ranks(ranks, len(s))
-    diff = s[:, None] - s[None, :]
+    diff, better = _ranknet_pairs(scores, ranks)
     # sigmoid(-(s_i - s_j)), computed stably on both tails
     decay = np.exp(-np.abs(diff))
     sig = np.where(diff >= 0, decay / (1.0 + decay), 1.0 / (1.0 + decay))
-    weighted = sig * (r[:, None] < r[None, :])
+    weighted = sig * better
     return -weighted.sum(axis=1) + weighted.sum(axis=0)
 
 

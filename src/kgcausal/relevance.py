@@ -9,7 +9,6 @@ in [0, 2] with 1.0 the no-signal midpoint.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
@@ -123,9 +122,6 @@ class RankedPairRecord:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json_line(self) -> str:
-        return json.dumps(self.to_dict(), ensure_ascii=False)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RankedPairRecord":

@@ -77,9 +77,10 @@ def hetionet_style_kg():
 
 
 class StubHandler(BaseHTTPRequestHandler):
-    """Replays the scripted (status, body) responses of its server; a bytes
-    body is sent as is, anything else as JSON.  Records each request body and
-    its Authorization header (None when absent)."""
+    """Replays the scripted (status, body) or (status, body, headers)
+    responses of its server; a bytes body is sent as is, anything else as
+    JSON.  Records each request body and its Authorization header (None when
+    absent)."""
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
@@ -88,11 +89,13 @@ class StubHandler(BaseHTTPRequestHandler):
             self.server.requests.append(request)
             self.server.authorizations.append(self.headers.get("Authorization"))
             served = len(self.server.requests)
-        status, body = self.server.script[min(served, len(self.server.script)) - 1]
+        status, body, *headers = self.server.script[min(served, len(self.server.script)) - 1]
         payload = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
+        for name, value in (headers[0] if headers else {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(payload)
 

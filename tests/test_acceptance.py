@@ -324,7 +324,7 @@ def cli_world(tmp_path_factory):
     world = make_planted_world(n_pairs=30, flip_rate=0.02, seed=23)
     write_kg_jsonl(world, root / "kg.jsonl")
     write_instances_jsonl(world.instances, root / "pairs.jsonl")
-    world.mock_config.to_json(root / "mock.json")
+    (root / "mock.json").write_text(json.dumps(world.mock_config.to_dict()), encoding="utf-8")
     config = {
         "kg": {"path": str(root / "kg.jsonl")},
         "llm": {"backend": "mock", "mock_config_path": str(root / "mock.json")},
@@ -368,7 +368,7 @@ def test_c8_format_fidelity(cli_world, tmp_path):
             assert list(mp.keys()) == ["pathid", "relscore", "probscore", "relevant",
                                        "stops", "reltypes", "nodelabels"]
     records = read_ranked_dataset(ranked_path)
-    re_emitted = "".join(r.to_json_line() + "\n" for r in records)
+    re_emitted = "".join(json.dumps(r.to_dict(), ensure_ascii=False) + "\n" for r in records)
     check("8-format-fidelity", re_emitted == original,
           f"{len(rows)} records validated, round-trip lossless")
 

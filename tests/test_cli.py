@@ -20,7 +20,7 @@ def workdir(tmp_path_factory):
     world = make_planted_world(n_pairs=30, flip_rate=0.0, seed=13)
     write_kg_jsonl(world, root / "kg.jsonl")
     write_instances_jsonl(world.instances, root / "pairs.jsonl")
-    world.mock_config.to_json(root / "mock.json")
+    (root / "mock.json").write_text(json.dumps(world.mock_config.to_dict()), encoding="utf-8")
     config = {
         "kg": {"path": str(root / "kg.jsonl")},
         "llm": {"backend": "mock", "mock_config_path": str(root / "mock.json")},
@@ -290,6 +290,35 @@ class TestTrainRankDiscoverEval:
         assert summary["skipped_backend_error"] == 1
         assert summary["predictions_written"] == len(world.instances) - 1
         assert summary["backend_calls"] == len(stub_server.requests) == len(world.instances)
+
+    def test_eval_of_a_partial_discover_counts_the_missing_pair_and_exits_1(
+            self, pipeline, stub_server, tmp_path):
+        root, world, out = pipeline
+        stub_server.script = [(400, {"error": "bad request"}), (200, ok_body("causal"))]
+        config = {
+            "kg": {"path": str(root / "kg.jsonl")},
+            "llm": {"backend": "http", "model": "m", "max_retries": 0,
+                    "endpoint": f"http://127.0.0.1:{stub_server.server_address[1]}"},
+        }
+        cfg = tmp_path / "http.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        predictions = tmp_path / "predictions.jsonl"
+        assert run("discover", out / "model.json", root / "pairs.jsonl", "--config", cfg,
+                   "--out", predictions) == EXIT_DEGRADED
+        report_path = tmp_path / "report.json"
+        code = run("eval", predictions, root / "pairs.jsonl", "--config", cfg,
+                   "--out", report_path)
+        assert code == EXIT_DEGRADED
+        classification = json.loads(report_path.read_text())["classification"]
+        assert classification["missing"] == 1
+        # Every answer is "causal"; the pair without one counts as wrong.
+        first_causal = world.instances[0].groundtruth == "causal"
+        answered_causal = sum(inst.groundtruth == "causal" for inst in world.instances[1:])
+        assert classification["tp"] == answered_causal
+        assert classification["fn"] == int(first_causal)
+        assert classification["fp"] == len(world.instances) - 1 - answered_causal \
+            + int(not first_causal)
+        assert classification["tn"] == 0
 
     def test_failed_write_leaves_previous_artifacts(self, pipeline, tmp_path, monkeypatch):
         root, _, out = pipeline
@@ -616,3 +645,17 @@ class TestEvalArithmetic:
                                              "subgraphs_used": [], "backend_id": "f"}])
         assert run("eval", pred_path, gold_path,
                    "--out", tmp_path / "r.json") == EXIT_DEGRADED
+
+    def test_prediction_for_a_qid_not_in_the_gold_file_exits_2(self, tmp_path, capsys):
+        gold_path = tmp_path / "gold.jsonl"
+        gold_path.write_text(json.dumps({"qid": "q0", "e1": "a", "e2": "b",
+                                         "context": "", "label": "causal"}) + "\n",
+                             encoding="utf-8")
+        pred_path = tmp_path / "pred.jsonl"
+        self._write_predictions(pred_path, [
+            {"qid": qid, "predicted": "causal", "p": 0.9, "subgraphs_used": [],
+             "backend_id": "f"} for qid in ("q0", "q9")])
+        report_path = tmp_path / "r.json"
+        assert run("eval", pred_path, gold_path, "--out", report_path) == EXIT_CONFIG
+        assert "'q9'" in capsys.readouterr().err
+        assert not report_path.exists()

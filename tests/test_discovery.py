@@ -20,8 +20,6 @@ from kgcausal.discovery import (
     f1_score,
     hamming_distance,
     metrics_from_counts,
-    parse_permutation,
-    permutation_rank,
 )
 from kgcausal.errors import BackendUnavailable
 from kgcausal.llm import MockOracle
@@ -180,7 +178,7 @@ class TestClassifyPairs:
 
         backend = BrokenBackend()
         with pytest.raises(RuntimeError, match="broken"):
-            classify_pairs(world.instances, None, None, backend)
+            classify_pairs(world.instances, world.kg, None, backend)
         assert backend.calls < 10
 
     def test_backend_failure_skips_and_counts_the_pair(self, caplog):
@@ -188,7 +186,7 @@ class TestClassifyPairs:
         down = BackendUnavailable("down")
         backend = FakeBackend([FakeBackend.single("causal"), down,
                                FakeBackend.single("non-causal")])
-        result = classify_pairs(world.instances, None, None, backend)
+        result = classify_pairs(world.instances, world.kg, None, backend)
         qids = [inst.qid for inst in world.instances]
         assert [p.qid for p in result.records] == [q for i, q in enumerate(qids) if i % 3 != 1]
         assert [p.predicted for p in result.records] == ["causal", "non-causal"] * 2
@@ -197,32 +195,8 @@ class TestClassifyPairs:
         assert f"skipping {qids[1]}: down" in caplog.text
 
 
-class TestParsePermutation:
-    def test_plain(self):
-        assert parse_permutation("[2] > [1] > [3]", 3) == [2, 1, 3]
-
-    def test_dedup_and_completion(self):
-        assert parse_permutation("I think [3] then [3] then [1]", 3) == [3, 1, 2]
-
-    def test_fallback(self):
-        assert parse_permutation("no ranking given", 2) == [1, 2]
-
-    def test_out_of_range_dropped(self):
-        assert parse_permutation("[9] > [2]", 3) == [2, 1, 3]
-
-    def test_always_a_permutation(self):
-        import random
-        rng = random.Random(0)
-        alphabet = "[]0123456789 ><,."
-        for _ in range(300):
-            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 40)))
-            k = rng.randint(1, 8)
-            assert sorted(parse_permutation(text, k)) == list(range(1, k + 1))
-
-
 class TestBaselineRank:
-    """The random and similarity baselines are rankers of that kind; the
-    permutation baseline asks the backend for an order."""
+    """The random and similarity baselines are rankers of that kind."""
 
     def _subs(self, n=3):
         return [make_subgraph(["a", f"m{i}", "b"]) for i in range(n)]
@@ -244,20 +218,6 @@ class TestBaselineRank:
         ranked = self._ranked("similarity", ("left", "right"), [other, identical], lm=lm)
         assert ranked[0] is identical
 
-    def test_permutation_reorders_by_reply(self):
-        subs = self._subs(3)
-        backend = FakeBackend([FakeBackend.single("[2] > [3] > [1]")])
-        ranked = permutation_rank(("a", "b"), subs, backend)
-        assert ranked == [subs[1], subs[2], subs[0]]
-
-    def test_permutation_parse_failure_falls_back(self, caplog):
-        subs = self._subs(3)
-        backend = FakeBackend([FakeBackend.single("cannot rank these")])
-        with caplog.at_level("WARNING"):
-            ranked = permutation_rank(("a", "b"), subs, backend)
-        assert ranked == subs
-        assert any("input order" in r.message for r in caplog.records)
-
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             self._ranked("oracle", ("a", "b"), self._subs())
@@ -270,7 +230,8 @@ def preds(labels):
 
 
 def golds(labels):
-    return {f"q{i}": lab for i, lab in enumerate(labels)}
+    return [PairInstance(qid=f"q{i}", e1=f"a{i}", e2=f"b{i}", context="", groundtruth=lab)
+            for i, lab in enumerate(labels)]
 
 
 class TestEvaluateClassification:
@@ -305,8 +266,16 @@ class TestEvaluateClassification:
         assert metrics.tp == 0
 
     def test_qid_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            evaluate_classification(preds(["causal"]), {"other": "causal"})
+        other = PairInstance(qid="other", e1="a", e2="b", context="", groundtruth="causal")
+        with pytest.raises(ValueError, match="not in the gold file: 'q0'"):
+            evaluate_classification(preds(["causal"]), [other])
+
+    def test_missing_predictions_count_wrong_and_are_reported(self):
+        labels = ["causal", "non-causal", "causal", "non-causal"]
+        metrics = evaluate_classification(preds(labels[:2]), golds(labels))
+        assert (metrics.tp, metrics.fp, metrics.fn, metrics.tn) == (1, 1, 1, 1)
+        assert metrics.missing == 2
+        assert evaluate_classification(preds(labels), golds(labels)).missing == 0
 
     def test_permutation_invariance(self):
         labels = ["causal", "non-causal", "causal", "causal", "non-causal"]

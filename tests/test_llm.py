@@ -6,6 +6,7 @@ import json
 import math
 import sys
 import threading
+import time
 
 import pytest
 
@@ -17,6 +18,7 @@ from kgcausal.errors import (
     UnparseableLabel,
 )
 from kgcausal.llm import (
+    BACKOFF_BASE,
     Completion,
     CompletionRequest,
     HttpBackend,
@@ -123,7 +125,7 @@ class TestMockOracle:
 
     def test_config_json_round_trip(self, tmp_path):
         path = tmp_path / "mock.json"
-        MOTIF_CONFIG.to_json(path)
+        path.write_text(json.dumps(MOTIF_CONFIG.to_dict()), encoding="utf-8")
         assert MockOracleConfig.from_json(path) == MOTIF_CONFIG
 
 
@@ -186,8 +188,14 @@ class TestLabelProbability:
 
 
 class TestHttpBackend:
+    @pytest.fixture(autouse=True)
+    def sleeps(self, monkeypatch):
+        """The delays the backend waits before its retries, not slept."""
+        delays = []
+        monkeypatch.setattr(time, "sleep", delays.append)
+        return delays
+
     def backend(self, server, **kwargs):
-        kwargs.setdefault("backoff_base", 0.0)
         return HttpBackend(endpoint=f"http://127.0.0.1:{server.server_address[1]}",
                            model="test-model", **kwargs)
 
@@ -208,6 +216,24 @@ class TestHttpBackend:
             CompletionRequest(prompt="p"))
         assert completion.text == "causal"
         assert len(stub_server.requests) == 3
+
+    def test_retry_after_seconds_are_honoured(self, stub_server, sleeps):
+        stub_server.script = [(429, {}, {"Retry-After": "7"}),
+                              (503, {}, {"Retry-After": "0"}), (200, ok_body())]
+        completion = self.backend(stub_server, max_retries=3).complete(
+            CompletionRequest(prompt="p"))
+        assert completion.text == "causal"
+        assert sleeps == [7.0, 0.0]
+
+    def test_backoff_is_exponential_with_jitter(self, stub_server, sleeps):
+        # A Retry-After that is not whole seconds (an HTTP date here) is ignored.
+        stub_server.script = [(500, {}), (429, {}, {"Retry-After": "Wed, 21 Oct 2015"})]
+        with pytest.raises(BackendUnavailable):
+            self.backend(stub_server, max_retries=6).complete(CompletionRequest(prompt="p"))
+        caps = [BACKOFF_BASE * 2 ** i for i in range(6)]
+        assert len(sleeps) == 6
+        assert all(0.0 <= delay <= cap for delay, cap in zip(sleeps, caps))
+        assert sleeps != caps
 
     def test_attempts_capped_by_max_retries(self, stub_server):
         stub_server.script = [(500, {})]
@@ -249,8 +275,7 @@ class TestHttpBackend:
             self.backend(stub_server).complete(CompletionRequest(prompt="p"))
 
     def test_connection_refused_unavailable(self):
-        backend = HttpBackend(endpoint="http://127.0.0.1:1", model="m",
-                              max_retries=1, backoff_base=0.0)
+        backend = HttpBackend(endpoint="http://127.0.0.1:1", model="m", max_retries=1)
         with pytest.raises(BackendUnavailable):
             backend.complete(CompletionRequest(prompt="p"))
 

@@ -88,6 +88,16 @@ class TestRanknet:
         value = loss_ranknet([1000.0, -1000.0], [2, 1])
         assert value == pytest.approx(2000.0)
 
+    def test_loss_equals_the_sum_of_the_reference_terms_exactly(self):
+        rng = np.random.default_rng(2)
+        for _ in range(2000):
+            k = int(rng.integers(2, 12))
+            s = rng.normal(scale=float(rng.choice([0.01, 1.0, 30.0])), size=k)
+            if rng.random() < 0.2:
+                s[rng.integers(0, k)] = s[0]
+            ranks = list(rng.permutation(np.arange(1, k + 1)))
+            assert loss_ranknet(s, ranks) == sum(ranknet_terms(s, ranks))
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
