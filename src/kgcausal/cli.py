@@ -207,15 +207,17 @@ def cmd_extract(args, config: dict) -> int:
 
 def cmd_estimate(args, config: dict) -> int:
     k_max = config["sre"]["k_max"]
-    backend = make_backend(config)
-
     rows = read_jsonl(args.candidates)
     jobs = []
     for row in rows:
         subgraphs = [MetapathSubgraph.from_dict(d) for d in row.get("subgraphs", [])]
         if subgraphs:
             jobs.append((PairInstance.from_dict(row), subgraphs[:k_max]))
-    result = estimate_relevance(jobs, backend)
+    backend = make_backend(config)
+    try:
+        result = estimate_relevance(jobs, backend)
+    finally:
+        backend.close()
 
     failures = result.skipped_backend_error
     if jobs and failures == len(jobs):
@@ -314,7 +316,6 @@ def cmd_rank(args, config: dict) -> int:
 
 
 def cmd_discover(args, config: dict) -> int:
-    backend = make_backend(config)
     instances = read_instances(args.pairs)
     kg = _load_kg(config)
 
@@ -331,7 +332,11 @@ def cmd_discover(args, config: dict) -> int:
         style=VerbalizationStyle(variant=config["discovery"]["style"]),
     )
 
-    result = classify_pairs(instances, kg, model, backend, config=discovery_config, lm=lm)
+    backend = make_backend(config)
+    try:
+        result = classify_pairs(instances, kg, model, backend, config=discovery_config, lm=lm)
+    finally:
+        backend.close()
 
     failures = result.skipped_backend_error
     if instances and failures == len(instances):

@@ -90,10 +90,10 @@ def classify_pair(instance: PairInstance, kg: Optional[KnowledgeGraph],
 
     Pairs without any subgraph (or with names missing from the graph) fall
     back to the bare prompt.  Pass ``candidates`` to skip enumeration; ``kg``
-    is then not read and may be None.  ``ranker=None`` also produces the bare
-    prompt (the no-subgraph setting).
+    is then not read and may be None.  ``ranker=None`` produces the bare
+    prompt (the no-subgraph setting) without enumerating.
     """
-    if candidates is None:
+    if ranker is not None and candidates is None:
         try:
             candidates = enumerate_subgraphs(
                 kg, (instance.e1, instance.e2), max_hops=config.max_hops,

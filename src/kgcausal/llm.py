@@ -255,6 +255,9 @@ class MockOracle:
         logprob = math.log(self.config.base_confidence)
         return Completion(text=label, tokens=((label, logprob),), backend_id=self.backend_id)
 
+    def close(self) -> None:
+        """Nothing to release; present so callers treat every backend alike."""
+
 
 def _retry_delay(attempt: int, retry_after: Optional[str], rng: random.Random) -> float:
     """Seconds to wait before retry number ``attempt`` (1-based): a
@@ -288,6 +291,10 @@ class HttpBackend:
         self._slots = threading.Semaphore(self.parallelism)
         self.calls = 0
         self._calls_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close the pooled connections; call once no request is in flight."""
+        self._session.close()
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}

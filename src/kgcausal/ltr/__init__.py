@@ -5,6 +5,7 @@ from .losses import (
     LOSS_KINDS,
     RANKNET,
     RMSE,
+    loss_and_grad,
     loss_listnet,
     loss_listnet_grad,
     loss_ranknet,
@@ -48,7 +49,7 @@ from .ngram import (
 
 __all__ = [
     "LISTNET", "LOSS_KINDS", "RANKNET", "RMSE",
-    "loss_listnet", "loss_listnet_grad", "loss_ranknet", "loss_ranknet_grad",
+    "loss_and_grad", "loss_listnet", "loss_listnet_grad", "loss_ranknet", "loss_ranknet_grad",
     "loss_rmse", "loss_rmse_grad", "ranknet_terms",
     "dcg_at_k", "ndcg_at_k", "recall_at_k",
     "GBDT", "MODEL_KINDS", "NEURAL", "RANDOM", "SIMILARITY",

@@ -4,11 +4,17 @@ cross-entropy of top-one probabilities.
 Every loss comes with its analytic gradient with respect to the scores, so
 the neural trainer can backpropagate and the tests can verify against
 central finite differences.  All arithmetic is float64.
+
+:func:`loss_and_grad` takes a stacked score vector cut into segments by
+``offsets``, the index where each segment (one record's paths) starts;
+without ``offsets`` the whole vector is one segment.  The value is the sum
+of the per-segment losses, so the gradient of a stack is the per-segment
+gradients side by side.  The ``loss_*`` functions score one segment.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -22,30 +28,82 @@ def _as_float(values: Sequence[float]) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-def _check_ranks(ranks: Sequence[int], k: int) -> np.ndarray:
+def _segments(n: int, offsets: Optional[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Start of each segment and the segment of each item."""
+    seg = np.zeros(n, dtype=np.int64)
+    if offsets is None:
+        return np.zeros(1, dtype=np.int64), seg
+    starts = np.asarray(offsets, dtype=np.int64)
+    if (starts.ndim != 1 or starts.size == 0 or starts[0] != 0
+            or starts[-1] >= n or (starts[1:] <= starts[:-1]).any()):
+        raise ValueError(f"offsets must rise strictly from 0 and stay below {n}")
+    seg[starts[1:]] = 1
+    return starts, np.cumsum(seg)
+
+
+def _check_ranks(ranks: Sequence[int], starts: np.ndarray, seg: np.ndarray) -> np.ndarray:
     arr = np.asarray(ranks, dtype=np.int64)
-    if sorted(arr.tolist()) != list(range(1, k + 1)):
-        raise ValueError(f"ranks must be a permutation of 1..{k}")
+    if arr.shape != seg.shape or (
+            arr[np.lexsort((arr, seg))] != np.arange(seg.size) - starts[seg] + 1).any():
+        raise ValueError("ranks must be a permutation of 1..k within each segment")
     return arr
+
+
+def _segment_softmax(values: np.ndarray, starts: np.ndarray, seg: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-segment softmax and its logarithm."""
+    shifted = values - np.maximum.reduceat(values, starts)[seg]
+    expd = np.exp(shifted)
+    total = np.add.reduceat(expd, starts)
+    return expd / total[seg], shifted - np.log(total)[seg]
+
+
+def loss_and_grad(loss_kind: str, scores: Sequence[float],
+                  targets: Optional[Sequence[float]] = None,
+                  ranks: Optional[Sequence[int]] = None,
+                  offsets: Optional[Sequence[int]] = None) -> tuple[float, np.ndarray]:
+    """Summed loss over the segments and its gradient with respect to the
+    scores.  RMSE and ListNet read ``targets``; RankNet reads ``ranks``, a
+    permutation of 1..k within each segment, rank 1 the most relevant."""
+    s = _as_float(scores)
+    starts, seg = _segments(s.size, offsets)
+    if loss_kind == RANKNET:
+        r = _check_ranks(ranks, starts, seg)
+        diff = s[:, None] - s[None, :]
+        better = (seg[:, None] == seg[None, :]) & (r[:, None] < r[None, :])
+        # Python's sum in row order adds the terms as ranknet_terms lists them,
+        # so the value is bit-identical to the reference loop.
+        loss = float(sum(np.logaddexp(0.0, -diff[better]).tolist()))
+        # sigmoid(-(s_i - s_j)), computed stably on both tails
+        decay = np.exp(-np.abs(diff))
+        sig = np.where(diff >= 0, decay / (1.0 + decay), 1.0 / (1.0 + decay))
+        weighted = sig * better
+        return loss, -weighted.sum(axis=1) + weighted.sum(axis=0)
+    if loss_kind not in LOSS_KINDS:
+        raise ValueError(f"unknown loss kind {loss_kind!r}")
+    y = _as_float(targets)
+    if s.shape != y.shape or s.size == 0:
+        raise ValueError("scores and targets must be equal-length and non-empty")
+    if loss_kind == RMSE:
+        resid = s - y
+        lengths = np.bincount(seg)
+        value = np.sqrt(np.add.reduceat(resid ** 2, starts) / lengths)
+        # the gradient is taken as zero at a segment's (non-differentiable) exact fit
+        scale = np.where(value < 1e-12, np.inf, lengths * value)
+        return float(value.sum()), resid / scale[seg]
+    p, _ = _segment_softmax(y, starts, seg)
+    q, log_q = _segment_softmax(s, starts, seg)
+    return float(-(p * log_q).sum()), q - p
 
 
 def loss_rmse(scores: Sequence[float], targets: Sequence[float]) -> float:
     """Root mean squared difference between scores and targets."""
-    s = _as_float(scores)
-    y = _as_float(targets)
-    if s.shape != y.shape or s.size == 0:
-        raise ValueError("scores and targets must be equal-length and non-empty")
-    return float(np.sqrt(np.mean((s - y) ** 2)))
+    return loss_and_grad(RMSE, scores, targets=targets)[0]
 
 
 def loss_rmse_grad(scores: Sequence[float], targets: Sequence[float]) -> np.ndarray:
     """d(rmse)/d(scores); zero at the (non-differentiable) exact fit."""
-    s = _as_float(scores)
-    y = _as_float(targets)
-    value = np.sqrt(np.mean((s - y) ** 2))
-    if value < 1e-12:
-        return np.zeros_like(s)
-    return (s - y) / (s.size * value)
+    return loss_and_grad(RMSE, scores, targets=targets)[1]
 
 
 def ranknet_terms(scores: Sequence[float], ranks: Sequence[int]) -> list[float]:
@@ -56,7 +114,8 @@ def ranknet_terms(scores: Sequence[float], ranks: Sequence[int]) -> list[float]:
     loop is the reference that :func:`loss_ranknet` is tested against.
     """
     s = _as_float(scores)
-    r = _check_ranks(ranks, len(s))
+    starts, seg = _segments(s.size, None)
+    r = _check_ranks(ranks, starts, seg)
     terms = []
     for i in range(len(s)):
         for j in range(len(s)):
@@ -65,50 +124,19 @@ def ranknet_terms(scores: Sequence[float], ranks: Sequence[int]) -> list[float]:
     return terms
 
 
-def _ranknet_pairs(scores: Sequence[float], ranks: Sequence[int]
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """(s_i - s_j, whether i ranks better than j) over every ordered pair."""
-    s = _as_float(scores)
-    r = _check_ranks(ranks, len(s))
-    return s[:, None] - s[None, :], r[:, None] < r[None, :]
-
-
 def loss_ranknet(scores: Sequence[float], ranks: Sequence[int]) -> float:
     """Pairwise order loss summed over all k(k-1)/2 preference pairs."""
-    diff, better = _ranknet_pairs(scores, ranks)
-    # Python's sum in row order adds the terms as ranknet_terms lists them,
-    # so the value is bit-identical to the reference loop.
-    return float(sum(np.logaddexp(0.0, -diff)[better].tolist()))
+    return loss_and_grad(RANKNET, scores, ranks=ranks)[0]
 
 
 def loss_ranknet_grad(scores: Sequence[float], ranks: Sequence[int]) -> np.ndarray:
-    diff, better = _ranknet_pairs(scores, ranks)
-    # sigmoid(-(s_i - s_j)), computed stably on both tails
-    decay = np.exp(-np.abs(diff))
-    sig = np.where(diff >= 0, decay / (1.0 + decay), 1.0 / (1.0 + decay))
-    weighted = sig * better
-    return -weighted.sum(axis=1) + weighted.sum(axis=0)
-
-
-def _softmax(values: np.ndarray) -> np.ndarray:
-    shifted = values - values.max()
-    expd = np.exp(shifted)
-    return expd / expd.sum()
+    return loss_and_grad(RANKNET, scores, ranks=ranks)[1]
 
 
 def loss_listnet(scores: Sequence[float], targets: Sequence[float]) -> float:
     """Cross entropy between the target and score top-one distributions."""
-    s = _as_float(scores)
-    y = _as_float(targets)
-    if s.shape != y.shape or s.size == 0:
-        raise ValueError("scores and targets must be equal-length and non-empty")
-    p = _softmax(y)
-    log_q = s - s.max()
-    log_q = log_q - np.log(np.exp(log_q).sum())
-    return float(-(p * log_q).sum())
+    return loss_and_grad(LISTNET, scores, targets=targets)[0]
 
 
 def loss_listnet_grad(scores: Sequence[float], targets: Sequence[float]) -> np.ndarray:
-    s = _as_float(scores)
-    y = _as_float(targets)
-    return _softmax(s) - _softmax(y)
+    return loss_and_grad(LISTNET, scores, targets=targets)[1]

@@ -24,18 +24,7 @@ from ..kg import FORWARD, MetapathSubgraph
 from ..relevance import RankedPairRecord
 from ..util import atomic_write, descending_order, stable_hash
 from ..verbalize import HYPHEN_STYLE, encode_ranker_input, tokenize, verbalize
-from .losses import (
-    LISTNET,
-    LOSS_KINDS,
-    RANKNET,
-    RMSE,
-    loss_listnet,
-    loss_listnet_grad,
-    loss_ranknet,
-    loss_ranknet_grad,
-    loss_rmse,
-    loss_rmse_grad,
-)
+from .losses import LOSS_KINDS, RMSE, loss_and_grad
 from .ngram import DEFAULT_HASH_DIM, NgramLM, dense_features, hashed_counts
 
 logger = logging.getLogger(__name__)
@@ -48,6 +37,7 @@ MODEL_KINDS = (NEURAL, GBDT, SIMILARITY, RANDOM)
 
 DEFAULT_HIDDEN = 64
 MIN_LEAF = 1
+SPLIT_CHUNK = 128  # columns per GBDT split histogram
 MODEL_FORMAT_VERSION = "v1"
 
 
@@ -219,23 +209,19 @@ def scorer_forward(params: NeuralParams, X: np.ndarray) -> np.ndarray:
 
 def scorer_loss_and_grads(params: NeuralParams, X: np.ndarray, loss_kind: str,
                           targets: Optional[Sequence[float]] = None,
-                          ranks: Optional[Sequence[int]] = None):
-    """Loss value and analytic gradients for every scorer parameter."""
+                          ranks: Optional[Sequence[int]] = None,
+                          offsets: Optional[Sequence[int]] = None):
+    """Loss value and analytic gradients for every scorer parameter.
+
+    ``X`` stacks the paths of one or more records, and ``offsets`` gives the
+    row where each record starts (one record when omitted).  Loss and
+    gradients are sums over the records; see :func:`losses.loss_and_grad`.
+    """
     hidden = np.tanh(X @ params.w1 + params.b1)
     scores = hidden @ params.w2 + params.b2
-    if loss_kind == RMSE:
-        loss = loss_rmse(scores, targets)
-        dl_ds = loss_rmse_grad(scores, targets)
-    elif loss_kind == RANKNET:
-        loss = loss_ranknet(scores, ranks)
-        dl_ds = loss_ranknet_grad(scores, ranks)
-    elif loss_kind == LISTNET:
-        loss = loss_listnet(scores, targets)
-        dl_ds = loss_listnet_grad(scores, targets)
-    else:
-        raise ValueError(f"unknown loss kind {loss_kind!r}")
-    d_hidden = np.outer(dl_ds, params.w2)
-    d_pre = d_hidden * (1.0 - hidden ** 2)
+    loss, dl_ds = loss_and_grad(loss_kind, scores, targets=targets, ranks=ranks,
+                                offsets=offsets)
+    d_pre = np.outer(dl_ds, params.w2) * (1.0 - hidden ** 2)
     grads = {
         "w1": X.T @ d_pre,
         "b1": d_pre.sum(axis=0),
@@ -341,28 +327,32 @@ def _eligible_records(dataset: Sequence[RankedPairRecord], loss_kind: str):
 def train_neural_ranker(dataset: Sequence[RankedPairRecord], lm: NgramLM, loss_kind: str,
                         config: TrainConfig = TrainConfig(),
                         feature_config: FeatureConfig = FeatureConfig()) -> RankerModel:
-    """Gradient-descent training of the feedforward scorer.
+    """Minibatch gradient descent on the feedforward scorer.
 
     Targets are the records' relevance scores; for the pairwise objective
     the rank of each path is its position in the record, which is already
-    sorted by descending relevance.
+    sorted by descending relevance.  Each minibatch of ``config.batch``
+    records is stacked into one matrix and takes one forward and one
+    backward pass, its records marked by row offsets.
     """
     if loss_kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {loss_kind!r}")
     records = _eligible_records(dataset, loss_kind)
 
-    data = []
-    for record in records:
-        subgraphs = record_subgraphs(record)
-        X = _dense_matrix(lm, record_pair(record), subgraphs, feature_config.include_types)
-        y = np.asarray([mp.relscore for mp in record.metapaths], dtype=np.float64)
-        ranks = list(range(1, len(subgraphs) + 1))
-        data.append((X, y, ranks))
+    X = np.concatenate([
+        _dense_matrix(lm, record_pair(record), record_subgraphs(record),
+                      feature_config.include_types)
+        for record in records])
+    y = np.asarray([mp.relscore for record in records for mp in record.metapaths],
+                   dtype=np.float64)
+    lengths = np.asarray([len(record.metapaths) for record in records])
+    ranks = np.concatenate([np.arange(1, n + 1) for n in lengths])
+    record_rows = [np.arange(start, start + n)
+                   for start, n in zip(np.cumsum(lengths) - lengths, lengths)]
 
-    all_x = np.concatenate([X for X, _, _ in data])
-    x_mean = all_x.mean(axis=0)
-    x_std = np.maximum(all_x.std(axis=0), 1e-8)
-    data = [((X - x_mean) / x_std, y, ranks) for X, y, ranks in data]
+    x_mean = X.mean(axis=0)
+    x_std = np.maximum(X.std(axis=0), 1e-8)
+    X = (X - x_mean) / x_std
 
     rng = np.random.default_rng(config.seed)
     d = lm.d
@@ -379,25 +369,22 @@ def train_neural_ranker(dataset: Sequence[RankedPairRecord], lm: NgramLM, loss_k
     history: list[float] = []
     for epoch in range(config.epochs):
         learning_rate = config.learning_rate / (1.0 + config.lr_decay * epoch)
-        order = rng.permutation(len(data))
+        order = rng.permutation(len(records))
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch):
             batch = order[start:start + config.batch]
-            acc = {"w1": np.zeros_like(params.w1), "b1": np.zeros_like(params.b1),
-                   "w2": np.zeros_like(params.w2), "b2": 0.0}
-            for idx in batch:
-                X, y, ranks = data[idx]
-                loss, grads = scorer_loss_and_grads(params, X, loss_kind,
-                                                    targets=y, ranks=ranks)
-                epoch_loss += loss
-                for key in acc:
-                    acc[key] += grads[key]
+            rows = np.concatenate([record_rows[i] for i in batch])
+            batch_lengths = lengths[batch]
+            loss, grads = scorer_loss_and_grads(
+                params, X[rows], loss_kind, targets=y[rows], ranks=ranks[rows],
+                offsets=np.cumsum(batch_lengths) - batch_lengths)
+            epoch_loss += loss
             scale = learning_rate / len(batch)
-            params.w1 -= scale * acc["w1"]
-            params.b1 -= scale * acc["b1"]
-            params.w2 -= scale * acc["w2"]
-            params.b2 -= scale * acc["b2"]
-        mean_loss = epoch_loss / len(data)
+            params.w1 -= scale * grads["w1"]
+            params.b1 -= scale * grads["b1"]
+            params.w2 -= scale * grads["w2"]
+            params.b2 -= scale * grads["b2"]
+        mean_loss = epoch_loss / len(records)
         history.append(float(mean_loss))
         logger.debug("ranker epoch %d: %s loss %.5f", epoch + 1, loss_kind, mean_loss)
 
@@ -406,9 +393,52 @@ def train_neural_ranker(dataset: Sequence[RankedPairRecord], lm: NgramLM, loss_k
                        train_loss_history=history)
 
 
+def _split_gains(Xn: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best variance-reduction gain of every column of ``Xn`` and the bin
+    below its threshold; -inf where no split leaves MIN_LEAF rows a side.
+
+    Histogram method (Ke et al., NeurIPS 2017): one bincount over
+    ``column * width + value`` bin ids sums the residuals of every
+    (column, value) bin, in row order, and a cumulative sum along the bins
+    scores every threshold at once.  Columns go SPLIT_CHUNK at a time so the
+    bin-id array stays at rows x SPLIT_CHUNK.
+    """
+    n_cols = Xn.shape[1]
+    gains = np.full(n_cols, -np.inf)
+    bins_below = np.zeros(n_cols, dtype=np.int64)
+    width = int(Xn.max()) + 1
+    if width < 2:
+        return gains, bins_below
+    total_sum = r.sum()
+    total_cnt = len(r)
+    base = total_sum * total_sum / total_cnt
+    for first in range(0, n_cols, SPLIT_CHUNK):
+        block = Xn[:, first:first + SPLIT_CHUNK]
+        n_block = block.shape[1]
+        bins = (block + np.arange(n_block) * width).ravel()
+        sums = np.bincount(bins, weights=np.repeat(r, n_block), minlength=n_block * width)
+        cnts = np.bincount(bins, minlength=n_block * width)
+        left_sum = np.cumsum(sums.reshape(n_block, width), axis=1)[:, :-1]
+        left_cnt = np.cumsum(cnts.reshape(n_block, width), axis=1)[:, :-1]
+        right_sum = total_sum - left_sum
+        right_cnt = total_cnt - left_cnt
+        valid = (left_cnt >= MIN_LEAF) & (right_cnt >= MIN_LEAF)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gain = np.where(
+                valid,
+                left_sum ** 2 / left_cnt + right_sum ** 2 / right_cnt - base,
+                -np.inf)
+        t = np.argmax(gain, axis=1)
+        gains[first:first + n_block] = gain[np.arange(n_block), t]
+        bins_below[first:first + n_block] = t
+    return gains, bins_below
+
+
 def _fit_tree(X: np.ndarray, residuals: np.ndarray, max_depth: int) -> RegressionTree:
     """Greedy variance-reduction regression tree on integer count features;
-    every leaf keeps at least MIN_LEAF rows."""
+    every leaf keeps at least MIN_LEAF rows.  Columns are taken in order, and
+    a column replaces the chosen one when its best gain is higher by more
+    than 1e-12; the split is at the chosen column's first best threshold."""
     tree = RegressionTree(feature=[], threshold=[], left=[], right=[], value=[])
 
     def add_node() -> int:
@@ -426,38 +456,18 @@ def _fit_tree(X: np.ndarray, residuals: np.ndarray, max_depth: int) -> Regressio
         if depth >= max_depth or len(rows) < 2 * MIN_LEAF or np.ptp(r) == 0.0:
             return node
         Xn = X[rows]
-        total_sum = r.sum()
-        total_cnt = len(rows)
-        best_gain = 0.0
+        gains, bins_below = _split_gains(Xn, r)
         best_feature = -1
-        best_threshold = 0.0
-        base = total_sum * total_sum / total_cnt
-        for j in range(X.shape[1]):
-            col = Xn[:, j]
-            vmax = int(col.max())
-            if vmax == int(col.min()):
-                continue
-            sums = np.bincount(col, weights=r, minlength=vmax + 1)
-            cnts = np.bincount(col, minlength=vmax + 1)
-            left_sum = np.cumsum(sums)[:-1]
-            left_cnt = np.cumsum(cnts)[:-1]
-            valid = (left_cnt >= MIN_LEAF) & (total_cnt - left_cnt >= MIN_LEAF)
-            if not valid.any():
-                continue
-            right_sum = total_sum - left_sum
-            right_cnt = total_cnt - left_cnt
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gain = np.where(
-                    valid,
-                    left_sum ** 2 / left_cnt + right_sum ** 2 / right_cnt - base,
-                    -np.inf)
-            t = int(np.argmax(gain))
-            if gain[t] > best_gain + 1e-12:
-                best_gain = float(gain[t])
-                best_feature = j
-                best_threshold = t + 0.5
+        best_gain = 0.0
+        while True:
+            ahead = np.flatnonzero(gains[best_feature + 1:] > best_gain + 1e-12)
+            if not ahead.size:
+                break
+            best_feature += 1 + int(ahead[0])
+            best_gain = float(gains[best_feature])
         if best_feature < 0:
             return node
+        best_threshold = int(bins_below[best_feature]) + 0.5
         mask = Xn[:, best_feature] <= best_threshold
         tree.feature[node] = best_feature
         tree.threshold[node] = best_threshold
@@ -479,13 +489,11 @@ def train_gbdt_ranker(dataset: Sequence[RankedPairRecord], lm: NgramLM,
     are recorded on the model.
     """
     records = _eligible_records(dataset, RMSE)
-    X_parts, y_parts = [], []
-    for record in records:
-        subgraphs = record_subgraphs(record)
-        X_parts.append(_hashed_matrix(lm, record_pair(record), subgraphs, feature_config))
-        y_parts.append([mp.relscore for mp in record.metapaths])
-    X = np.concatenate(X_parts).astype(np.int64)
-    y = np.concatenate([np.asarray(p, dtype=np.float64) for p in y_parts])
+    X = np.concatenate([
+        _hashed_matrix(lm, record_pair(record), record_subgraphs(record), feature_config)
+        for record in records]).astype(np.int64)
+    y = np.asarray([mp.relscore for record in records for mp in record.metapaths],
+                   dtype=np.float64)
 
     ensemble = GbdtEnsemble(base_score=float(y.mean()),
                             learning_rate=config.gbdt_learning_rate)

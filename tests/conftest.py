@@ -80,7 +80,17 @@ class StubHandler(BaseHTTPRequestHandler):
     """Replays the scripted (status, body) or (status, body, headers)
     responses of its server; a bytes body is sent as is, anything else as
     JSON.  Records each request body and its Authorization header (None when
-    absent)."""
+    absent).  Speaks HTTP/1.1, so a client keeps its connection open between
+    requests, as with real completion endpoints; each response leaves in one
+    write with Nagle's algorithm off, so keep-alive adds no delayed-ACK wait."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    wbufsize = -1  # buffered: handle_one_request flushes once per response
+
+    def finish(self):
+        super().finish()
+        self.server.disconnected.set()
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
@@ -106,16 +116,19 @@ class StubHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def stub_server():
     """Loopback completion endpoint; set ``script`` and read ``requests`` and
-    ``authorizations``."""
+    ``authorizations``.  ``disconnected`` is set once a client has closed its
+    connection."""
     server = ThreadingHTTPServer(("127.0.0.1", 0), StubHandler)
     server.script = [(200, {})]
     server.requests = []
     server.authorizations = []
     server.lock = threading.Lock()
+    server.disconnected = threading.Event()
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield server
     server.shutdown()
+    server.server_close()
     thread.join(timeout=2)
 
 

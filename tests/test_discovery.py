@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import FakeBackend, make_subgraph
+from kgcausal import discovery
 from kgcausal.discovery import (
     CausalPrediction,
     DiscoveryConfig,
@@ -158,6 +159,17 @@ class TestClassifyPairs:
         assert result.records == serial
         assert result.skipped_backend_error == 0
         assert result.backend_calls == backend.calls == len(world.instances)
+
+    def test_no_ranker_enumerates_nothing(self, monkeypatch):
+        world = make_planted_world(n_pairs=20, flip_rate=0.1, seed=3)
+        bare = [classify_pair(inst, None, None, MockOracle(world.mock_config), candidates=[])
+                for inst in world.instances]
+        searches = []
+        monkeypatch.setattr(discovery, "enumerate_subgraphs",
+                            lambda *args, **kwargs: searches.append(args) or [])
+        result = classify_pairs(world.instances, world.kg, None, MockOracle(world.mock_config))
+        assert searches == []
+        assert result.records == bare
 
     def test_first_error_cancels_pending_pairs(self):
         """An error that is not a backend failure still aborts the stage."""

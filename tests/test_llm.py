@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import sys
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -195,9 +197,43 @@ class TestHttpBackend:
         monkeypatch.setattr(time, "sleep", delays.append)
         return delays
 
+    @pytest.fixture(autouse=True)
+    def close_backends(self):
+        """Every backend a test made is closed when the test ends."""
+        self.opened = []
+        yield
+        for backend in self.opened:
+            backend.close()
+
     def backend(self, server, **kwargs):
-        return HttpBackend(endpoint=f"http://127.0.0.1:{server.server_address[1]}",
-                           model="test-model", **kwargs)
+        backend = HttpBackend(endpoint=f"http://127.0.0.1:{server.server_address[1]}",
+                              model="test-model", **kwargs)
+        self.opened.append(backend)
+        return backend
+
+    def test_close_releases_the_pooled_connection(self, stub_server):
+        stub_server.script = [(200, ok_body())]
+        unraisable = []
+        previous_hook = sys.unraisablehook
+        # A warning raised as an error inside a finalizer reaches
+        # sys.unraisablehook instead of the caller.
+        sys.unraisablehook = unraisable.append
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", ResourceWarning)
+                backend = self.backend(stub_server)
+                backend.complete(CompletionRequest(prompt="p"))
+                assert not stub_server.disconnected.is_set()
+                backend.close()
+                # the backend is still referenced: only close() can have
+                # dropped the connection
+                assert stub_server.disconnected.wait(timeout=5)
+                del backend
+                self.opened.clear()
+                gc.collect()
+        finally:
+            sys.unraisablehook = previous_hook
+        assert [str(u.exc_value) for u in unraisable] == []
 
     def test_parses_canned_response(self, stub_server):
         stub_server.script = [(200, ok_body("causal", -0.25))]

@@ -8,6 +8,10 @@ import numpy as np
 import pytest
 
 from kgcausal.ltr.losses import (
+    LOSS_KINDS,
+    RANKNET,
+    RMSE,
+    loss_and_grad,
     loss_listnet,
     loss_listnet_grad,
     loss_ranknet,
@@ -143,3 +147,40 @@ class TestListnet:
             analytic = loss_listnet_grad(s, y)
             numeric = central_difference(lambda x: loss_listnet(x, y), s)
             np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-8)
+
+
+class TestSegments:
+    """A stacked score vector cut by offsets scores as its segments do."""
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_stack_is_the_sum_of_its_segments(self, kind):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            lengths = rng.integers(1, 9, size=int(rng.integers(1, 8)))
+            s = rng.normal(scale=3.0, size=lengths.sum())
+            y = rng.normal(size=lengths.sum())
+            ranks = np.concatenate([rng.permutation(np.arange(1, k + 1)) for k in lengths])
+            offsets = np.cumsum(lengths) - lengths
+            loss, grad = loss_and_grad(kind, s, targets=y, ranks=ranks, offsets=offsets)
+            parts = [loss_and_grad(kind, s[o:o + k], targets=y[o:o + k], ranks=ranks[o:o + k])
+                     for o, k in zip(offsets, lengths)]
+            assert loss == pytest.approx(sum(value for value, _ in parts), rel=1e-13)
+            np.testing.assert_allclose(grad, np.concatenate([g for _, g in parts]),
+                                       rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("offsets", [[1, 3], [0, 3, 3], [0, 4, 2], [0, 6], []])
+    def test_malformed_offsets_rejected(self, offsets):
+        with pytest.raises(ValueError, match="offsets"):
+            loss_and_grad(RMSE, np.zeros(6), targets=np.ones(6), offsets=offsets)
+
+    def test_ranks_are_checked_per_segment(self):
+        scores = [0.3, 0.1, 0.2, 0.0]
+        loss, _ = loss_and_grad(RANKNET, scores, ranks=[1, 2, 2, 1], offsets=[0, 2])
+        assert loss == pytest.approx(loss_ranknet(scores[:2], [1, 2])
+                                     + loss_ranknet(scores[2:], [2, 1]))
+        with pytest.raises(ValueError):
+            loss_and_grad(RANKNET, scores, ranks=[1, 2, 3, 4], offsets=[0, 2])
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown loss kind"):
+            loss_and_grad("hinge", [0.0, 1.0], targets=[1.0, 0.0])

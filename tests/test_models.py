@@ -8,7 +8,8 @@ import pytest
 from conftest import make_subgraph
 from kgcausal.kg import enumerate_subgraphs
 from kgcausal.llm import MockOracle
-from kgcausal.ltr.losses import LISTNET, RANKNET, RMSE
+from kgcausal.ltr import models
+from kgcausal.ltr.losses import LISTNET, RANKNET, RMSE, loss_and_grad
 from kgcausal.ltr.metrics import ndcg_at_k
 from kgcausal.ltr.models import (
     NEURAL,
@@ -17,18 +18,21 @@ from kgcausal.ltr.models import (
     FeatureConfig,
     NeuralParams,
     RankerModel,
+    RegressionTree,
     TrainConfig,
     load_model,
     rank_subgraphs,
     record_pair,
     record_subgraphs,
+    ranker_input_tokens,
     save_model,
     score_subgraphs,
+    scorer_forward,
     scorer_loss_and_grads,
     train_gbdt_ranker,
     train_neural_ranker,
 )
-from kgcausal.ltr.ngram import NgramLM, train_ngram_lm
+from kgcausal.ltr.ngram import NgramLM, dense_features, train_ngram_lm
 from kgcausal.relevance import RankedMetapath, RankedPairRecord, rank_pair
 from kgcausal.synthetic import make_planted_world
 
@@ -75,7 +79,6 @@ def planted():
     for inst in world.instances:
         subs = enumerate_subgraphs(world.kg, (inst.e1, inst.e2), max_hops=4)
         records.append(rank_pair(inst, subs, backend))
-    from kgcausal.ltr.models import ranker_input_tokens
     corpus = []
     for r in records:
         for sg in record_subgraphs(r):
@@ -153,7 +156,115 @@ class TestNeuralTraining:
                                 TrainConfig(epochs=1))
 
 
+def per_record_trainer(records, lm, loss_kind, config):
+    """The scorer trained with one forward and one backward pass per record,
+    gradients summed over each minibatch: the reference for the stacked
+    trainer, which must follow it up to float rounding."""
+    data = []
+    for record in records:
+        pair = record_pair(record)
+        X = np.stack([dense_features(lm, ranker_input_tokens(pair, sg))
+                      for sg in record_subgraphs(record)])
+        y = np.asarray([mp.relscore for mp in record.metapaths])
+        data.append((X, y, list(range(1, len(y) + 1))))
+    all_x = np.concatenate([X for X, _, _ in data])
+    x_mean = all_x.mean(axis=0)
+    x_std = np.maximum(all_x.std(axis=0), 1e-8)
+    data = [((X - x_mean) / x_std, y, ranks) for X, y, ranks in data]
+    rng = np.random.default_rng(config.seed)
+    d, h = lm.d, models.DEFAULT_HIDDEN
+    params = NeuralParams(w1=rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, h)), b1=np.zeros(h),
+                          w2=rng.normal(0.0, 1.0 / np.sqrt(h), size=h), b2=0.0,
+                          x_mean=x_mean, x_std=x_std)
+    for epoch in range(config.epochs):
+        learning_rate = config.learning_rate / (1.0 + config.lr_decay * epoch)
+        order = rng.permutation(len(data))
+        for start in range(0, len(order), config.batch):
+            batch = order[start:start + config.batch]
+            acc = {"w1": 0.0, "b1": 0.0, "w2": 0.0, "b2": 0.0}
+            for idx in batch:
+                X, y, ranks = data[idx]
+                _, grads = scorer_loss_and_grads(params, X, loss_kind, targets=y, ranks=ranks)
+                for key in acc:
+                    acc[key] = acc[key] + grads[key]
+            scale = learning_rate / len(batch)
+            params.w1 -= scale * acc["w1"]
+            params.b1 -= scale * acc["b1"]
+            params.w2 -= scale * acc["w2"]
+            params.b2 -= scale * acc["b2"]
+    return RankerModel(kind=NEURAL, loss_kind=loss_kind, seed=config.seed, neural=params)
+
+
+class TestStackedTrainer:
+    """One stacked pass per minibatch against one pass per record."""
+
+    @staticmethod
+    def heldout_gap(planted, loss_kind, epochs):
+        _, records, lm = planted
+        train, held = records[:42], records[42:]
+        config = TrainConfig(epochs=epochs, learning_rate=0.3, batch=8, seed=5, lr_decay=0.02)
+        stacked = train_neural_ranker(train, lm, loss_kind, config)
+        reference = per_record_trainer(train, lm, loss_kind, config)
+        return max(
+            float(np.max(np.abs(score_subgraphs(stacked, record_pair(r), subs, lm)
+                                - score_subgraphs(reference, record_pair(r), subs, lm))))
+            for r in held for subs in [record_subgraphs(r)])
+
+    @pytest.mark.parametrize("loss_kind,tolerance",
+                             [(RMSE, 1e-12), (LISTNET, 1e-12), (RANKNET, 1e-6)])
+    def test_one_epoch_matches_the_per_record_trainer(self, planted, loss_kind, tolerance):
+        assert self.heldout_gap(planted, loss_kind, epochs=1) <= tolerance
+
+    def test_listnet_matches_the_per_record_trainer_at_500_epochs(self, planted):
+        assert self.heldout_gap(planted, LISTNET, epochs=500) <= 1e-9
+
+
 class TestScorerGradients:
+    @pytest.mark.parametrize("loss_kind,lengths", [
+        (RMSE, [3, 1, 5, 2]), (RANKNET, [3, 2, 5, 2]), (LISTNET, [4, 2, 6, 3])])
+    def test_stacked_minibatch_finite_differences(self, loss_kind, lengths):
+        rng = np.random.default_rng(11)
+        d, h = 5, 4
+        params = NeuralParams(w1=rng.normal(size=(d, h)), b1=rng.normal(size=h),
+                              w2=rng.normal(size=h), b2=float(rng.normal()))
+        X = rng.normal(size=(sum(lengths), d))
+        y = rng.normal(size=len(X))
+        ranks = np.concatenate([rng.permutation(np.arange(1, k + 1)) for k in lengths])
+        offsets = np.cumsum(lengths) - lengths
+
+        def loss(p):
+            return scorer_loss_and_grads(p, X, loss_kind, targets=y, ranks=ranks,
+                                         offsets=offsets)[0]
+
+        total, grads = scorer_loss_and_grads(params, X, loss_kind, targets=y, ranks=ranks,
+                                             offsets=offsets)
+        # the stack's loss and gradients are the sums over its records
+        parts = [scorer_loss_and_grads(params, X[o:o + k], loss_kind, targets=y[o:o + k],
+                                       ranks=ranks[o:o + k])
+                 for o, k in zip(offsets, lengths)]
+        assert total == pytest.approx(sum(value for value, _ in parts), abs=1e-12)
+        for name in ("w1", "b1", "w2", "b2"):
+            np.testing.assert_allclose(grads[name], sum(g[name] for _, g in parts),
+                                       rtol=0, atol=1e-12)
+        step = 1e-5
+        for name in ("w1", "b1", "w2"):
+            flat = getattr(params, name).reshape(-1)
+            for idx in range(flat.size):
+                original = flat[idx]
+                flat[idx] = original + step
+                hi = loss(params)
+                flat[idx] = original - step
+                lo = loss(params)
+                flat[idx] = original
+                numeric = (hi - lo) / (2 * step)
+                analytic = grads[name].reshape(-1)[idx]
+                assert abs(analytic - numeric) <= 1e-4 * max(1.0, abs(analytic), abs(numeric))
+        params.b2 += step
+        hi = loss(params)
+        params.b2 -= 2 * step
+        lo = loss(params)
+        assert grads["b2"] == pytest.approx((hi - lo) / (2 * step), rel=1e-4, abs=1e-4)
+
     @pytest.mark.parametrize("loss_kind", [RMSE, RANKNET, LISTNET])
     def test_quick_finite_difference_check(self, loss_kind):
         rng = np.random.default_rng(42)
@@ -204,6 +315,106 @@ class TestGbdt:
         config = TrainConfig(gbdt_rounds=30, seed=0)
         model = train_gbdt_ranker(train, lm, config)
         assert heldout_ndcg1(model, held, lm) >= 0.9
+
+
+def loop_fit_tree(X, residuals, max_depth):
+    """Split search one column at a time: the reference for the histogram
+    split search of ``train_gbdt_ranker``, which must build the same trees."""
+    tree = RegressionTree(feature=[], threshold=[], left=[], right=[], value=[])
+
+    def build(rows, depth):
+        node = len(tree.feature)
+        for column, blank in ((tree.feature, -1), (tree.threshold, 0.0),
+                              (tree.left, -1), (tree.right, -1), (tree.value, 0.0)):
+            column.append(blank)
+        r = residuals[rows]
+        tree.value[node] = float(r.mean())
+        if depth >= max_depth or len(rows) < 2 * models.MIN_LEAF or np.ptp(r) == 0.0:
+            return node
+        Xn = X[rows]
+        total_sum = r.sum()
+        total_cnt = len(rows)
+        best_gain, best_feature, best_threshold = 0.0, -1, 0.0
+        base = total_sum * total_sum / total_cnt
+        for j in range(X.shape[1]):
+            col = Xn[:, j]
+            vmax = int(col.max())
+            if vmax == int(col.min()):
+                continue
+            sums = np.bincount(col, weights=r, minlength=vmax + 1)
+            cnts = np.bincount(col, minlength=vmax + 1)
+            left_sum = np.cumsum(sums)[:-1]
+            left_cnt = np.cumsum(cnts)[:-1]
+            valid = (left_cnt >= models.MIN_LEAF) & (total_cnt - left_cnt >= models.MIN_LEAF)
+            if not valid.any():
+                continue
+            right_sum = total_sum - left_sum
+            right_cnt = total_cnt - left_cnt
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gain = np.where(
+                    valid,
+                    left_sum ** 2 / left_cnt + right_sum ** 2 / right_cnt - base,
+                    -np.inf)
+            t = int(np.argmax(gain))
+            if gain[t] > best_gain + 1e-12:
+                best_gain, best_feature, best_threshold = float(gain[t]), j, t + 0.5
+        if best_feature < 0:
+            return node
+        mask = Xn[:, best_feature] <= best_threshold
+        tree.feature[node] = best_feature
+        tree.threshold[node] = best_threshold
+        tree.left[node] = build(rows[mask], depth + 1)
+        tree.right[node] = build(rows[~mask], depth + 1)
+        return node
+
+    build(np.arange(len(X)), 0)
+    return tree
+
+
+class TestHistogramSplits:
+    """train_gbdt_ranker builds, tree for tree, what the per-column loop builds."""
+
+    @staticmethod
+    def count_matrix(rng, n_rows, n_cols):
+        X = rng.integers(0, 4, size=(n_rows, n_cols)) * (rng.random((n_rows, n_cols)) < 0.4)
+        X[:, rng.integers(0, n_cols, size=3)] = 2               # constant columns
+        for _ in range(4):                                     # exact gain ties
+            source, target = rng.integers(0, n_cols, size=2)
+            X[:, target] = X[:, source]
+        X[:, n_cols - 1] = X[:, 0]                             # a tie across chunks
+        return X
+
+    @pytest.mark.parametrize("n_rows,n_cols,depth,chunk", [
+        (3, 6, 3, models.SPLIT_CHUNK), (7, 140, 3, models.SPLIT_CHUNK),
+        (40, 260, 4, models.SPLIT_CHUNK), (25, 50, 3, 7), (12, 30, 5, 1)])
+    def test_trees_equal_the_per_column_loop(self, monkeypatch, n_rows, n_cols, depth, chunk):
+        monkeypatch.setattr(models, "SPLIT_CHUNK", chunk)
+        splits = 0
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            X = self.count_matrix(rng, n_rows, n_cols)
+            # relevance on few levels, so residual sums tie as well
+            y = rng.integers(0, 3, size=n_rows) * 0.5
+            y[:2] = (0.0, 1.0)
+            records = [RankedPairRecord(
+                qid=f"q{i}", e1="a", e2="b", groundtruth="1",
+                metapaths=(RankedMetapath(pathid=1, relscore=float(y[i]), probscore=-0.1,
+                                          relevant="1", stops="a - x - b",
+                                          reltypes="r - r", nodelabels="T - T - T"),))
+                for i in range(n_rows)]
+            rows = iter(X)
+            monkeypatch.setattr(models, "_hashed_matrix",
+                                lambda *args: next(rows)[None, :].astype(np.float64))
+            config = TrainConfig(gbdt_rounds=5, gbdt_max_depth=depth, gbdt_learning_rate=0.7)
+            model = train_gbdt_ranker(records, handcrafted_lm(), config)
+
+            predictions = np.full(n_rows, y.mean())
+            for tree in model.gbdt.trees:
+                expected = loop_fit_tree(X, y - predictions, depth)
+                assert tree.to_dict() == expected.to_dict()
+                predictions += config.gbdt_learning_rate * expected.predict(X)
+                splits += sum(f >= 0 for f in tree.feature)
+        assert splits
 
 
 class TestRankSubgraphs:
