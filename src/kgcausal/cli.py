@@ -317,11 +317,11 @@ def cmd_rank(args, config: dict) -> int:
 
 def cmd_discover(args, config: dict) -> int:
     instances = read_instances(args.pairs)
-    kg = _load_kg(config)
-
     if str(args.model).lower() == "none":
-        model, lm = None, None
+        # The bare prompt reads no path, so no graph is loaded.
+        kg, model, lm = None, None, None
     else:
+        kg = _load_kg(config)
         model, lm = load_model(args.model)
 
     discovery_config = DiscoveryConfig(

@@ -118,14 +118,14 @@ def classify_pair(instance: PairInstance, kg: Optional[KnowledgeGraph],
     )
 
 
-def classify_pairs(instances: Sequence[PairInstance], kg: KnowledgeGraph,
+def classify_pairs(instances: Sequence[PairInstance], kg: Optional[KnowledgeGraph],
                    ranker: Optional[RankerModel], backend,
                    config: DiscoveryConfig = DiscoveryConfig(),
                    lm: Optional[NgramLM] = None) -> PairResults:
     """:func:`classify_pair` for every instance on up to ``backend.parallelism``
     threads; the records are the predictions, in input order.  A backend
     failure on one pair skips and counts that pair rather than aborting the
-    run."""
+    run.  ``kg`` is not read, and may be None, when ``ranker`` is None."""
     return map_pairs(
         lambda instance: classify_pair(instance, kg, ranker, backend, config=config, lm=lm),
         instances, backend, qid=lambda instance: instance.qid)

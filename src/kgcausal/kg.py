@@ -8,6 +8,7 @@ verbalization can reproduce the original orientation.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import logging
@@ -181,6 +182,21 @@ class KnowledgeGraph:
         """(neighbor id, relation, direction) triples, sorted."""
         return self._adjacency.get(node_id, ())
 
+    def degree(self, node_id: str) -> int:
+        """The number of :meth:`neighbors` triples, without reading them."""
+        return len(self._adjacency.get(node_id, ()))
+
+    def hops(self, node_id: str, other: str) -> tuple[tuple[str, str, str], ...]:
+        """The :meth:`neighbors` triples of ``node_id`` that lead to ``other``,
+        found by bisection in the sorted adjacency; empty when the two are
+        not adjacent."""
+        adjacency = self._adjacency.get(node_id, ())
+        first = bisect.bisect_left(adjacency, (other,))
+        last = first
+        while last < len(adjacency) and adjacency[last][0] == other:
+            last += 1
+        return adjacency[first:last]
+
     def resolve(self, name: str) -> tuple[str, ...]:
         """All node ids whose name matches case-insensitively."""
         ids = self._name_index.get(name.lower())
@@ -286,20 +302,26 @@ def _on_path_depths(kg: KnowledgeGraph, a_ids: Sequence[str], b_ids: Sequence[st
     path is within ``max_hops``.
 
     A level-synchronous breadth-first search runs from both sets, expanding
-    the smaller frontier one level at a time, and stops at the first level
-    where the frontiers meet (Pohl, 1971) or once the two radii add up to
-    ``max_hops``.  Every shortest path crosses a meeting node.  Walking back,
-    a node of a side's level ``i - 1`` is on a path when it neighbours one
-    found on level ``i``; this reads only the adjacency of nodes the search
-    has already expanded, never that of the (often high-degree) meeting nodes.
+    one level at a time the frontier with fewer adjacency triples to read,
+    and stops at the first level where the frontiers meet (Pohl, 1971) or
+    once the two radii add up to ``max_hops``; the order of expansion
+    changes the cost, not the result.  Every shortest path crosses a
+    meeting node.  Walking back, a node of a side's level ``i - 1`` is on a
+    path when it neighbours one found on level ``i``; this reads only the
+    adjacency of nodes the search has already expanded, never that of the
+    (often high-degree) meeting nodes.
     """
     seen = (set(a_ids), set(b_ids))
     levels = ([list(a_ids)], [list(b_ids)])
+    reads: list[Optional[int]] = [None, None]  # triples each frontier's growth reads
     meet = [v for v in a_ids if v in seen[1]]
     while not meet:
         if len(levels[0]) + len(levels[1]) - 2 == max_hops:
             return {}, 0
-        side = 0 if len(levels[0][-1]) <= len(levels[1][-1]) else 1
+        for s in (0, 1):
+            if reads[s] is None:
+                reads[s] = sum(map(kg.degree, levels[s][-1]))
+        side = 0 if reads[0] <= reads[1] else 1
         grown = []
         for u in levels[side][-1]:
             for v, _rel, _direction in kg.neighbors(u):
@@ -309,6 +331,7 @@ def _on_path_depths(kg: KnowledgeGraph, a_ids: Sequence[str], b_ids: Sequence[st
         if not grown:
             return {}, 0
         levels[side].append(grown)
+        reads[side] = None
         # No node was seen by both before, so the sets are at least as far
         # apart as the two radii add up to now: a node seen by both sits on
         # the other side's frontier.
@@ -351,24 +374,36 @@ def _sample_indices(n: int, k: int, seed: int) -> list[int]:
 
 
 def _walk(kg: KnowledgeGraph, starts: Iterable[str], targets: set[str], n_hops: int,
-          admit: Callable) -> list[MetapathSubgraph]:
+          admit: Callable, marked: Optional[Sequence[Sequence[str]]] = None
+          ) -> list[MetapathSubgraph]:
     """Subgraphs of every simple ``n_hops``-hop path from a start to a target.
 
     Parallel edges sit side by side in the sorted adjacency, so each neighbour
     ``v`` is visited once, with ``hops`` yielding all of its adjacency triples.
     ``admit(depth, v, hops)`` returns the (relation, direction) options of the
     hop onto ``v`` at path position ``depth``, or nothing to prune ``v``.
+
+    ``marked[depth]``, when given, holds in sorted order every node that
+    ``admit`` can accept at ``depth``.  From a node with more adjacency
+    triples than the next depth has marked nodes, the walk then looks up the
+    hops onto each marked node instead of reading the whole adjacency, so a
+    path through a hub costs what the hub leads to, not its degree.
     """
     results: list[MetapathSubgraph] = []
     path: list[str] = []
     options: list[list[tuple[str, str]]] = []
+
+    def steps(u: str, depth: int):
+        if marked is not None and len(marked[depth]) < kg.degree(u):
+            return ((v, kg.hops(u, v)) for v in marked[depth])
+        return itertools.groupby(kg.neighbors(u), key=itemgetter(0))
 
     def extend(u: str, depth: int):
         if depth == n_hops:
             if u in targets:
                 results.extend(_expand_node_path(kg, path, options))
             return
-        for v, hops in itertools.groupby(kg.neighbors(u), key=itemgetter(0)):
+        for v, hops in steps(u, depth + 1):
             hop = admit(depth + 1, v, hops)
             if hop and v not in path:
                 path.append(v)
@@ -394,11 +429,13 @@ def enumerate_subgraphs(kg: KnowledgeGraph, pair: tuple[str, str], max_hops: int
     more than ``limit``, a seeded uniform sample of that order is taken.
 
     The search meets in the middle: a breadth-first search from each
-    variable's ids, always growing the smaller frontier, stops at the level
-    where the two meet or where their radii reach ``max_hops``.  It reads the
-    neighbours of nodes within about half the path length of either
-    variable, not of the whole component, and the depth-first walk that
-    follows only enters nodes that lie on a shortest path.
+    variable's ids, always growing the frontier with fewer adjacency triples,
+    stops at the level where the two meet or where their radii reach
+    ``max_hops``.  It reads the neighbours of nodes within about half the
+    path length of either variable, not of the whole component.  The
+    depth-first walk that follows only enters nodes that lie on a shortest
+    path, and from a node of higher degree than the next depth has such
+    nodes it looks up the hops onto them rather than reading its adjacency.
     """
     if max_hops < 1:
         raise ValueError("max_hops must be >= 1")
@@ -417,8 +454,10 @@ def enumerate_subgraphs(kg: KnowledgeGraph, pair: tuple[str, str], max_hops: int
             return None
         return [(rel, direction) for _v, rel, direction in hops]
 
+    marked = [sorted(v for v, d in on_path.items() if d == depth)
+              for depth in range(shortest + 1)]
     starts = [s for s in a_ids if on_path.get(s) == 0]
-    results = _walk(kg, starts, set(b_ids), shortest, admit)
+    results = _walk(kg, starts, set(b_ids), shortest, admit, marked)
     ordered = sorted(results, key=MetapathSubgraph.sort_key)
     if limit is not None and len(ordered) > limit:
         ordered = [ordered[i] for i in _sample_indices(len(ordered), limit, seed)]

@@ -12,6 +12,7 @@ text and a seeded random scorer.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 from dataclasses import asdict, dataclass, field
@@ -25,7 +26,7 @@ from ..relevance import RankedPairRecord
 from ..util import atomic_write, descending_order, stable_hash
 from ..verbalize import HYPHEN_STYLE, encode_ranker_input, tokenize, verbalize
 from .losses import LOSS_KINDS, RMSE, loss_and_grad
-from .ngram import DEFAULT_HASH_DIM, NgramLM, dense_features, hashed_counts
+from .ngram import DEFAULT_HASH_DIM, NgramLM, dense_features, hashed_slots
 
 logger = logging.getLogger(__name__)
 
@@ -127,24 +128,6 @@ class RegressionTree:
     right: list[int]
     value: list[float]
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(X), dtype=np.float64)
-        node = np.zeros(len(X), dtype=np.int64)
-        feature = np.asarray(self.feature)
-        threshold = np.asarray(self.threshold)
-        left = np.asarray(self.left)
-        right = np.asarray(self.right)
-        value = np.asarray(self.value)
-        active = feature[node] >= 0
-        while active.any():
-            rows = np.flatnonzero(active)
-            f = feature[node[rows]]
-            goes_left = X[rows, f] <= threshold[node[rows]]
-            node[rows] = np.where(goes_left, left[node[rows]], right[node[rows]])
-            active = feature[node] >= 0
-        out[:] = value[node]
-        return out
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -154,17 +137,97 @@ class RegressionTree:
                    left=list(d["left"]), right=list(d["right"]), value=list(d["value"]))
 
 
+def _tree_depth(tree: RegressionTree) -> int:
+    depth, level = 0, [0]
+    while True:
+        level = [child for node in level if tree.feature[node] >= 0
+                 for child in (tree.left[node], tree.right[node])]
+        if not level:
+            return depth
+        depth += 1
+
+
+class _TreeStack:
+    """The trees of an ensemble as flat ``(trees x width)`` node arrays.
+
+    Node ids are global (``tree * width + node``).  A leaf, and every padding
+    node, points both children at itself, so a row that has reached its leaf
+    stays there while deeper trees are still being walked.
+    """
+
+    def __init__(self, trees: Sequence[RegressionTree]):
+        self.trees = tuple(trees)
+        width = max((len(tree.feature) for tree in trees), default=1)
+        ids = np.arange(len(trees) * width).reshape(len(trees), width)
+        feature = np.zeros_like(ids)
+        threshold = np.zeros(ids.shape)
+        left = ids.copy()
+        right = ids.copy()
+        value = np.zeros(ids.shape)
+        for t, tree in enumerate(trees):
+            n = len(tree.feature)
+            split = np.asarray(tree.feature) >= 0
+            feature[t, :n] = np.where(split, tree.feature, 0)
+            threshold[t, :n] = tree.threshold
+            left[t, :n] = np.where(split, np.asarray(tree.left) + t * width, ids[t, :n])
+            right[t, :n] = np.where(split, np.asarray(tree.right) + t * width, ids[t, :n])
+            value[t, :n] = tree.value
+        self.roots = ids[:, 0].copy()
+        self.feature = feature.ravel()
+        self.threshold = threshold.ravel()
+        self.left = left.ravel()
+        self.right = right.ravel()
+        self.value = value.ravel()
+        self.depth = max((_tree_depth(tree) for tree in trees), default=0)
+
+    def built_from(self, trees: Sequence[RegressionTree]) -> bool:
+        return len(trees) == len(self.trees) and all(
+            a is b for a, b in zip(trees, self.trees))
+
+    def predict(self, X: np.ndarray, base_score: float, learning_rate: float) -> np.ndarray:
+        n_rows = len(X)
+        steps = np.empty((len(self.trees) + 1, n_rows))
+        steps[0] = base_score
+        if self.trees and n_rows:
+            flat = np.ravel(X)
+            row_start = np.arange(n_rows) * X.shape[1]
+            node = np.repeat(self.roots[:, None], n_rows, axis=1)
+            for _ in range(self.depth):
+                goes_left = flat[row_start + self.feature[node]] <= self.threshold[node]
+                node = np.where(goes_left, self.left[node], self.right[node])
+            steps[1:] = learning_rate * self.value[node]
+        # accumulate is defined to add row after row, so the float sum is the
+        # one of adding each tree's contribution in turn; a sum's order is
+        # numpy's choice.
+        return np.add.accumulate(steps, axis=0)[-1]
+
+
 @dataclass
 class GbdtEnsemble:
+    """``base_score`` plus ``learning_rate`` times each tree's leaf value,
+    added in tree order.
+
+    ``predict`` walks every row through every tree at once, one tree level
+    per round (QuickScorer, Lucchese et al., SIGIR 2015), over a stack of
+    the trees.  The stack is a cache, not part of the model: it is rebuilt
+    when the tree list is no longer the one it was built from, and is never
+    changed once built.  Threads that find it stale at the same time may
+    each build one; each predicts from its own, and whichever is stored
+    last is equal to the others.  Trees are not edited in place once added.
+    """
+
     base_score: float
     learning_rate: float
     trees: list[RegressionTree] = field(default_factory=list)
 
+    def __post_init__(self):
+        self._stack = _TreeStack(())
+
     def predict(self, X: np.ndarray) -> np.ndarray:
-        out = np.full(len(X), self.base_score, dtype=np.float64)
-        for tree in self.trees:
-            out += self.learning_rate * tree.predict(X)
-        return out
+        stack = self._stack
+        if not stack.built_from(self.trees):
+            stack = self._stack = _TreeStack(self.trees)
+        return stack.predict(X, self.base_score, self.learning_rate)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -268,9 +331,15 @@ def _dense_matrix(lm: NgramLM, pair, subgraphs, include_types) -> np.ndarray:
 
 
 def _hashed_matrix(lm: NgramLM, pair, subgraphs, cfg: FeatureConfig) -> np.ndarray:
-    return np.stack([
-        hashed_counts(ranker_input_tokens(pair, sg, cfg.include_types), lm.n, cfg.hash_dim)
-        for sg in subgraphs])
+    """Hashed n-gram counts, one row per subgraph, from one bincount over
+    ``row * hash_dim + slot``."""
+    slots = [hashed_slots(ranker_input_tokens(pair, sg, cfg.include_types), lm.n, cfg.hash_dim)
+             for sg in subgraphs]
+    rows = np.repeat(np.arange(len(slots)) * cfg.hash_dim, [len(row) for row in slots])
+    cells = rows + np.fromiter(itertools.chain.from_iterable(slots), dtype=np.int64,
+                               count=len(rows))
+    counts = np.bincount(cells, minlength=len(slots) * cfg.hash_dim)
+    return counts.reshape(len(slots), cfg.hash_dim).astype(np.float64)
 
 
 def score_subgraphs(model: RankerModel, pair: tuple[str, str],
@@ -393,27 +462,29 @@ def train_neural_ranker(dataset: Sequence[RankedPairRecord], lm: NgramLM, loss_k
                        train_loss_history=history)
 
 
-def _split_gains(Xn: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Best variance-reduction gain of every column of ``Xn`` and the bin
-    below its threshold; -inf where no split leaves MIN_LEAF rows a side.
+def _split_gains(X: np.ndarray, rows: np.ndarray, r: np.ndarray,
+                 width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Best variance-reduction gain of every column of ``X[rows]`` and the
+    bin below its threshold; -inf where no split leaves MIN_LEAF rows a side.
 
     Histogram method (Ke et al., NeurIPS 2017): one bincount over
     ``column * width + value`` bin ids sums the residuals of every
     (column, value) bin, in row order, and a cumulative sum along the bins
-    scores every threshold at once.  Columns go SPLIT_CHUNK at a time so the
-    bin-id array stays at rows x SPLIT_CHUNK.
+    scores every threshold at once.  ``width`` is one more than the largest
+    value in ``X``; bins above a node's own largest value leave no row on
+    the right, so they never score.  Columns go SPLIT_CHUNK at a time, and
+    only that slice of the node's rows is copied.
     """
-    n_cols = Xn.shape[1]
+    n_cols = X.shape[1]
     gains = np.full(n_cols, -np.inf)
     bins_below = np.zeros(n_cols, dtype=np.int64)
-    width = int(Xn.max()) + 1
     if width < 2:
         return gains, bins_below
     total_sum = r.sum()
     total_cnt = len(r)
     base = total_sum * total_sum / total_cnt
     for first in range(0, n_cols, SPLIT_CHUNK):
-        block = Xn[:, first:first + SPLIT_CHUNK]
+        block = X[rows, first:first + SPLIT_CHUNK]
         n_block = block.shape[1]
         bins = (block + np.arange(n_block) * width).ravel()
         sums = np.bincount(bins, weights=np.repeat(r, n_block), minlength=n_block * width)
@@ -434,12 +505,18 @@ def _split_gains(Xn: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return gains, bins_below
 
 
-def _fit_tree(X: np.ndarray, residuals: np.ndarray, max_depth: int) -> RegressionTree:
-    """Greedy variance-reduction regression tree on integer count features;
-    every leaf keeps at least MIN_LEAF rows.  Columns are taken in order, and
-    a column replaces the chosen one when its best gain is higher by more
-    than 1e-12; the split is at the chosen column's first best threshold."""
+def _fit_tree(X: np.ndarray, residuals: np.ndarray,
+              max_depth: int) -> tuple[RegressionTree, np.ndarray]:
+    """Greedy variance-reduction regression tree on integer count features,
+    and the value of the leaf each row of ``X`` falls into.
+
+    Every leaf keeps at least MIN_LEAF rows.  Columns are taken in order,
+    and a column replaces the chosen one when its best gain is higher by
+    more than 1e-12; the split is at the chosen column's first best
+    threshold."""
     tree = RegressionTree(feature=[], threshold=[], left=[], right=[], value=[])
+    leaf_values = np.empty(len(X))
+    width = int(X.max(initial=0)) + 1
 
     def add_node() -> int:
         tree.feature.append(-1)
@@ -453,22 +530,21 @@ def _fit_tree(X: np.ndarray, residuals: np.ndarray, max_depth: int) -> Regressio
         node = add_node()
         r = residuals[rows]
         tree.value[node] = float(r.mean())
-        if depth >= max_depth or len(rows) < 2 * MIN_LEAF or np.ptp(r) == 0.0:
-            return node
-        Xn = X[rows]
-        gains, bins_below = _split_gains(Xn, r)
         best_feature = -1
-        best_gain = 0.0
-        while True:
-            ahead = np.flatnonzero(gains[best_feature + 1:] > best_gain + 1e-12)
-            if not ahead.size:
-                break
-            best_feature += 1 + int(ahead[0])
-            best_gain = float(gains[best_feature])
+        if depth < max_depth and len(rows) >= 2 * MIN_LEAF and np.ptp(r) != 0.0:
+            gains, bins_below = _split_gains(X, rows, r, width)
+            best_gain = 0.0
+            while True:
+                ahead = np.flatnonzero(gains[best_feature + 1:] > best_gain + 1e-12)
+                if not ahead.size:
+                    break
+                best_feature += 1 + int(ahead[0])
+                best_gain = float(gains[best_feature])
         if best_feature < 0:
+            leaf_values[rows] = tree.value[node]
             return node
         best_threshold = int(bins_below[best_feature]) + 0.5
-        mask = Xn[:, best_feature] <= best_threshold
+        mask = X[rows, best_feature] <= best_threshold
         tree.feature[node] = best_feature
         tree.threshold[node] = best_threshold
         tree.left[node] = build(rows[mask], depth + 1)
@@ -476,7 +552,7 @@ def _fit_tree(X: np.ndarray, residuals: np.ndarray, max_depth: int) -> Regressio
         return node
 
     build(np.arange(len(X)), 0)
-    return tree
+    return tree, leaf_values
 
 
 def train_gbdt_ranker(dataset: Sequence[RankedPairRecord], lm: NgramLM,
@@ -500,9 +576,9 @@ def train_gbdt_ranker(dataset: Sequence[RankedPairRecord], lm: NgramLM,
     predictions = np.full(len(y), ensemble.base_score)
     history = [float(np.sqrt(np.mean((y - predictions) ** 2)))]
     for round_idx in range(config.gbdt_rounds):
-        tree = _fit_tree(X, y - predictions, config.gbdt_max_depth)
+        tree, leaf_values = _fit_tree(X, y - predictions, config.gbdt_max_depth)
         ensemble.trees.append(tree)
-        predictions += ensemble.learning_rate * tree.predict(X)
+        predictions += ensemble.learning_rate * leaf_values
         rmse = float(np.sqrt(np.mean((y - predictions) ** 2)))
         history.append(rmse)
         logger.debug("gbdt round %d: train rmse %.5f", round_idx + 1, rmse)

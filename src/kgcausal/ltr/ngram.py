@@ -143,14 +143,17 @@ def _ngram_slot(ngram: tuple[str, ...], hash_dim: int) -> int:
     return stable_hash(*ngram) % hash_dim
 
 
+def hashed_slots(tokens: Sequence[str], n: int, hash_dim: int = DEFAULT_HASH_DIM) -> list[int]:
+    """The hashed slot of every 1..n-gram, shortest n-grams first."""
+    tokens = tuple(tokens)
+    return [_ngram_slot(ngram, hash_dim) for order in range(1, n + 1)
+            for ngram in zip(*(tokens[i:] for i in range(order)))]
+
+
 def hashed_counts(tokens: Sequence[str], n: int, hash_dim: int = DEFAULT_HASH_DIM) -> np.ndarray:
     """Counts of all 1..n-grams, hashed into a fixed-size vector."""
-    counts = np.zeros(hash_dim, dtype=np.float64)
-    tokens = tuple(tokens)
-    for order in range(1, n + 1):
-        for i in range(len(tokens) - order + 1):
-            counts[_ngram_slot(tokens[i:i + order], hash_dim)] += 1.0
-    return counts
+    slots = np.asarray(hashed_slots(tokens, n, hash_dim), dtype=np.int64)
+    return np.bincount(slots, minlength=hash_dim).astype(np.float64)
 
 
 def dense_features(lm: NgramLM, tokens: Sequence[str]) -> np.ndarray:

@@ -254,6 +254,23 @@ class TestTrainRankDiscoverEval:
         assert all(row["subgraphs_used"] == [] for row in rows)
         assert all(row["predicted"] == "non-causal" for row in rows)
 
+    def test_no_subgraph_baseline_loads_no_kg(self, workdir, tmp_path):
+        """A config with only the llm section runs discover none, and its
+        predictions are those of the same run with kg.path set."""
+        root, world = workdir
+        llm = json.loads((root / "config.json").read_text())["llm"]
+        outputs = []
+        for name, config in (("with_kg", {"llm": llm, "kg": {"path": str(root / "kg.jsonl")}}),
+                             ("llm_only", {"llm": llm})):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(config), encoding="utf-8")
+            predictions = tmp_path / f"{name}.jsonl"
+            assert run("discover", "none", root / "pairs.jsonl", "--config", cfg,
+                       "--out", predictions) == EXIT_OK
+            outputs.append(predictions.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert len(outputs[1].splitlines()) == len(world.instances)
+
     def test_discover_backend_down_exits_2_without_output(self, pipeline, tmp_path):
         root, _, out = pipeline
         config = {
@@ -533,13 +550,14 @@ class TestConfigKeys:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", [["extract"], ["discover", "none"]],
+    @pytest.mark.parametrize("command", [lambda models: ["extract"],
+                                         lambda models: ["discover", models / "model.json"]],
                              ids=["extract", "discover"])
-    def test_missing_kg_path_exits_2(self, workdir, tmp_path, capsys, command):
-        root, _ = workdir
+    def test_missing_kg_path_exits_2(self, pipeline, tmp_path, capsys, command):
+        root, _, models = pipeline
         cfg = self._write_config(root, tmp_path, lambda config: config.pop("kg"))
         out = tmp_path / "out.jsonl"
-        code = run(*command, root / "pairs.jsonl", "--config", cfg, "--out", out)
+        code = run(*command(models), root / "pairs.jsonl", "--config", cfg, "--out", out)
         assert code == EXIT_CONFIG
         assert "kg.path is required" in capsys.readouterr().err
         assert not out.exists()

@@ -151,16 +151,19 @@ def count_expansions(monkeypatch):
     return calls
 
 
-def record_adjacency_reads(monkeypatch):
-    """The node of every ``KnowledgeGraph.neighbors`` call, in call order."""
+def record_adjacency_reads(monkeypatch, methods=("neighbors", "hops")):
+    """The node whose adjacency each call of the named ``KnowledgeGraph``
+    methods reads, in call order: ``neighbors`` reads all of it, ``hops``
+    looks up the triples to one other node."""
     nodes = []
-    neighbors = KnowledgeGraph.neighbors
+    for name in methods:
+        method = getattr(KnowledgeGraph, name)
 
-    def recording(self, node_id):
-        nodes.append(node_id)
-        return neighbors(self, node_id)
+        def recording(self, node_id, *args, method=method):
+            nodes.append(node_id)
+            return method(self, node_id, *args)
 
-    monkeypatch.setattr(KnowledgeGraph, "neighbors", recording)
+        monkeypatch.setattr(KnowledgeGraph, name, recording)
     return nodes
 
 
@@ -385,8 +388,9 @@ class TestEnumerate:
             set(expanded), key=chain.index)
 
     def test_search_grows_the_smaller_frontier(self, monkeypatch):
-        """a - x - b with 50 leaves on a: after one level from each side the
-        frontiers meet, so no leaf's adjacency is read."""
+        """a - x - b with 50 leaves on a: the search grows the frontier with
+        fewer adjacency triples, b's and then x's, and meets at a, so no
+        leaf's adjacency is read."""
         kg = KnowledgeGraph(
             [NodeRecord(id=i, name=i, node_type="T")
              for i in ["a", "x", "b", *(f"leaf{j}" for j in range(50))]],
@@ -397,6 +401,24 @@ class TestEnumerate:
         assert [sg.node_ids for sg in enumerate_subgraphs(kg, ("a", "b"), max_hops=3)] \
             == [("a", "x", "b")]
         assert set(expanded) == {"a", "x", "b"}
+
+    def test_walk_looks_up_the_hops_out_of_a_hub(self, monkeypatch):
+        """a - hub - b with 500 leaves on the hub: neither the search nor the
+        walk reads the hub's whole adjacency."""
+        leaves = [f"leaf{j:03d}" for j in range(500)]
+        kg = KnowledgeGraph(
+            [NodeRecord(id=i, name=i, node_type="T") for i in ["a", "hub", "b", *leaves]],
+            [EdgeRecord(head="a", relation="r", tail="hub"),
+             EdgeRecord(head="hub", relation="s", tail="b"),
+             EdgeRecord(head="b", relation="t", tail="hub"),
+             *(EdgeRecord(head="hub", relation="r", tail=leaf) for leaf in leaves)])
+        full_reads = record_adjacency_reads(monkeypatch, methods=("neighbors",))
+        found = enumerate_subgraphs(kg, ("a", "b"), max_hops=3)
+        assert as_key_set(found) == brute_force_shortest_paths(kg, "a", "b", 3)
+        assert [(sg.edge_labels, sg.edge_directions) for sg in found] == [
+            (("r", "s"), (FORWARD, FORWARD)), (("r", "t"), (FORWARD, REVERSE))]
+        assert full_reads
+        assert "hub" not in full_reads
 
     def test_parallel_edges_expand_each_node_path_once(self, monkeypatch):
         kg = doubled_chain()

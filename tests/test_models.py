@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -16,6 +20,7 @@ from kgcausal.ltr.models import (
     RANDOM,
     SIMILARITY,
     FeatureConfig,
+    GbdtEnsemble,
     NeuralParams,
     RankerModel,
     RegressionTree,
@@ -317,10 +322,126 @@ class TestGbdt:
         assert heldout_ndcg1(model, held, lm) >= 0.9
 
 
+class OracleTree(RegressionTree):
+    """A tree that predicts on its own, one tree at a time: the reference for
+    ``GbdtEnsemble.predict``, which walks every tree at once."""
+
+    def predict(self, X):
+        node = np.zeros(len(X), dtype=np.int64)
+        feature = np.asarray(self.feature)
+        threshold = np.asarray(self.threshold)
+        left = np.asarray(self.left)
+        right = np.asarray(self.right)
+        value = np.asarray(self.value, dtype=np.float64)
+        active = feature[node] >= 0
+        while active.any():
+            rows = np.flatnonzero(active)
+            f = feature[node[rows]]
+            goes_left = X[rows, f] <= threshold[node[rows]]
+            node[rows] = np.where(goes_left, left[node[rows]], right[node[rows]])
+            active = feature[node] >= 0
+        return value[node]
+
+
+def loop_predict(ensemble, X):
+    out = np.full(len(X), ensemble.base_score, dtype=np.float64)
+    for tree in ensemble.trees:
+        out += ensemble.learning_rate * OracleTree(**tree.to_dict()).predict(X)
+    return out
+
+
+def random_tree(rng, n_cols, max_depth):
+    """Nodes numbered in build order, as the trainer numbers them; thresholds
+    at and between the integer feature values."""
+    tree = RegressionTree(feature=[], threshold=[], left=[], right=[], value=[])
+
+    def build(depth):
+        node = len(tree.feature)
+        for column, blank in ((tree.feature, -1), (tree.threshold, 0.0),
+                              (tree.left, -1), (tree.right, -1)):
+            column.append(blank)
+        tree.value.append(float(rng.normal()))
+        if depth < max_depth and rng.random() < 0.75:
+            tree.feature[node] = int(rng.integers(n_cols))
+            tree.threshold[node] = float(rng.integers(0, 4)) + float(rng.choice([0.0, 0.5]))
+            tree.left[node] = build(depth + 1)
+            tree.right[node] = build(depth + 1)
+        return node
+
+    build(0)
+    return tree
+
+
+class TestEnsemblePredict:
+    """GbdtEnsemble.predict equals, bit for bit, one tree at a time."""
+
+    @staticmethod
+    def ensemble(rng, n_trees, n_cols):
+        return GbdtEnsemble(base_score=float(rng.normal()),
+                            learning_rate=float(rng.uniform(0.05, 1.0)),
+                            trees=[random_tree(rng, n_cols, int(rng.integers(0, 6)))
+                                   for _ in range(n_trees)])
+
+    @pytest.mark.parametrize("n_trees,n_rows,n_cols", [
+        (0, 5, 3), (1, 1, 1), (7, 12, 6), (30, 40, 50), (5, 0, 4)])
+    def test_equals_the_per_tree_loop(self, n_trees, n_rows, n_cols):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            ensemble = self.ensemble(rng, n_trees, n_cols)
+            X = rng.integers(0, 5, size=(n_rows, n_cols)).astype(np.float64)
+            got = ensemble.predict(X)
+            assert got.shape == (n_rows,)
+            assert np.array_equal(got, loop_predict(ensemble, X))
+
+    def test_leaf_only_and_mixed_depths(self):
+        rng = np.random.default_rng(3)
+        leaf = RegressionTree(feature=[-1], threshold=[0.0], left=[-1], right=[-1],
+                              value=[0.25])
+        deep = random_tree(rng, 4, 6)
+        ensemble = GbdtEnsemble(base_score=0.1, learning_rate=0.3,
+                                trees=[leaf, deep, leaf, random_tree(rng, 4, 1)])
+        X = rng.integers(0, 5, size=(25, 4)).astype(np.float64)
+        assert np.array_equal(ensemble.predict(X), loop_predict(ensemble, X))
+        only_leaves = GbdtEnsemble(base_score=0.1, learning_rate=0.3, trees=[leaf, leaf])
+        assert np.array_equal(only_leaves.predict(X), loop_predict(only_leaves, X))
+
+    def test_round_trip_and_append(self):
+        rng = np.random.default_rng(5)
+        ensemble = self.ensemble(rng, 6, 8)
+        X = rng.integers(0, 5, size=(30, 8)).astype(np.float64)
+        before = ensemble.predict(X)
+        assert set(ensemble.to_dict()) == {"base_score", "learning_rate", "trees"}
+        loaded = GbdtEnsemble.from_dict(json.loads(json.dumps(ensemble.to_dict())))
+        assert np.array_equal(loaded.predict(X), before)
+        ensemble.trees.append(random_tree(rng, 8, 4))
+        after = ensemble.predict(X)
+        assert np.array_equal(after, loop_predict(ensemble, X))
+        assert not np.array_equal(after, before)
+        ensemble.trees[0] = random_tree(rng, 8, 3)
+        assert np.array_equal(ensemble.predict(X), loop_predict(ensemble, X))
+
+    def test_threads_share_the_first_use(self):
+        """More threads than cores race to build the stack of fresh
+        ensembles; every score still equals the per-tree loop."""
+        rng = np.random.default_rng(9)
+        inputs = [rng.integers(0, 5, size=(n, 16)).astype(np.float64) for n in range(1, 9)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                ensemble = self.ensemble(rng, 30, 16)
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    got = list(pool.map(ensemble.predict, inputs * 2, timeout=60))
+                for X, scores in zip(inputs * 2, got):
+                    assert np.array_equal(scores, loop_predict(ensemble, X))
+        finally:
+            sys.setswitchinterval(interval)
+
+
 def loop_fit_tree(X, residuals, max_depth):
     """Split search one column at a time: the reference for the histogram
     split search of ``train_gbdt_ranker``, which must build the same trees."""
-    tree = RegressionTree(feature=[], threshold=[], left=[], right=[], value=[])
+    tree = OracleTree(feature=[], threshold=[], left=[], right=[], value=[])
 
     def build(rows, depth):
         node = len(tree.feature)
