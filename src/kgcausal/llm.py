@@ -275,7 +275,8 @@ class HttpBackend:
     whose body is not JSON) are retried up to ``max_retries`` extra attempts,
     after the delay of :func:`_retry_delay`; other client errors are surfaced
     immediately.  ``parallelism`` bounds in-flight requests; ``calls`` counts
-    ``complete`` calls.
+    ``complete`` calls.  The only credential sent is the one named by
+    ``credential_env``; netrc files are not read.
     """
 
     def __init__(self, endpoint: str, model: str, credential_env: Optional[str] = None,
@@ -286,7 +287,13 @@ class HttpBackend:
         self.max_retries = max_retries
         self.parallelism = max(1, parallelism)
         self.backend_id = f"http:{model}"
+        # Proxy and CA settings are read once; with trust_env on, the session
+        # rescanned them per request and let a netrc entry replace the header.
         self._session = requests.Session()
+        self._session.trust_env = False
+        self._session.proxies = requests.utils.get_environ_proxies(endpoint)
+        self._session.verify = (os.environ.get("REQUESTS_CA_BUNDLE")
+                                or os.environ.get("CURL_CA_BUNDLE") or True)
         self._jitter = random.Random()
         self._slots = threading.Semaphore(self.parallelism)
         self.calls = 0

@@ -24,7 +24,7 @@ import numpy as np
 from ..kg import FORWARD, MetapathSubgraph
 from ..relevance import RankedPairRecord
 from ..util import atomic_write, descending_order, stable_hash
-from ..verbalize import HYPHEN_STYLE, encode_ranker_input, tokenize, verbalize
+from ..verbalize import HYPHEN_STYLE, ranker_input_tokens, tokenize, verbalize
 from .losses import LOSS_KINDS, RMSE, loss_and_grad
 from .ngram import DEFAULT_HASH_DIM, NgramLM, dense_features, hashed_slots
 
@@ -257,12 +257,6 @@ class RankerModel:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.loss_kind is not None and self.loss_kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.loss_kind!r}")
-
-
-def ranker_input_tokens(pair: tuple[str, str], subgraph: MetapathSubgraph,
-                        include_types: bool = True) -> list[str]:
-    """Lowercased feature tokens for one (pair, subgraph) input."""
-    return tokenize(encode_ranker_input(pair, subgraph, include_types=include_types))
 
 
 def scorer_forward(params: NeuralParams, X: np.ndarray) -> np.ndarray:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -138,16 +137,27 @@ def train_ngram_lm(corpus: Sequence[Sequence[str]], n: int = 2, d: int = DEFAULT
                    output_weights=output_weights, loss_history=loss_history)
 
 
-@lru_cache(maxsize=1 << 14)
-def _ngram_slot(ngram: tuple[str, ...], hash_dim: int) -> int:
-    return stable_hash(*ngram) % hash_dim
+# N-grams whose slot is kept, per hash_dim; a table is emptied when full.
+_SLOTS_LIMIT = 1 << 14
+_slot_tables: dict[int, dict[tuple[str, ...], int]] = {}
 
 
 def hashed_slots(tokens: Sequence[str], n: int, hash_dim: int = DEFAULT_HASH_DIM) -> list[int]:
     """The hashed slot of every 1..n-gram, shortest n-grams first."""
+    table = _slot_tables.setdefault(hash_dim, {})
     tokens = tuple(tokens)
-    return [_ngram_slot(ngram, hash_dim) for order in range(1, n + 1)
-            for ngram in zip(*(tokens[i:] for i in range(order)))]
+    shifted = [tokens[i:] for i in range(n)]
+    ngrams = []
+    for order in range(1, n + 1):
+        ngrams += zip(*shifted[:order])
+    slots = list(map(table.get, ngrams))
+    if None in slots:
+        for i, slot in enumerate(slots):
+            if slot is None:
+                if len(table) >= _SLOTS_LIMIT:
+                    table.clear()
+                slots[i] = table[ngrams[i]] = stable_hash(*ngrams[i]) % hash_dim
+    return slots
 
 
 def hashed_counts(tokens: Sequence[str], n: int, hash_dim: int = DEFAULT_HASH_DIM) -> np.ndarray:

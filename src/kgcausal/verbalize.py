@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .kg import FORWARD, MetapathSubgraph
 
@@ -74,6 +74,23 @@ def verbalize(subgraph: MetapathSubgraph, style: VerbalizationStyle = PLAIN_ARRO
     return PREFIX + ", ".join(triples)
 
 
+def _ranker_layout(pair: tuple[str, str], subgraph: MetapathSubgraph, include_types: bool,
+                   words: Callable[[str], Sequence[str]]) -> list[str]:
+    """The layout of :func:`encode_ranker_input`, with ``words`` splitting
+    each text into tokens."""
+    a, b = pair
+    tokens = [CLS, *words(a), *words(b), SEP]
+    last_label = len(subgraph.node_names) - 2
+    for i, name in enumerate(subgraph.node_names):
+        if i > 0:
+            tokens.append("-")
+        if include_types:
+            tokens.extend(words(subgraph.node_types[i]
+                                or subgraph.edge_labels[min(i, last_label)]))
+        tokens.extend(words(name))
+    return tokens
+
+
 def encode_ranker_input(pair: tuple[str, str], subgraph: MetapathSubgraph,
                         include_types: bool = True) -> list[str]:
     """Token sequence fed to ranking models.
@@ -83,19 +100,7 @@ def encode_ranker_input(pair: tuple[str, str], subgraph: MetapathSubgraph,
     node has no type and types were requested, the adjacent edge label fills
     the type slot.
     """
-    a, b = pair
-    tokens = [CLS, *a.split(), *b.split(), SEP]
-    n = len(subgraph.node_names)
-    for i, name in enumerate(subgraph.node_names):
-        if i > 0:
-            tokens.append("-")
-        if include_types:
-            meta = subgraph.node_types[i]
-            if not meta:
-                meta = subgraph.edge_labels[min(i, n - 2)]
-            tokens.extend(meta.split())
-        tokens.extend(name.split())
-    return tokens
+    return _ranker_layout(pair, subgraph, include_types, str.split)
 
 
 def tokenize(text_or_tokens: Union[str, Iterable[str]]) -> list[str]:
@@ -105,3 +110,24 @@ def tokenize(text_or_tokens: Union[str, Iterable[str]]) -> list[str]:
     else:
         raw = [t for tok in text_or_tokens for t in str(tok).split()]
     return [t if t in _MARKERS else t.lower() for t in raw]
+
+
+# Texts whose tokenized words are kept; the cache is emptied when full.
+_WORDS_LIMIT = 1 << 14
+_words_cache: dict[str, tuple[str, ...]] = {}
+
+
+def _words(text: str) -> tuple[str, ...]:
+    words = _words_cache.get(text)
+    if words is None:
+        if len(_words_cache) >= _WORDS_LIMIT:
+            _words_cache.clear()
+        words = _words_cache[text] = tuple(tokenize(text))
+    return words
+
+
+def ranker_input_tokens(pair: tuple[str, str], subgraph: MetapathSubgraph,
+                        include_types: bool = True) -> list[str]:
+    """Lowercased feature tokens for one (pair, subgraph) input: the tokens
+    of :func:`encode_ranker_input`, from a cache of each text's words."""
+    return _ranker_layout(pair, subgraph, include_types, _words)

@@ -323,6 +323,31 @@ class TestHttpBackend:
         assert stub_server.authorizations == ["Bearer sk-secret"]
         assert "sk-secret" not in json.dumps(stub_server.requests[0])
 
+    @pytest.mark.parametrize("credential_env, expected", [
+        ("TEST_LLM_KEY", "Bearer sk-secret"), (None, None)])
+    def test_netrc_entry_is_never_sent(self, stub_server, monkeypatch, tmp_path,
+                                       credential_env, expected):
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine 127.0.0.1 login alice password hunter2\n")
+        netrc.chmod(0o600)
+        monkeypatch.setenv("NETRC", str(netrc))
+        monkeypatch.setenv("TEST_LLM_KEY", "sk-secret")
+        stub_server.script = [(200, ok_body())]
+        self.backend(stub_server, credential_env=credential_env).complete(
+            CompletionRequest(prompt="p"))
+        assert stub_server.authorizations == [expected]
+
+    def test_environment_proxy_carries_the_request(self, stub_server, monkeypatch):
+        for name in ("http_proxy", "no_proxy", "NO_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("HTTP_PROXY", f"http://127.0.0.1:{stub_server.server_address[1]}")
+        stub_server.script = [(200, ok_body())]
+        backend = HttpBackend(endpoint="http://backend.invalid/v1/completions", model="m",
+                              max_retries=0)
+        self.opened.append(backend)
+        assert backend.complete(CompletionRequest(prompt="p")).text == "causal"
+        assert len(stub_server.requests) == 1
+
 
 class TestRequestValidation:
     def test_empty_prompt_rejected(self):
