@@ -1,8 +1,8 @@
 """Loading a knowledge graph snapshot and querying metapath subgraphs.
 
 Builds a small drug/gene/disease graph on disk, loads it, and walks through
-the three query modes: shortest-path enumeration, type-pattern matching,
-and seeded downsampling.  Run with:  python demos/01_graph_paths.py
+shortest-path enumeration, the path renderings, and seeded downsampling.
+Run with:  python demos/01_graph_paths.py
 """
 
 import json
@@ -15,10 +15,9 @@ from kgcausal import (
     PLAIN_ARROWS_STYLE,
     enumerate_subgraphs,
     load_kg,
-    pattern_query,
     sample_subgraphs,
-    verbalize,
 )
+from kgcausal.verbalize import verbalize
 
 TRIPLES = [
     ("c1", "raloxifene", "Compound", "upregulates", "g1", "ERBB2", "Gene"),
@@ -58,14 +57,7 @@ def main() -> None:
         print("   hyphen:", verbalize(paths[0], HYPHEN_STYLE))
         print()
 
-        print("3. pattern query Compound -> Gene -> Disease:")
-        for sg in pattern_query(kg, ("raloxifene", "melanoma"),
-                                ["Compound", "Gene", "Disease"]):
-            print("   ", " / ".join(sg.node_types), "=>",
-                  verbalize(sg, HYPHEN_STYLE))
-        print()
-
-        print("4. seeded sampling keeps order and is reproducible:")
+        print("3. seeded sampling keeps order and is reproducible:")
         sampled = sample_subgraphs(paths, k=1, seed=7)
         print("   kept:", verbalize(sampled[0], HYPHEN_STYLE))
 

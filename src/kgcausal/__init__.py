@@ -25,7 +25,6 @@ from .kg import (
     NodeRecord,
     enumerate_subgraphs,
     load_kg,
-    pattern_query,
     sample_subgraphs,
 )
 from .llm import (
@@ -63,7 +62,6 @@ from .verbalize import (
     VerbalizationStyle,
     encode_ranker_input,
     tokenize,
-    verbalize,
 )
 from .discovery import (
     CausalPrediction,

@@ -124,7 +124,10 @@ def stub_server():
     server.authorizations = []
     server.lock = threading.Lock()
     server.disconnected = threading.Event()
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll lets shutdown() in teardown return at once rather than
+    # after the default half-second poll.
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                              daemon=True)
     thread.start()
     yield server
     server.shutdown()

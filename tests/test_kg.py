@@ -6,6 +6,7 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 
 from kgcausal import kg as kg_module
@@ -15,11 +16,11 @@ from kgcausal.kg import (
     REVERSE,
     EdgeRecord,
     KnowledgeGraph,
+    LoadReport,
     MetapathSubgraph,
     NodeRecord,
     enumerate_subgraphs,
     load_kg,
-    pattern_query,
     sample_subgraphs,
 )
 
@@ -79,6 +80,36 @@ class TestLoad:
         with pytest.raises(KGLoadError, match=":2"):
             load_kg(write_kg(tmp_path, lines))
 
+    def test_value_split_across_two_lines_rejected_at_the_first(self, tmp_path):
+        """Each line is one JSON value: a triple broken over two lines, both
+        malformed on their own, is not joined back together."""
+        line = jsonl_line("a", "A", "T", "r", "b", "B", "T")
+        cut = line.index('"tail"')
+        lines = [line, line[:cut], line[cut:]]
+        with pytest.raises(KGLoadError, match=r"kg\.jsonl:2: malformed line"):
+            load_kg(write_kg(tmp_path, lines))
+
+    def test_two_values_on_one_line_rejected(self, tmp_path):
+        line = jsonl_line("a", "A", "T", "r", "b", "B", "T")
+        lines = [line, line + " " + jsonl_line("b", "B", "T", "r", "c", "C", "T")]
+        with pytest.raises(KGLoadError, match=r"kg\.jsonl:2: malformed line"):
+            load_kg(write_kg(tmp_path, lines))
+
+    def test_id_name_or_type_that_is_not_a_string_rejected(self, tmp_path):
+        lines = [jsonl_line("a", "A", "T", "r", "b", "B", "T"),
+                 jsonl_line("c", "C", 7, "r", "b", "B", "T")]
+        with pytest.raises(KGLoadError, match=r"kg\.jsonl:2: node ids, names and types"):
+            load_kg(write_kg(tmp_path, lines))
+
+    def test_line_checks_come_before_the_string_check(self, tmp_path):
+        """A later line's conflicting redeclaration is named, not the earlier
+        empty id, as when the empty id was caught only once the file was read."""
+        lines = [jsonl_line("", "E", "T", "r", "b", "B", "T"),
+                 jsonl_line("a", "A", "T", "r", "b", "B", "T"),
+                 jsonl_line("a", "Other", "T", "r", "b", "B", "T")]
+        with pytest.raises(KGLoadError, match=r"kg\.jsonl:3: node id 'a' redeclared"):
+            load_kg(write_kg(tmp_path, lines))
+
     def test_missing_file_names_path(self, tmp_path):
         with pytest.raises(KGLoadError, match="nope.jsonl"):
             load_kg(tmp_path / "nope.jsonl")
@@ -122,6 +153,59 @@ class TestLoad:
         assert kg.resolve("SHARED") == ("x1", "x2")
 
 
+class TestViews:
+    """The string-facing views read back exactly the records the graph was
+    built from."""
+
+    def test_views_match_the_records(self):
+        rng = random.Random(3)
+        for _ in range(30):
+            nodes = [NodeRecord(id=f"n{i}", name=rng.choice(["x", "X", f"v{i}"]),
+                                node_type=rng.choice("AB"))
+                     for i in range(rng.randint(1, 14))]
+            edges = [EdgeRecord(head=rng.choice(nodes).id, relation=rng.choice(["r1", "r10", "r2"]),
+                                tail=rng.choice(nodes).id)
+                     for _ in range(rng.randint(0, 40))]
+            kg = KnowledgeGraph(nodes, edges)
+            unique = set(edges)
+            assert kg.edges == tuple(sorted(unique, key=lambda e: (e.head, e.relation, e.tail)))
+            assert kg.load_report == LoadReport(nodes=len(nodes), edges=len(unique),
+                                                duplicates_dropped=len(edges) - len(unique))
+            assert kg.nodes == {node.id: node for node in sorted(nodes, key=lambda n: n.id)}
+            names = {}
+            for node in sorted(nodes, key=lambda n: n.id):
+                names.setdefault(node.name.lower(), []).append(node.id)
+            assert kg.name_index == {name: tuple(ids) for name, ids in names.items()}
+            for node in nodes:
+                assert kg.resolve(node.name.upper()) == tuple(names[node.name.lower()])
+                triples = sorted([(e.tail, e.relation, FORWARD) for e in unique
+                                  if e.head == node.id]
+                                 + [(e.head, e.relation, REVERSE) for e in unique
+                                    if e.tail == node.id])
+                assert kg.neighbors(node.id) == tuple(triples)
+                assert kg.degree(node.id) == len(triples)
+                for other in nodes:
+                    assert kg.hops(node.id, other.id) == tuple(t for t in triples
+                                                               if t[0] == other.id)
+            assert kg.neighbors("absent") == () and kg.degree("absent") == 0
+
+    def test_unique_rows_the_same_packed_or_not(self):
+        """Rows are sorted through one packed int64 key when the column
+        bounds allow it, and row by row when they do not."""
+        rng = np.random.default_rng(0)
+        columns = [rng.integers(0, 5, 300) for _ in range(3)]
+        expected = sorted(set(zip(*(c.tolist() for c in columns))))
+        for bounds in ((5, 5, 5), (2 ** 31, 2 ** 31, 2 ** 31)):
+            rows = kg_module._unique_rows(columns, bounds)
+            assert list(zip(*(c.tolist() for c in rows))) == expected
+
+    def test_undeclared_endpoint_named_in_constructor_error(self):
+        with pytest.raises(KGLoadError, match="'ghost'"):
+            KnowledgeGraph([NodeRecord(id="a", name="A", node_type="T")],
+                           [EdgeRecord(head="a", relation="r", tail="a"),
+                            EdgeRecord(head="ghost", relation="r", tail="a")])
+
+
 def chain_graph(*names, relation="r"):
     nodes = [NodeRecord(id=n.lower(), name=n, node_type="T") for n in names]
     edges = [EdgeRecord(head=names[i].lower(), relation=relation, tail=names[i + 1].lower())
@@ -138,30 +222,31 @@ def doubled_chain():
     return KnowledgeGraph(nodes, edges)
 
 
-def count_expansions(monkeypatch):
-    """Count the node paths that get expanded into subgraphs."""
+def count_expansions(monkeypatch, kg):
+    """Count the node paths of ``kg``, as id tuples, that get expanded into
+    paths over parallel edges."""
     calls = []
     expand = kg_module._expand_node_path
 
-    def counting(kg, id_path, hop_options):
-        calls.append(tuple(id_path))
-        return expand(kg, id_path, hop_options)
+    def counting(node_path, hop_options):
+        calls.append(tuple(kg._ids[u] for u in node_path))
+        return expand(node_path, hop_options)
 
     monkeypatch.setattr(kg_module, "_expand_node_path", counting)
     return calls
 
 
-def record_adjacency_reads(monkeypatch, methods=("neighbors", "hops")):
-    """The node whose adjacency each call of the named ``KnowledgeGraph``
-    methods reads, in call order: ``neighbors`` reads all of it, ``hops``
-    looks up the triples to one other node."""
+def record_adjacency_reads(monkeypatch, methods=("_adjacent", "_hops")):
+    """The id of the node whose adjacency each call of the named int-level
+    ``KnowledgeGraph`` methods reads, in call order: ``_adjacent`` reads all
+    of it, ``_hops`` looks up the entries to given other nodes."""
     nodes = []
     for name in methods:
         method = getattr(KnowledgeGraph, name)
 
-        def recording(self, node_id, *args, method=method):
-            nodes.append(node_id)
-            return method(self, node_id, *args)
+        def recording(self, u, *args, method=method):
+            nodes.append(self._ids[u])
+            return method(self, u, *args)
 
         monkeypatch.setattr(KnowledgeGraph, name, recording)
     return nodes
@@ -216,31 +301,6 @@ def edge_options(kg: KnowledgeGraph, u: str, v: str):
         if edge.head == v and edge.tail == u:
             options.append((edge.relation, REVERSE))
     return options
-
-
-def brute_force_pattern_paths(kg: KnowledgeGraph, a: str, b: str, type_pattern,
-                              relation_pattern=None):
-    """Independent oracle for pattern_query: try every sequence of distinct
-    nodes of the pattern's length, keep those whose types match, and expand
-    the edges each hop may cross."""
-    a_ids = kg.name_index[a.lower()]
-    b_ids = kg.name_index[b.lower()]
-    expected = set()
-    for middle in itertools.permutations(sorted(kg.nodes), len(type_pattern) - 2):
-        for path in ((start, *middle, end) for start in a_ids for end in b_ids):
-            if len(set(path)) != len(path):
-                continue
-            if [kg.node(i).node_type for i in path] != list(type_pattern):
-                continue
-            hop_choices = []
-            for i, (u, v) in enumerate(zip(path, path[1:])):
-                options = edge_options(kg, u, v)
-                if relation_pattern is not None:
-                    options = [o for o in options if o[0] == relation_pattern[i]]
-                hop_choices.append(options)
-            for combo in itertools.product(*hop_choices):
-                expected.add((path, tuple(combo)))
-    return expected
 
 
 def random_typed_multigraph(rng: random.Random, n: int = 0) -> KnowledgeGraph:
@@ -412,7 +472,7 @@ class TestEnumerate:
              EdgeRecord(head="hub", relation="s", tail="b"),
              EdgeRecord(head="b", relation="t", tail="hub"),
              *(EdgeRecord(head="hub", relation="r", tail=leaf) for leaf in leaves)])
-        full_reads = record_adjacency_reads(monkeypatch, methods=("neighbors",))
+        full_reads = record_adjacency_reads(monkeypatch, methods=("_adjacent",))
         found = enumerate_subgraphs(kg, ("a", "b"), max_hops=3)
         assert as_key_set(found) == brute_force_shortest_paths(kg, "a", "b", 3)
         assert [(sg.edge_labels, sg.edge_directions) for sg in found] == [
@@ -422,7 +482,7 @@ class TestEnumerate:
 
     def test_parallel_edges_expand_each_node_path_once(self, monkeypatch):
         kg = doubled_chain()
-        calls = count_expansions(monkeypatch)
+        calls = count_expansions(monkeypatch, kg)
         found = enumerate_subgraphs(kg, ("a", "b"), max_hops=3)
         assert calls == [("a", "x", "y", "b")]
         assert len(found) == 8
@@ -437,88 +497,6 @@ class TestEnumerate:
             assert len(sg.node_types) == len(sg.node_names)
             assert len(sg.edge_labels) == len(sg.node_names) - 1
             assert len(set(sg.node_ids)) == len(sg.node_ids)
-
-
-class TestPatternQuery:
-    def test_compound_gene_disease_pattern(self, hetionet_style_kg):
-        found = pattern_query(hetionet_style_kg, ("Aspirin", "Headache"),
-                              ["Compound", "Gene", "Disease"])
-        assert [sg.node_ids for sg in found] == [("n1", "n2", "n3"), ("n1", "n4", "n3")]
-        assert all(sg.node_types == ("Compound", "Gene", "Disease") for sg in found)
-
-    def test_non_matching_pattern_is_empty(self, hetionet_style_kg):
-        assert pattern_query(hetionet_style_kg, ("Aspirin", "Headache"),
-                             ["Compound", "Disease"]) == []
-
-    def test_relation_pattern_filters(self, hetionet_style_kg):
-        found = pattern_query(hetionet_style_kg, ("Aspirin", "Headache"),
-                              ["Compound", "Gene", "Disease"],
-                              relation_pattern=["TARGETS", "ASSOCIATED_WITH"])
-        assert len(found) == 2
-        found = pattern_query(hetionet_style_kg, ("Aspirin", "Headache"),
-                              ["Compound", "Gene", "Disease"],
-                              relation_pattern=["TARGETS", "CAUSES"])
-        assert found == []
-
-    def test_pattern_longer_than_shortest_path_allowed(self, hetionet_style_kg):
-        found = pattern_query(hetionet_style_kg, ("PTGS2", "IL6"),
-                              ["Gene", "Compound", "Gene"])
-        assert [sg.node_ids for sg in found] == [("n2", "n1", "n4")]
-
-    def test_parallel_edges_expand_each_node_path_once(self, monkeypatch):
-        calls = count_expansions(monkeypatch)
-        found = pattern_query(doubled_chain(), ("a", "b"), ["T"] * 4)
-        assert calls == [("a", "x", "y", "b")]
-        assert len(found) == 8
-        assert [sg.sort_key() for sg in found] == sorted(sg.sort_key() for sg in found)
-
-    def test_matches_oracle_on_random_multigraphs(self):
-        rng = random.Random(7)
-        nonempty = 0
-        for trial in range(60):
-            kg = random_typed_multigraph(rng)
-            # Take the type and relation patterns from a random walk, so that
-            # most queries have answers, or draw them at random.
-            walk = [rng.choice(sorted(kg.nodes))]
-            relations = []
-            for _ in range(rng.randint(1, 3)):
-                steps = kg.neighbors(walk[-1])
-                if not steps:
-                    break
-                v, rel, _direction = rng.choice(steps)
-                walk.append(v)
-                relations.append(rel)
-            if len(walk) < 2 or kg.node(walk[0]).name == kg.node(walk[-1]).name:
-                continue
-            a, b = kg.node(walk[0]).name, kg.node(walk[-1]).name
-            type_pattern = [kg.node(i).node_type for i in walk]
-            if rng.random() < 0.3:
-                type_pattern = [rng.choice("ABC") for _ in walk]
-            for relation_pattern in (None, relations,
-                                     [rng.choice(["r1", "r2", "r3"]) for _ in relations]):
-                found = pattern_query(kg, (a, b), type_pattern, relation_pattern)
-                expected = brute_force_pattern_paths(kg, a, b, type_pattern, relation_pattern)
-                assert as_key_set(found) == expected, (
-                    f"trial {trial}: pair ({a}, {b}), types {type_pattern}, "
-                    f"relations {relation_pattern}")
-                assert len(found) == len(expected)
-                assert [sg.sort_key() for sg in found] == sorted(sg.sort_key() for sg in found)
-                nonempty += bool(found)
-        assert nonempty >= 30
-
-    def test_validation(self, hetionet_style_kg):
-        with pytest.raises(ValueError):
-            pattern_query(hetionet_style_kg, ("Aspirin", "Headache"), ["Compound"])
-        with pytest.raises(ValueError):
-            pattern_query(hetionet_style_kg, ("Aspirin", "Headache"),
-                          ["Compound", "Gene", "Disease"], relation_pattern=["TARGETS"])
-
-    def test_output_subset_of_simple_paths(self, hetionet_style_kg):
-        found = pattern_query(hetionet_style_kg, ("Aspirin", "Headache"),
-                              ["Compound", "Gene", "Disease"])
-        for sg in found:
-            assert len(set(sg.node_ids)) == len(sg.node_ids)
-            assert len(sg) == 2
 
 
 class TestSample:
