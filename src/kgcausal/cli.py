@@ -36,7 +36,6 @@ from .ltr.metrics import ndcg_at_k, recall_at_k
 from .ltr.models import (
     GBDT,
     NEURAL,
-    FeatureConfig,
     RankerModel,
     TrainConfig,
     load_model,
@@ -58,7 +57,14 @@ from .relevance import (
     read_instances,
     read_ranked_dataset,
 )
-from .util import atomic_write, descending_order, read_jsonl, stable_hash, write_jsonl
+from .util import (
+    atomic_write,
+    descending_order,
+    parse_fields,
+    read_jsonl,
+    stable_hash,
+    write_jsonl,
+)
 from .verbalize import VerbalizationStyle
 
 logger = logging.getLogger(__name__)
@@ -205,32 +211,46 @@ def cmd_extract(args, config: dict) -> int:
     return EXIT_OK
 
 
-def cmd_estimate(args, config: dict) -> int:
-    k_max = config["sre"]["k_max"]
-    rows = read_jsonl(args.candidates)
-    jobs = []
-    for row in rows:
-        subgraphs = [MetapathSubgraph.from_dict(d) for d in row.get("subgraphs", [])]
-        if subgraphs:
-            jobs.append((PairInstance.from_dict(row), subgraphs[:k_max]))
+def _backend_stage(args, config: dict, command: str, pairs: int, run, summarize) -> int:
+    """The failure policy shared by the stages that call the backend per pair.
+
+    ``run(backend)`` returns the stage's ``llm.PairResults`` over ``pairs``
+    pairs.  When every pair failed, nothing is written and the exit code is
+    2.  Otherwise the records and a sidecar holding ``summarize(result)`` are
+    written, and the exit code is 1 when a pair was skipped or the summary
+    counts an unparseable answer.
+    """
     backend = make_backend(config)
     try:
-        result = estimate_relevance(jobs, backend)
+        result = run(backend)
     finally:
         backend.close()
-
-    failures = result.skipped_backend_error
-    if jobs and failures == len(jobs):
+    if pairs and result.skipped_backend_error == pairs:
         logger.error("backend failed for every pair; writing no output")
         return EXIT_CONFIG
     write_jsonl(args.out, [record.to_dict() for record in result.records])
-    summary = {"pairs": len(rows), "records_written": len(result.records),
-               "skipped_no_subgraphs": len(rows) - len(jobs),
-               "skipped_backend_error": failures,
-               "backend_calls": result.backend_calls}
-    _write_meta(args.out, "estimate", config, summary)
-    logger.info("estimate: %s", summary)
-    return EXIT_DEGRADED if failures else EXIT_OK
+    summary = summarize(result)
+    _write_meta(args.out, command, config, summary)
+    logger.info("%s: %s", command, summary)
+    degraded = result.skipped_backend_error or summary.get("unparseable")
+    return EXIT_DEGRADED if degraded else EXIT_OK
+
+
+def _candidate_row(row: dict) -> tuple[PairInstance, list[MetapathSubgraph]]:
+    return (PairInstance.from_dict(row),
+            [MetapathSubgraph.from_dict(d) for d in row.get("subgraphs", [])])
+
+
+def cmd_estimate(args, config: dict) -> int:
+    k_max = config["sre"]["k_max"]
+    rows = read_jsonl(args.candidates, _candidate_row)
+    jobs = [(inst, subgraphs[:k_max]) for inst, subgraphs in rows if subgraphs]
+    return _backend_stage(
+        args, config, "estimate", len(jobs), lambda backend: estimate_relevance(jobs, backend),
+        lambda result: {"pairs": len(rows), "records_written": len(result.records),
+                        "skipped_no_subgraphs": len(rows) - len(jobs),
+                        "skipped_backend_error": result.skipped_backend_error,
+                        "backend_calls": result.backend_calls})
 
 
 def cmd_train(args, config: dict) -> int:
@@ -244,7 +264,7 @@ def cmd_train(args, config: dict) -> int:
     for record in dataset:
         pair = record_pair(record)
         for sg in record_subgraphs(record):
-            corpus.append(ranker_input_tokens(pair, sg, include_types=True))
+            corpus.append(ranker_input_tokens(pair, sg))
     lm = train_ngram_lm(corpus, n=rcfg["ngram"]["n"], d=rcfg["ngram"]["d"],
                         seed=stage_seed(seed, "ngram"),
                         epochs=rcfg["ngram"]["epochs"],
@@ -261,7 +281,7 @@ def cmd_train(args, config: dict) -> int:
     elif kind == GBDT:
         model = train_gbdt_ranker(dataset, lm, train_config)
     elif kind in ("similarity", "random"):
-        model = RankerModel(kind=kind, seed=seed, feature_config=FeatureConfig())
+        model = RankerModel(kind=kind, seed=seed)
     else:
         raise KgcausalError(f"unknown ranker kind {kind!r}")
 
@@ -275,26 +295,23 @@ def cmd_train(args, config: dict) -> int:
     return EXIT_OK
 
 
-def _rows_to_subgraph_sets(rows):
-    """Candidate or ranked-dataset rows -> (pair instance dict, subgraphs, gains)."""
-    for row in rows:
-        if "metapaths" in row:
-            record = RankedPairRecord.from_dict(row)
-            subgraphs = record_subgraphs(record)
-            gains = [mp.relscore for mp in record.metapaths]
-            relevant = [mp.relevant == "1" for mp in record.metapaths]
-            yield record.qid, (record.e1, record.e2), subgraphs, gains, relevant
-        else:
-            subgraphs = [MetapathSubgraph.from_dict(d) for d in row.get("subgraphs", [])]
-            yield str(row["qid"]), (row["e1"], row["e2"]), subgraphs, None, None
+def _subgraph_set(row: dict):
+    """A candidate or ranked-dataset row -> (qid, pair, subgraphs, gains,
+    relevant flags); the last two are None for a candidate row."""
+    if "metapaths" in row:
+        record = RankedPairRecord.from_dict(row)
+        gains = [mp.relscore for mp in record.metapaths]
+        relevant = [mp.relevant == "1" for mp in record.metapaths]
+        return record.qid, (record.e1, record.e2), record_subgraphs(record), gains, relevant
+    subgraphs = [MetapathSubgraph.from_dict(d) for d in row.get("subgraphs", [])]
+    return str(row["qid"]), (row["e1"], row["e2"]), subgraphs, None, None
 
 
 def cmd_rank(args, config: dict) -> int:
     model, lm = load_model(args.model)
-    rows = read_jsonl(args.candidates)
 
     out_rows = []
-    for qid, pair, subgraphs, gains, relevant in _rows_to_subgraph_sets(rows):
+    for qid, pair, subgraphs, gains, relevant in read_jsonl(args.candidates, _subgraph_set):
         if not subgraphs:
             out_rows.append({"qid": qid, "order": [], "entries": []})
             continue
@@ -332,35 +349,25 @@ def cmd_discover(args, config: dict) -> int:
         style=VerbalizationStyle(variant=config["discovery"]["style"]),
     )
 
-    backend = make_backend(config)
-    try:
-        result = classify_pairs(instances, kg, model, backend, config=discovery_config, lm=lm)
-    finally:
-        backend.close()
-
-    failures = result.skipped_backend_error
-    if instances and failures == len(instances):
-        logger.error("backend failed for every pair; writing no output")
-        return EXIT_CONFIG
-    unparseable = sum(1 for p in result.records if p.predicted is None)
-    write_jsonl(args.out, [p.to_dict() for p in result.records])
-    summary = {"pairs": len(instances), "predictions_written": len(result.records),
-               "skipped_backend_error": failures, "unparseable": unparseable,
-               "backend_calls": result.backend_calls, "k": discovery_config.k}
-    _write_meta(args.out, "discover", config, summary)
-    logger.info("discover: %s", summary)
-    return EXIT_DEGRADED if unparseable or failures else EXIT_OK
+    return _backend_stage(
+        args, config, "discover", len(instances),
+        lambda backend: classify_pairs(instances, kg, model, backend,
+                                       config=discovery_config, lm=lm),
+        lambda result: {"pairs": len(instances), "predictions_written": len(result.records),
+                        "skipped_backend_error": result.skipped_backend_error,
+                        "unparseable": sum(1 for p in result.records if p.predicted is None),
+                        "backend_calls": result.backend_calls, "k": discovery_config.k})
 
 
 def _ranking_metrics(rankings_path: Path, ks) -> dict:
-    rows = read_jsonl(rankings_path)
-    scored = [r for r in rows if r["entries"] and "gain" in r["entries"][0]]
+    rankings = read_jsonl(rankings_path, lambda row: row["entries"])
+    scored = [entries for entries in rankings if entries and "gain" in entries[0]]
     out = {}
     for k in ks:
         ndcgs, recalls = [], []
-        for row in scored:
-            gains = [e["gain"] for e in row["entries"]]
-            relevant = [bool(e.get("relevant")) for e in row["entries"]]
+        for entries in scored:
+            gains = [e["gain"] for e in entries]
+            relevant = [bool(e.get("relevant")) for e in entries]
             ndcgs.append(ndcg_at_k(gains, k))
             recalls.append(recall_at_k(relevant, k, sum(relevant)))
         if scored:
@@ -386,8 +393,8 @@ def cmd_eval(args, config: dict) -> int:
     graph = None
     if args.gold_adjacency:
         doc = json.loads(Path(args.gold_adjacency).read_text(encoding="utf-8"))
-        variables = doc["variables"]
-        gold_matrix = doc["matrix"]
+        variables, gold_matrix = parse_fields(lambda d: (d["variables"], d["matrix"]), doc,
+                                              str(args.gold_adjacency))
         by_qid = {inst.qid: inst for inst in golds}
         pair_labels = {}
         for pred in predictions:

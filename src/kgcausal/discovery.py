@@ -265,4 +265,4 @@ class EvaluationReport:
 
 
 def read_predictions(path) -> list[CausalPrediction]:
-    return [CausalPrediction.from_dict(d) for d in read_jsonl(path)]
+    return read_jsonl(path, CausalPrediction.from_dict)

@@ -297,21 +297,8 @@ class KnowledgeGraph:
         if u is None:
             return ()
         first, end = self._offsets[u], self._offsets[u + 1]
-        return self._triples(zip(self._neighbours[first:end], self._hop_codes[first:end]))
-
-    def degree(self, node_id: str) -> int:
-        """The number of :meth:`neighbors` triples, without reading them."""
-        u = self._node_int(node_id)
-        return 0 if u is None else self._degrees[u]
-
-    def hops(self, node_id: str, other: str) -> tuple[tuple[str, str, str], ...]:
-        """The :meth:`neighbors` triples of ``node_id`` that lead to ``other``,
-        found by bisection in the sorted adjacency; empty when the two are
-        not adjacent."""
-        u, v = self._node_int(node_id), self._node_int(other)
-        if u is None or v is None:
-            return ()
-        return self._triples((v, c) for _v, codes in self._hops(u, (v,)) for c in codes)
+        return tuple((self._ids[v], self._hop_labels[c], _DIRECTIONS[c & 1])
+                     for v, c in zip(self._neighbours[first:end], self._hop_codes[first:end]))
 
     def resolve(self, name: str) -> tuple[str, ...]:
         """All node ids whose name matches case-insensitively."""
@@ -322,11 +309,6 @@ class KnowledgeGraph:
     def _node_int(self, node_id: str) -> Optional[int]:
         u = bisect.bisect_left(self._ids, node_id)
         return u if u < len(self._ids) and self._ids[u] == node_id else None
-
-    def _triples(self, entries: Iterable[tuple[int, int]]) -> tuple[tuple[str, str, str], ...]:
-        """(neighbor id, relation, direction) of each (neighbour, hop code)."""
-        return tuple((self._ids[v], self._hop_labels[c], _DIRECTIONS[c & 1])
-                     for v, c in entries)
 
     def _resolve(self, name: str) -> array:
         """The ints of the nodes named ``name``, case-insensitively, ascending."""

@@ -354,20 +354,24 @@ class HttpBackend:
             f"backend unreachable after {1 + self.max_retries} attempts: {last_error}")
 
     def _parse(self, body: dict, request: CompletionRequest) -> Completion:
+        """The completion in an OpenAI-style body.  A body of any other shape
+        raises BackendUnavailable, so the caller skips the pair."""
         try:
             choice = body["choices"][0]
             text = choice["text"]
-        except (KeyError, IndexError, TypeError) as exc:
+            logprobs = choice.get("logprobs") or {}
+            token_strings = logprobs.get("tokens")
+            token_logprobs = logprobs.get("token_logprobs")
+            tokens: tuple[tuple[str, float], ...] = ()
+            if token_strings is not None and token_logprobs is not None:
+                tokens = tuple(
+                    (tok, min(0.0, float(lp)))
+                    for tok, lp in zip(token_strings, token_logprobs)
+                    if lp is not None)
+        except (KeyError, IndexError, TypeError, AttributeError, ValueError) as exc:
             raise BackendUnavailable(f"malformed backend response: {exc}") from exc
-        tokens: tuple[tuple[str, float], ...] = ()
-        logprobs = choice.get("logprobs") or {}
-        token_strings = logprobs.get("tokens")
-        token_logprobs = logprobs.get("token_logprobs")
-        if token_strings is not None and token_logprobs is not None:
-            tokens = tuple(
-                (tok, min(0.0, float(lp)))
-                for tok, lp in zip(token_strings, token_logprobs)
-                if lp is not None)
+        if not all(isinstance(t, str) for t in (text, *(tok for tok, _ in tokens))):
+            raise BackendUnavailable("malformed backend response: non-string text or token")
         if request.want_logprobs and not tokens:
             raise CapabilityMissing("backend did not return token log-probabilities")
         return Completion(text=text, tokens=tokens, backend_id=self.backend_id)

@@ -6,12 +6,6 @@ from .losses import (
     RANKNET,
     RMSE,
     loss_and_grad,
-    loss_listnet,
-    loss_listnet_grad,
-    loss_ranknet,
-    loss_ranknet_grad,
-    loss_rmse,
-    loss_rmse_grad,
     ranknet_terms,
 )
 from .metrics import dcg_at_k, ndcg_at_k, recall_at_k
@@ -21,7 +15,6 @@ from .models import (
     NEURAL,
     RANDOM,
     SIMILARITY,
-    FeatureConfig,
     GbdtEnsemble,
     NeuralParams,
     RankerModel,
@@ -43,21 +36,18 @@ from .ngram import (
     UNK,
     NgramLM,
     dense_features,
-    hashed_counts,
     train_ngram_lm,
 )
 
 __all__ = [
     "LISTNET", "LOSS_KINDS", "RANKNET", "RMSE",
-    "loss_and_grad", "loss_listnet", "loss_listnet_grad", "loss_ranknet", "loss_ranknet_grad",
-    "loss_rmse", "loss_rmse_grad", "ranknet_terms",
+    "loss_and_grad", "ranknet_terms",
     "dcg_at_k", "ndcg_at_k", "recall_at_k",
     "GBDT", "MODEL_KINDS", "NEURAL", "RANDOM", "SIMILARITY",
-    "FeatureConfig", "GbdtEnsemble", "NeuralParams", "RankerModel",
-    "RegressionTree", "TrainConfig",
+    "GbdtEnsemble", "NeuralParams", "RankerModel", "RegressionTree", "TrainConfig",
     "load_model", "rank_subgraphs", "ranker_input_tokens",
     "record_pair", "record_subgraphs", "save_model", "score_subgraphs",
     "scorer_forward", "scorer_loss_and_grads",
     "train_gbdt_ranker", "train_neural_ranker",
-    "UNK", "NgramLM", "dense_features", "hashed_counts", "train_ngram_lm",
+    "UNK", "NgramLM", "dense_features", "train_ngram_lm",
 ]

@@ -9,7 +9,7 @@ central finite differences.  All arithmetic is float64.
 ``offsets``, the index where each segment (one record's paths) starts;
 without ``offsets`` the whole vector is one segment.  The value is the sum
 of the per-segment losses, so the gradient of a stack is the per-segment
-gradients side by side.  The ``loss_*`` functions score one segment.
+gradients side by side.
 """
 
 from __future__ import annotations
@@ -96,22 +96,13 @@ def loss_and_grad(loss_kind: str, scores: Sequence[float],
     return float(-(p * log_q).sum()), q - p
 
 
-def loss_rmse(scores: Sequence[float], targets: Sequence[float]) -> float:
-    """Root mean squared difference between scores and targets."""
-    return loss_and_grad(RMSE, scores, targets=targets)[0]
-
-
-def loss_rmse_grad(scores: Sequence[float], targets: Sequence[float]) -> np.ndarray:
-    """d(rmse)/d(scores); zero at the (non-differentiable) exact fit."""
-    return loss_and_grad(RMSE, scores, targets=targets)[1]
-
-
 def ranknet_terms(scores: Sequence[float], ranks: Sequence[int]) -> list[float]:
     """One softplus term per ordered pair whose first item ranks better.
 
     Rank 1 is the most relevant item; each term log(1 + exp(-(s_i - s_j)))
     pushes the better-ranked item's score above the worse-ranked one.  The
-    loop is the reference that :func:`loss_ranknet` is tested against.
+    loop is the reference that :func:`loss_and_grad`'s RankNet value is
+    tested against.
     """
     s = _as_float(scores)
     starts, seg = _segments(s.size, None)
@@ -123,20 +114,3 @@ def ranknet_terms(scores: Sequence[float], ranks: Sequence[int]) -> list[float]:
                 terms.append(float(np.logaddexp(0.0, -(s[i] - s[j]))))
     return terms
 
-
-def loss_ranknet(scores: Sequence[float], ranks: Sequence[int]) -> float:
-    """Pairwise order loss summed over all k(k-1)/2 preference pairs."""
-    return loss_and_grad(RANKNET, scores, ranks=ranks)[0]
-
-
-def loss_ranknet_grad(scores: Sequence[float], ranks: Sequence[int]) -> np.ndarray:
-    return loss_and_grad(RANKNET, scores, ranks=ranks)[1]
-
-
-def loss_listnet(scores: Sequence[float], targets: Sequence[float]) -> float:
-    """Cross entropy between the target and score top-one distributions."""
-    return loss_and_grad(LISTNET, scores, targets=targets)[0]
-
-
-def loss_listnet_grad(scores: Sequence[float], targets: Sequence[float]) -> np.ndarray:
-    return loss_and_grad(LISTNET, scores, targets=targets)[1]

@@ -23,7 +23,7 @@ import numpy as np
 
 from ..kg import FORWARD, MetapathSubgraph
 from ..relevance import RankedPairRecord
-from ..util import atomic_write, descending_order, stable_hash
+from ..util import atomic_write, descending_order, parse_fields, stable_hash
 from ..verbalize import HYPHEN_STYLE, ranker_input_tokens, tokenize, verbalize
 from .losses import LOSS_KINDS, RMSE, loss_and_grad
 from .ngram import DEFAULT_HASH_DIM, NgramLM, dense_features, hashed_slots
@@ -40,19 +40,8 @@ DEFAULT_HIDDEN = 64
 MIN_LEAF = 1
 SPLIT_CHUNK = 128  # columns per GBDT split histogram
 MODEL_FORMAT_VERSION = "v1"
-
-
-@dataclass(frozen=True)
-class FeatureConfig:
-    include_types: bool = True
-    hash_dim: int = DEFAULT_HASH_DIM
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FeatureConfig":
-        return cls(include_types=d["include_types"], hash_dim=d["hash_dim"])
+# The feature settings every model file records; no other value is read.
+FEATURE = {"include_types": True, "hash_dim": DEFAULT_HASH_DIM}
 
 
 @dataclass(frozen=True)
@@ -156,7 +145,6 @@ class _TreeStack:
     """
 
     def __init__(self, trees: Sequence[RegressionTree]):
-        self.trees = tuple(trees)
         width = max((len(tree.feature) for tree in trees), default=1)
         ids = np.arange(len(trees) * width).reshape(len(trees), width)
         feature = np.zeros_like(ids)
@@ -180,15 +168,11 @@ class _TreeStack:
         self.value = value.ravel()
         self.depth = max((_tree_depth(tree) for tree in trees), default=0)
 
-    def built_from(self, trees: Sequence[RegressionTree]) -> bool:
-        return len(trees) == len(self.trees) and all(
-            a is b for a, b in zip(trees, self.trees))
-
     def predict(self, X: np.ndarray, base_score: float, learning_rate: float) -> np.ndarray:
         n_rows = len(X)
-        steps = np.empty((len(self.trees) + 1, n_rows))
+        steps = np.empty((len(self.roots) + 1, n_rows))
         steps[0] = base_score
-        if self.trees and n_rows:
+        if len(self.roots) and n_rows:
             flat = np.ravel(X)
             row_start = np.arange(n_rows) * X.shape[1]
             node = np.repeat(self.roots[:, None], n_rows, axis=1)
@@ -202,32 +186,26 @@ class _TreeStack:
         return np.add.accumulate(steps, axis=0)[-1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GbdtEnsemble:
     """``base_score`` plus ``learning_rate`` times each tree's leaf value,
     added in tree order.
 
     ``predict`` walks every row through every tree at once, one tree level
     per round (QuickScorer, Lucchese et al., SIGIR 2015), over a stack of
-    the trees.  The stack is a cache, not part of the model: it is rebuilt
-    when the tree list is no longer the one it was built from, and is never
-    changed once built.  Threads that find it stale at the same time may
-    each build one; each predicts from its own, and whichever is stored
-    last is equal to the others.  Trees are not edited in place once added.
+    the trees built with the ensemble.  Trees are not edited in place.
     """
 
     base_score: float
     learning_rate: float
-    trees: list[RegressionTree] = field(default_factory=list)
+    trees: tuple[RegressionTree, ...] = ()
 
     def __post_init__(self):
-        self._stack = _TreeStack(())
+        object.__setattr__(self, "trees", tuple(self.trees))
+        object.__setattr__(self, "_stack", _TreeStack(self.trees))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        stack = self._stack
-        if not stack.built_from(self.trees):
-            stack = self._stack = _TreeStack(self.trees)
-        return stack.predict(X, self.base_score, self.learning_rate)
+        return self._stack.predict(X, self.base_score, self.learning_rate)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -236,7 +214,7 @@ class GbdtEnsemble:
     def from_dict(cls, d: dict) -> "GbdtEnsemble":
         return cls(base_score=float(d["base_score"]),
                    learning_rate=float(d["learning_rate"]),
-                   trees=[RegressionTree.from_dict(t) for t in d["trees"]])
+                   trees=tuple(RegressionTree.from_dict(t) for t in d["trees"]))
 
 
 @dataclass
@@ -246,7 +224,6 @@ class RankerModel:
     kind: str
     loss_kind: Optional[str] = None
     seed: int = 0
-    feature_config: FeatureConfig = field(default_factory=FeatureConfig)
     neural: Optional[NeuralParams] = None
     gbdt: Optional[GbdtEnsemble] = None
     train_loss_history: list[float] = field(default_factory=list)
@@ -318,22 +295,20 @@ def record_subgraphs(record: RankedPairRecord) -> list[MetapathSubgraph]:
     return out
 
 
-def _dense_matrix(lm: NgramLM, pair, subgraphs, include_types) -> np.ndarray:
-    return np.stack([
-        dense_features(lm, ranker_input_tokens(pair, sg, include_types))
-        for sg in subgraphs])
+def _dense_matrix(lm: NgramLM, pair, subgraphs) -> np.ndarray:
+    return np.stack([dense_features(lm, ranker_input_tokens(pair, sg)) for sg in subgraphs])
 
 
-def _hashed_matrix(lm: NgramLM, pair, subgraphs, cfg: FeatureConfig) -> np.ndarray:
+def _hashed_matrix(lm: NgramLM, pair, subgraphs) -> np.ndarray:
     """Hashed n-gram counts, one row per subgraph, from one bincount over
-    ``row * hash_dim + slot``."""
-    slots = [hashed_slots(ranker_input_tokens(pair, sg, cfg.include_types), lm.n, cfg.hash_dim)
-             for sg in subgraphs]
-    rows = np.repeat(np.arange(len(slots)) * cfg.hash_dim, [len(row) for row in slots])
+    ``row * DEFAULT_HASH_DIM + slot``."""
+    dim = DEFAULT_HASH_DIM
+    slots = [hashed_slots(ranker_input_tokens(pair, sg), lm.n, dim) for sg in subgraphs]
+    rows = np.repeat(np.arange(len(slots)) * dim, [len(row) for row in slots])
     cells = rows + np.fromiter(itertools.chain.from_iterable(slots), dtype=np.int64,
                                count=len(rows))
-    counts = np.bincount(cells, minlength=len(slots) * cfg.hash_dim)
-    return counts.reshape(len(slots), cfg.hash_dim).astype(np.float64)
+    counts = np.bincount(cells, minlength=len(slots) * dim)
+    return counts.reshape(len(slots), dim).astype(np.float64)
 
 
 def score_subgraphs(model: RankerModel, pair: tuple[str, str],
@@ -342,13 +317,11 @@ def score_subgraphs(model: RankerModel, pair: tuple[str, str],
     """Model scores in input order."""
     if not subgraphs:
         return np.zeros(0, dtype=np.float64)
-    cfg = model.feature_config
     if model.kind == NEURAL:
-        X = _dense_matrix(lm, pair, subgraphs, cfg.include_types)
+        X = _dense_matrix(lm, pair, subgraphs)
         return scorer_forward(model.neural, model.neural.standardize(X))
     if model.kind == GBDT:
-        X = _hashed_matrix(lm, pair, subgraphs, cfg)
-        return model.gbdt.predict(X)
+        return model.gbdt.predict(_hashed_matrix(lm, pair, subgraphs))
     if model.kind == SIMILARITY:
         pair_vec = dense_features(lm, tokenize(f"{pair[0]} - {pair[1]}"))
         scores = []
@@ -388,8 +361,7 @@ def _eligible_records(dataset: Sequence[RankedPairRecord], loss_kind: str):
 
 
 def train_neural_ranker(dataset: Sequence[RankedPairRecord], lm: NgramLM, loss_kind: str,
-                        config: TrainConfig = TrainConfig(),
-                        feature_config: FeatureConfig = FeatureConfig()) -> RankerModel:
+                        config: TrainConfig = TrainConfig()) -> RankerModel:
     """Minibatch gradient descent on the feedforward scorer.
 
     Targets are the records' relevance scores; for the pairwise objective
@@ -402,10 +374,8 @@ def train_neural_ranker(dataset: Sequence[RankedPairRecord], lm: NgramLM, loss_k
         raise ValueError(f"unknown loss kind {loss_kind!r}")
     records = _eligible_records(dataset, loss_kind)
 
-    X = np.concatenate([
-        _dense_matrix(lm, record_pair(record), record_subgraphs(record),
-                      feature_config.include_types)
-        for record in records])
+    X = np.concatenate([_dense_matrix(lm, record_pair(record), record_subgraphs(record))
+                        for record in records])
     y = np.asarray([mp.relscore for record in records for mp in record.metapaths],
                    dtype=np.float64)
     lengths = np.asarray([len(record.metapaths) for record in records])
@@ -451,8 +421,7 @@ def train_neural_ranker(dataset: Sequence[RankedPairRecord], lm: NgramLM, loss_k
         history.append(float(mean_loss))
         logger.debug("ranker epoch %d: %s loss %.5f", epoch + 1, loss_kind, mean_loss)
 
-    return RankerModel(kind=NEURAL, loss_kind=loss_kind, seed=config.seed,
-                       feature_config=feature_config, neural=params,
+    return RankerModel(kind=NEURAL, loss_kind=loss_kind, seed=config.seed, neural=params,
                        train_loss_history=history)
 
 
@@ -550,8 +519,7 @@ def _fit_tree(X: np.ndarray, residuals: np.ndarray,
 
 
 def train_gbdt_ranker(dataset: Sequence[RankedPairRecord], lm: NgramLM,
-                      config: TrainConfig = TrainConfig(),
-                      feature_config: FeatureConfig = FeatureConfig()) -> RankerModel:
+                      config: TrainConfig = TrainConfig()) -> RankerModel:
     """Squared-error gradient boosting on relevance scores.
 
     Each round fits a tree to the current residuals; with a learning rate in
@@ -559,26 +527,26 @@ def train_gbdt_ranker(dataset: Sequence[RankedPairRecord], lm: NgramLM,
     are recorded on the model.
     """
     records = _eligible_records(dataset, RMSE)
-    X = np.concatenate([
-        _hashed_matrix(lm, record_pair(record), record_subgraphs(record), feature_config)
-        for record in records]).astype(np.int64)
+    X = np.concatenate([_hashed_matrix(lm, record_pair(record), record_subgraphs(record))
+                        for record in records]).astype(np.int64)
     y = np.asarray([mp.relscore for record in records for mp in record.metapaths],
                    dtype=np.float64)
 
-    ensemble = GbdtEnsemble(base_score=float(y.mean()),
-                            learning_rate=config.gbdt_learning_rate)
-    predictions = np.full(len(y), ensemble.base_score)
+    base_score = float(y.mean())
+    predictions = np.full(len(y), base_score)
     history = [float(np.sqrt(np.mean((y - predictions) ** 2)))]
+    trees = []
     for round_idx in range(config.gbdt_rounds):
         tree, leaf_values = _fit_tree(X, y - predictions, config.gbdt_max_depth)
-        ensemble.trees.append(tree)
-        predictions += ensemble.learning_rate * leaf_values
+        trees.append(tree)
+        predictions += config.gbdt_learning_rate * leaf_values
         rmse = float(np.sqrt(np.mean((y - predictions) ** 2)))
         history.append(rmse)
         logger.debug("gbdt round %d: train rmse %.5f", round_idx + 1, rmse)
 
-    return RankerModel(kind=GBDT, loss_kind=None, seed=config.seed,
-                       feature_config=feature_config, gbdt=ensemble,
+    ensemble = GbdtEnsemble(base_score=base_score, learning_rate=config.gbdt_learning_rate,
+                            trees=tuple(trees))
+    return RankerModel(kind=GBDT, loss_kind=None, seed=config.seed, gbdt=ensemble,
                        train_rmse_history=history)
 
 
@@ -589,7 +557,7 @@ def save_model(model: RankerModel, path, lm: Optional[NgramLM] = None) -> None:
         "kind": model.kind,
         "loss_kind": model.loss_kind,
         "seed": model.seed,
-        "feature": model.feature_config.to_dict(),
+        "feature": FEATURE,
         "neural": model.neural.to_dict() if model.neural else None,
         "gbdt": model.gbdt.to_dict() if model.gbdt else None,
         "train_loss_history": model.train_loss_history,
@@ -601,13 +569,18 @@ def save_model(model: RankerModel, path, lm: Optional[NgramLM] = None) -> None:
 
 def load_model(path) -> tuple[RankerModel, Optional[NgramLM]]:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    return parse_fields(_model_from_doc, doc, str(path))
+
+
+def _model_from_doc(doc: dict) -> tuple[RankerModel, Optional[NgramLM]]:
     if doc.get("version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {doc.get('version')!r}")
+    if doc["feature"] != FEATURE:
+        raise ValueError(f"unsupported feature settings {doc['feature']!r}")
     model = RankerModel(
         kind=doc["kind"],
         loss_kind=doc["loss_kind"],
         seed=doc["seed"],
-        feature_config=FeatureConfig.from_dict(doc["feature"]),
         neural=NeuralParams.from_dict(doc["neural"]) if doc["neural"] else None,
         gbdt=GbdtEnsemble.from_dict(doc["gbdt"]) if doc["gbdt"] else None,
         train_loss_history=list(doc.get("train_loss_history") or []),

@@ -2,8 +2,8 @@
 
 A token embedding matrix feeds a linear softmax head that predicts the next
 token from the previous n-1 tokens.  After training, the embedding rows are
-mean-pooled into dense features, and raw n-gram occurrence counts are hashed
-into a sparse count vector for tree-based models.
+mean-pooled into dense features, and every 1..n-gram is hashed to a slot of
+a fixed-size count vector for tree-based models.
 """
 
 from __future__ import annotations
@@ -158,12 +158,6 @@ def hashed_slots(tokens: Sequence[str], n: int, hash_dim: int = DEFAULT_HASH_DIM
                     table.clear()
                 slots[i] = table[ngrams[i]] = stable_hash(*ngrams[i]) % hash_dim
     return slots
-
-
-def hashed_counts(tokens: Sequence[str], n: int, hash_dim: int = DEFAULT_HASH_DIM) -> np.ndarray:
-    """Counts of all 1..n-grams, hashed into a fixed-size vector."""
-    slots = np.asarray(hashed_slots(tokens, n, hash_dim), dtype=np.int64)
-    return np.bincount(slots, minlength=hash_dim).astype(np.float64)
 
 
 def dense_features(lm: NgramLM, tokens: Sequence[str]) -> np.ndarray:

@@ -219,9 +219,9 @@ def estimate_relevance(jobs: Sequence[tuple[PairInstance, Sequence[MetapathSubgr
 
 def read_instances(path) -> list[PairInstance]:
     """Parse a JSON Lines instance file."""
-    return [PairInstance.from_dict(d) for d in read_jsonl(path)]
+    return read_jsonl(path, PairInstance.from_dict)
 
 
 def read_ranked_dataset(path) -> list[RankedPairRecord]:
     """Parse a ranked-dataset JSON Lines file."""
-    return [RankedPairRecord.from_dict(d) for d in read_jsonl(path)]
+    return read_jsonl(path, RankedPairRecord.from_dict)

@@ -11,6 +11,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
+from .errors import KgcausalError
+
 T = TypeVar("T")
 R = TypeVar("R")
 
@@ -45,10 +47,24 @@ def write_jsonl(path, rows: Iterable[dict]) -> None:
     atomic_write(path, "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
 
 
-def read_jsonl(path) -> list:
-    """The JSON value on each non-blank line of a JSON Lines file."""
+def parse_fields(parse: Callable[[dict], T], value, source: str) -> T:
+    """``parse(value)`` for a JSON object read from ``source``.  A value that
+    is not an object, or that lacks a field ``parse`` reads, raises a
+    KgcausalError naming ``source``, not a bare TypeError or KeyError."""
+    if not isinstance(value, dict):
+        raise KgcausalError(f"{source}: expected a JSON object, not {type(value).__name__}")
+    try:
+        return parse(value)
+    except KeyError as exc:
+        raise KgcausalError(f"{source}: missing field {exc.args[0]!r}") from None
+
+
+def read_jsonl(path, parse: Callable[[dict], T]) -> list[T]:
+    """``parse`` of the JSON object on each non-blank line of a JSON Lines
+    file, through :func:`parse_fields`."""
     with open(path, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        return [parse_fields(parse, json.loads(line), f"{path}:{number}")
+                for number, line in enumerate(fh, 1) if line.strip()]
 
 
 def map_in_order(fn: Callable[[T], R], items: Iterable[T], parallelism: int) -> list[R]:

@@ -74,7 +74,7 @@ def verbalize(subgraph: MetapathSubgraph, style: VerbalizationStyle = PLAIN_ARRO
     return PREFIX + ", ".join(triples)
 
 
-def _ranker_layout(pair: tuple[str, str], subgraph: MetapathSubgraph, include_types: bool,
+def _ranker_layout(pair: tuple[str, str], subgraph: MetapathSubgraph,
                    words: Callable[[str], Sequence[str]]) -> list[str]:
     """The layout of :func:`encode_ranker_input`, with ``words`` splitting
     each text into tokens."""
@@ -84,23 +84,19 @@ def _ranker_layout(pair: tuple[str, str], subgraph: MetapathSubgraph, include_ty
     for i, name in enumerate(subgraph.node_names):
         if i > 0:
             tokens.append("-")
-        if include_types:
-            tokens.extend(words(subgraph.node_types[i]
-                                or subgraph.edge_labels[min(i, last_label)]))
+        tokens.extend(words(subgraph.node_types[i] or subgraph.edge_labels[min(i, last_label)]))
         tokens.extend(words(name))
     return tokens
 
 
-def encode_ranker_input(pair: tuple[str, str], subgraph: MetapathSubgraph,
-                        include_types: bool = True) -> list[str]:
+def encode_ranker_input(pair: tuple[str, str], subgraph: MetapathSubgraph) -> list[str]:
     """Token sequence fed to ranking models.
 
     Layout: CLS marker, the pair's name tokens, SEP marker, then one
     "type name" segment per node with a "-" token between segments.  When a
-    node has no type and types were requested, the adjacent edge label fills
-    the type slot.
+    node has no type, the adjacent edge label fills the type slot.
     """
-    return _ranker_layout(pair, subgraph, include_types, str.split)
+    return _ranker_layout(pair, subgraph, str.split)
 
 
 def tokenize(text_or_tokens: Union[str, Iterable[str]]) -> list[str]:
@@ -126,8 +122,7 @@ def _words(text: str) -> tuple[str, ...]:
     return words
 
 
-def ranker_input_tokens(pair: tuple[str, str], subgraph: MetapathSubgraph,
-                        include_types: bool = True) -> list[str]:
+def ranker_input_tokens(pair: tuple[str, str], subgraph: MetapathSubgraph) -> list[str]:
     """Lowercased feature tokens for one (pair, subgraph) input: the tokens
     of :func:`encode_ranker_input`, from a cache of each text's words."""
-    return _ranker_layout(pair, subgraph, include_types, _words)
+    return _ranker_layout(pair, subgraph, _words)

@@ -29,9 +29,7 @@ from kgcausal.ltr.losses import (
     LISTNET,
     RANKNET,
     RMSE,
-    loss_listnet,
-    loss_ranknet,
-    loss_rmse,
+    loss_and_grad,
     ranknet_terms,
 )
 from kgcausal.ltr.metrics import ndcg_at_k, recall_at_k
@@ -130,15 +128,15 @@ def test_c2_scorer_gradients_and_pair_count():
 def test_c3_loss_identities():
     rng = np.random.default_rng(7)
     x = rng.normal(size=6)
-    rmse_zero = loss_rmse(x, x) == 0.0
-    ranknet_ln2 = abs(loss_ranknet([0.4, 0.4], [1, 2]) - math.log(2.0)) <= 1e-9
+    rmse_zero = loss_and_grad(RMSE, x, targets=x)[0] == 0.0
+    ranknet_ln2 = abs(loss_and_grad(RANKNET, [0.4, 0.4], ranks=[1, 2])[0] - math.log(2.0)) <= 1e-9
     listnet_ln_k = all(
-        abs(loss_listnet([0.7] * k, [1.1] * k) - math.log(k)) <= 1e-9
+        abs(loss_and_grad(LISTNET, [0.7] * k, targets=[1.1] * k)[0] - math.log(k)) <= 1e-9
         for k in range(2, 8))
     scores = list(rng.normal(size=5))
     targets = list(rng.normal(size=5))
-    shift = abs(loss_listnet([s + 1234.5 for s in scores], targets)
-                - loss_listnet(scores, targets))
+    shift = abs(loss_and_grad(LISTNET, [s + 1234.5 for s in scores], targets=targets)[0]
+                - loss_and_grad(LISTNET, scores, targets=targets)[0])
     ok = rmse_zero and ranknet_ln2 and listnet_ln_k and shift < 1e-12
     check("3-loss-identities", ok, f"shift residual {shift:.2e}")
 

@@ -394,6 +394,61 @@ class TestVariants:
         assert set(report["template_hashes"]) == {"sre", "discovery"}
 
 
+class TestBadInputs:
+    @pytest.mark.parametrize("command,field,source,rest", [
+        ("extract", "label", "pairs.jsonl", []),
+        ("train", "groundtruth", "ranked.jsonl", []),
+        ("rank", "kind", "model.json", ["ranked.jsonl"]),
+        ("eval", "p", "predictions.jsonl", ["pairs.jsonl"]),
+    ], ids=["extract", "train", "rank", "eval"])
+    def test_row_without_a_required_field_exits_2_naming_file_and_field(
+            self, pipeline, tmp_path, capsys, command, field, source, rest):
+        """The first row of a good input, less one field, in place of that input."""
+        root, _, out = pipeline
+
+        def artifact(name):
+            return out / name if (out / name).exists() else root / name
+
+        row = json.loads(artifact(source).read_text().splitlines()[0])
+        del row[field]
+        bad = tmp_path / source
+        bad.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        result = tmp_path / "result"
+        code = run(command, bad, *map(artifact, rest), "--config", root / "config.json",
+                   "--out", result)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"error: {bad}" in err and f"missing field '{field}'" in err
+        assert not result.exists()
+
+    def test_row_that_is_not_an_object_exits_2(self, pipeline, tmp_path, capsys):
+        root, _, _ = pipeline
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text('["q0", "a", "b"]\n', encoding="utf-8")
+        result = tmp_path / "candidates.jsonl"
+        code = run("extract", pairs, "--config", root / "config.json", "--out", result)
+        assert code == EXIT_CONFIG
+        assert f"error: {pairs}:1: expected a JSON object, not list" in capsys.readouterr().err
+        assert not result.exists()
+
+    @pytest.mark.parametrize("feature", [{"include_types": False, "hash_dim": 1024},
+                                         {"include_types": True, "hash_dim": 256}],
+                             ids=["untyped", "hash-dim-256"])
+    def test_rank_rejects_a_model_with_other_feature_settings(self, pipeline, tmp_path,
+                                                              capsys, feature):
+        root, _, out = pipeline
+        doc = json.loads((out / "model.json").read_text())
+        doc["feature"] = feature
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        rankings = tmp_path / "rankings.jsonl"
+        code = run("rank", model, out / "ranked.jsonl", "--config", root / "config.json",
+                   "--out", rankings)
+        assert code == EXIT_CONFIG
+        assert "unsupported feature settings" in capsys.readouterr().err
+        assert not rankings.exists()
+
+
 def set_key(config, dotted, value):
     *sections, key = dotted.split(".")
     for name in sections:

@@ -12,7 +12,7 @@ import pytest
 from conftest import make_subgraph
 from kgcausal.ltr import ngram
 from kgcausal.ltr.models import ranker_input_tokens
-from kgcausal.ltr.ngram import hashed_counts, hashed_slots
+from kgcausal.ltr.ngram import hashed_slots
 from kgcausal.util import stable_hash
 from kgcausal.verbalize import encode_ranker_input, tokenize
 
@@ -22,8 +22,8 @@ HASH_DIMS = (7, 256, 1024)
 verbalize_module = importlib.import_module("kgcausal.verbalize")
 
 
-def oracle_tokens(pair, subgraph, include_types):
-    return tokenize(encode_ranker_input(pair, subgraph, include_types=include_types))
+def oracle_tokens(pair, subgraph):
+    return tokenize(encode_ranker_input(pair, subgraph))
 
 
 def oracle_slots(tokens, n, hash_dim):
@@ -36,14 +36,14 @@ def random_text(rng, words=3):
 
 
 def random_case(rng):
-    """A pair, a subgraph of 2-5 nodes with some empty types, and include_types."""
+    """A pair and a subgraph of 2-5 nodes with some empty types."""
     nodes = rng.randint(2, 5)
     subgraph = make_subgraph(
         names=[random_text(rng) for _ in range(nodes)],
         types=[rng.choice(["", random_text(rng, 2)]) for _ in range(nodes)],
         labels=[random_text(rng, 2) for _ in range(nodes - 1)],
         ids=[f"n{i}" for i in range(nodes)])
-    return (random_text(rng), random_text(rng)), subgraph, rng.random() < 0.7
+    return (random_text(rng), random_text(rng)), subgraph
 
 
 def random_tokens(rng):
@@ -64,9 +64,8 @@ def tiny_caches(monkeypatch, fresh_caches):
 
 
 def check_tokens(cases):
-    for pair, subgraph, include_types in cases:
-        assert ranker_input_tokens(pair, subgraph, include_types) == oracle_tokens(
-            pair, subgraph, include_types)
+    for pair, subgraph in cases:
+        assert ranker_input_tokens(pair, subgraph) == oracle_tokens(pair, subgraph)
 
 
 def check_slots(token_lists):
@@ -87,8 +86,6 @@ def test_tokens_keep_markers_and_fill_empty_types_with_labels(fresh_caches):
     sg = make_subgraph(["CLS Gene", "b SEP"], types=["", "Disease"], labels=["Binds"])
     assert ranker_input_tokens(("A", "b c"), sg) == [
         "CLS", "a", "b", "c", "SEP", "binds", "CLS", "gene", "-", "disease", "b", "SEP"]
-    assert ranker_input_tokens(("A", "b c"), sg, include_types=False) == [
-        "CLS", "a", "b", "c", "SEP", "CLS", "gene", "-", "b", "SEP"]
 
 
 def test_tokens_are_a_fresh_list_each_call(fresh_caches):
@@ -110,9 +107,9 @@ def test_slots_equal_the_per_ngram_hash(fresh_caches):
 
 
 def test_counts_sum_to_the_ngram_count(fresh_caches):
-    counts = hashed_counts(["a", "b", "c", "d"], n=4, hash_dim=7)
-    assert counts.sum() == 4 + 3 + 2 + 1
-    assert list(counts) == list(hashed_counts(("a", "b", "c", "d"), n=4, hash_dim=7))
+    slots = hashed_slots(["a", "b", "c", "d"], n=4, hash_dim=7)
+    assert len(slots) == 4 + 3 + 2 + 1
+    assert slots == hashed_slots(("a", "b", "c", "d"), n=4, hash_dim=7)
 
 
 def test_caches_stay_within_their_bounds(tiny_caches):

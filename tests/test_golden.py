@@ -27,7 +27,7 @@ from kgcausal.kg import (
     enumerate_subgraphs,
 )
 from kgcausal.ltr.models import RANDOM, RankerModel, ranker_input_tokens, score_subgraphs
-from kgcausal.ltr.ngram import hashed_counts
+from kgcausal.ltr.ngram import hashed_slots
 from kgcausal.synthetic import make_planted_world, write_instances_jsonl, write_kg_jsonl
 
 EXTRACT_SHA256 = "2ca0950bd7722a850061ac3561e7e7e080aaec7939edc9059f5bb9b8f0cf5d68"
@@ -100,7 +100,8 @@ def test_hashed_counts(artifacts):
         for d in row["subgraphs"]:
             tokens = ranker_input_tokens((row["e1"], row["e2"]),
                                          MetapathSubgraph.from_dict(d))
-            rows.append(hashed_counts(tokens, n=3, hash_dim=256))
+            slots = hashed_slots(tokens, n=3, hash_dim=256)
+            rows.append(np.bincount(slots, minlength=256).astype(np.float64))
     assert sha256(np.stack(rows).astype("<f8").tobytes()) == HASHED_COUNTS_SHA256
 
 

@@ -153,6 +153,13 @@ class TestLoad:
         assert kg.resolve("SHARED") == ("x1", "x2")
 
 
+def int_triples(kg, hops):
+    """(neighbor id, relation, direction) of each ``(v, hop codes)`` entry
+    that ``KnowledgeGraph._hops`` returns."""
+    return tuple((kg._ids[v], kg._hop_labels[c], kg_module._DIRECTIONS[c & 1])
+                 for v, codes in hops for c in codes)
+
+
 class TestViews:
     """The string-facing views read back exactly the records the graph was
     built from."""
@@ -183,11 +190,14 @@ class TestViews:
                                  + [(e.head, e.relation, REVERSE) for e in unique
                                     if e.tail == node.id])
                 assert kg.neighbors(node.id) == tuple(triples)
-                assert kg.degree(node.id) == len(triples)
+                u = kg._node_int(node.id)
+                assert kg._degrees[u] == len(triples)
+                targets = sorted(kg._node_int(other.id) for other in nodes)
+                assert int_triples(kg, kg._hops(u, targets)) == tuple(triples)
                 for other in nodes:
-                    assert kg.hops(node.id, other.id) == tuple(t for t in triples
-                                                               if t[0] == other.id)
-            assert kg.neighbors("absent") == () and kg.degree("absent") == 0
+                    assert int_triples(kg, kg._hops(u, [kg._node_int(other.id)])) == tuple(
+                        t for t in triples if t[0] == other.id)
+            assert kg.neighbors("absent") == () and kg._node_int("absent") is None
 
     def test_unique_rows_the_same_packed_or_not(self):
         """Rows are sorted through one packed int64 key when the column

@@ -26,8 +26,10 @@ from kgcausal.llm import (
     HttpBackend,
     MockOracle,
     MockOracleConfig,
+    ask_label,
     canonical_label,
     label_probability,
+    map_pairs,
 )
 
 MOTIF_CONFIG = MockOracleConfig(causal_motifs=(("stress hormone",),),
@@ -309,6 +311,22 @@ class TestHttpBackend:
         stub_server.script = [(200, {"choices": [{"text": "causal"}]})]
         with pytest.raises(CapabilityMissing):
             self.backend(stub_server).complete(CompletionRequest(prompt="p"))
+
+    @pytest.mark.parametrize("choice", [
+        {"text": "causal", "logprobs": "oops"},
+        {"text": "causal", "logprobs": {"tokens": ["causal"], "token_logprobs": ["x"]}},
+        {"text": "causal", "logprobs": {"tokens": ["causal"], "token_logprobs": [{}]}},
+        {"text": "causal", "logprobs": {"tokens": [5], "token_logprobs": [-0.1]}},
+        {"text": 5, "logprobs": {"tokens": ["5"], "token_logprobs": [-0.1]}},
+    ], ids=["logprobs-not-an-object", "logprob-not-a-number", "logprob-an-object",
+            "token-not-a-string", "text-not-a-string"])
+    def test_malformed_body_skips_only_its_pair(self, stub_server, choice):
+        stub_server.script = [(200, {"choices": [choice]}), (200, ok_body("causal"))]
+        backend = self.backend(stub_server, parallelism=1)
+        result = map_pairs(lambda prompt: ask_label(backend, prompt), ["p1", "p2"], backend,
+                           qid=str)
+        assert result.skipped_backend_error == 1
+        assert [label for label, _, _ in result.records] == ["causal"]
 
     def test_connection_refused_unavailable(self):
         backend = HttpBackend(endpoint="http://127.0.0.1:1", model="m", max_retries=1)

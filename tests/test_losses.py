@@ -7,19 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from kgcausal.ltr.losses import (
-    LOSS_KINDS,
-    RANKNET,
-    RMSE,
-    loss_and_grad,
-    loss_listnet,
-    loss_listnet_grad,
-    loss_ranknet,
-    loss_ranknet_grad,
-    loss_rmse,
-    loss_rmse_grad,
-    ranknet_terms,
-)
+from kgcausal.ltr.losses import LISTNET, LOSS_KINDS, RANKNET, RMSE, loss_and_grad, ranknet_terms
 
 
 def central_difference(fn, x, step=1e-5):
@@ -35,40 +23,44 @@ def central_difference(fn, x, step=1e-5):
 
 class TestRmse:
     def test_exact_fit_is_zero(self):
-        assert loss_rmse([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
+        assert loss_and_grad(RMSE, [1.0, 2.0, 3.0], targets=[1.0, 2.0, 3.0])[0] == 0.0
 
     def test_hand_computed_value(self):
-        assert loss_rmse([0.0, 0.0], [3.0, 4.0]) == pytest.approx(math.sqrt(12.5))
+        value = loss_and_grad(RMSE, [0.0, 0.0], targets=[3.0, 4.0])[0]
+        assert value == pytest.approx(math.sqrt(12.5))
 
     def test_translation_invariance(self):
         scores = [0.4, 1.2, -0.3]
         targets = [1.0, 0.2, 0.9]
-        base = loss_rmse(scores, targets)
-        shifted = loss_rmse([s + 5.0 for s in scores], [t + 5.0 for t in targets])
+        base = loss_and_grad(RMSE, scores, targets=targets)[0]
+        shifted = loss_and_grad(RMSE, [s + 5.0 for s in scores],
+                                targets=[t + 5.0 for t in targets])[0]
         assert shifted == pytest.approx(base)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            loss_rmse([1.0], [1.0, 2.0])
+            loss_and_grad(RMSE, [1.0], targets=[1.0, 2.0])
         with pytest.raises(ValueError):
-            loss_rmse([], [])
+            loss_and_grad(RMSE, [], targets=[])
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
             s = rng.normal(size=6)
             y = rng.normal(size=6)
-            analytic = loss_rmse_grad(s, y)
-            numeric = central_difference(lambda x: loss_rmse(x, y), s)
+            analytic = loss_and_grad(RMSE, s, targets=y)[1]
+            numeric = central_difference(lambda x: loss_and_grad(RMSE, x, targets=y)[0], s)
             np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-8)
 
 
 class TestRanknet:
     def test_symmetric_two_items(self):
-        assert loss_ranknet([0.7, 0.7], [1, 2]) == pytest.approx(math.log(2.0))
+        value = loss_and_grad(RANKNET, [0.7, 0.7], ranks=[1, 2])[0]
+        assert value == pytest.approx(math.log(2.0))
 
     def test_hand_computed_separated_pair(self):
-        assert loss_ranknet([2.0, 0.0], [1, 2]) == pytest.approx(math.log(1 + math.exp(-2)))
+        value = loss_and_grad(RANKNET, [2.0, 0.0], ranks=[1, 2])[0]
+        assert value == pytest.approx(math.log(1 + math.exp(-2)))
 
     @pytest.mark.parametrize("k", range(2, 11))
     def test_pair_count(self, k):
@@ -77,19 +69,20 @@ class TestRanknet:
         assert len(ranknet_terms(scores, ranks)) == k * (k - 1) // 2
 
     def test_vanishes_for_well_separated_correct_order(self):
-        assert loss_ranknet([100.0, 0.0, -100.0], [1, 2, 3]) == pytest.approx(0.0, abs=1e-12)
+        value = loss_and_grad(RANKNET, [100.0, 0.0, -100.0], ranks=[1, 2, 3])[0]
+        assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_positive_whenever_a_pair_is_inverted(self):
-        assert loss_ranknet([0.0, 5.0], [1, 2]) > math.log(2.0)
+        assert loss_and_grad(RANKNET, [0.0, 5.0], ranks=[1, 2])[0] > math.log(2.0)
 
     def test_requires_permutation(self):
         with pytest.raises(ValueError):
-            loss_ranknet([0.1, 0.2], [1, 3])
+            loss_and_grad(RANKNET, [0.1, 0.2], ranks=[1, 3])
         with pytest.raises(ValueError):
-            loss_ranknet([0.1, 0.2], [1, 1])
+            loss_and_grad(RANKNET, [0.1, 0.2], ranks=[1, 1])
 
     def test_overflow_guarded(self):
-        value = loss_ranknet([1000.0, -1000.0], [2, 1])
+        value = loss_and_grad(RANKNET, [1000.0, -1000.0], ranks=[2, 1])[0]
         assert value == pytest.approx(2000.0)
 
     def test_loss_equals_the_sum_of_the_reference_terms_exactly(self):
@@ -100,7 +93,7 @@ class TestRanknet:
             if rng.random() < 0.2:
                 s[rng.integers(0, k)] = s[0]
             ranks = list(rng.permutation(np.arange(1, k + 1)))
-            assert loss_ranknet(s, ranks) == sum(ranknet_terms(s, ranks))
+            assert loss_and_grad(RANKNET, s, ranks=ranks)[0] == sum(ranknet_terms(s, ranks))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
@@ -108,14 +101,15 @@ class TestRanknet:
             k = rng.integers(2, 7)
             s = rng.normal(size=k)
             ranks = list(rng.permutation(np.arange(1, k + 1)))
-            analytic = loss_ranknet_grad(s, ranks)
-            numeric = central_difference(lambda x: loss_ranknet(x, ranks), s)
+            analytic = loss_and_grad(RANKNET, s, ranks=ranks)[1]
+            numeric = central_difference(lambda x: loss_and_grad(RANKNET, x, ranks=ranks)[0], s)
             np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-8)
 
 
 class TestListnet:
     def test_uniform_case_is_log_k(self):
-        assert loss_listnet([0.5] * 3, [2.0] * 3) == pytest.approx(math.log(3.0))
+        value = loss_and_grad(LISTNET, [0.5] * 3, targets=[2.0] * 3)[0]
+        assert value == pytest.approx(math.log(3.0))
 
     def test_matching_scores_hit_entropy_lower_bound(self):
         rng = np.random.default_rng(2)
@@ -123,29 +117,29 @@ class TestListnet:
         p = np.exp(y - y.max())
         p /= p.sum()
         entropy = float(-(p * np.log(p)).sum())
-        assert loss_listnet(y, y) == pytest.approx(entropy)
+        assert loss_and_grad(LISTNET, y, targets=y)[0] == pytest.approx(entropy)
         for _ in range(20):
             other = y + rng.normal(scale=0.5, size=5)
-            assert loss_listnet(other, y) >= entropy - 1e-12
+            assert loss_and_grad(LISTNET, other, targets=y)[0] >= entropy - 1e-12
 
     def test_shift_invariance(self):
         scores = [0.2, 1.4, -0.7, 0.0]
         targets = [1.0, 0.1, 0.5, 0.9]
-        base = loss_listnet(scores, targets)
-        shifted = loss_listnet([s + 123.0 for s in scores], targets)
+        base = loss_and_grad(LISTNET, scores, targets=targets)[0]
+        shifted = loss_and_grad(LISTNET, [s + 123.0 for s in scores], targets=targets)[0]
         assert abs(shifted - base) < 1e-12
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            loss_listnet([1.0], [1.0, 2.0])
+            loss_and_grad(LISTNET, [1.0], targets=[1.0, 2.0])
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             s = rng.normal(size=5)
             y = rng.normal(size=5)
-            analytic = loss_listnet_grad(s, y)
-            numeric = central_difference(lambda x: loss_listnet(x, y), s)
+            analytic = loss_and_grad(LISTNET, s, targets=y)[1]
+            numeric = central_difference(lambda x: loss_and_grad(LISTNET, x, targets=y)[0], s)
             np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-8)
 
 
@@ -176,8 +170,8 @@ class TestSegments:
     def test_ranks_are_checked_per_segment(self):
         scores = [0.3, 0.1, 0.2, 0.0]
         loss, _ = loss_and_grad(RANKNET, scores, ranks=[1, 2, 2, 1], offsets=[0, 2])
-        assert loss == pytest.approx(loss_ranknet(scores[:2], [1, 2])
-                                     + loss_ranknet(scores[2:], [2, 1]))
+        assert loss == pytest.approx(loss_and_grad(RANKNET, scores[:2], ranks=[1, 2])[0]
+                                     + loss_and_grad(RANKNET, scores[2:], ranks=[2, 1])[0])
         with pytest.raises(ValueError):
             loss_and_grad(RANKNET, scores, ranks=[1, 2, 3, 4], offsets=[0, 2])
 

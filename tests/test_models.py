@@ -19,7 +19,6 @@ from kgcausal.ltr.models import (
     NEURAL,
     RANDOM,
     SIMILARITY,
-    FeatureConfig,
     GbdtEnsemble,
     NeuralParams,
     RankerModel,
@@ -121,8 +120,7 @@ class TestNeuralTraining:
         records = linear_signal_records()
         lm = handcrafted_lm()
         config = TrainConfig(epochs=600, learning_rate=0.3, batch=8, seed=0, lr_decay=0.05)
-        model = train_neural_ranker(records, lm, RMSE, config,
-                                    feature_config=FeatureConfig(include_types=False))
+        model = train_neural_ranker(records, lm, RMSE, config)
         assert model.train_loss_history[-1] < 0.05
 
     def test_deterministic_weights(self):
@@ -405,24 +403,19 @@ class TestEnsemblePredict:
         only_leaves = GbdtEnsemble(base_score=0.1, learning_rate=0.3, trees=[leaf, leaf])
         assert np.array_equal(only_leaves.predict(X), loop_predict(only_leaves, X))
 
-    def test_round_trip_and_append(self):
+    def test_round_trip(self):
         rng = np.random.default_rng(5)
         ensemble = self.ensemble(rng, 6, 8)
+        assert isinstance(ensemble.trees, tuple)
         X = rng.integers(0, 5, size=(30, 8)).astype(np.float64)
         before = ensemble.predict(X)
         assert set(ensemble.to_dict()) == {"base_score", "learning_rate", "trees"}
         loaded = GbdtEnsemble.from_dict(json.loads(json.dumps(ensemble.to_dict())))
         assert np.array_equal(loaded.predict(X), before)
-        ensemble.trees.append(random_tree(rng, 8, 4))
-        after = ensemble.predict(X)
-        assert np.array_equal(after, loop_predict(ensemble, X))
-        assert not np.array_equal(after, before)
-        ensemble.trees[0] = random_tree(rng, 8, 3)
-        assert np.array_equal(ensemble.predict(X), loop_predict(ensemble, X))
 
     def test_threads_share_the_first_use(self):
-        """More threads than cores race to build the stack of fresh
-        ensembles; every score still equals the per-tree loop."""
+        """More threads than cores predict from fresh ensembles at once;
+        every score still equals the per-tree loop."""
         rng = np.random.default_rng(9)
         inputs = [rng.integers(0, 5, size=(n, 16)).astype(np.float64) for n in range(1, 9)]
         interval = sys.getswitchinterval()
@@ -560,8 +553,7 @@ class TestRankSubgraphs:
         params = NeuralParams(w1=np.zeros((d, 2)), b1=np.zeros(2),
                               w2=np.array([1.0, 0.0]), b2=0.0)
         params.w1[0, 0] = 1.0
-        model = RankerModel(kind=NEURAL, loss_kind=RMSE, neural=params,
-                            feature_config=FeatureConfig(include_types=False))
+        model = RankerModel(kind=NEURAL, loss_kind=RMSE, neural=params)
         levels = [3, 9, 1, 6]
         subs = [make_subgraph(["left", f"w{v}", "right"]) for v in levels]
         ranked = rank_subgraphs(model, ("left", "right"), subs, lm)

@@ -78,25 +78,18 @@ class TestVerbalize:
 
 class TestEncodeRankerInput:
     def test_typed_encoding_matches_reference_layout(self, fgf6_path):
-        tokens = encode_ranker_input(("FGF6", "prostate cancer"), fgf6_path,
-                                     include_types=True)
+        tokens = encode_ranker_input(("FGF6", "prostate cancer"), fgf6_path)
         assert " ".join(tokens) == (
             "CLS FGF6 prostate cancer SEP Gene FGF6 - anatomy tendon - gene SDRDL "
             "- gene FGFR2 - disease prostate cancer")
 
-    def test_names_only(self):
-        sg = make_subgraph(["a", "x", "b"])
-        tokens = encode_ranker_input(("a", "b"), sg, include_types=False)
-        assert " ".join(tokens) == "CLS a b SEP a - x - b"
-
     def test_typeless_path_substitutes_relation_labels(self):
         sg = make_subgraph(["a", "x", "b"], types=["", "", ""], labels=["r1", "r2"])
-        tokens = encode_ranker_input(("a", "b"), sg, include_types=True)
+        tokens = encode_ranker_input(("a", "b"), sg)
         assert " ".join(tokens) == "CLS a b SEP r1 a - r2 x - r2 b"
 
     def test_token_count_structure(self, fgf6_path):
-        tokens = encode_ranker_input(("FGF6", "prostate cancer"), fgf6_path,
-                                     include_types=True)
+        tokens = encode_ranker_input(("FGF6", "prostate cancer"), fgf6_path)
         pair_tokens = len("FGF6".split()) + len("prostate cancer".split())
         per_node = sum(len(t.split()) + len(n.split())
                        for t, n in zip(fgf6_path.node_types, fgf6_path.node_names))
