@@ -60,7 +60,7 @@ from .relevance import (
 from .util import (
     atomic_write,
     descending_order,
-    parse_fields,
+    read_json,
     read_jsonl,
     stable_hash,
     write_jsonl,
@@ -141,15 +141,7 @@ def _merge_config(default, value, path: str = ""):
 def load_config(path: Optional[Path]) -> dict:
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
-    try:
-        user = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise KgcausalError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise KgcausalError(f"config file {path} is not valid JSON: {exc}")
-    if not isinstance(user, dict):
-        raise KgcausalError(f"config file {path} must hold a JSON object")
-    return _merge_config(DEFAULT_CONFIG, user)
+    return read_json(path, lambda user: _merge_config(DEFAULT_CONFIG, user))
 
 
 def stage_seed(seed: int, stage: str) -> int:
@@ -161,7 +153,7 @@ def make_backend(config: dict):
     if llm["backend"] == "mock":
         if not llm["mock_config_path"]:
             raise KgcausalError("llm.mock_config_path is required for the mock backend")
-        return MockOracle(MockOracleConfig.from_json(llm["mock_config_path"]))
+        return MockOracle(read_json(llm["mock_config_path"], MockOracleConfig.from_dict))
     if llm["backend"] == "http":
         if not llm["endpoint"]:
             raise KgcausalError("llm.endpoint is required for the http backend")
@@ -303,8 +295,8 @@ def _subgraph_set(row: dict):
         gains = [mp.relscore for mp in record.metapaths]
         relevant = [mp.relevant == "1" for mp in record.metapaths]
         return record.qid, (record.e1, record.e2), record_subgraphs(record), gains, relevant
-    subgraphs = [MetapathSubgraph.from_dict(d) for d in row.get("subgraphs", [])]
-    return str(row["qid"]), (row["e1"], row["e2"]), subgraphs, None, None
+    inst, subgraphs = _candidate_row(row)
+    return inst.qid, (inst.e1, inst.e2), subgraphs, None, None
 
 
 def cmd_rank(args, config: dict) -> int:
@@ -338,8 +330,9 @@ def cmd_discover(args, config: dict) -> int:
         # The bare prompt reads no path, so no graph is loaded.
         kg, model, lm = None, None, None
     else:
-        kg = _load_kg(config)
+        # The model first: a bad model file fails before the graph load.
         model, lm = load_model(args.model)
+        kg = _load_kg(config)
 
     discovery_config = DiscoveryConfig(
         k=config["discovery"]["k"],
@@ -359,15 +352,20 @@ def cmd_discover(args, config: dict) -> int:
                         "backend_calls": result.backend_calls, "k": discovery_config.k})
 
 
+def _ranked_gains(row: dict):
+    """(gains, relevant flags) of a rankings row; None when it has no gains."""
+    entries = row["entries"]
+    if not entries or "gain" not in entries[0]:
+        return None
+    return [float(e["gain"]) for e in entries], [bool(e.get("relevant")) for e in entries]
+
+
 def _ranking_metrics(rankings_path: Path, ks) -> dict:
-    rankings = read_jsonl(rankings_path, lambda row: row["entries"])
-    scored = [entries for entries in rankings if entries and "gain" in entries[0]]
+    scored = [row for row in read_jsonl(rankings_path, _ranked_gains) if row is not None]
     out = {}
     for k in ks:
         ndcgs, recalls = [], []
-        for entries in scored:
-            gains = [e["gain"] for e in entries]
-            relevant = [bool(e.get("relevant")) for e in entries]
+        for gains, relevant in scored:
             ndcgs.append(ndcg_at_k(gains, k))
             recalls.append(recall_at_k(relevant, k, sum(relevant)))
         if scored:
@@ -392,16 +390,15 @@ def cmd_eval(args, config: dict) -> int:
 
     graph = None
     if args.gold_adjacency:
-        doc = json.loads(Path(args.gold_adjacency).read_text(encoding="utf-8"))
-        variables, gold_matrix = parse_fields(lambda d: (d["variables"], d["matrix"]), doc,
-                                              str(args.gold_adjacency))
+        variables, gold_matrix = read_json(
+            args.gold_adjacency, lambda d: (d["variables"], np.asarray(d["matrix"])))
         by_qid = {inst.qid: inst for inst in golds}
         pair_labels = {}
         for pred in predictions:
             inst = by_qid[pred.qid]
             pair_labels[(inst.e1, inst.e2)] = pred.predicted
         adj = aggregate_graph(pair_labels, variables)
-        hd, nhd = hamming_distance(adj, np.asarray(gold_matrix))
+        hd, nhd = hamming_distance(adj, gold_matrix)
         graph = GraphMetrics(hd=hd, nhd=nhd, n=len(variables))
 
     report = EvaluationReport(classification=classification, ranking=ranking, graph=graph)
@@ -483,7 +480,7 @@ def main(argv=None) -> int:
                 section, _, key = key_path.rpartition(".")
                 (config[section] if section else config)[key] = value
         return args.func(args, config)
-    except (KgcausalError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (KgcausalError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

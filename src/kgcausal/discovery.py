@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import NoSuchNodeError
 from .kg import KnowledgeGraph, MetapathSubgraph, enumerate_subgraphs
-from .llm import CAUSAL, PATH_BLOCK_MARKER, PairResults, ask_label, map_pairs
+from .llm import CAUSAL, NON_CAUSAL, PATH_BLOCK_MARKER, PairResults, ask_label, map_pairs
 from .ltr.models import RankerModel, rank_subgraphs
 from .ltr.ngram import NgramLM
 from .relevance import DEFAULT_INSTRUCTION, PairInstance
@@ -38,6 +38,9 @@ class CausalPrediction:
     backend_id: str
 
     def __post_init__(self):
+        if self.predicted not in (CAUSAL, NON_CAUSAL, None):
+            raise ValueError(f"predicted must be {CAUSAL!r}, {NON_CAUSAL!r} or null, "
+                             f"not {self.predicted!r}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must be in [0, 1]")
 

@@ -285,12 +285,6 @@ class KnowledgeGraph:
             index[name] = index.get(name, ()) + (self._ids[u],)
         return index
 
-    def node(self, node_id: str) -> NodeRecord:
-        u = self._node_int(node_id)
-        if u is None:
-            raise KeyError(node_id)
-        return NodeRecord(id=node_id, name=self._names[u], node_type=self._types[u])
-
     def neighbors(self, node_id: str) -> tuple[tuple[str, str, str], ...]:
         """(neighbor id, relation, direction) triples, sorted."""
         u = self._node_int(node_id)

@@ -7,7 +7,6 @@ callers can turn a generated label into a confidence value.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import os
@@ -201,11 +200,6 @@ class MockOracleConfig:
             noise_seed=d.get("noise_seed", 0),
             flip_rate=d.get("flip_rate", 0.0),
         )
-
-    @classmethod
-    def from_json(cls, path) -> "MockOracleConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def _path_block(prompt: str) -> str:

@@ -16,14 +16,13 @@ import itertools
 import json
 import logging
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ..kg import FORWARD, MetapathSubgraph
 from ..relevance import RankedPairRecord
-from ..util import atomic_write, descending_order, parse_fields, stable_hash
+from ..util import atomic_write, descending_order, read_json, stable_hash
 from ..verbalize import HYPHEN_STYLE, ranker_input_tokens, tokenize, verbalize
 from .losses import LOSS_KINDS, RMSE, loss_and_grad
 from .ngram import DEFAULT_HASH_DIM, NgramLM, dense_features, hashed_slots
@@ -568,8 +567,7 @@ def save_model(model: RankerModel, path, lm: Optional[NgramLM] = None) -> None:
 
 
 def load_model(path) -> tuple[RankerModel, Optional[NgramLM]]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return parse_fields(_model_from_doc, doc, str(path))
+    return read_json(path, _model_from_doc)
 
 
 def _model_from_doc(doc: dict) -> tuple[RankerModel, Optional[NgramLM]]:

@@ -48,6 +48,8 @@ class PairInstance:
     groundtruth: str
 
     def __post_init__(self):
+        if not all(isinstance(v, str) for v in (self.e1, self.e2, self.context)):
+            raise TypeError(f"{self.qid}: e1, e2 and context must be strings")
         if self.e1 == self.e2:
             raise ValueError(f"{self.qid}: pair variables must differ")
         if self.groundtruth not in LABELS:

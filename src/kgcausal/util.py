@@ -47,23 +47,35 @@ def write_jsonl(path, rows: Iterable[dict]) -> None:
     atomic_write(path, "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
 
 
-def parse_fields(parse: Callable[[dict], T], value, source: str) -> T:
-    """``parse(value)`` for a JSON object read from ``source``.  A value that
-    is not an object, or that lacks a field ``parse`` reads, raises a
-    KgcausalError naming ``source``, not a bare TypeError or KeyError."""
+def parse_fields(parse: Callable[[dict], T], text: str, source: str) -> T:
+    """``parse`` of the JSON object in ``text``, read from ``source``.  Text
+    that is not JSON, a value that is not an object, a missing field, and the
+    TypeError, ValueError, IndexError or AttributeError ``parse`` raises on a
+    value of the wrong shape each raise a KgcausalError naming ``source``."""
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise KgcausalError(f"{source}: invalid JSON: {exc}") from None
     if not isinstance(value, dict):
         raise KgcausalError(f"{source}: expected a JSON object, not {type(value).__name__}")
     try:
         return parse(value)
     except KeyError as exc:
         raise KgcausalError(f"{source}: missing field {exc.args[0]!r}") from None
+    except (TypeError, ValueError, IndexError, AttributeError) as exc:
+        raise KgcausalError(f"{source}: {exc}") from None
+
+
+def read_json(path, parse: Callable[[dict], T]) -> T:
+    """``parse`` of the JSON object a file holds, through :func:`parse_fields`."""
+    return parse_fields(parse, Path(path).read_text(encoding="utf-8"), str(path))
 
 
 def read_jsonl(path, parse: Callable[[dict], T]) -> list[T]:
     """``parse`` of the JSON object on each non-blank line of a JSON Lines
     file, through :func:`parse_fields`."""
     with open(path, encoding="utf-8") as fh:
-        return [parse_fields(parse, json.loads(line), f"{path}:{number}")
+        return [parse_fields(parse, line, f"{path}:{number}")
                 for number, line in enumerate(fh, 1) if line.strip()]
 
 

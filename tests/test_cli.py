@@ -394,6 +394,15 @@ class TestVariants:
         assert set(report["template_hashes"]) == {"sre", "discovery"}
 
 
+def first_row(edit):
+    """A rewrite of a file's text into its first line as changed by ``edit``."""
+    def rewrite(text):
+        row = json.loads(text.splitlines()[0])
+        edit(row)
+        return json.dumps(row) + "\n"
+    return rewrite
+
+
 class TestBadInputs:
     @pytest.mark.parametrize("command,field,source,rest", [
         ("extract", "label", "pairs.jsonl", []),
@@ -429,6 +438,69 @@ class TestBadInputs:
         code = run("extract", pairs, "--config", root / "config.json", "--out", result)
         assert code == EXIT_CONFIG
         assert f"error: {pairs}:1: expected a JSON object, not list" in capsys.readouterr().err
+        assert not result.exists()
+
+    @pytest.mark.parametrize("command,argv,source,rewrite,keys,message", [
+        pytest.param("extract", ["BAD"], "pairs.jsonl", lambda _: "not json\n", {},
+                     "invalid JSON", id="pairs-not-json"),
+        pytest.param("extract", ["BAD"], "pairs.jsonl",
+                     lambda _: '{"qid": 1, "e1": 5, "e2": "x", "label": "causal"}\n', {},
+                     "e1, e2 and context must be strings", id="int-e1"),
+        pytest.param("train", ["BAD"], "ranked.jsonl",
+                     first_row(lambda row: row.update(metapaths=[1])), {},
+                     "'int' object is not subscriptable", id="int-metapath"),
+        pytest.param("train", ["BAD"], "ranked.jsonl",
+                     first_row(lambda row: row["metapaths"][0].update(pathid="x")), {},
+                     "invalid literal for int()", id="pathid-x"),
+        pytest.param("rank", ["model.json", "BAD"], "candidates.jsonl",
+                     first_row(lambda row: row.update(e1=5)), {},
+                     "e1, e2 and context must be strings", id="rank-int-e1"),
+        pytest.param("rank", ["BAD", "ranked.jsonl"], "model.json",
+                     lambda text: text[:len(text) // 2], {}, "invalid JSON", id="truncated-model"),
+        pytest.param("discover", ["BAD", "pairs.jsonl"], "model.json",
+                     lambda text: text[:len(text) // 2], {"kg.path": "missing-kg.jsonl"},
+                     "invalid JSON", id="model-read-before-graph"),
+        pytest.param("estimate", ["candidates.jsonl"], "mock.json",
+                     first_row(lambda doc: doc.pop("causal_motifs")),
+                     {"llm.mock_config_path": "BAD"}, "missing field 'causal_motifs'",
+                     id="mock-without-motifs"),
+        pytest.param("eval", ["predictions.jsonl", "pairs.jsonl", "--rankings", "BAD"],
+                     "rankings.jsonl", first_row(lambda row: row.update(entries=5)), {},
+                     "'int' object is not subscriptable", id="int-entries"),
+        pytest.param("eval", ["predictions.jsonl", "pairs.jsonl", "--gold-adjacency", "BAD"],
+                     "adjacency.json",
+                     lambda _: '{"variables": ["a", "b"], "matrix": [[0, 1], [0]]}', {},
+                     "setting an array element with a sequence", id="ragged-adjacency"),
+        pytest.param("eval", ["BAD", "pairs.jsonl"], "predictions.jsonl",
+                     first_row(lambda row: row.update(predicted="maybe")), {},
+                     "predicted must be 'causal', 'non-causal' or null, not 'maybe'",
+                     id="predicted-maybe"),
+    ])
+    def test_malformed_input_exits_2_naming_file_and_line(
+            self, pipeline, tmp_path, capsys, command, argv, source, rewrite, keys, message):
+        """A good input, or its first row, rewritten into a malformed one;
+        ``BAD`` in the arguments and config values stands for its path."""
+        root, _, out = pipeline
+
+        def artifact(name):
+            return out / name if (out / name).exists() else root / name
+
+        good = artifact(source)
+        bad = tmp_path / source
+        bad.write_text(rewrite(good.read_text() if good.exists() else ""), encoding="utf-8")
+        config = json.loads((root / "config.json").read_text())
+        for key, value in keys.items():
+            set_key(config, key, str(bad) if value == "BAD" else str(tmp_path / value))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        result = tmp_path / "result"
+        code = run(command, *[bad if a == "BAD" else a if a.startswith("--") else artifact(a)
+                              for a in argv], "--config", cfg, "--out", result)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        line = ":1" if source.endswith(".jsonl") else ""
+        assert f"error: {bad}{line}: " in err and message in err
+        assert err.count("error:") == 1
         assert not result.exists()
 
     @pytest.mark.parametrize("feature", [{"include_types": False, "hash_dim": 1024},
@@ -522,7 +594,7 @@ class TestConfigKeys:
         out = tmp_path / "candidates.jsonl"
         code = run("extract", root / "pairs.jsonl", "--config", cfg, "--out", out)
         assert code == EXIT_CONFIG
-        assert "must hold a JSON object" in capsys.readouterr().err
+        assert f"error: {cfg}: expected a JSON object, not list" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["extract", "estimate"])

@@ -131,7 +131,7 @@ class TestLoad:
         kg = load_kg(path, format="triples-tsv")
         assert kg.load_report.nodes == 3
         assert kg.load_report.edges == 2
-        assert kg.node(kg.resolve("c")[0]).node_type == "Disease"
+        assert kg.nodes[kg.resolve("c")[0]].node_type == "Disease"
 
     def test_tsv_bad_field_count(self, tmp_path):
         path = tmp_path / "kg.tsv"

@@ -31,6 +31,7 @@ from kgcausal.llm import (
     label_probability,
     map_pairs,
 )
+from kgcausal.util import read_json
 
 MOTIF_CONFIG = MockOracleConfig(causal_motifs=(("stress hormone",),),
                                 base_confidence=0.8, noise_seed=3, flip_rate=0.0)
@@ -130,7 +131,7 @@ class TestMockOracle:
     def test_config_json_round_trip(self, tmp_path):
         path = tmp_path / "mock.json"
         path.write_text(json.dumps(MOTIF_CONFIG.to_dict()), encoding="utf-8")
-        assert MockOracleConfig.from_json(path) == MOTIF_CONFIG
+        assert read_json(path, MockOracleConfig.from_dict) == MOTIF_CONFIG
 
 
 class TestLabelProbability:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import make_subgraph
+from kgcausal.errors import KgcausalError
 from kgcausal.kg import enumerate_subgraphs
 from kgcausal.llm import MockOracle
 from kgcausal.ltr import models
@@ -613,7 +614,7 @@ class TestSerialization:
     def test_version_checked(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text('{"version": "v0"}', encoding="utf-8")
-        with pytest.raises(ValueError, match="version"):
+        with pytest.raises(KgcausalError, match="unsupported model format version 'v0'"):
             load_model(path)
 
 
