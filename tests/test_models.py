@@ -223,6 +223,119 @@ class TestStackedTrainer:
         assert self.heldout_gap(planted, LISTNET, epochs=500) <= 1e-9
 
 
+def reference_loss_and_grads(params, X, loss_kind, y, r, offsets):
+    """Scorer loss and gradients of one stacked minibatch, with every formula
+    written out as the stacked trainer first had it."""
+    hidden = np.tanh(X @ params.w1 + params.b1)
+    s = hidden @ params.w2 + params.b2
+    starts = np.asarray(offsets, dtype=np.int64)
+    seg = np.zeros(s.size, dtype=np.int64)
+    seg[starts[1:]] = 1
+    seg = np.cumsum(seg)
+
+    def softmax(values):
+        shifted = values - np.maximum.reduceat(values, starts)[seg]
+        expd = np.exp(shifted)
+        total = np.add.reduceat(expd, starts)
+        return expd / total[seg], shifted - np.log(total)[seg]
+
+    if loss_kind == RANKNET:
+        diff = s[:, None] - s[None, :]
+        better = (seg[:, None] == seg[None, :]) & (r[:, None] < r[None, :])
+        loss = float(sum(np.logaddexp(0.0, -diff[better]).tolist()))
+        decay = np.exp(-np.abs(diff))
+        sig = np.where(diff >= 0, decay / (1.0 + decay), 1.0 / (1.0 + decay))
+        weighted = sig * better
+        dl_ds = -weighted.sum(axis=1) + weighted.sum(axis=0)
+    elif loss_kind == RMSE:
+        resid = s - y
+        lengths = np.bincount(seg)
+        value = np.sqrt(np.add.reduceat(resid ** 2, starts) / lengths)
+        scale = np.where(value < 1e-12, np.inf, lengths * value)
+        loss, dl_ds = float(value.sum()), resid / scale[seg]
+    else:
+        p, _ = softmax(y)
+        q, log_q = softmax(s)
+        loss, dl_ds = float(-(p * log_q).sum()), q - p
+    d_pre = np.outer(dl_ds, params.w2) * (1.0 - hidden ** 2)
+    grads = {
+        "w1": X.T @ d_pre,
+        "b1": d_pre.sum(axis=0),
+        "w2": hidden.T @ dl_ds,
+        "b2": float(dl_ds.sum()),
+    }
+    return loss, grads
+
+
+def stacked_reference_trainer(records, lm, loss_kind, config):
+    """The stacked minibatch loop as first written: rows gathered and offsets
+    rebuilt for every minibatch, and a fresh array for every intermediate.
+    The trainer must reproduce it bit for bit."""
+    X = np.concatenate([np.stack([dense_features(lm, ranker_input_tokens(record_pair(r), sg))
+                                  for sg in record_subgraphs(r)]) for r in records])
+    y = np.asarray([mp.relscore for record in records for mp in record.metapaths],
+                   dtype=np.float64)
+    lengths = np.asarray([len(record.metapaths) for record in records])
+    ranks = np.concatenate([np.arange(1, n + 1) for n in lengths])
+    record_rows = [np.arange(start, start + n)
+                   for start, n in zip(np.cumsum(lengths) - lengths, lengths)]
+
+    x_mean = X.mean(axis=0)
+    x_std = np.maximum(X.std(axis=0), 1e-8)
+    X = (X - x_mean) / x_std
+
+    rng = np.random.default_rng(config.seed)
+    d = lm.d
+    h = models.DEFAULT_HIDDEN
+    params = NeuralParams(
+        w1=rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, h)),
+        b1=np.zeros(h),
+        w2=rng.normal(0.0, 1.0 / np.sqrt(h), size=h),
+        b2=0.0,
+        x_mean=x_mean,
+        x_std=x_std,
+    )
+
+    history = []
+    for epoch in range(config.epochs):
+        learning_rate = config.learning_rate / (1.0 + config.lr_decay * epoch)
+        order = rng.permutation(len(records))
+        epoch_loss = 0.0
+        for start in range(0, len(order), config.batch):
+            batch = order[start:start + config.batch]
+            rows = np.concatenate([record_rows[i] for i in batch])
+            batch_lengths = lengths[batch]
+            loss, grads = reference_loss_and_grads(
+                params, X[rows], loss_kind, y[rows], ranks[rows],
+                np.cumsum(batch_lengths) - batch_lengths)
+            epoch_loss += loss
+            scale = learning_rate / len(batch)
+            params.w1 -= scale * grads["w1"]
+            params.b1 -= scale * grads["b1"]
+            params.w2 -= scale * grads["w2"]
+            params.b2 -= scale * grads["b2"]
+        history.append(float(epoch_loss / len(records)))
+    return params, history
+
+
+class TestTrainerIsBitExact:
+    """The trainer against the stacked loop it replaced.  Weights and loss
+    histories are compared for equality on this machine, not against stored
+    values: numpy's vectorized tanh and exp differ between CPUs."""
+
+    @pytest.mark.parametrize("loss_kind", [RMSE, RANKNET, LISTNET])
+    def test_equals_the_stacked_reference_loop(self, planted, loss_kind):
+        _, records, lm = planted
+        records = [r for r in records if len(r.metapaths) >= (1 if loss_kind == RMSE else 2)]
+        config = TrainConfig(epochs=30, learning_rate=0.3, batch=8, seed=5, lr_decay=0.02)
+        model = train_neural_ranker(records, lm, loss_kind, config)
+        params, history = stacked_reference_trainer(records, lm, loss_kind, config)
+        for name in ("w1", "b1", "w2", "x_mean", "x_std"):
+            assert getattr(model.neural, name).tobytes() == getattr(params, name).tobytes(), name
+        assert np.float64(model.neural.b2).tobytes() == np.float64(params.b2).tobytes()
+        assert model.train_loss_history == history
+
+
 class TestScorerGradients:
     @pytest.mark.parametrize("loss_kind,lengths", [
         (RMSE, [3, 1, 5, 2]), (RANKNET, [3, 2, 5, 2]), (LISTNET, [4, 2, 6, 3])])
