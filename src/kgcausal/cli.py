@@ -16,13 +16,12 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from .discovery import (
     DEFAULT_DISCOVERY_TEMPLATE,
     DiscoveryConfig,
     EvaluationReport,
     GraphMetrics,
+    _checked_adjacency,
     aggregate_graph,
     classify_pairs,
     evaluate_classification,
@@ -390,8 +389,8 @@ def cmd_eval(args, config: dict) -> int:
 
     graph = None
     if args.gold_adjacency:
-        variables, gold_matrix = read_json(
-            args.gold_adjacency, lambda d: (d["variables"], np.asarray(d["matrix"])))
+        variables, gold_matrix = read_json(args.gold_adjacency, lambda d: (
+            d["variables"], _checked_adjacency(d["matrix"], len(d["variables"]))))
         by_qid = {inst.qid: inst for inst in golds}
         pair_labels = {}
         for pred in predictions:

@@ -229,18 +229,23 @@ def aggregate_graph(pair_labels: Mapping[tuple[str, str], Optional[str]],
     return adj
 
 
+def _checked_adjacency(matrix, n: int) -> np.ndarray:
+    """``matrix`` as an array, checked to be a binary n x n adjacency matrix
+    with a zero diagonal."""
+    m = np.asarray(matrix)
+    if m.shape != (n, n):
+        raise ValueError(f"adjacency matrix must have shape {(n, n)}, not {m.shape}")
+    if not np.isin(m, (0, 1)).all():
+        raise ValueError("adjacency matrices must be binary")
+    if np.trace(np.abs(m)) != 0:
+        raise ValueError("adjacency matrices must have a zero diagonal")
+    return m
+
+
 def hamming_distance(adj: np.ndarray, gold_adj: np.ndarray) -> tuple[int, float]:
     """(mismatch count over all n*n cells, count normalized by n*n)."""
-    adj = np.asarray(adj)
-    gold_adj = np.asarray(gold_adj)
-    if adj.shape != gold_adj.shape or adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-        raise ValueError("adjacency matrices must be square and equally sized")
-    for m in (adj, gold_adj):
-        if not np.isin(m, (0, 1)).all():
-            raise ValueError("adjacency matrices must be binary")
-        if np.trace(np.abs(m)) != 0:
-            raise ValueError("adjacency matrices must have a zero diagonal")
-    n = adj.shape[0]
+    n = len(adj)
+    adj, gold_adj = _checked_adjacency(adj, n), _checked_adjacency(gold_adj, n)
     hd = int(np.sum(adj != gold_adj))
     return hd, hd / (n * n)
 

@@ -9,7 +9,8 @@ central finite differences.  All arithmetic is float64.
 ``offsets``, the index where each segment (one record's paths) starts;
 without ``offsets`` the whole vector is one segment.  The value is the sum
 of the per-segment losses, so the gradient of a stack is the per-segment
-gradients side by side.
+gradients side by side.  It checks its inputs, then calls the unchecked
+kernel that the trainer calls per minibatch after one check of all records.
 """
 
 from __future__ import annotations
@@ -22,10 +23,6 @@ RMSE = "rmse"
 RANKNET = "ranknet"
 LISTNET = "listnet"
 LOSS_KINDS = (RMSE, RANKNET, LISTNET)
-
-
-def _as_float(values: Sequence[float]) -> np.ndarray:
-    return np.asarray(values, dtype=np.float64)
 
 
 def _segments(n: int, offsets: Optional[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -58,6 +55,50 @@ def _segment_softmax(values: np.ndarray, starts: np.ndarray, seg: np.ndarray
     return expd / total[seg], shifted - np.log(total)[seg]
 
 
+def _rmse(s: np.ndarray, y: np.ndarray, starts: np.ndarray, seg: np.ndarray):
+    resid = s - y
+    lengths = np.bincount(seg)
+    value = np.sqrt(np.add.reduceat(resid ** 2, starts) / lengths)
+    # the gradient is taken as zero at a segment's (non-differentiable) exact fit
+    scale = np.where(value < 1e-12, np.inf, lengths * value)
+    return float(value.sum()), resid / scale[seg]
+
+
+def _ranknet(s: np.ndarray, r: np.ndarray, starts: np.ndarray, seg: np.ndarray):
+    diff = s[:, None] - s[None, :]
+    better = (seg[:, None] == seg[None, :]) & (r[:, None] < r[None, :])
+    # Python's sum in row order adds the terms as ranknet_terms lists them,
+    # so the value is bit-identical to the reference loop.
+    loss = float(sum(np.logaddexp(0.0, -diff[better]).tolist()))
+    # sigmoid(-(s_i - s_j)), computed stably on both tails
+    decay = np.exp(-np.abs(diff))
+    sig = np.where(diff >= 0, decay / (1.0 + decay), 1.0 / (1.0 + decay))
+    weighted = sig * better
+    return loss, -weighted.sum(axis=1) + weighted.sum(axis=0)
+
+
+def _listnet(s: np.ndarray, p: np.ndarray, starts: np.ndarray, seg: np.ndarray):
+    q, log_q = _segment_softmax(s, starts, seg)
+    return float(-(p * log_q).sum()), q - p
+
+
+# Unchecked: (scores, _stack_target's target, starts, seg) -> (loss, gradient)
+_KERNELS = {RMSE: _rmse, RANKNET: _ranknet, LISTNET: _listnet}
+
+
+def _stack_target(loss_kind: str, n: int, targets, ranks, starts, seg) -> np.ndarray:
+    """The checked kernel input for ``n`` stacked items: the ranks (RankNet),
+    the targets (RMSE) or their per-segment top-one distribution (ListNet)."""
+    if loss_kind == RANKNET:
+        return _check_ranks(ranks, starts, seg)
+    if loss_kind not in LOSS_KINDS:
+        raise ValueError(f"unknown loss kind {loss_kind!r}")
+    y = np.asarray(targets, dtype=np.float64)
+    if y.shape != (n,) or n == 0:
+        raise ValueError("scores and targets must be equal-length and non-empty")
+    return y if loss_kind == RMSE else _segment_softmax(y, starts, seg)[0]
+
+
 def loss_and_grad(loss_kind: str, scores: Sequence[float],
                   targets: Optional[Sequence[float]] = None,
                   ranks: Optional[Sequence[int]] = None,
@@ -65,35 +106,10 @@ def loss_and_grad(loss_kind: str, scores: Sequence[float],
     """Summed loss over the segments and its gradient with respect to the
     scores.  RMSE and ListNet read ``targets``; RankNet reads ``ranks``, a
     permutation of 1..k within each segment, rank 1 the most relevant."""
-    s = _as_float(scores)
+    s = np.asarray(scores, dtype=np.float64)
     starts, seg = _segments(s.size, offsets)
-    if loss_kind == RANKNET:
-        r = _check_ranks(ranks, starts, seg)
-        diff = s[:, None] - s[None, :]
-        better = (seg[:, None] == seg[None, :]) & (r[:, None] < r[None, :])
-        # Python's sum in row order adds the terms as ranknet_terms lists them,
-        # so the value is bit-identical to the reference loop.
-        loss = float(sum(np.logaddexp(0.0, -diff[better]).tolist()))
-        # sigmoid(-(s_i - s_j)), computed stably on both tails
-        decay = np.exp(-np.abs(diff))
-        sig = np.where(diff >= 0, decay / (1.0 + decay), 1.0 / (1.0 + decay))
-        weighted = sig * better
-        return loss, -weighted.sum(axis=1) + weighted.sum(axis=0)
-    if loss_kind not in LOSS_KINDS:
-        raise ValueError(f"unknown loss kind {loss_kind!r}")
-    y = _as_float(targets)
-    if s.shape != y.shape or s.size == 0:
-        raise ValueError("scores and targets must be equal-length and non-empty")
-    if loss_kind == RMSE:
-        resid = s - y
-        lengths = np.bincount(seg)
-        value = np.sqrt(np.add.reduceat(resid ** 2, starts) / lengths)
-        # the gradient is taken as zero at a segment's (non-differentiable) exact fit
-        scale = np.where(value < 1e-12, np.inf, lengths * value)
-        return float(value.sum()), resid / scale[seg]
-    p, _ = _segment_softmax(y, starts, seg)
-    q, log_q = _segment_softmax(s, starts, seg)
-    return float(-(p * log_q).sum()), q - p
+    target = _stack_target(loss_kind, s.size, targets, ranks, starts, seg)
+    return _KERNELS[loss_kind](s, target, starts, seg)
 
 
 def ranknet_terms(scores: Sequence[float], ranks: Sequence[int]) -> list[float]:
@@ -104,7 +120,7 @@ def ranknet_terms(scores: Sequence[float], ranks: Sequence[int]) -> list[float]:
     loop is the reference that :func:`loss_and_grad`'s RankNet value is
     tested against.
     """
-    s = _as_float(scores)
+    s = np.asarray(scores, dtype=np.float64)
     starts, seg = _segments(s.size, None)
     r = _check_ranks(ranks, starts, seg)
     terms = []

@@ -24,7 +24,7 @@ from ..kg import FORWARD, MetapathSubgraph
 from ..relevance import RankedPairRecord
 from ..util import atomic_write, descending_order, read_json, stable_hash
 from ..verbalize import HYPHEN_STYLE, ranker_input_tokens, tokenize, verbalize
-from .losses import LOSS_KINDS, RMSE, loss_and_grad
+from .losses import _KERNELS, LOSS_KINDS, RMSE, _segments, _stack_target, loss_and_grad
 from .ngram import DEFAULT_HASH_DIM, NgramLM, dense_features, hashed_slots
 
 logger = logging.getLogger(__name__)
@@ -235,9 +235,48 @@ class RankerModel:
             raise ValueError(f"unknown loss kind {self.loss_kind!r}")
 
 
+class _FlatScorer:
+    """The scorer's w1, b1, w2 and b2 as views of one flat buffer, their
+    gradients as views of another, and scratch rows for up to ``max_rows``
+    paths, so a step runs in place and updates with two buffer operations."""
+
+    def __init__(self, w1, b1, w2, b2: float, max_rows: int):
+        d, h = w1.shape
+        self.flat = np.concatenate([np.ravel(w1), b1, w2, [b2]])
+        self.grad = np.empty_like(self.flat)
+        self.w1, self.b1, self.w2, self.g_w1, self.g_b1, self.g_w2 = (
+            view for buf in (self.flat, self.grad)
+            for view in (buf[:d * h].reshape(d, h), buf[d * h:-h - 1], buf[-h - 1:-1]))
+        self.hidden, self.d_pre = np.empty((2, max_rows, h))
+
+    def forward(self, X: np.ndarray) -> np.ndarray:
+        """tanh(X w1 + b1) w2 + b2, computed in the scratch rows."""
+        hidden = self.hidden[:len(X)]
+        np.matmul(X, self.w1, out=hidden)
+        hidden += self.b1
+        np.tanh(hidden, out=hidden)
+        scores = hidden @ self.w2
+        scores += self.flat[-1]
+        return scores
+
+    def loss_and_grads(self, X: np.ndarray, loss_fn, *args) -> float:
+        """``loss_fn(scores, *args)``'s loss for the stacked rows of ``X``; the
+        parameter gradients land in ``self.grad``."""
+        loss, dl_ds = loss_fn(self.forward(X), *args)
+        hidden, d_pre = self.hidden[:len(X)], self.d_pre[:len(X)]
+        np.matmul(hidden.T, dl_ds, out=self.g_w2)
+        np.multiply(dl_ds[:, None], self.w2, out=d_pre)
+        np.square(hidden, out=hidden)
+        np.subtract(1.0, hidden, out=hidden)
+        d_pre *= hidden
+        np.matmul(X.T, d_pre, out=self.g_w1)
+        np.add.reduce(d_pre, axis=0, out=self.g_b1)
+        self.grad[-1] = np.add.reduce(dl_ds)
+        return loss
+
+
 def scorer_forward(params: NeuralParams, X: np.ndarray) -> np.ndarray:
-    hidden = np.tanh(X @ params.w1 + params.b1)
-    return hidden @ params.w2 + params.b2
+    return _FlatScorer(params.w1, params.b1, params.w2, params.b2, len(X)).forward(X)
 
 
 def scorer_loss_and_grads(params: NeuralParams, X: np.ndarray, loss_kind: str,
@@ -250,18 +289,11 @@ def scorer_loss_and_grads(params: NeuralParams, X: np.ndarray, loss_kind: str,
     row where each record starts (one record when omitted).  Loss and
     gradients are sums over the records; see :func:`losses.loss_and_grad`.
     """
-    hidden = np.tanh(X @ params.w1 + params.b1)
-    scores = hidden @ params.w2 + params.b2
-    loss, dl_ds = loss_and_grad(loss_kind, scores, targets=targets, ranks=ranks,
-                                offsets=offsets)
-    d_pre = np.outer(dl_ds, params.w2) * (1.0 - hidden ** 2)
-    grads = {
-        "w1": X.T @ d_pre,
-        "b1": d_pre.sum(axis=0),
-        "w2": hidden.T @ dl_ds,
-        "b2": float(dl_ds.sum()),
-    }
-    return loss, grads
+    scorer = _FlatScorer(params.w1, params.b1, params.w2, params.b2, len(X))
+    loss = scorer.loss_and_grads(X, lambda scores: loss_and_grad(
+        loss_kind, scores, targets=targets, ranks=ranks, offsets=offsets))
+    return loss, {"w1": scorer.g_w1, "b1": scorer.g_b1, "w2": scorer.g_w2,
+                  "b2": float(scorer.grad[-1])}
 
 
 def record_pair(record: RankedPairRecord) -> tuple[str, str]:
@@ -365,12 +397,11 @@ def train_neural_ranker(dataset: Sequence[RankedPairRecord], lm: NgramLM, loss_k
 
     Targets are the records' relevance scores; for the pairwise objective
     the rank of each path is its position in the record, which is already
-    sorted by descending relevance.  Each minibatch of ``config.batch``
-    records is stacked into one matrix and takes one forward and one
-    backward pass, its records marked by row offsets.
+    sorted by descending relevance.  The loss inputs are checked once.  Each
+    epoch gathers the rows in visiting order, so a minibatch of
+    ``config.batch`` records is a slice of that stack and takes one
+    in-place forward and backward pass through the loss's unchecked kernel.
     """
-    if loss_kind not in LOSS_KINDS:
-        raise ValueError(f"unknown loss kind {loss_kind!r}")
     records = _eligible_records(dataset, loss_kind)
 
     X = np.concatenate([_dense_matrix(lm, record_pair(record), record_subgraphs(record))
@@ -379,47 +410,44 @@ def train_neural_ranker(dataset: Sequence[RankedPairRecord], lm: NgramLM, loss_k
                    dtype=np.float64)
     lengths = np.asarray([len(record.metapaths) for record in records])
     ranks = np.concatenate([np.arange(1, n + 1) for n in lengths])
-    record_rows = [np.arange(start, start + n)
-                   for start, n in zip(np.cumsum(lengths) - lengths, lengths)]
+    first_rows = np.cumsum(lengths) - lengths
+    target = _stack_target(loss_kind, len(y), y, ranks, *_segments(len(y), first_rows))
 
     x_mean = X.mean(axis=0)
     x_std = np.maximum(X.std(axis=0), 1e-8)
     X = (X - x_mean) / x_std
 
     rng = np.random.default_rng(config.seed)
-    d = lm.d
-    h = DEFAULT_HIDDEN
-    params = NeuralParams(
-        w1=rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, h)),
-        b1=np.zeros(h),
-        w2=rng.normal(0.0, 1.0 / np.sqrt(h), size=h),
-        b2=0.0,
-        x_mean=x_mean,
-        x_std=x_std,
-    )
+    d, h = lm.d, DEFAULT_HIDDEN
+    scorer = _FlatScorer(rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, h)), np.zeros(h),
+                         rng.normal(0.0, 1.0 / np.sqrt(h), size=h), 0.0,
+                         max_rows=int(np.sort(lengths)[-config.batch:].sum()))
 
+    slot = np.arange(len(records)) % config.batch  # a record's place in its minibatch
     history: list[float] = []
     for epoch in range(config.epochs):
         learning_rate = config.learning_rate / (1.0 + config.lr_decay * epoch)
         order = rng.permutation(len(records))
+        counts = lengths[order]
+        begins = np.cumsum(counts) - counts
+        rows = np.arange(len(y)) + np.repeat(first_rows[order] - begins, counts)
+        X_epoch, target_epoch = X[rows], target[rows]
+        seg_epoch = np.repeat(slot, counts)
+        starts_epoch = begins - begins[np.arange(len(records)) - slot]
+        bounds = [*begins[::config.batch].tolist(), len(y)]
         epoch_loss = 0.0
-        for start in range(0, len(order), config.batch):
-            batch = order[start:start + config.batch]
-            rows = np.concatenate([record_rows[i] for i in batch])
-            batch_lengths = lengths[batch]
-            loss, grads = scorer_loss_and_grads(
-                params, X[rows], loss_kind, targets=y[rows], ranks=ranks[rows],
-                offsets=np.cumsum(batch_lengths) - batch_lengths)
-            epoch_loss += loss
-            scale = learning_rate / len(batch)
-            params.w1 -= scale * grads["w1"]
-            params.b1 -= scale * grads["b1"]
-            params.w2 -= scale * grads["w2"]
-            params.b2 -= scale * grads["b2"]
+        for first, lo, hi in zip(range(0, len(records), config.batch), bounds, bounds[1:]):
+            starts = starts_epoch[first:first + config.batch]
+            epoch_loss += scorer.loss_and_grads(X_epoch[lo:hi], _KERNELS[loss_kind],
+                                                target_epoch[lo:hi], starts, seg_epoch[lo:hi])
+            scorer.grad *= learning_rate / len(starts)
+            scorer.flat -= scorer.grad
         mean_loss = epoch_loss / len(records)
         history.append(float(mean_loss))
         logger.debug("ranker epoch %d: %s loss %.5f", epoch + 1, loss_kind, mean_loss)
 
+    params = NeuralParams(w1=scorer.w1, b1=scorer.b1, w2=scorer.w2, b2=float(scorer.flat[-1]),
+                          x_mean=x_mean, x_std=x_std)
     return RankerModel(kind=NEURAL, loss_kind=loss_kind, seed=config.seed, neural=params,
                        train_loss_history=history)
 

@@ -96,6 +96,10 @@ class RankedMetapath:
     reltypes: str
     nodelabels: str
 
+    def __post_init__(self):
+        if not all(isinstance(v, str) for v in (self.stops, self.reltypes, self.nodelabels)):
+            raise TypeError(f"path {self.pathid}: stops, reltypes and nodelabels must be strings")
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -121,6 +125,10 @@ class RankedPairRecord:
     e2: str
     groundtruth: str
     metapaths: tuple[RankedMetapath, ...]
+
+    def __post_init__(self):
+        if not all(isinstance(v, str) for v in (self.e1, self.e2)):
+            raise TypeError(f"{self.qid}: e1 and e2 must be strings")
 
     def to_dict(self) -> dict:
         return asdict(self)

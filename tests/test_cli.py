@@ -471,6 +471,16 @@ class TestBadInputs:
                      "adjacency.json",
                      lambda _: '{"variables": ["a", "b"], "matrix": [[0, 1], [0]]}', {},
                      "setting an array element with a sequence", id="ragged-adjacency"),
+        pytest.param("eval", ["predictions.jsonl", "pairs.jsonl", "--gold-adjacency", "BAD"],
+                     "adjacency.json",
+                     lambda _: '{"variables": ["a", "b"], "matrix": [[0, 1, 0], [0, 0, 0]]}',
+                     {}, "adjacency matrix must have shape (2, 2), not (2, 3)",
+                     id="non-square-adjacency"),
+        pytest.param("train", ["BAD"], "ranked.jsonl", first_row(lambda row: row.update(e1=5)),
+                     {}, "e1 and e2 must be strings", id="ranked-int-e1"),
+        pytest.param("train", ["BAD"], "ranked.jsonl",
+                     first_row(lambda row: row["metapaths"][0].update(stops=5)), {},
+                     "stops, reltypes and nodelabels must be strings", id="ranked-int-stops"),
         pytest.param("eval", ["BAD", "pairs.jsonl"], "predictions.jsonl",
                      first_row(lambda row: row.update(predicted="maybe")), {},
                      "predicted must be 'causal', 'non-causal' or null, not 'maybe'",

@@ -319,8 +319,8 @@ def stacked_reference_trainer(records, lm, loss_kind, config):
 
 
 class TestTrainerIsBitExact:
-    """The trainer against the stacked loop it replaced.  Weights and loss
-    histories are compared for equality on this machine, not against stored
+    """The trainer against the stacked loop it replaced.  Both run in the
+    same process and are compared with each other, never with stored
     values: numpy's vectorized tanh and exp differ between CPUs."""
 
     @pytest.mark.parametrize("loss_kind", [RMSE, RANKNET, LISTNET])
