@@ -375,6 +375,23 @@ class TestVariants:
         assert rows and all("score" in e for row in rows for e in row["entries"])
         assert all("gain" not in e for row in rows for e in row["entries"])
 
+    def test_rank_of_a_pair_without_paths_writes_an_empty_ranking(self, pipeline, tmp_path):
+        """A candidate row without subgraphs and a ranked row without
+        metapaths each rank to an empty order."""
+        root, _, out = pipeline
+        source = tmp_path / "pathless.jsonl"
+        source.write_text(
+            json.dumps({"qid": "c", "e1": "a", "e2": "b", "context": "", "label": "causal",
+                        "subgraphs": []}) + "\n"
+            + json.dumps({"qid": "r", "e1": "a", "e2": "b", "groundtruth": "1",
+                          "metapaths": []}) + "\n", encoding="utf-8")
+        rankings = tmp_path / "rankings.jsonl"
+        assert run("rank", out / "model.json", source, "--config", root / "config.json",
+                   "--out", rankings) == EXIT_OK
+        assert rankings.read_text() == (
+            '{"qid": "c", "order": [], "entries": []}\n'
+            '{"qid": "r", "order": [], "entries": []}\n')
+
     def test_train_flags_override_config(self, pipeline, tmp_path):
         root, _, out = pipeline
         model_path = tmp_path / "listnet.json"
@@ -753,6 +770,10 @@ class TestEvalArithmetic:
         report_path = tmp_path / "report.json"
         assert run("eval", pred_path, gold_path, "--out", report_path) == EXIT_OK
         report = json.loads(report_path.read_text())
+        assert list(report) == ["classification", "ranking", "graph", "config",
+                                "template_hashes"]
+        assert report["ranking"] == {}
+        assert report["graph"] is None
         assert report["classification"]["precision"] == pytest.approx(100.0)
         assert report["classification"]["recall"] == pytest.approx(36.84, abs=0.01)
         assert report["classification"]["f1"] == pytest.approx(53.85, abs=0.01)
@@ -786,6 +807,10 @@ class TestEvalArithmetic:
         assert run("eval", pred_path, gold_path, "--gold-adjacency", adjacency_path,
                    "--out", report_path) == EXIT_OK
         report = json.loads(report_path.read_text())
+        assert list(report) == ["classification", "ranking", "graph", "config",
+                                "template_hashes"]
+        assert list(report["graph"]) == ["hd", "nhd", "n", "orientation"]
+        assert report["graph"]["orientation"] == "all-ordered-pairs"
         assert report["graph"]["hd"] == 24
         assert report["graph"]["nhd"] == pytest.approx(0.198, abs=0.001)
         assert report["graph"]["n"] == 11
