@@ -7,7 +7,6 @@ from .errors import (
     BackendRejected,
     BackendUnavailable,
     CapabilityMissing,
-    EmptyCandidatesError,
     KgcausalError,
     KGLoadError,
     NoSuchNodeError,
@@ -67,8 +66,6 @@ from .discovery import (
     CausalPrediction,
     ClassificationMetrics,
     DiscoveryConfig,
-    EvaluationReport,
-    GraphMetrics,
     aggregate_graph,
     build_discovery_prompt,
     classify_pair,

@@ -19,8 +19,6 @@ from typing import Optional
 from .discovery import (
     DEFAULT_DISCOVERY_TEMPLATE,
     DiscoveryConfig,
-    EvaluationReport,
-    GraphMetrics,
     _checked_adjacency,
     aggregate_graph,
     classify_pairs,
@@ -32,8 +30,10 @@ from .errors import KgcausalError
 from .kg import MetapathSubgraph, load_kg
 from .llm import HttpBackend, MockOracle, MockOracleConfig
 from .ltr.metrics import ndcg_at_k, recall_at_k
+from .ltr.losses import LOSS_KINDS
 from .ltr.models import (
     GBDT,
+    MODEL_KINDS,
     NEURAL,
     RankerModel,
     TrainConfig,
@@ -89,9 +89,13 @@ DEFAULT_CONFIG: dict = {
 # Keys that take null although their default is not null: no candidate cap.
 _NULLABLE = ("kg.candidate_limit",)
 
-# Smallest value each of these integer keys takes.
-_MINIMUMS = {"sre.k_max": 1, "ranker.ngram.n": 1, "ranker.ngram.d": 1,
-             "llm.max_retries": 0}
+# Smallest value each of these integer keys, or each item of the list at
+# the key, takes.
+_MINIMUMS = {"kg.max_hops": 1, "kg.candidate_limit": 1, "llm.parallelism": 1,
+             "llm.max_retries": 0, "sre.k_max": 1, "ranker.ngram.n": 1,
+             "ranker.ngram.d": 1, "ranker.ngram.epochs": 1, "ranker.train.epochs": 1,
+             "ranker.train.batch": 1, "ranker.gbdt.rounds": 1, "ranker.gbdt.depth": 0,
+             "discovery.k": 1, "eval.ks": 1}
 
 # Command-line flag (argparse dest) -> the dotted config key it overrides.
 _FLAG_KEYS = {"seed": "seed", "max_hops": "kg.max_hops", "kind": "ranker.kind",
@@ -132,8 +136,9 @@ def _merge_config(default, value, path: str = ""):
         or_null = " or null" if nullable else ""
         raise KgcausalError(f"config key {path} must be {_TYPE_NAMES[expected]}{or_null}, "
                             f"not {_TYPE_NAMES[type(value)]}")
-    if path in _MINIMUMS and value < _MINIMUMS[path]:
-        raise KgcausalError(f"config key {path} must be >= {_MINIMUMS[path]}, not {value}")
+    minimum = _MINIMUMS.get(path.partition("[")[0])
+    if minimum is not None and value < minimum:
+        raise KgcausalError(f"config key {path} must be >= {minimum}, not {value}")
     return value
 
 
@@ -241,15 +246,27 @@ def cmd_estimate(args, config: dict) -> int:
         lambda result: {"pairs": len(rows), "records_written": len(result.records),
                         "skipped_no_subgraphs": len(rows) - len(jobs),
                         "skipped_backend_error": result.skipped_backend_error,
+                        "unparseable": sum(mp.probscore is None for record in result.records
+                                           for mp in record.metapaths),
                         "backend_calls": result.backend_calls})
 
 
 def cmd_train(args, config: dict) -> int:
+    rcfg = config["ranker"]
+    kind = rcfg["kind"]
+    for key, value, allowed in (("kind", kind, MODEL_KINDS), ("loss", rcfg["loss"], LOSS_KINDS)):
+        if value not in allowed:
+            raise KgcausalError(f"config key ranker.{key} must be one of "
+                                f"{', '.join(allowed)}, not {value!r}")
+    seed = stage_seed(config["seed"], "train")
+    train_config = TrainConfig(
+        epochs=rcfg["train"]["epochs"], learning_rate=rcfg["train"]["lr"],
+        batch=rcfg["train"]["batch"], seed=seed,
+        gbdt_rounds=rcfg["gbdt"]["rounds"], gbdt_max_depth=rcfg["gbdt"]["depth"],
+        gbdt_learning_rate=rcfg["gbdt"]["lr"])
     dataset = read_ranked_dataset(args.dataset)
     if not dataset:
         raise KgcausalError(f"ranked dataset {args.dataset} is empty")
-    rcfg = config["ranker"]
-    seed = stage_seed(config["seed"], "train")
 
     corpus = []
     for record in dataset:
@@ -261,20 +278,12 @@ def cmd_train(args, config: dict) -> int:
                         epochs=rcfg["ngram"]["epochs"],
                         learning_rate=rcfg["ngram"]["lr"])
 
-    train_config = TrainConfig(
-        epochs=rcfg["train"]["epochs"], learning_rate=rcfg["train"]["lr"],
-        batch=rcfg["train"]["batch"], seed=seed,
-        gbdt_rounds=rcfg["gbdt"]["rounds"], gbdt_max_depth=rcfg["gbdt"]["depth"],
-        gbdt_learning_rate=rcfg["gbdt"]["lr"])
-    kind = rcfg["kind"]
     if kind == NEURAL:
         model = train_neural_ranker(dataset, lm, rcfg["loss"], train_config)
     elif kind == GBDT:
         model = train_gbdt_ranker(dataset, lm, train_config)
-    elif kind in ("similarity", "random"):
-        model = RankerModel(kind=kind, seed=seed)
     else:
-        raise KgcausalError(f"unknown ranker kind {kind!r}")
+        model = RankerModel(kind=kind, seed=seed)
 
     save_model(model, args.out, lm)
     summary = {"kind": kind, "loss": model.loss_kind, "records": len(dataset),
@@ -287,35 +296,28 @@ def cmd_train(args, config: dict) -> int:
 
 
 def _subgraph_set(row: dict):
-    """A candidate or ranked-dataset row -> (qid, pair, subgraphs, gains,
-    relevant flags); the last two are None for a candidate row."""
+    """A candidate or ranked-dataset row -> (qid, pair, subgraphs, extras),
+    where ``extras[i]`` holds the ranking entry fields of path i beyond its
+    stops and score: its gain and relevant flag in a ranked row, none in a
+    candidate row."""
     if "metapaths" in row:
         record = RankedPairRecord.from_dict(row)
-        gains = [mp.relscore for mp in record.metapaths]
-        relevant = [mp.relevant == "1" for mp in record.metapaths]
-        return record.qid, (record.e1, record.e2), record_subgraphs(record), gains, relevant
+        extras = [{"gain": mp.relscore, "relevant": mp.relevant == "1"}
+                  for mp in record.metapaths]
+        return record.qid, (record.e1, record.e2), record_subgraphs(record), extras
     inst, subgraphs = _candidate_row(row)
-    return inst.qid, (inst.e1, inst.e2), subgraphs, None, None
+    return inst.qid, (inst.e1, inst.e2), subgraphs, [{}] * len(subgraphs)
 
 
 def cmd_rank(args, config: dict) -> int:
     model, lm = load_model(args.model)
 
     out_rows = []
-    for qid, pair, subgraphs, gains, relevant in read_jsonl(args.candidates, _subgraph_set):
-        if not subgraphs:
-            out_rows.append({"qid": qid, "order": [], "entries": []})
-            continue
+    for qid, pair, subgraphs, extras in read_jsonl(args.candidates, _subgraph_set):
         scores = score_subgraphs(model, pair, subgraphs, lm)
         order = descending_order(scores)
-        entries = []
-        for i in order:
-            entry = {"stops": " - ".join(subgraphs[i].node_names),
-                     "score": float(scores[i])}
-            if gains is not None:
-                entry["gain"] = gains[i]
-                entry["relevant"] = relevant[i]
-            entries.append(entry)
+        entries = [{"stops": " - ".join(subgraphs[i].node_names), "score": float(scores[i]),
+                    **extras[i]} for i in order]
         out_rows.append({"qid": qid, "order": order, "entries": entries})
     write_jsonl(args.out, out_rows)
     summary = {"pairs": len(out_rows), "model_kind": model.kind}
@@ -398,17 +400,13 @@ def cmd_eval(args, config: dict) -> int:
             pair_labels[(inst.e1, inst.e2)] = pred.predicted
         adj = aggregate_graph(pair_labels, variables)
         hd, nhd = hamming_distance(adj, gold_matrix)
-        graph = GraphMetrics(hd=hd, nhd=nhd, n=len(variables))
-
-    report = EvaluationReport(classification=classification, ranking=ranking, graph=graph)
-    doc = report.to_dict()
-    if doc["graph"] is not None:
         # adjacency is built from independently classified ordered pairs,
         # both orientations of every unordered pair
-        doc["graph"]["orientation"] = "all-ordered-pairs"
-    doc["config"] = config
-    doc["template_hashes"] = TEMPLATE_HASHES
-    _write_json(args.out, doc)
+        graph = {"hd": hd, "nhd": nhd, "n": len(variables), "orientation": "all-ordered-pairs"}
+
+    _write_json(args.out, {"classification": classification.to_dict(), "ranking": ranking,
+                           "graph": graph, "config": config,
+                           "template_hashes": TEMPLATE_HASHES})
     logger.info("eval: P=%.2f R=%.2f F1=%.2f, %d pairs without a prediction",
                 classification.precision, classification.recall, classification.f1,
                 classification.missing)
@@ -442,9 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = common(sub.add_parser("train", help="train a subgraph ranker"))
     p.add_argument("dataset", type=Path)
-    p.add_argument("--kind", choices=["neural", "gbdt", "similarity", "random"],
-                   default=None)
-    p.add_argument("--loss", choices=["rmse", "ranknet", "listnet"], default=None)
+    p.add_argument("--kind", choices=MODEL_KINDS, default=None)
+    p.add_argument("--loss", choices=LOSS_KINDS, default=None)
     p.set_defaults(func=cmd_train)
 
     p = common(sub.add_parser("rank", help="apply a trained ranker to candidates"))
@@ -478,6 +475,7 @@ def main(argv=None) -> int:
             if value is not None:
                 section, _, key = key_path.rpartition(".")
                 (config[section] if section else config)[key] = value
+        config = _merge_config(DEFAULT_CONFIG, config)  # checks the flag values too
         return args.func(args, config)
     except (KgcausalError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,7 +4,7 @@ plus the evaluation metrics used to compare approaches.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -248,28 +248,6 @@ def hamming_distance(adj: np.ndarray, gold_adj: np.ndarray) -> tuple[int, float]
     adj, gold_adj = _checked_adjacency(adj, n), _checked_adjacency(gold_adj, n)
     hd = int(np.sum(adj != gold_adj))
     return hd, hd / (n * n)
-
-
-@dataclass(frozen=True)
-class GraphMetrics:
-    hd: int
-    nhd: float
-    n: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-@dataclass(frozen=True)
-class EvaluationReport:
-    """Aggregate metrics for one experiment."""
-
-    classification: ClassificationMetrics
-    ranking: dict = field(default_factory=dict)
-    graph: Optional[GraphMetrics] = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def read_predictions(path) -> list[CausalPrediction]:

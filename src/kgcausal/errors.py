@@ -13,10 +13,6 @@ class NoSuchNodeError(KgcausalError):
     """A variable name does not resolve to any node in the graph."""
 
 
-class EmptyCandidatesError(KgcausalError):
-    """An operation that needs at least one candidate subgraph got none."""
-
-
 class BackendUnavailable(KgcausalError):
     """The text-generation backend could not be reached after retries."""
 

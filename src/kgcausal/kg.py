@@ -105,9 +105,6 @@ class MetapathSubgraph:
     def __len__(self) -> int:
         return len(self.edge_labels)
 
-    def sort_key(self):
-        return (self.node_ids, tuple(zip(self.edge_labels, self.edge_directions)))
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -251,7 +248,7 @@ class KnowledgeGraph:
         self._neighbours = array("i", neighbour.astype(np.int32).tobytes())
         self._hop_codes = array("i", hop.astype(np.int32).tobytes())
 
-        # Lowercased names in sorted order, ties in id order, for resolve().
+        # Lowercased names in sorted order, ties in id order, for _resolve().
         lowered = [name.lower() for name in self._names]
         lowered = [low if low != name else name for low, name in zip(lowered, self._names)]
         by_name = sorted(range(len(lowered)), key=lowered.__getitem__)
@@ -293,10 +290,6 @@ class KnowledgeGraph:
         first, end = self._offsets[u], self._offsets[u + 1]
         return tuple((self._ids[v], self._hop_labels[c], _DIRECTIONS[c & 1])
                      for v, c in zip(self._neighbours[first:end], self._hop_codes[first:end]))
-
-    def resolve(self, name: str) -> tuple[str, ...]:
-        """All node ids whose name matches case-insensitively."""
-        return tuple(self._ids[u] for u in self._resolve(name))
 
     # -- the int core -------------------------------------------------------
 
@@ -572,8 +565,9 @@ def enumerate_subgraphs(kg: KnowledgeGraph, pair: tuple[str, str], max_hops: int
     Only paths of the minimal connecting length are returned, and only when
     that length is within ``max_hops``.  Parallel edges yield one subgraph
     per relation/direction combination.  Results are ordered
-    lexicographically by node-id sequence (then hop labels); when there are
-    more than ``limit``, a seeded uniform sample of that order is taken.
+    lexicographically by node-id sequence, then by the (label, direction)
+    pairs of the hops; when there are more than ``limit``, a seeded uniform
+    sample of that order is taken.
 
     The search meets in the middle: a breadth-first search from each
     variable's ids, always growing the frontier with fewer adjacency entries,
@@ -584,8 +578,8 @@ def enumerate_subgraphs(kg: KnowledgeGraph, pair: tuple[str, str], max_hops: int
     path, and from a node of higher degree than the next depth has such
     nodes it looks up the hops onto them rather than reading its adjacency.
     Both run on interned ints: the walk lists the paths in order as ``(node
-    ints, hop codes)``, whose order is that of ``MetapathSubgraph.sort_key``,
-    they are sampled as such, and only the paths returned become subgraphs.
+    ints, hop codes)``, whose order is the one above, they are sampled as
+    such, and only the paths returned become subgraphs.
     """
     if max_hops < 1:
         raise ValueError("max_hops must be >= 1")

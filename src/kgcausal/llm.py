@@ -96,10 +96,11 @@ def label_probability(completion: Completion) -> tuple[str, float]:
         haystacks.append(completion.text)
 
     for haystack in haystacks:
-        lowered = haystack.lower()
         for variant in LABEL_VARIANTS:
-            pos = lowered.find(variant.lower())
-            if pos < 0:
+            # Matched in place, so the span indexes the tokens even where
+            # lowercasing would change the text's length.
+            match = re.search(re.escape(variant), haystack, re.ASCII | re.IGNORECASE)
+            if match is None:
                 continue
             label = canonical_label(variant)
             if haystack is not concat:
@@ -107,7 +108,7 @@ def label_probability(completion: Completion) -> tuple[str, float]:
                 # fall back to averaging across all tokens.
                 logprobs = [lp for _, lp in completion.tokens]
             else:
-                span = (pos, pos + len(variant))
+                span = match.span()
                 logprobs = []
                 offset = 0
                 for tok, lp in completion.tokens:
@@ -115,8 +116,6 @@ def label_probability(completion: Completion) -> tuple[str, float]:
                     offset += len(tok)
                     if tok_span[0] < span[1] and tok_span[1] > span[0]:
                         logprobs.append(lp)
-                if not logprobs:
-                    logprobs = [lp for _, lp in completion.tokens]
             p = math.exp(sum(logprobs) / len(logprobs))
             return label, min(p, 1.0)
     raise UnparseableLabel(f"no relation label found in {completion.text!r}")

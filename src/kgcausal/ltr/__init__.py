@@ -27,7 +27,6 @@ from .models import (
     record_subgraphs,
     save_model,
     score_subgraphs,
-    scorer_forward,
     scorer_loss_and_grads,
     train_gbdt_ranker,
     train_neural_ranker,
@@ -47,7 +46,7 @@ __all__ = [
     "GbdtEnsemble", "NeuralParams", "RankerModel", "RegressionTree", "TrainConfig",
     "load_model", "rank_subgraphs", "ranker_input_tokens",
     "record_pair", "record_subgraphs", "save_model", "score_subgraphs",
-    "scorer_forward", "scorer_loss_and_grads",
+    "scorer_loss_and_grads",
     "train_gbdt_ranker", "train_neural_ranker",
     "UNK", "NgramLM", "dense_features", "train_ngram_lm",
 ]

@@ -275,10 +275,6 @@ class _FlatScorer:
         return loss
 
 
-def scorer_forward(params: NeuralParams, X: np.ndarray) -> np.ndarray:
-    return _FlatScorer(params.w1, params.b1, params.w2, params.b2, len(X)).forward(X)
-
-
 def scorer_loss_and_grads(params: NeuralParams, X: np.ndarray, loss_kind: str,
                           targets: Optional[Sequence[float]] = None,
                           ranks: Optional[Sequence[int]] = None,
@@ -349,8 +345,9 @@ def score_subgraphs(model: RankerModel, pair: tuple[str, str],
     if not subgraphs:
         return np.zeros(0, dtype=np.float64)
     if model.kind == NEURAL:
-        X = _dense_matrix(lm, pair, subgraphs)
-        return scorer_forward(model.neural, model.neural.standardize(X))
+        params = model.neural
+        X = params.standardize(_dense_matrix(lm, pair, subgraphs))
+        return _FlatScorer(params.w1, params.b1, params.w2, params.b2, len(X)).forward(X)
     if model.kind == GBDT:
         return model.gbdt.predict(_hashed_matrix(lm, pair, subgraphs))
     if model.kind == SIMILARITY:

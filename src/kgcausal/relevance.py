@@ -13,7 +13,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
-from .errors import EmptyCandidatesError, NoSuchNodeError
+from .errors import NoSuchNodeError
 from .kg import KnowledgeGraph, MetapathSubgraph, enumerate_subgraphs, sample_subgraphs
 from .llm import CAUSAL, NON_CAUSAL, PATH_BLOCK_MARKER, PairResults, ask_label, map_pairs
 from .util import descending_order, read_jsonl, stable_hash
@@ -182,7 +182,7 @@ def rank_pair(instance: PairInstance, subgraphs: Sequence[MetapathSubgraph],
     the sorted order.
     """
     if not subgraphs:
-        raise EmptyCandidatesError(f"{instance.qid}: no candidate subgraphs")
+        raise ValueError(f"{instance.qid}: no candidate subgraphs")
     scores = [score_subgraph(instance, sg, backend) for sg in subgraphs]
     metapaths = []
     for rank, idx in enumerate(descending_order([sc.s for sc in scores]), start=1):

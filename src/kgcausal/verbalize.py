@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Sequence
 
 from .kg import FORWARD, MetapathSubgraph
 
@@ -99,13 +99,9 @@ def encode_ranker_input(pair: tuple[str, str], subgraph: MetapathSubgraph) -> li
     return _ranker_layout(pair, subgraph, str.split)
 
 
-def tokenize(text_or_tokens: Union[str, Iterable[str]]) -> list[str]:
+def tokenize(text: str) -> list[str]:
     """Whitespace tokens, lowercased except for the CLS/SEP markers."""
-    if isinstance(text_or_tokens, str):
-        raw = text_or_tokens.split()
-    else:
-        raw = [t for tok in text_or_tokens for t in str(tok).split()]
-    return [t if t in _MARKERS else t.lower() for t in raw]
+    return [t if t in _MARKERS else t.lower() for t in text.split()]
 
 
 # Texts whose tokenized words are kept; the cache is emptied when full.

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import ok_body
+from kgcausal import cli
 from kgcausal.cli import DEFAULT_CONFIG, EXIT_CONFIG, EXIT_DEGRADED, EXIT_OK, main
 from kgcausal.synthetic import make_planted_world, write_instances_jsonl, write_kg_jsonl
 
@@ -188,6 +189,25 @@ class TestEstimate:
         meta = json.loads(Path(str(ranked) + ".meta.json").read_text())
         assert meta["summary"]["backend_calls"] == len(stub_server.requests)
         assert len(stub_server.requests) == sum(len(row["metapaths"]) for row in rows)
+
+    def test_unparseable_answer_is_counted_and_exits_1(self, pipeline, stub_server, tmp_path):
+        root, world, out = pipeline
+        stub_server.script = [(200, ok_body("maybe")), (200, ok_body("causal"))]
+        config = {
+            "kg": {"path": str(root / "kg.jsonl")},
+            "llm": {"backend": "http", "model": "m",
+                    "endpoint": f"http://127.0.0.1:{stub_server.server_address[1]}"},
+        }
+        cfg = tmp_path / "http.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        ranked = tmp_path / "ranked.jsonl"
+        assert run("estimate", out / "candidates.jsonl", "--config", cfg,
+                   "--out", ranked) == EXIT_DEGRADED
+        rows = [json.loads(line) for line in ranked.read_text().splitlines()]
+        assert [row["qid"] for row in rows] == [inst.qid for inst in world.instances]
+        assert sum(mp["probscore"] is None for row in rows for mp in row["metapaths"]) == 1
+        summary = json.loads(Path(str(ranked) + ".meta.json").read_text())["summary"]
+        assert summary["unparseable"] == 1
 
     def test_credential_goes_to_the_header_and_nowhere_else(self, pipeline, stub_server,
                                                             tmp_path, monkeypatch):
@@ -641,19 +661,59 @@ class TestConfigKeys:
         ("ranker.ngram.d", 0, "train"),
         ("ranker.ngram.n", 0, "train"),
         ("llm.max_retries", -1, "estimate"),
+        ("kg.max_hops", 0, "extract"),
+        ("kg.candidate_limit", 0, "extract"),
+        ("llm.parallelism", 0, "estimate"),
+        ("ranker.ngram.epochs", 0, "train"),
+        ("ranker.train.epochs", 0, "train"),
+        ("ranker.train.batch", 0, "train"),
+        ("ranker.gbdt.rounds", 0, "train"),
+        ("ranker.gbdt.depth", -1, "train"),
+        ("discovery.k", 0, "discover"),
+        ("eval.ks", [1, 0], "eval"),
     ])
     def test_value_below_its_minimum_exits_2(self, pipeline, tmp_path, capsys,
                                              key, value, command):
         root, _, out = pipeline
         cfg = self._write_config(root, tmp_path, lambda config: set_key(config, key, value))
-        source = {"train": out / "ranked.jsonl", "estimate": out / "candidates.jsonl"}
+        source = {"extract": [root / "pairs.jsonl"], "train": [out / "ranked.jsonl"],
+                  "estimate": [out / "candidates.jsonl"],
+                  "discover": [out / "model.json", root / "pairs.jsonl"],
+                  "eval": [out / "predictions.jsonl", root / "pairs.jsonl",
+                           "--rankings", out / "rankings.jsonl"]}
         target = tmp_path / "out.json"
-        code = run(command, source[command], "--config", cfg, "--out", target)
+        code = run(command, *source[command], "--config", cfg, "--out", target)
         assert code == EXIT_CONFIG
-        minimum = 0 if key == "llm.max_retries" else 1
+        minimum = 0 if key in ("llm.max_retries", "ranker.gbdt.depth") else 1
+        if isinstance(value, list):
+            key, value = f"{key}[{value.index(0)}]", 0
         assert f"config key {key} must be >= {minimum}, not {value}" in \
             capsys.readouterr().err
         assert not target.exists()
+
+    def test_max_hops_flag_below_one_exits_2_naming_its_key(self, workdir, tmp_path, capsys):
+        root, _ = workdir
+        out = tmp_path / "candidates.jsonl"
+        code = run("extract", root / "pairs.jsonl", "--config", root / "config.json",
+                   "--max-hops", 0, "--out", out)
+        assert code == EXIT_CONFIG
+        assert "config key kg.max_hops must be >= 1, not 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_ranker_kind_exits_2_before_training(self, pipeline, tmp_path, capsys,
+                                                         monkeypatch):
+        root, _, out = pipeline
+        trained = []
+        monkeypatch.setattr(cli, "train_ngram_lm", lambda *a, **k: trained.append(a))
+        cfg = self._write_config(root, tmp_path,
+                                 lambda config: config["ranker"].update(kind="nope"))
+        model_path = tmp_path / "model.json"
+        code = run("train", out / "ranked.jsonl", "--config", cfg, "--out", model_path)
+        assert code == EXIT_CONFIG
+        assert "config key ranker.kind must be one of neural, gbdt, similarity, random, " \
+            "not 'nope'" in capsys.readouterr().err
+        assert trained == []
+        assert not model_path.exists()
 
     def test_misspelt_key_exits_2_naming_its_path(self, workdir, tmp_path, capsys):
         root, _ = workdir
@@ -722,7 +782,7 @@ class TestConfigKeys:
         code = run("discover", "none", root / "pairs.jsonl", "--config", root / "config.json",
                    "--k", 0, "--out", out)
         assert code == EXIT_CONFIG
-        assert "k must be >= 1" in capsys.readouterr().err
+        assert "config key discovery.k must be >= 1, not 0" in capsys.readouterr().err
         assert not out.exists()
 
 

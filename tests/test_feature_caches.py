@@ -23,7 +23,7 @@ verbalize_module = importlib.import_module("kgcausal.verbalize")
 
 
 def oracle_tokens(pair, subgraph):
-    return tokenize(encode_ranker_input(pair, subgraph))
+    return tokenize(" ".join(encode_ranker_input(pair, subgraph)))
 
 
 def oracle_slots(tokens, n, hash_dim):

@@ -131,7 +131,7 @@ class TestLoad:
         kg = load_kg(path, format="triples-tsv")
         assert kg.load_report.nodes == 3
         assert kg.load_report.edges == 2
-        assert kg.nodes[kg.resolve("c")[0]].node_type == "Disease"
+        assert kg.nodes[kg.name_index["c"][0]].node_type == "Disease"
 
     def test_tsv_bad_field_count(self, tmp_path):
         path = tmp_path / "kg.tsv"
@@ -150,7 +150,8 @@ class TestLoad:
             jsonl_line("x2", "shared", "T", "r", "y", "Y", "T"),
         ]
         kg = load_kg(write_kg(tmp_path, lines))
-        assert kg.resolve("SHARED") == ("x1", "x2")
+        assert kg.name_index["shared"] == ("x1", "x2")
+        assert [kg._ids[u] for u in kg._resolve("SHARED")] == ["x1", "x2"]
 
 
 def int_triples(kg, hops):
@@ -184,7 +185,8 @@ class TestViews:
                 names.setdefault(node.name.lower(), []).append(node.id)
             assert kg.name_index == {name: tuple(ids) for name, ids in names.items()}
             for node in nodes:
-                assert kg.resolve(node.name.upper()) == tuple(names[node.name.lower()])
+                assert [kg._ids[u] for u in kg._resolve(node.name.upper())] == \
+                    names[node.name.lower()]
                 triples = sorted([(e.tail, e.relation, FORWARD) for e in unique
                                   if e.head == node.id]
                                  + [(e.head, e.relation, REVERSE) for e in unique
@@ -435,7 +437,9 @@ class TestEnumerate:
             assert as_key_set(found) == expected, (
                 f"trial {trial}: pair ({a}, {b}), max_hops {max_hops}")
             assert len(found) == len(expected)
-            assert [sg.sort_key() for sg in found] == sorted(sg.sort_key() for sg in found)
+            keys = [(sg.node_ids, tuple(zip(sg.edge_labels, sg.edge_directions)))
+                    for sg in found]
+            assert keys == sorted(keys)
             nonempty += bool(found)
             seen_lengths.update(len(sg) for sg in found)
         assert nonempty >= 60

@@ -171,6 +171,14 @@ class TestLabelProbability:
         assert label == "causal"
         assert p == pytest.approx(0.7)
 
+    def test_label_after_text_whose_lowercase_is_longer(self):
+        """"İ".lower() is two characters, so a label found in the lowercased
+        text would sit past the tokens it came from."""
+        completion = Completion(text="İİİİİİcausal",
+                                tokens=(("İİİİİİ", -2.0), ("causal", math.log(0.7))),
+                                backend_id="fake")
+        assert label_probability(completion) == ("causal", pytest.approx(0.7))
+
     def test_probability_always_in_unit_interval(self):
         import random
         rng = random.Random(9)

@@ -32,7 +32,6 @@ from kgcausal.ltr.models import (
     ranker_input_tokens,
     save_model,
     score_subgraphs,
-    scorer_forward,
     scorer_loss_and_grads,
     train_gbdt_ranker,
     train_neural_ranker,

@@ -8,7 +8,7 @@ import math
 import pytest
 
 from conftest import FakeBackend, make_subgraph
-from kgcausal.errors import BackendUnavailable, EmptyCandidatesError
+from kgcausal.errors import BackendUnavailable
 from kgcausal.kg import EdgeRecord, KnowledgeGraph, NodeRecord
 from kgcausal.llm import MockOracle, MockOracleConfig
 from kgcausal.relevance import (
@@ -109,7 +109,7 @@ class TestRankPair:
         assert all(m.relscore < 1.0 for m in record.metapaths[1:])
 
     def test_empty_candidates(self, drug_instance):
-        with pytest.raises(EmptyCandidatesError):
+        with pytest.raises(ValueError, match="no candidate subgraphs"):
             rank_pair(drug_instance, [], FakeBackend([FakeBackend.single("causal")]))
 
 

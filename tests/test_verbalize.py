@@ -110,6 +110,3 @@ class TestTokenize:
     def test_lowercases_but_preserves_markers(self):
         assert tokenize("CLS FGF6 Prostate Cancer SEP") == [
             CLS, "fgf6", "prostate", "cancer", SEP]
-
-    def test_accepts_token_sequences(self):
-        assert tokenize(["CLS", "Gene FGF6", "-"]) == [CLS, "gene", "fgf6", "-"]
