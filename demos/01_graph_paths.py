@@ -9,15 +9,8 @@ import json
 import tempfile
 from pathlib import Path
 
-from kgcausal import (
-    FULL_STYLE,
-    HYPHEN_STYLE,
-    PLAIN_ARROWS_STYLE,
-    enumerate_subgraphs,
-    load_kg,
-    sample_subgraphs,
-)
-from kgcausal.verbalize import verbalize
+from kgcausal.kg import enumerate_subgraphs, load_kg, sample_subgraphs
+from kgcausal.verbalize import FULL_STYLE, HYPHEN_STYLE, PLAIN_ARROWS_STYLE, verbalize
 
 TRIPLES = [
     ("c1", "raloxifene", "Compound", "upregulates", "g1", "ERBB2", "Gene"),

@@ -9,7 +9,9 @@ float to the top.  Run with:  python demos/02_relevance_estimation.py
 
 import json
 
-from kgcausal import MockOracle, build_sre_prompt, enumerate_subgraphs, rank_pair
+from kgcausal.kg import enumerate_subgraphs
+from kgcausal.llm import MockOracle
+from kgcausal.relevance import build_sre_prompt, rank_pair
 from kgcausal.synthetic import make_planted_world
 
 

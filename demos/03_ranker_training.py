@@ -9,24 +9,23 @@ held-out pairs.  Run with:  python demos/03_ranker_training.py
 
 import numpy as np
 
-from kgcausal import MockOracle, enumerate_subgraphs, rank_pair
-from kgcausal.ltr import (
-    LISTNET,
-    RANKNET,
-    RMSE,
+from kgcausal.kg import enumerate_subgraphs
+from kgcausal.llm import MockOracle
+from kgcausal.ltr.losses import LISTNET, RANKNET, RMSE
+from kgcausal.ltr.metrics import ndcg_at_k, recall_at_k
+from kgcausal.ltr.models import (
     TrainConfig,
-    ndcg_at_k,
-    ranker_input_tokens,
-    recall_at_k,
     record_pair,
     record_subgraphs,
     score_subgraphs,
     train_gbdt_ranker,
     train_neural_ranker,
-    train_ngram_lm,
 )
+from kgcausal.ltr.ngram import train_ngram_lm
+from kgcausal.relevance import rank_pair
 from kgcausal.synthetic import make_planted_world
 from kgcausal.util import descending_order
+from kgcausal.verbalize import ranker_input_tokens
 
 
 def heldout_metrics(model, records, lm, k=5):

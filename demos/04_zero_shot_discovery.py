@@ -6,26 +6,26 @@ resulting precision/recall/F1 against the bare no-subgraph prompt.
 Run with:  python demos/04_zero_shot_discovery.py
 """
 
-from kgcausal import (
+from kgcausal.discovery import (
     DiscoveryConfig,
-    MockOracle,
     build_discovery_prompt,
     classify_pair,
-    enumerate_subgraphs,
     evaluate_classification,
-    rank_pair,
 )
-from kgcausal.ltr import (
-    RANKNET,
+from kgcausal.kg import enumerate_subgraphs
+from kgcausal.llm import MockOracle
+from kgcausal.ltr.losses import RANKNET
+from kgcausal.ltr.models import (
     TrainConfig,
     rank_subgraphs,
-    ranker_input_tokens,
     record_pair,
     record_subgraphs,
     train_neural_ranker,
-    train_ngram_lm,
 )
+from kgcausal.ltr.ngram import train_ngram_lm
+from kgcausal.relevance import rank_pair
 from kgcausal.synthetic import make_planted_world
+from kgcausal.verbalize import ranker_input_tokens
 
 
 def main() -> None:

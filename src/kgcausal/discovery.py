@@ -15,7 +15,7 @@ from .llm import CAUSAL, NON_CAUSAL, PATH_BLOCK_MARKER, PairResults, ask_label, 
 from .ltr.models import RankerModel, rank_subgraphs
 from .ltr.ngram import NgramLM
 from .relevance import DEFAULT_INSTRUCTION, PairInstance
-from .util import read_jsonl
+from .util import _unique_qids, read_jsonl
 from .verbalize import PLAIN_ARROWS_STYLE, VerbalizationStyle, verbalize
 
 DEFAULT_DISCOVERY_TEMPLATE = (
@@ -251,4 +251,4 @@ def hamming_distance(adj: np.ndarray, gold_adj: np.ndarray) -> tuple[int, float]
 
 
 def read_predictions(path) -> list[CausalPrediction]:
-    return read_jsonl(path, CausalPrediction.from_dict)
+    return read_jsonl(path, _unique_qids(CausalPrediction.from_dict))

@@ -261,6 +261,14 @@ def _retry_delay(attempt: int, retry_after: Optional[str], rng: random.Random) -
     return rng.uniform(0.0, BACKOFF_BASE * 2 ** (attempt - 1))
 
 
+def _logprob(value) -> float:
+    """A token log-probability from a response body, clamped to at most 0.
+    A bool, a string or NaN is a ValueError, not a certainty."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or math.isnan(value):
+        raise ValueError(f"log-probability {value!r} is not a number")
+    return min(0.0, float(value))
+
+
 class HttpBackend:
     """Client for OpenAI-compatible completion endpoints.
 
@@ -357,11 +365,11 @@ class HttpBackend:
             token_logprobs = logprobs.get("token_logprobs")
             tokens: tuple[tuple[str, float], ...] = ()
             if token_strings is not None and token_logprobs is not None:
-                tokens = tuple(
-                    (tok, min(0.0, float(lp)))
-                    for tok, lp in zip(token_strings, token_logprobs)
-                    if lp is not None)
-        except (KeyError, IndexError, TypeError, AttributeError, ValueError) as exc:
+                tokens = tuple((tok, _logprob(lp))
+                               for tok, lp in zip(token_strings, token_logprobs)
+                               if lp is not None)
+        except (KeyError, IndexError, TypeError, AttributeError, ValueError,
+                OverflowError) as exc:
             raise BackendUnavailable(f"malformed backend response: {exc}") from exc
         if not all(isinstance(t, str) for t in (text, *(tok for tok, _ in tokens))):
             raise BackendUnavailable("malformed backend response: non-string text or token")

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from .errors import NoSuchNodeError
 from .kg import KnowledgeGraph, MetapathSubgraph, enumerate_subgraphs, sample_subgraphs
 from .llm import CAUSAL, NON_CAUSAL, PATH_BLOCK_MARKER, PairResults, ask_label, map_pairs
-from .util import descending_order, read_jsonl, stable_hash
+from .util import _unique_qids, descending_order, read_jsonl, stable_hash
 from .verbalize import HYPHEN_STYLE, verbalize
 
 LABELS = (CAUSAL, NON_CAUSAL)
@@ -228,8 +228,8 @@ def estimate_relevance(jobs: Sequence[tuple[PairInstance, Sequence[MetapathSubgr
 
 
 def read_instances(path) -> list[PairInstance]:
-    """Parse a JSON Lines instance file."""
-    return read_jsonl(path, PairInstance.from_dict)
+    """Parse a JSON Lines instance file; its qids are unique."""
+    return read_jsonl(path, _unique_qids(PairInstance.from_dict))
 
 
 def read_ranked_dataset(path) -> list[RankedPairRecord]:

@@ -79,6 +79,20 @@ def read_jsonl(path, parse: Callable[[dict], T]) -> list[T]:
                 for number, line in enumerate(fh, 1) if line.strip()]
 
 
+def _unique_qids(parse: Callable[[dict], T]) -> Callable[[dict], T]:
+    """``parse`` for one file's rows, raising a ValueError on a row whose
+    ``qid`` an earlier row had."""
+    seen: set[str] = set()
+
+    def parse_once(d: dict) -> T:
+        row = parse(d)
+        if row.qid in seen:
+            raise ValueError(f"qid {row.qid!r} repeated")
+        seen.add(row.qid)
+        return row
+    return parse_once
+
+
 def map_in_order(fn: Callable[[T], R], items: Iterable[T], parallelism: int) -> list[R]:
     """``fn`` over ``items`` on up to ``parallelism`` threads, results in input
     order.  The first error (in input order) cancels the jobs not yet started

@@ -522,6 +522,11 @@ class TestBadInputs:
                      first_row(lambda row: row.update(predicted="maybe")), {},
                      "predicted must be 'causal', 'non-causal' or null, not 'maybe'",
                      id="predicted-maybe"),
+        pytest.param("extract", ["BAD"], "pairs.jsonl", lambda text: text.splitlines(True)[0] * 2,
+                     {}, "qid 'q0000' repeated", id="pairs-repeated-qid"),
+        pytest.param("eval", ["BAD", "pairs.jsonl"], "predictions.jsonl",
+                     lambda text: text.splitlines(True)[0] * 2, {}, "qid 'q0000' repeated",
+                     id="predictions-repeated-qid"),
     ])
     def test_malformed_input_exits_2_naming_file_and_line(
             self, pipeline, tmp_path, capsys, command, argv, source, rewrite, keys, message):
@@ -546,6 +551,8 @@ class TestBadInputs:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         line = ":1" if source.endswith(".jsonl") else ""
+        if "repeated" in message:  # reported on the second of two rows with one qid
+            line = ":2"
         assert f"error: {bad}{line}: " in err and message in err
         assert err.count("error:") == 1
         assert not result.exists()

@@ -1,8 +1,10 @@
-"""Every demo script imports cleanly, so a removed public name fails here."""
+"""Every demo script imports cleanly, so a removed public name fails here,
+and README's quickstart runs."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -16,3 +18,17 @@ def test_demo_imports_without_running(path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert callable(module.main)
+
+
+def test_readme_quickstart_runs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    triples = [(("c1", "raloxifene", "Compound"), "binds", ("g1", "ERBB2", "Gene")),
+               (("g1", "ERBB2", "Gene"), "associates", ("d1", "melanoma", "Disease"))]
+    (tmp_path / "kg.jsonl").write_text("".join(
+        json.dumps({"head": dict(zip(("id", "name", "type"), head)), "relation": relation,
+                    "tail": dict(zip(("id", "name", "type"), tail))}) + "\n"
+        for head, relation, tail in triples), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[0] == "raloxifene → ERBB2 → melanoma"

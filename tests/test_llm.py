@@ -327,8 +327,14 @@ class TestHttpBackend:
         {"text": "causal", "logprobs": {"tokens": ["causal"], "token_logprobs": [{}]}},
         {"text": "causal", "logprobs": {"tokens": [5], "token_logprobs": [-0.1]}},
         {"text": 5, "logprobs": {"tokens": ["5"], "token_logprobs": [-0.1]}},
+        {"text": "causal", "logprobs": {"tokens": ["causal"], "token_logprobs": [True]}},
+        {"text": "causal", "logprobs": {"tokens": ["causal"], "token_logprobs": ["nan"]}},
+        {"text": "causal", "logprobs": {"tokens": ["causal"], "token_logprobs": ["-0.5"]}},
+        {"text": "causal", "logprobs": {"tokens": ["causal"], "token_logprobs": [math.nan]}},
+        {"text": "causal", "logprobs": {"tokens": ["causal"], "token_logprobs": [-10 ** 400]}},
     ], ids=["logprobs-not-an-object", "logprob-not-a-number", "logprob-an-object",
-            "token-not-a-string", "text-not-a-string"])
+            "token-not-a-string", "text-not-a-string", "logprob-true", "logprob-string-nan",
+            "logprob-string-number", "logprob-nan", "logprob-overflows-float"])
     def test_malformed_body_skips_only_its_pair(self, stub_server, choice):
         stub_server.script = [(200, {"choices": [choice]}), (200, ok_body("causal"))]
         backend = self.backend(stub_server, parallelism=1)
