@@ -57,6 +57,7 @@ from .relevance import (
     read_ranked_dataset,
 )
 from .util import (
+    _unique_qids,
     atomic_write,
     descending_order,
     read_json,
@@ -239,7 +240,7 @@ def _candidate_row(row: dict) -> tuple[PairInstance, list[MetapathSubgraph]]:
 
 def cmd_estimate(args, config: dict) -> int:
     k_max = config["sre"]["k_max"]
-    rows = read_jsonl(args.candidates, _candidate_row)
+    rows = read_jsonl(args.candidates, _unique_qids(_candidate_row))
     jobs = [(inst, subgraphs[:k_max]) for inst, subgraphs in rows if subgraphs]
     return _backend_stage(
         args, config, "estimate", len(jobs), lambda backend: estimate_relevance(jobs, backend),
@@ -313,7 +314,7 @@ def cmd_rank(args, config: dict) -> int:
     model, lm = load_model(args.model)
 
     out_rows = []
-    for qid, pair, subgraphs, extras in read_jsonl(args.candidates, _subgraph_set):
+    for qid, pair, subgraphs, extras in read_jsonl(args.candidates, _unique_qids(_subgraph_set)):
         scores = score_subgraphs(model, pair, subgraphs, lm)
         order = descending_order(scores)
         entries = [{"stops": " - ".join(subgraphs[i].node_names), "score": float(scores[i]),
@@ -362,7 +363,8 @@ def _ranked_gains(row: dict):
 
 
 def _ranking_metrics(rankings_path: Path, ks) -> dict:
-    scored = [row for row in read_jsonl(rankings_path, _ranked_gains) if row is not None]
+    rows = read_jsonl(rankings_path, _unique_qids(_ranked_gains))
+    scored = [row for row in rows if row is not None]
     out = {}
     for k in ks:
         ndcgs, recalls = [], []

@@ -11,6 +11,14 @@ without ``offsets`` the whole vector is one segment.  The value is the sum
 of the per-segment losses, so the gradient of a stack is the per-segment
 gradients side by side.  It checks its inputs, then calls the unchecked
 kernel that the trainer calls per minibatch after one check of all records.
+
+The RankNet kernel reads its pairs, not ranks: the (i, j) index arrays, in
+row-major order, of every pair where item i ranks better than item j of its
+segment.  ``loss_and_grad`` builds them from one boolean mask; the trainer
+builds each record's pairs once and gathers them per epoch, as it gathers
+rows.  The loss and the sigmoids cost O(pairs); only the gradient's row and
+column sums run over an n x n matrix, which keeps their floats those of a
+dense kernel.
 """
 
 from __future__ import annotations
@@ -64,16 +72,18 @@ def _rmse(s: np.ndarray, y: np.ndarray, starts: np.ndarray, seg: np.ndarray):
     return float(value.sum()), resid / scale[seg]
 
 
-def _ranknet(s: np.ndarray, r: np.ndarray, starts: np.ndarray, seg: np.ndarray):
-    diff = s[:, None] - s[None, :]
-    better = (seg[:, None] == seg[None, :]) & (r[:, None] < r[None, :])
+def _ranknet(s: np.ndarray, pairs, starts: np.ndarray, seg: np.ndarray):
+    i, j = pairs
+    diff = s[i] - s[j]
     # Python's sum in row order adds the terms as ranknet_terms lists them,
     # so the value is bit-identical to the reference loop.
-    loss = float(sum(np.logaddexp(0.0, -diff[better]).tolist()))
+    loss = float(sum(np.logaddexp(0.0, -diff).tolist()))
     # sigmoid(-(s_i - s_j)), computed stably on both tails
     decay = np.exp(-np.abs(diff))
-    sig = np.where(diff >= 0, decay / (1.0 + decay), 1.0 / (1.0 + decay))
-    weighted = sig * better
+    weighted = np.zeros((s.size, s.size))
+    weighted[i, j] = np.where(diff >= 0, decay, 1.0) / (1.0 + decay)
+    # Each item's terms are summed along a row and a column of an n x n
+    # matrix in numpy's order, so the floats equal a dense n x n kernel's.
     return loss, -weighted.sum(axis=1) + weighted.sum(axis=0)
 
 
@@ -87,10 +97,13 @@ _KERNELS = {RMSE: _rmse, RANKNET: _ranknet, LISTNET: _listnet}
 
 
 def _stack_target(loss_kind: str, n: int, targets, ranks, starts, seg) -> np.ndarray:
-    """The checked kernel input for ``n`` stacked items: the ranks (RankNet),
-    the targets (RMSE) or their per-segment top-one distribution (ListNet)."""
+    """The checked kernel input for ``n`` stacked items: the (i, j) index
+    arrays, in row-major order, of the pairs where item i ranks better than
+    item j of its segment (RankNet), the targets (RMSE) or their per-segment
+    top-one distribution (ListNet)."""
     if loss_kind == RANKNET:
-        return _check_ranks(ranks, starts, seg)
+        r = _check_ranks(ranks, starts, seg)
+        return np.nonzero((seg[:, None] == seg[None, :]) & (r[:, None] < r[None, :]))
     if loss_kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {loss_kind!r}")
     y = np.asarray(targets, dtype=np.float64)

@@ -24,7 +24,8 @@ from ..kg import FORWARD, MetapathSubgraph
 from ..relevance import RankedPairRecord
 from ..util import atomic_write, descending_order, read_json, stable_hash
 from ..verbalize import HYPHEN_STYLE, ranker_input_tokens, tokenize, verbalize
-from .losses import _KERNELS, LOSS_KINDS, RMSE, _segments, _stack_target, loss_and_grad
+from .losses import (_KERNELS, LOSS_KINDS, RANKNET, RMSE, _segments, _stack_target,
+                     loss_and_grad)
 from .ngram import DEFAULT_HASH_DIM, NgramLM, dense_features, hashed_slots
 
 logger = logging.getLogger(__name__)
@@ -37,7 +38,6 @@ MODEL_KINDS = (NEURAL, GBDT, SIMILARITY, RANDOM)
 
 DEFAULT_HIDDEN = 64
 MIN_LEAF = 1
-SPLIT_CHUNK = 128  # columns per GBDT split histogram
 MODEL_FORMAT_VERSION = "v1"
 # The feature settings every model file records; no other value is read.
 FEATURE = {"include_types": True, "hash_dim": DEFAULT_HASH_DIM}
@@ -373,6 +373,13 @@ def rank_subgraphs(model: RankerModel, pair: tuple[str, str],
     return [(subgraphs[i], float(scores[i])) for i in descending_order(scores)]
 
 
+def _runs(firsts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The indices ``firsts[k] .. firsts[k] + counts[k] - 1`` of every run k,
+    run after run, and where each run begins among them."""
+    begins = np.cumsum(counts) - counts
+    return np.arange(counts.sum()) + np.repeat(firsts - begins, counts), begins
+
+
 def _eligible_records(dataset: Sequence[RankedPairRecord], loss_kind: str):
     minimum = 1 if loss_kind == RMSE else 2
     kept, skipped = [], 0
@@ -393,11 +400,12 @@ def train_neural_ranker(dataset: Sequence[RankedPairRecord], lm: NgramLM, loss_k
     """Minibatch gradient descent on the feedforward scorer.
 
     Targets are the records' relevance scores; for the pairwise objective
-    the rank of each path is its position in the record, which is already
+    each path ranks above every later path of its record, which is already
     sorted by descending relevance.  The loss inputs are checked once.  Each
-    epoch gathers the rows in visiting order, so a minibatch of
-    ``config.batch`` records is a slice of that stack and takes one
-    in-place forward and backward pass through the loss's unchecked kernel.
+    epoch gathers the rows, and RankNet's pairs, in visiting order, so a
+    minibatch of ``config.batch`` records is a slice of those stacks and
+    takes one in-place forward and backward pass through the loss's
+    unchecked kernel.
     """
     records = _eligible_records(dataset, loss_kind)
 
@@ -406,9 +414,15 @@ def train_neural_ranker(dataset: Sequence[RankedPairRecord], lm: NgramLM, loss_k
     y = np.asarray([mp.relscore for record in records for mp in record.metapaths],
                    dtype=np.float64)
     lengths = np.asarray([len(record.metapaths) for record in records])
-    ranks = np.concatenate([np.arange(1, n + 1) for n in lengths])
     first_rows = np.cumsum(lengths) - lengths
-    target = _stack_target(loss_kind, len(y), y, ranks, *_segments(len(y), first_rows))
+    if loss_kind == RANKNET:
+        # each record's (better, worse) row pairs, counted from its first row
+        target = np.concatenate([np.triu_indices(n, 1) for n in lengths], axis=1)
+        item_counts = lengths * (lengths - 1) // 2
+    else:
+        target = _stack_target(loss_kind, len(y), y, None, *_segments(len(y), first_rows))
+        item_counts = lengths
+    first_items = np.cumsum(item_counts) - item_counts
 
     x_mean = X.mean(axis=0)
     x_std = np.maximum(X.std(axis=0), 1e-8)
@@ -425,18 +439,23 @@ def train_neural_ranker(dataset: Sequence[RankedPairRecord], lm: NgramLM, loss_k
     for epoch in range(config.epochs):
         learning_rate = config.learning_rate / (1.0 + config.lr_decay * epoch)
         order = rng.permutation(len(records))
-        counts = lengths[order]
-        begins = np.cumsum(counts) - counts
-        rows = np.arange(len(y)) + np.repeat(first_rows[order] - begins, counts)
-        X_epoch, target_epoch = X[rows], target[rows]
-        seg_epoch = np.repeat(slot, counts)
+        rows, begins = _runs(first_rows[order], lengths[order])
+        items, item_begins = _runs(first_items[order], item_counts[order])
+        X_epoch, target_epoch = X[rows], target[..., items]
+        seg_epoch = np.repeat(slot, lengths[order])
         starts_epoch = begins - begins[np.arange(len(records)) - slot]
+        if loss_kind == RANKNET:  # pairs count rows from their minibatch's first row
+            target_epoch += np.repeat(starts_epoch, item_counts[order])
         bounds = [*begins[::config.batch].tolist(), len(y)]
+        item_bounds = [*item_begins[::config.batch].tolist(), items.size]
         epoch_loss = 0.0
-        for first, lo, hi in zip(range(0, len(records), config.batch), bounds, bounds[1:]):
+        for first, lo, hi, item_lo, item_hi in zip(
+                range(0, len(records), config.batch), bounds, bounds[1:],
+                item_bounds, item_bounds[1:]):
             starts = starts_epoch[first:first + config.batch]
             epoch_loss += scorer.loss_and_grads(X_epoch[lo:hi], _KERNELS[loss_kind],
-                                                target_epoch[lo:hi], starts, seg_epoch[lo:hi])
+                                                target_epoch[..., item_lo:item_hi], starts,
+                                                seg_epoch[lo:hi])
             scorer.grad *= learning_rate / len(starts)
             scorer.flat -= scorer.grad
         mean_loss = epoch_loss / len(records)
@@ -449,61 +468,60 @@ def train_neural_ranker(dataset: Sequence[RankedPairRecord], lm: NgramLM, loss_k
                        train_loss_history=history)
 
 
-def _split_gains(X: np.ndarray, rows: np.ndarray, r: np.ndarray,
-                 width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Best variance-reduction gain of every column of ``X[rows]`` and the
-    bin below its threshold; -inf where no split leaves MIN_LEAF rows a side.
+def _split_gains(rows: np.ndarray, r: np.ndarray, n_cols: int, row_ptr: np.ndarray,
+                 bin_ids: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Best variance-reduction gain of every column over ``rows`` and the bin
+    below its threshold; -inf where no split leaves MIN_LEAF rows a side.
 
-    Histogram method (Ke et al., NeurIPS 2017): one bincount over
-    ``column * width + value`` bin ids sums the residuals of every
-    (column, value) bin, in row order, and a cumulative sum along the bins
-    scores every threshold at once.  ``width`` is one more than the largest
-    value in ``X``; bins above a node's own largest value leave no row on
-    the right, so they never score.  Columns go SPLIT_CHUNK at a time, and
-    only that slice of the node's rows is copied.
+    Histogram method (Ke et al., NeurIPS 2017) over the nonzero counts only,
+    as in sparsity-aware split finding (Chen & Guestrin, KDD 2016): the
+    nonzero entries of row k are ``bin_ids[row_ptr[k]:row_ptr[k + 1]]``, each
+    ``column * width + value``.  One bincount sums the residuals of every
+    nonzero bin in row order, and a column's bin 0 is the node's total less
+    its other bins.  A cumulative sum along the bins scores every threshold
+    at once.  ``width`` is one more than the largest count; bins above a
+    node's own largest value leave no row on the right, so they never
+    score.
     """
-    n_cols = X.shape[1]
     gains = np.full(n_cols, -np.inf)
-    bins_below = np.zeros(n_cols, dtype=np.int64)
     if width < 2:
-        return gains, bins_below
+        return gains, np.zeros(n_cols, dtype=np.int64)
     total_sum = r.sum()
     total_cnt = len(r)
     base = total_sum * total_sum / total_cnt
-    for first in range(0, n_cols, SPLIT_CHUNK):
-        block = X[rows, first:first + SPLIT_CHUNK]
-        n_block = block.shape[1]
-        bins = (block + np.arange(n_block) * width).ravel()
-        sums = np.bincount(bins, weights=np.repeat(r, n_block), minlength=n_block * width)
-        cnts = np.bincount(bins, minlength=n_block * width)
-        left_sum = np.cumsum(sums.reshape(n_block, width), axis=1)[:, :-1]
-        left_cnt = np.cumsum(cnts.reshape(n_block, width), axis=1)[:, :-1]
-        right_sum = total_sum - left_sum
-        right_cnt = total_cnt - left_cnt
-        valid = (left_cnt >= MIN_LEAF) & (right_cnt >= MIN_LEAF)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gain = np.where(
-                valid,
-                left_sum ** 2 / left_cnt + right_sum ** 2 / right_cnt - base,
-                -np.inf)
-        t = np.argmax(gain, axis=1)
-        gains[first:first + n_block] = gain[np.arange(n_block), t]
-        bins_below[first:first + n_block] = t
-    return gains, bins_below
+    counts = row_ptr[rows + 1] - row_ptr[rows]
+    ids = bin_ids[_runs(row_ptr[rows], counts)[0]]
+    sums = np.bincount(ids, weights=np.repeat(r, counts), minlength=n_cols * width)
+    cnts = np.bincount(ids, minlength=n_cols * width)
+    sums, cnts = sums.reshape(n_cols, width), cnts.reshape(n_cols, width)
+    sums[:, 0] = total_sum - sums[:, 1:].sum(axis=1)
+    cnts[:, 0] = total_cnt - cnts[:, 1:].sum(axis=1)
+    left_sum = np.cumsum(sums, axis=1)[:, :-1]
+    left_cnt = np.cumsum(cnts, axis=1)[:, :-1]
+    right_sum = total_sum - left_sum
+    right_cnt = total_cnt - left_cnt
+    valid = (left_cnt >= MIN_LEAF) & (right_cnt >= MIN_LEAF)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain = np.where(
+            valid,
+            left_sum ** 2 / left_cnt + right_sum ** 2 / right_cnt - base,
+            -np.inf)
+    bins_below = np.argmax(gain, axis=1)
+    return gain[np.arange(n_cols), bins_below], bins_below
 
 
-def _fit_tree(X: np.ndarray, residuals: np.ndarray,
-              max_depth: int) -> tuple[RegressionTree, np.ndarray]:
+def _fit_tree(X: np.ndarray, residuals: np.ndarray, max_depth: int,
+              nonzero: tuple[np.ndarray, np.ndarray, int]) -> tuple[RegressionTree, np.ndarray]:
     """Greedy variance-reduction regression tree on integer count features,
     and the value of the leaf each row of ``X`` falls into.
 
-    Every leaf keeps at least MIN_LEAF rows.  Columns are taken in order,
-    and a column replaces the chosen one when its best gain is higher by
-    more than 1e-12; the split is at the chosen column's first best
-    threshold."""
+    ``nonzero`` is ``(row_ptr, bin_ids, width)`` of ``X`` for
+    :func:`_split_gains`.  Every leaf keeps at least MIN_LEAF rows.  Columns
+    are taken in order, and a column replaces the chosen one when its best
+    gain is higher by more than 1e-12; the split is at the chosen column's
+    first best threshold."""
     tree = RegressionTree(feature=[], threshold=[], left=[], right=[], value=[])
     leaf_values = np.empty(len(X))
-    width = int(X.max(initial=0)) + 1
 
     def add_node() -> int:
         tree.feature.append(-1)
@@ -519,7 +537,7 @@ def _fit_tree(X: np.ndarray, residuals: np.ndarray,
         tree.value[node] = float(r.mean())
         best_feature = -1
         if depth < max_depth and len(rows) >= 2 * MIN_LEAF and np.ptp(r) != 0.0:
-            gains, bins_below = _split_gains(X, rows, r, width)
+            gains, bins_below = _split_gains(rows, r, X.shape[1], *nonzero)
             best_gain = 0.0
             while True:
                 ahead = np.flatnonzero(gains[best_feature + 1:] > best_gain + 1e-12)
@@ -556,12 +574,17 @@ def train_gbdt_ranker(dataset: Sequence[RankedPairRecord], lm: NgramLM,
     y = np.asarray([mp.relscore for record in records for mp in record.metapaths],
                    dtype=np.float64)
 
+    width = int(X.max(initial=0)) + 1
+    nonzero_rows, nonzero_cols = np.nonzero(X)
+    nonzero = (np.searchsorted(nonzero_rows, np.arange(len(X) + 1)),
+               nonzero_cols * width + X[nonzero_rows, nonzero_cols], width)
+
     base_score = float(y.mean())
     predictions = np.full(len(y), base_score)
     history = [float(np.sqrt(np.mean((y - predictions) ** 2)))]
     trees = []
     for round_idx in range(config.gbdt_rounds):
-        tree, leaf_values = _fit_tree(X, y - predictions, config.gbdt_max_depth)
+        tree, leaf_values = _fit_tree(X, y - predictions, config.gbdt_max_depth, nonzero)
         trees.append(tree)
         predictions += config.gbdt_learning_rate * leaf_values
         rmse = float(np.sqrt(np.mean((y - predictions) ** 2)))

@@ -70,12 +70,6 @@ def _context_windows(sequences: Sequence[Sequence[str]], n: int):
             yield tuple(seq[i - (n - 1):i]), seq[i]
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expd = np.exp(shifted)
-    return expd / expd.sum(axis=1, keepdims=True)
-
-
 def train_ngram_lm(corpus: Sequence[Sequence[str]], n: int = 2, d: int = DEFAULT_EMBED_DIM,
                    seed: int = 0, epochs: int = 10, learning_rate: float = 0.5,
                    min_count: int = 1) -> NgramLM:
@@ -108,6 +102,11 @@ def train_ngram_lm(corpus: Sequence[Sequence[str]], n: int = 2, d: int = DEFAULT
     output_weights = rng.normal(0.0, 0.1, size=(d, vocab_size))
 
     n_samples = len(targets)
+    # one buffer per step product, so a step allocates no (rows x V) array
+    logits_buf = np.empty((min(BATCH_SIZE, n_samples), vocab_size))
+    column_buf = np.empty((len(logits_buf), 1))
+    dx_buf = np.empty((len(logits_buf), d))
+    grad_w = np.empty((d, vocab_size))
     loss_history: list[float] = []
     for epoch in range(epochs):
         order = rng.permutation(n_samples)
@@ -117,18 +116,26 @@ def train_ngram_lm(corpus: Sequence[Sequence[str]], n: int = 2, d: int = DEFAULT
             ctx = contexts[batch]
             tgt = targets[batch]
             x = embeddings[ctx].mean(axis=1)
-            probs = _softmax_rows(x @ output_weights)
+            probs, column, dx = logits_buf[:len(tgt)], column_buf[:len(tgt)], dx_buf[:len(tgt)]
+            np.matmul(x, output_weights, out=probs)
+            np.maximum.reduce(probs, axis=1, keepdims=True, out=column)
+            probs -= column
+            np.exp(probs, out=probs)
+            np.add.reduce(probs, axis=1, keepdims=True, out=column)
+            probs /= column
             batch_loss = -np.log(np.maximum(probs[np.arange(len(tgt)), tgt], 1e-300))
             total += batch_loss.sum()
 
             dlogits = probs
             dlogits[np.arange(len(tgt)), tgt] -= 1.0
             dlogits /= len(tgt)
-            grad_w = x.T @ dlogits
-            dx = dlogits @ output_weights.T / (n - 1)
-            output_weights -= learning_rate * grad_w
-            np.subtract.at(embeddings, ctx.reshape(-1),
-                           learning_rate * np.repeat(dx, n - 1, axis=0))
+            np.matmul(x.T, dlogits, out=grad_w)
+            np.matmul(dlogits, output_weights.T, out=dx)
+            dx /= n - 1
+            grad_w *= learning_rate
+            output_weights -= grad_w
+            dx *= learning_rate
+            np.subtract.at(embeddings, ctx.reshape(-1), np.repeat(dx, n - 1, axis=0))
         mean_loss = total / n_samples
         loss_history.append(float(mean_loss))
         logger.debug("lm epoch %d: loss %.4f", epoch + 1, mean_loss)

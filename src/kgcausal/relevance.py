@@ -233,5 +233,5 @@ def read_instances(path) -> list[PairInstance]:
 
 
 def read_ranked_dataset(path) -> list[RankedPairRecord]:
-    """Parse a ranked-dataset JSON Lines file."""
-    return read_jsonl(path, RankedPairRecord.from_dict)
+    """Parse a ranked-dataset JSON Lines file; its qids are unique."""
+    return read_jsonl(path, _unique_qids(RankedPairRecord.from_dict))

@@ -81,14 +81,15 @@ def read_jsonl(path, parse: Callable[[dict], T]) -> list[T]:
 
 def _unique_qids(parse: Callable[[dict], T]) -> Callable[[dict], T]:
     """``parse`` for one file's rows, raising a ValueError on a row whose
-    ``qid`` an earlier row had."""
+    ``qid`` field an earlier row had."""
     seen: set[str] = set()
 
     def parse_once(d: dict) -> T:
         row = parse(d)
-        if row.qid in seen:
-            raise ValueError(f"qid {row.qid!r} repeated")
-        seen.add(row.qid)
+        qid = str(d["qid"])
+        if qid in seen:
+            raise ValueError(f"qid {qid!r} repeated")
+        seen.add(qid)
         return row
     return parse_once
 

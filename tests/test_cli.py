@@ -527,6 +527,15 @@ class TestBadInputs:
         pytest.param("eval", ["BAD", "pairs.jsonl"], "predictions.jsonl",
                      lambda text: text.splitlines(True)[0] * 2, {}, "qid 'q0000' repeated",
                      id="predictions-repeated-qid"),
+        pytest.param("estimate", ["BAD"], "candidates.jsonl",
+                     lambda text: text.splitlines(True)[0] * 2, {}, "qid 'q0000' repeated",
+                     id="candidates-repeated-qid"),
+        pytest.param("train", ["BAD"], "ranked.jsonl",
+                     lambda text: text.splitlines(True)[0] * 2, {}, "qid 'q0000' repeated",
+                     id="ranked-repeated-qid"),
+        pytest.param("eval", ["predictions.jsonl", "pairs.jsonl", "--rankings", "BAD"],
+                     "rankings.jsonl", lambda text: text.splitlines(True)[0] * 2, {},
+                     "qid 'q0000' repeated", id="rankings-repeated-qid"),
     ])
     def test_malformed_input_exits_2_naming_file_and_line(
             self, pipeline, tmp_path, capsys, command, argv, source, rewrite, keys, message):

@@ -53,6 +53,19 @@ class TestRmse:
             np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-8)
 
 
+def dense_ranknet(s, r, seg):
+    """RankNet over every entry of the n x n score-difference matrix, with
+    the pairs masked: the reference for the kernel, which visits the pairs
+    only."""
+    diff = s[:, None] - s[None, :]
+    better = (seg[:, None] == seg[None, :]) & (r[:, None] < r[None, :])
+    loss = float(sum(np.logaddexp(0.0, -diff[better]).tolist()))
+    decay = np.exp(-np.abs(diff))
+    sig = np.where(diff >= 0, decay / (1.0 + decay), 1.0 / (1.0 + decay))
+    weighted = sig * better
+    return loss, -weighted.sum(axis=1) + weighted.sum(axis=0)
+
+
 class TestRanknet:
     def test_symmetric_two_items(self):
         value = loss_and_grad(RANKNET, [0.7, 0.7], ranks=[1, 2])[0]
@@ -94,6 +107,20 @@ class TestRanknet:
                 s[rng.integers(0, k)] = s[0]
             ranks = list(rng.permutation(np.arange(1, k + 1)))
             assert loss_and_grad(RANKNET, s, ranks=ranks)[0] == sum(ranknet_terms(s, ranks))
+
+    def test_stacked_kernel_equals_the_dense_reference_exactly(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            lengths = rng.integers(1, 9, size=int(rng.integers(1, 9)))
+            lengths[0] = max(lengths[0], 2)
+            s = rng.normal(scale=float(rng.choice([0.01, 1.0, 30.0])), size=lengths.sum())
+            s[rng.integers(0, s.size)] = s[0]
+            ranks = np.concatenate([rng.permutation(np.arange(1, k + 1)) for k in lengths])
+            offsets = np.cumsum(lengths) - lengths
+            loss, grad = loss_and_grad(RANKNET, s, ranks=ranks, offsets=offsets)
+            expected_loss, expected_grad = dense_ranknet(s, ranks, np.repeat(offsets, lengths))
+            assert np.float64(loss).tobytes() == np.float64(expected_loss).tobytes()
+            assert grad.tobytes() == expected_grad.tobytes()
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)

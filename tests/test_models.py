@@ -598,6 +598,38 @@ def loop_fit_tree(X, residuals, max_depth):
     return tree
 
 
+def assert_trees_equal_the_loop(monkeypatch, X, y, depth, rounds=5, learning_rate=0.7):
+    """Train on one single-path record per row of ``X`` and compare every tree
+    with the per-column loop's; returns the number of splits."""
+    records = [RankedPairRecord(
+        qid=f"q{i}", e1="a", e2="b", groundtruth="1",
+        metapaths=(RankedMetapath(pathid=1, relscore=float(y[i]), probscore=-0.1,
+                                  relevant="1", stops="a - x - b",
+                                  reltypes="r - r", nodelabels="T - T - T"),))
+        for i in range(len(X))]
+    rows = iter(X)
+    monkeypatch.setattr(models, "_hashed_matrix",
+                        lambda *args: next(rows)[None, :].astype(np.float64))
+    config = TrainConfig(gbdt_rounds=rounds, gbdt_max_depth=depth,
+                         gbdt_learning_rate=learning_rate)
+    model = train_gbdt_ranker(records, handcrafted_lm(), config)
+    return replay_trees(model, X, y, depth, config)
+
+
+def replay_trees(model, X, y, depth, config):
+    """Assert that each tree of ``model`` is the loop's tree on the residuals
+    the trees before it leave; returns the number of splits."""
+    assert len(model.gbdt.trees) == config.gbdt_rounds
+    predictions = np.full(len(y), y.mean())
+    splits = 0
+    for tree in model.gbdt.trees:
+        expected = loop_fit_tree(X, y - predictions, depth)
+        assert tree.to_dict() == expected.to_dict()
+        predictions += config.gbdt_learning_rate * expected.predict(X)
+        splits += sum(f >= 0 for f in tree.feature)
+    return splits
+
+
 class TestHistogramSplits:
     """train_gbdt_ranker builds, tree for tree, what the per-column loop builds."""
 
@@ -608,40 +640,71 @@ class TestHistogramSplits:
         for _ in range(4):                                     # exact gain ties
             source, target = rng.integers(0, n_cols, size=2)
             X[:, target] = X[:, source]
-        X[:, n_cols - 1] = X[:, 0]                             # a tie across chunks
+        X[:, n_cols - 1] = X[:, 0]                             # a tie with the first column
         return X
 
-    @pytest.mark.parametrize("n_rows,n_cols,depth,chunk", [
-        (3, 6, 3, models.SPLIT_CHUNK), (7, 140, 3, models.SPLIT_CHUNK),
-        (40, 260, 4, models.SPLIT_CHUNK), (25, 50, 3, 7), (12, 30, 5, 1)])
-    def test_trees_equal_the_per_column_loop(self, monkeypatch, n_rows, n_cols, depth, chunk):
-        monkeypatch.setattr(models, "SPLIT_CHUNK", chunk)
+    @staticmethod
+    def levels(rng, n_rows):
+        """Relevance on few levels, so residual sums tie as well."""
+        y = rng.integers(0, 3, size=n_rows) * 0.5
+        y[:2] = (0.0, 1.0)
+        return y
+
+    @pytest.mark.parametrize("n_rows,n_cols,depth", [
+        (3, 6, 3), (7, 140, 3), (40, 260, 4), (25, 50, 3), (12, 30, 5)])
+    def test_trees_equal_the_per_column_loop(self, monkeypatch, n_rows, n_cols, depth):
         splits = 0
         for seed in range(3):
             rng = np.random.default_rng(seed)
             X = self.count_matrix(rng, n_rows, n_cols)
-            # relevance on few levels, so residual sums tie as well
-            y = rng.integers(0, 3, size=n_rows) * 0.5
-            y[:2] = (0.0, 1.0)
-            records = [RankedPairRecord(
-                qid=f"q{i}", e1="a", e2="b", groundtruth="1",
-                metapaths=(RankedMetapath(pathid=1, relscore=float(y[i]), probscore=-0.1,
-                                          relevant="1", stops="a - x - b",
-                                          reltypes="r - r", nodelabels="T - T - T"),))
-                for i in range(n_rows)]
-            rows = iter(X)
-            monkeypatch.setattr(models, "_hashed_matrix",
-                                lambda *args: next(rows)[None, :].astype(np.float64))
-            config = TrainConfig(gbdt_rounds=5, gbdt_max_depth=depth, gbdt_learning_rate=0.7)
-            model = train_gbdt_ranker(records, handcrafted_lm(), config)
-
-            predictions = np.full(n_rows, y.mean())
-            for tree in model.gbdt.trees:
-                expected = loop_fit_tree(X, y - predictions, depth)
-                assert tree.to_dict() == expected.to_dict()
-                predictions += config.gbdt_learning_rate * expected.predict(X)
-                splits += sum(f >= 0 for f in tree.feature)
+            splits += assert_trees_equal_the_loop(monkeypatch, X, self.levels(rng, n_rows),
+                                                  depth)
         assert splits
+
+    @pytest.mark.parametrize("n_rows,n_cols,depth", [(60, 1024, 4), (150, 400, 3)])
+    def test_sparse_hashed_counts(self, monkeypatch, n_rows, n_cols, depth):
+        """About 2% of the counts nonzero, as in hashed n-gram rows, so most
+        columns are all zero within a node."""
+        splits = 0
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            X = rng.integers(1, 4, size=(n_rows, n_cols)) * (rng.random((n_rows, n_cols)) < 0.02)
+            X[:, n_cols - 1] = X[:, 1]
+            splits += assert_trees_equal_the_loop(monkeypatch, X, self.levels(rng, n_rows),
+                                                  depth)
+        assert splits
+
+    def test_columns_all_zero_within_a_node(self, monkeypatch):
+        """Columns 1-3 count only in the rows column 0 sends left, 4-6 only in
+        the rows it sends right, so below the root each child sees three
+        all-zero columns."""
+        rng = np.random.default_rng(4)
+        X = np.zeros((24, 8), dtype=np.int64)
+        left = np.arange(24) < 12
+        X[~left, 0] = 1
+        X[left, 1:4] = rng.integers(0, 3, size=(12, 3))
+        X[~left, 4:7] = rng.integers(0, 3, size=(12, 3))
+        X[:, 7] = rng.integers(0, 2, size=24)
+        y = np.where(left, 1.0, 0.0) + X[:, 1] * 0.25 - X[:, 5] * 0.5
+        assert assert_trees_equal_the_loop(monkeypatch, X, y, depth=3)
+
+    def test_all_zero_counts(self, monkeypatch):
+        """A width of 1: no column can split, so every tree is one leaf."""
+        y = np.random.default_rng(5).integers(0, 3, size=9) * 0.5
+        X = np.zeros((9, 16), dtype=np.int64)
+        assert assert_trees_equal_the_loop(monkeypatch, X, y, depth=3) == 0
+
+    def test_planted_records(self, planted):
+        """The real hashed n-gram rows of the planted records."""
+        _, records, lm = planted
+        config = TrainConfig(gbdt_rounds=8, gbdt_max_depth=3, gbdt_learning_rate=0.3)
+        model = train_gbdt_ranker(records, lm, config)
+        records = [r for r in records if r.metapaths]
+        X = np.concatenate([models._hashed_matrix(lm, record_pair(r), record_subgraphs(r))
+                            for r in records]).astype(np.int64)
+        y = np.asarray([mp.relscore for r in records for mp in r.metapaths])
+        assert 0 < np.count_nonzero(X) < 0.05 * X.size
+        assert replay_trees(model, X, y, config.gbdt_max_depth, config)
 
 
 class TestRankSubgraphs:

@@ -5,7 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from kgcausal.ltr.ngram import UNK, dense_features, hashed_slots, train_ngram_lm
+from kgcausal.ltr.ngram import (
+    BATCH_SIZE,
+    UNK,
+    _context_windows,
+    dense_features,
+    hashed_slots,
+    train_ngram_lm,
+)
 
 
 def predicts_every_next_token(lm, sequence):
@@ -49,6 +56,81 @@ class TestTraining:
         corpus = [["a", "b", "c", "d"] * 5]
         lm = train_ngram_lm(corpus, n=3, d=8, seed=0, epochs=20, learning_rate=1.0)
         assert predicts_every_next_token(lm, corpus[0])
+
+
+def reference_lm(corpus, n, d, seed, epochs, learning_rate, min_count):
+    """The training loop as first written, with a fresh array for every
+    intermediate: (embeddings, output weights, loss history)."""
+    counts = {}
+    for seq in corpus:
+        for tok in seq:
+            counts[tok] = counts.get(tok, 0) + 1
+    kept = sorted(tok for tok, c in counts.items() if c >= min_count)
+    vocab = {tok: i for i, tok in enumerate(kept)}
+    vocab[UNK] = len(vocab)
+    unk = vocab[UNK]
+    windows = list(_context_windows(corpus, n))
+    contexts = np.array([[vocab.get(t, unk) for t in ctx] for ctx, _ in windows], dtype=np.int64)
+    targets = np.array([vocab.get(t, unk) for _, t in windows], dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    embeddings = rng.normal(0.0, 0.1, size=(len(vocab), d))
+    output_weights = rng.normal(0.0, 0.1, size=(d, len(vocab)))
+    history = []
+    for _ in range(epochs):
+        order = rng.permutation(len(targets))
+        total = 0.0
+        for start in range(0, len(targets), BATCH_SIZE):
+            batch = order[start:start + BATCH_SIZE]
+            ctx, tgt = contexts[batch], targets[batch]
+            x = embeddings[ctx].mean(axis=1)
+            logits = x @ output_weights
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            expd = np.exp(shifted)
+            probs = expd / expd.sum(axis=1, keepdims=True)
+            total += (-np.log(np.maximum(probs[np.arange(len(tgt)), tgt], 1e-300))).sum()
+            dlogits = probs
+            dlogits[np.arange(len(tgt)), tgt] -= 1.0
+            dlogits /= len(tgt)
+            grad_w = x.T @ dlogits
+            dx = dlogits @ output_weights.T / (n - 1)
+            output_weights -= learning_rate * grad_w
+            np.subtract.at(embeddings, ctx.reshape(-1),
+                           learning_rate * np.repeat(dx, n - 1, axis=0))
+        history.append(float(total / len(targets)))
+    return embeddings, output_weights, history
+
+
+def random_corpus(n, n_windows, seed):
+    """Sequences over a skewed 80-token vocabulary with exactly ``n_windows``
+    context windows of order ``n``, and some too short to give any."""
+    rng = np.random.default_rng(seed)
+    weights = 1.0 / np.arange(1, 81)
+    corpus = [[f"t{i}" for i in rng.choice(80, size=n - 1, p=weights / weights.sum())]]
+    while n_windows:
+        length = min(n_windows, int(rng.integers(1, 12)))
+        n_windows -= length
+        corpus.append([f"t{i}" for i in rng.choice(80, size=length + n - 1,
+                                                     p=weights / weights.sum())])
+    return corpus
+
+
+class TestTrainerIsBitExact:
+    """The in-place step against the loop with fresh arrays, in one process."""
+
+    @pytest.mark.parametrize("n_windows", [50, 2 * BATCH_SIZE, 2 * BATCH_SIZE + 37],
+                             ids=["under-one-batch", "whole-batches", "partial-last-batch"])
+    @pytest.mark.parametrize("min_count", [1, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_equals_the_reference_loop(self, n, min_count, n_windows):
+        corpus = random_corpus(n, n_windows, seed=n * 10 + min_count)
+        lm = train_ngram_lm(corpus, n=n, d=24, seed=4, epochs=3, learning_rate=0.7,
+                            min_count=min_count)
+        embeddings, output_weights, history = reference_lm(
+            corpus, n=n, d=24, seed=4, epochs=3, learning_rate=0.7, min_count=min_count)
+        assert len(list(_context_windows(corpus, n))) == n_windows
+        assert lm.embeddings.tobytes() == embeddings.tobytes()
+        assert lm.output_weights.tobytes() == output_weights.tobytes()
+        assert lm.loss_history == history
 
 
 @pytest.fixture
