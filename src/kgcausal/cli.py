@@ -21,14 +21,14 @@ from .discovery import (
     DiscoveryConfig,
     _checked_adjacency,
     aggregate_graph,
-    classify_pairs,
+    classify_pair,
     evaluate_classification,
     hamming_distance,
     read_predictions,
 )
 from .errors import KgcausalError
 from .kg import MetapathSubgraph, load_kg
-from .llm import HttpBackend, MockOracle, MockOracleConfig
+from .llm import HttpBackend, MockOracle, MockOracleConfig, map_pairs
 from .ltr.metrics import ndcg_at_k, recall_at_k
 from .ltr.losses import LOSS_KINDS
 from .ltr.models import (
@@ -52,7 +52,7 @@ from .relevance import (
     PairInstance,
     RankedPairRecord,
     candidate_subgraphs,
-    estimate_relevance,
+    rank_pair,
     read_instances,
     read_ranked_dataset,
 )
@@ -208,21 +208,19 @@ def cmd_extract(args, config: dict) -> int:
     return EXIT_OK
 
 
-def _backend_stage(args, config: dict, command: str, pairs: int, run, summarize) -> int:
-    """The failure policy shared by the stages that call the backend per pair.
-
-    ``run(backend)`` returns the stage's ``llm.PairResults`` over ``pairs``
-    pairs.  When every pair failed, nothing is written and the exit code is
-    2.  Otherwise the records and a sidecar holding ``summarize(result)`` are
-    written, and the exit code is 1 when a pair was skipped or the summary
-    counts an unparseable answer.
-    """
+def _backend_stage(args, config: dict, command: str, jobs: list, fn, qid, summarize) -> int:
+    """A stage that calls the backend per pair: ``llm.map_pairs`` of
+    ``fn(job, backend)`` over ``jobs``, failed jobs logged under ``qid(job)``.
+    When every job failed, nothing is written and the exit code is 2.
+    Otherwise the records and a sidecar holding ``summarize(result)`` are
+    written, and the exit code is 1 when a job was skipped or the summary
+    counts an unparseable answer."""
     backend = make_backend(config)
     try:
-        result = run(backend)
+        result = map_pairs(lambda job: fn(job, backend), jobs, backend, qid)
     finally:
         backend.close()
-    if pairs and result.skipped_backend_error == pairs:
+    if jobs and result.skipped_backend_error == len(jobs):
         logger.error("backend failed for every pair; writing no output")
         return EXIT_CONFIG
     write_jsonl(args.out, [record.to_dict() for record in result.records])
@@ -243,7 +241,8 @@ def cmd_estimate(args, config: dict) -> int:
     rows = read_jsonl(args.candidates, _unique_qids(_candidate_row))
     jobs = [(inst, subgraphs[:k_max]) for inst, subgraphs in rows if subgraphs]
     return _backend_stage(
-        args, config, "estimate", len(jobs), lambda backend: estimate_relevance(jobs, backend),
+        args, config, "estimate", jobs, lambda job, backend: rank_pair(*job, backend),
+        lambda job: job[0].qid,
         lambda result: {"pairs": len(rows), "records_written": len(result.records),
                         "skipped_no_subgraphs": len(rows) - len(jobs),
                         "skipped_backend_error": result.skipped_backend_error,
@@ -345,9 +344,10 @@ def cmd_discover(args, config: dict) -> int:
     )
 
     return _backend_stage(
-        args, config, "discover", len(instances),
-        lambda backend: classify_pairs(instances, kg, model, backend,
-                                       config=discovery_config, lm=lm),
+        args, config, "discover", instances,
+        lambda instance, backend: classify_pair(instance, kg, model, backend,
+                                                config=discovery_config, lm=lm),
+        lambda instance: instance.qid,
         lambda result: {"pairs": len(instances), "predictions_written": len(result.records),
                         "skipped_backend_error": result.skipped_backend_error,
                         "unparseable": sum(1 for p in result.records if p.predicted is None),
@@ -382,6 +382,15 @@ TEMPLATE_HASHES = {"sre": f"{stable_hash(DEFAULT_SRE_TEMPLATE):016x}",
                    "discovery": f"{stable_hash(DEFAULT_DISCOVERY_TEMPLATE):016x}"}
 
 
+def _gold_adjacency(doc: dict):
+    """(variables, matrix) of a gold adjacency file, checked."""
+    variables = doc["variables"]
+    if not (isinstance(variables, list) and all(isinstance(v, str) for v in variables)
+            and len(set(variables)) == len(variables)):
+        raise ValueError("adjacency variables must be a list of distinct strings")
+    return variables, _checked_adjacency(doc["matrix"], len(variables))
+
+
 def cmd_eval(args, config: dict) -> int:
     predictions = read_predictions(args.predictions)
     golds = read_instances(args.gold)
@@ -393,8 +402,7 @@ def cmd_eval(args, config: dict) -> int:
 
     graph = None
     if args.gold_adjacency:
-        variables, gold_matrix = read_json(args.gold_adjacency, lambda d: (
-            d["variables"], _checked_adjacency(d["matrix"], len(d["variables"]))))
+        variables, gold_matrix = read_json(args.gold_adjacency, _gold_adjacency)
         by_qid = {inst.qid: inst for inst in golds}
         pair_labels = {}
         for pred in predictions:

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import NoSuchNodeError
 from .kg import KnowledgeGraph, MetapathSubgraph, enumerate_subgraphs
-from .llm import CAUSAL, NON_CAUSAL, PATH_BLOCK_MARKER, PairResults, ask_label, map_pairs
+from .llm import CAUSAL, NON_CAUSAL, PATH_BLOCK_MARKER, ask_label
 from .ltr.models import RankerModel, rank_subgraphs
 from .ltr.ngram import NgramLM
 from .relevance import DEFAULT_INSTRUCTION, PairInstance
@@ -119,19 +119,6 @@ def classify_pair(instance: PairInstance, kg: Optional[KnowledgeGraph],
         subgraphs_used=tuple(verbalize(sg, config.style) for sg in top),
         backend_id=backend_id,
     )
-
-
-def classify_pairs(instances: Sequence[PairInstance], kg: Optional[KnowledgeGraph],
-                   ranker: Optional[RankerModel], backend,
-                   config: DiscoveryConfig = DiscoveryConfig(),
-                   lm: Optional[NgramLM] = None) -> PairResults:
-    """:func:`classify_pair` for every instance on up to ``backend.parallelism``
-    threads; the records are the predictions, in input order.  A backend
-    failure on one pair skips and counts that pair rather than aborting the
-    run.  ``kg`` is not read, and may be None, when ``ranker`` is None."""
-    return map_pairs(
-        lambda instance: classify_pair(instance, kg, ranker, backend, config=config, lm=lm),
-        instances, backend, qid=lambda instance: instance.qid)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import random
 import re
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
@@ -25,7 +26,7 @@ from .errors import (
     CapabilityMissing,
     UnparseableLabel,
 )
-from .util import map_in_order, stable_hash
+from .util import stable_hash
 
 logger = logging.getLogger(__name__)
 
@@ -79,13 +80,11 @@ def canonical_label(variant: str) -> str:
     return NON_CAUSAL if collapsed.startswith("non") else CAUSAL
 
 
-def label_probability(completion: Completion) -> tuple[str, float]:
-    """Which label the completion expresses and with what probability.
+def label_logprob(completion: Completion) -> tuple[str, float]:
+    """Which label the completion expresses, and the mean log-probability of
+    the tokens whose spans overlap the matched label.
 
-    The first of ``LABEL_VARIANTS`` found in the text wins;
-    the probability is the exponentiated mean log-probability of the tokens
-    whose spans overlap the matched label, i.e. the geometric mean of the
-    per-token probabilities.
+    The first of ``LABEL_VARIANTS`` found in the text wins.
     """
     if not completion.tokens:
         raise CapabilityMissing("completion has no token log-probabilities")
@@ -116,9 +115,15 @@ def label_probability(completion: Completion) -> tuple[str, float]:
                     offset += len(tok)
                     if tok_span[0] < span[1] and tok_span[1] > span[0]:
                         logprobs.append(lp)
-            p = math.exp(sum(logprobs) / len(logprobs))
-            return label, min(p, 1.0)
+            return label, sum(logprobs) / len(logprobs)
     raise UnparseableLabel(f"no relation label found in {completion.text!r}")
+
+
+def label_probability(completion: Completion) -> tuple[str, float]:
+    """:func:`label_logprob` with the mean exponentiated: the label's
+    probability, the geometric mean of its tokens' probabilities."""
+    label, mean_logprob = label_logprob(completion)
+    return label, min(math.exp(mean_logprob), 1.0)
 
 
 def ask_label(backend, prompt: str) -> tuple[Optional[str], float, str]:
@@ -145,10 +150,12 @@ class PairResults:
 
 
 def map_pairs(fn: Callable, jobs: Sequence, backend, qid: Callable) -> PairResults:
-    """``fn`` over ``jobs`` on up to ``backend.parallelism`` threads.  A job
-    whose backend call fails is logged under ``qid(job)``, skipped and counted
-    rather than aborting the stage; any other error cancels the jobs not yet
-    started and is re-raised."""
+    """``fn`` over ``jobs`` on up to ``backend.parallelism`` threads, in
+    sequence when that is 1 or there is at most one job; the records keep
+    input order.  A job whose backend call fails is logged under
+    ``qid(job)``, skipped and counted rather than aborting the stage.  Any
+    other error cancels the jobs not yet started, and the first such error in
+    input order is re-raised."""
     def run(job):
         try:
             return fn(job)
@@ -157,7 +164,14 @@ def map_pairs(fn: Callable, jobs: Sequence, backend, qid: Callable) -> PairResul
             return None
 
     calls_before = getattr(backend, "calls", None)
-    outcomes = map_in_order(run, jobs, getattr(backend, "parallelism", 1))
+    parallelism = getattr(backend, "parallelism", 1)
+    if parallelism <= 1 or len(jobs) <= 1:
+        outcomes = [run(job) for job in jobs]
+    else:
+        # Executor.map yields in input order, and the first error it yields
+        # cancels the jobs not yet started.
+        with ThreadPoolExecutor(max_workers=parallelism) as pool:
+            outcomes = list(pool.map(run, jobs))
     records = [record for record in outcomes if record is not None]
     return PairResults(
         records=records,
@@ -263,9 +277,10 @@ def _retry_delay(attempt: int, retry_after: Optional[str], rng: random.Random) -
 
 def _logprob(value) -> float:
     """A token log-probability from a response body, clamped to at most 0.
-    A bool, a string or NaN is a ValueError, not a certainty."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or math.isnan(value):
-        raise ValueError(f"log-probability {value!r} is not a number")
+    A bool, a string, NaN or an infinity is a ValueError, not a certainty."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ValueError(f"log-probability {value!r} is not a finite number")
     return min(0.0, float(value))
 
 

@@ -10,12 +10,12 @@ in [0, 2] with 1.0 the no-signal midpoint.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
-from .errors import NoSuchNodeError
+from .errors import NoSuchNodeError, UnparseableLabel
 from .kg import KnowledgeGraph, MetapathSubgraph, enumerate_subgraphs, sample_subgraphs
-from .llm import CAUSAL, NON_CAUSAL, PATH_BLOCK_MARKER, PairResults, ask_label, map_pairs
+from .llm import CAUSAL, NON_CAUSAL, PATH_BLOCK_MARKER, CompletionRequest, label_logprob
 from .util import _unique_qids, descending_order, read_jsonl, stable_hash
 from .verbalize import HYPHEN_STYLE, verbalize
 
@@ -63,21 +63,6 @@ class PairInstance:
     def from_dict(cls, d: dict) -> "PairInstance":
         return cls(qid=str(d["qid"]), e1=d["e1"], e2=d["e2"],
                    context=d.get("context", ""), groundtruth=d["label"])
-
-
-@dataclass(frozen=True)
-class RelevanceScore:
-    """Outcome of scoring one (pair, subgraph) prompt."""
-
-    s: float
-    p: float
-    predicted: Optional[str]
-    correct: bool
-    mean_logprob: Optional[float]
-
-    def __post_init__(self):
-        if not 0.0 <= self.s <= 2.0:
-            raise ValueError(f"relevance score {self.s} outside [0, 2]")
 
 
 @dataclass(frozen=True)
@@ -144,10 +129,6 @@ class RankedPairRecord:
         )
 
 
-def encode_groundtruth(label: str) -> str:
-    return "1" if label == CAUSAL else "0"
-
-
 def build_sre_prompt(instance: PairInstance, subgraph: MetapathSubgraph) -> str:
     """Fill the relevance-estimation template for one candidate path."""
     return DEFAULT_SRE_TEMPLATE.format(
@@ -159,19 +140,26 @@ def build_sre_prompt(instance: PairInstance, subgraph: MetapathSubgraph) -> str:
 
 
 def score_subgraph(instance: PairInstance, subgraph: MetapathSubgraph,
-                   backend) -> RelevanceScore:
-    """Score one candidate: 1 + p when the backend is right, 1 - p when wrong.
+                   backend) -> RankedMetapath:
+    """Score one candidate into its ranked-record entry, with ``pathid`` 0.
 
+    ``relscore`` is 1 + p when the backend is right and 1 - p when wrong, and
+    ``probscore`` is the mean log-probability p is the exponential of.
     Output that names no label counts as a wrong prediction with p = 0,
-    which lands exactly on the score midpoint 1.0.
+    which lands exactly on the score midpoint 1.0, and a null ``probscore``.
     """
-    label, p, _backend_id = ask_label(backend, build_sre_prompt(instance, subgraph))
-    if label is None:
-        return RelevanceScore(s=1.0, p=0.0, predicted=None, correct=False, mean_logprob=None)
+    completion = backend.complete(CompletionRequest(build_sre_prompt(instance, subgraph)))
+    try:
+        label, mean_logprob = label_logprob(completion)
+    except UnparseableLabel:
+        label, mean_logprob = None, None
+    p = 0.0 if mean_logprob is None else min(math.exp(mean_logprob), 1.0)
     correct = label == instance.groundtruth
-    s = 1.0 + p if correct else 1.0 - p
-    return RelevanceScore(s=s, p=p, predicted=label, correct=correct,
-                          mean_logprob=math.log(p) if p > 0 else None)
+    return RankedMetapath(pathid=0, relscore=1.0 + p if correct else 1.0 - p,
+                          probscore=mean_logprob, relevant="1" if correct else "0",
+                          stops=" - ".join(subgraph.node_names),
+                          reltypes=" - ".join(subgraph.edge_labels),
+                          nodelabels=" - ".join(subgraph.node_types))
 
 
 def rank_pair(instance: PairInstance, subgraphs: Sequence[MetapathSubgraph],
@@ -183,26 +171,12 @@ def rank_pair(instance: PairInstance, subgraphs: Sequence[MetapathSubgraph],
     """
     if not subgraphs:
         raise ValueError(f"{instance.qid}: no candidate subgraphs")
-    scores = [score_subgraph(instance, sg, backend) for sg in subgraphs]
-    metapaths = []
-    for rank, idx in enumerate(descending_order([sc.s for sc in scores]), start=1):
-        sg, sc = subgraphs[idx], scores[idx]
-        metapaths.append(RankedMetapath(
-            pathid=rank,
-            relscore=sc.s,
-            probscore=sc.mean_logprob,
-            relevant="1" if sc.correct else "0",
-            stops=" - ".join(sg.node_names),
-            reltypes=" - ".join(sg.edge_labels),
-            nodelabels=" - ".join(sg.node_types),
-        ))
-    return RankedPairRecord(
-        qid=instance.qid,
-        e1=instance.e1,
-        e2=instance.e2,
-        groundtruth=encode_groundtruth(instance.groundtruth),
-        metapaths=tuple(metapaths),
-    )
+    entries = [score_subgraph(instance, sg, backend) for sg in subgraphs]
+    order = descending_order([entry.relscore for entry in entries])
+    return RankedPairRecord(qid=instance.qid, e1=instance.e1, e2=instance.e2,
+                            groundtruth="1" if instance.groundtruth == CAUSAL else "0",
+                            metapaths=tuple(replace(entries[i], pathid=rank)
+                                            for rank, i in enumerate(order, start=1)))
 
 
 def candidate_subgraphs(instance: PairInstance, kg: KnowledgeGraph, max_hops: int = 4,
@@ -216,15 +190,6 @@ def candidate_subgraphs(instance: PairInstance, kg: KnowledgeGraph, max_hops: in
     except NoSuchNodeError:
         return []
     return sample_subgraphs(found, k_max, seed=stable_hash(seed, "sample", instance.qid))
-
-
-def estimate_relevance(jobs: Sequence[tuple[PairInstance, Sequence[MetapathSubgraph]]],
-                       backend) -> PairResults:
-    """Rank each (instance, candidates) job on up to ``backend.parallelism``
-    threads.  A backend failure on one pair skips and counts that pair rather
-    than aborting the run."""
-    return map_pairs(lambda job: rank_pair(job[0], job[1], backend), jobs, backend,
-                     qid=lambda job: job[0].qid)
 
 
 def read_instances(path) -> list[PairInstance]:

@@ -1,20 +1,17 @@
 """Small helpers shared by the pipeline stages: the seeded hash, the stable
-descending sort, atomic artifact writes, JSON Lines I/O and the in-order
-thread pool."""
+descending sort, atomic artifact writes and JSON Lines I/O."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import KgcausalError
 
 T = TypeVar("T")
-R = TypeVar("R")
 
 
 def stable_hash(*parts) -> int:
@@ -93,18 +90,3 @@ def _unique_qids(parse: Callable[[dict], T]) -> Callable[[dict], T]:
         return row
     return parse_once
 
-
-def map_in_order(fn: Callable[[T], R], items: Iterable[T], parallelism: int) -> list[R]:
-    """``fn`` over ``items`` on up to ``parallelism`` threads, results in input
-    order.  The first error (in input order) cancels the jobs not yet started
-    and is re-raised."""
-    items = list(items)
-    if parallelism <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        futures = [pool.submit(fn, item) for item in items]
-        try:
-            return [future.result() for future in futures]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise

@@ -209,6 +209,26 @@ class TestEstimate:
         summary = json.loads(Path(str(ranked) + ".meta.json").read_text())["summary"]
         assert summary["unparseable"] == 1
 
+    @pytest.mark.parametrize("logprob", [-0.1, -800.0])
+    def test_probscore_is_the_answer_logprob(self, pipeline, stub_server, tmp_path, logprob):
+        """At -800 the probability underflows to 0; the label still parsed."""
+        root, _, out = pipeline
+        stub_server.script = [(200, ok_body("causal", logprob=logprob))]
+        config = {
+            "kg": {"path": str(root / "kg.jsonl")},
+            "llm": {"backend": "http", "model": "m",
+                    "endpoint": f"http://127.0.0.1:{stub_server.server_address[1]}"},
+        }
+        cfg = tmp_path / "http.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        ranked = tmp_path / "ranked.jsonl"
+        assert run("estimate", out / "candidates.jsonl", "--config", cfg,
+                   "--out", ranked) == EXIT_OK
+        rows = [json.loads(line) for line in ranked.read_text().splitlines()]
+        assert {mp["probscore"] for row in rows for mp in row["metapaths"]} == {logprob}
+        summary = json.loads(Path(str(ranked) + ".meta.json").read_text())["summary"]
+        assert summary["unparseable"] == 0
+
     def test_credential_goes_to_the_header_and_nowhere_else(self, pipeline, stub_server,
                                                             tmp_path, monkeypatch):
         root, _, out = pipeline
@@ -513,6 +533,26 @@ class TestBadInputs:
                      lambda _: '{"variables": ["a", "b"], "matrix": [[0, 1, 0], [0, 0, 0]]}',
                      {}, "adjacency matrix must have shape (2, 2), not (2, 3)",
                      id="non-square-adjacency"),
+        pytest.param("eval", ["predictions.jsonl", "pairs.jsonl", "--gold-adjacency", "BAD"],
+                     "adjacency.json",
+                     lambda _: '{"variables": "ab", "matrix": [[0, 1], [0, 0]]}',
+                     {}, "adjacency variables must be a list of distinct strings",
+                     id="adjacency-variables-string"),
+        pytest.param("eval", ["predictions.jsonl", "pairs.jsonl", "--gold-adjacency", "BAD"],
+                     "adjacency.json",
+                     lambda _: '{"variables": {"a": 0, "b": 1}, "matrix": [[0, 1], [0, 0]]}',
+                     {}, "adjacency variables must be a list of distinct strings",
+                     id="adjacency-variables-object"),
+        pytest.param("eval", ["predictions.jsonl", "pairs.jsonl", "--gold-adjacency", "BAD"],
+                     "adjacency.json",
+                     lambda _: '{"variables": [1, 2], "matrix": [[0, 1], [0, 0]]}',
+                     {}, "adjacency variables must be a list of distinct strings",
+                     id="adjacency-variables-not-strings"),
+        pytest.param("eval", ["predictions.jsonl", "pairs.jsonl", "--gold-adjacency", "BAD"],
+                     "adjacency.json",
+                     lambda _: '{"variables": ["a", "a"], "matrix": [[0, 1], [0, 0]]}',
+                     {}, "adjacency variables must be a list of distinct strings",
+                     id="adjacency-variables-repeated"),
         pytest.param("train", ["BAD"], "ranked.jsonl", first_row(lambda row: row.update(e1=5)),
                      {}, "e1 and e2 must be strings", id="ranked-int-e1"),
         pytest.param("train", ["BAD"], "ranked.jsonl",

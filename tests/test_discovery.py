@@ -16,14 +16,13 @@ from kgcausal.discovery import (
     aggregate_graph,
     build_discovery_prompt,
     classify_pair,
-    classify_pairs,
     evaluate_classification,
     f1_score,
     hamming_distance,
     metrics_from_counts,
 )
 from kgcausal.errors import BackendUnavailable
-from kgcausal.llm import MockOracle
+from kgcausal.llm import MockOracle, map_pairs
 from kgcausal.ltr.models import GbdtEnsemble, RankerModel, rank_subgraphs, score_subgraphs
 from kgcausal.relevance import PairInstance
 from kgcausal.synthetic import make_planted_world
@@ -146,6 +145,13 @@ class TestClassifyPair:
         assert prediction.p == 0.0
 
 
+def discover(instances, kg, ranker, backend, **kwargs):
+    """``classify_pair`` over the instances, mapped as the discover command
+    maps them."""
+    return map_pairs(lambda inst: classify_pair(inst, kg, ranker, backend, **kwargs),
+                     instances, backend, qid=lambda inst: inst.qid)
+
+
 class TestClassifyPairs:
     def test_parallel_matches_serial_in_input_order(self):
         world = make_planted_world(n_pairs=12, flip_rate=0.1, seed=3)
@@ -155,7 +161,7 @@ class TestClassifyPairs:
                                 config=config) for inst in world.instances]
         backend = MockOracle(world.mock_config)
         backend.parallelism = 3
-        result = classify_pairs(world.instances, world.kg, ranker, backend, config=config)
+        result = discover(world.instances, world.kg, ranker, backend, config=config)
         assert result.records == serial
         assert result.skipped_backend_error == 0
         assert result.backend_calls == backend.calls == len(world.instances)
@@ -167,7 +173,7 @@ class TestClassifyPairs:
         searches = []
         monkeypatch.setattr(discovery, "enumerate_subgraphs",
                             lambda *args, **kwargs: searches.append(args) or [])
-        result = classify_pairs(world.instances, world.kg, None, MockOracle(world.mock_config))
+        result = discover(world.instances, world.kg, None, MockOracle(world.mock_config))
         assert searches == []
         assert result.records == bare
 
@@ -190,7 +196,7 @@ class TestClassifyPairs:
 
         backend = BrokenBackend()
         with pytest.raises(RuntimeError, match="broken"):
-            classify_pairs(world.instances, world.kg, None, backend)
+            discover(world.instances, world.kg, None, backend)
         assert backend.calls < 10
 
     def test_backend_failure_skips_and_counts_the_pair(self, caplog):
@@ -198,7 +204,7 @@ class TestClassifyPairs:
         down = BackendUnavailable("down")
         backend = FakeBackend([FakeBackend.single("causal"), down,
                                FakeBackend.single("non-causal")])
-        result = classify_pairs(world.instances, world.kg, None, backend)
+        result = discover(world.instances, world.kg, None, backend)
         qids = [inst.qid for inst in world.instances]
         assert [p.qid for p in result.records] == [q for i, q in enumerate(qids) if i % 3 != 1]
         assert [p.predicted for p in result.records] == ["causal", "non-causal"] * 2

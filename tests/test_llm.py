@@ -332,9 +332,12 @@ class TestHttpBackend:
         {"text": "causal", "logprobs": {"tokens": ["causal"], "token_logprobs": ["-0.5"]}},
         {"text": "causal", "logprobs": {"tokens": ["causal"], "token_logprobs": [math.nan]}},
         {"text": "causal", "logprobs": {"tokens": ["causal"], "token_logprobs": [-10 ** 400]}},
+        {"text": "causal", "logprobs": {"tokens": ["causal"], "token_logprobs": [-math.inf]}},
+        {"text": "causal", "logprobs": {"tokens": ["causal"], "token_logprobs": [math.inf]}},
     ], ids=["logprobs-not-an-object", "logprob-not-a-number", "logprob-an-object",
             "token-not-a-string", "text-not-a-string", "logprob-true", "logprob-string-nan",
-            "logprob-string-number", "logprob-nan", "logprob-overflows-float"])
+            "logprob-string-number", "logprob-nan", "logprob-overflows-float",
+            "logprob-minus-infinity", "logprob-plus-infinity"])
     def test_malformed_body_skips_only_its_pair(self, stub_server, choice):
         stub_server.script = [(200, {"choices": [choice]}), (200, ok_body("causal"))]
         backend = self.backend(stub_server, parallelism=1)
@@ -380,6 +383,29 @@ class TestHttpBackend:
         self.opened.append(backend)
         assert backend.complete(CompletionRequest(prompt="p")).text == "causal"
         assert len(stub_server.requests) == 1
+
+
+class TestMapPairs:
+    def test_threads_skip_a_failed_pair_and_keep_input_order(self):
+        """Five jobs on two threads, the middle one failing; later jobs sleep
+        less, so they finish first."""
+        threads = set()
+
+        def fn(job):
+            threads.add(threading.get_ident())
+            if job == 2:
+                raise BackendUnavailable("down")
+            time.sleep(0.01 * (5 - job))
+            return f"record {job}"
+
+        class TwoThreads:
+            parallelism = 2
+
+        result = map_pairs(fn, list(range(5)), TwoThreads(), qid=str)
+        assert result.records == ["record 0", "record 1", "record 3", "record 4"]
+        assert result.skipped_backend_error == 1
+        assert result.backend_calls is None
+        assert len(threads) == 2
 
 
 class TestRequestValidation:

@@ -10,13 +10,12 @@ import pytest
 from conftest import FakeBackend, make_subgraph
 from kgcausal.errors import BackendUnavailable
 from kgcausal.kg import EdgeRecord, KnowledgeGraph, NodeRecord
-from kgcausal.llm import MockOracle, MockOracleConfig
+from kgcausal.llm import Completion, MockOracle, MockOracleConfig, map_pairs
 from kgcausal.relevance import (
     PairInstance,
     RankedPairRecord,
     build_sre_prompt,
     candidate_subgraphs,
-    estimate_relevance,
     rank_pair,
     score_subgraph,
 )
@@ -50,26 +49,42 @@ class TestBuildSrePrompt:
 class TestScoreSubgraph:
     def test_correct_prediction(self, drug_instance, fgf6_path):
         backend = FakeBackend([FakeBackend.single("causal", p=0.8)])
-        score = score_subgraph(drug_instance, fgf6_path, backend)
-        assert score.s == pytest.approx(1.8)
-        assert score.correct
-        assert score.predicted == "causal"
-        assert score.mean_logprob == pytest.approx(math.log(0.8))
+        entry = score_subgraph(drug_instance, fgf6_path, backend)
+        assert entry.relscore == pytest.approx(1.8)
+        assert entry.relevant == "1"
+        assert entry.probscore == pytest.approx(math.log(0.8))
+        assert entry.pathid == 0
+        assert entry.stops == "FGF6 - tendon - SDRDL - FGFR2 - prostate cancer"
+        assert entry.reltypes == "express - express - regulate - associate"
+        assert entry.nodelabels == "Gene - anatomy - gene - gene - disease"
 
     def test_boundary_confidence(self, drug_instance, fgf6_path):
         backend = FakeBackend([FakeBackend.single("causal", p=1.0)])
-        assert score_subgraph(drug_instance, fgf6_path, backend).s == pytest.approx(2.0)
+        assert score_subgraph(drug_instance, fgf6_path, backend).relscore == pytest.approx(2.0)
         backend = FakeBackend([FakeBackend.single("non-causal", p=1.0)])
-        assert score_subgraph(drug_instance, fgf6_path, backend).s == pytest.approx(0.0)
+        entry = score_subgraph(drug_instance, fgf6_path, backend)
+        assert entry.relscore == pytest.approx(0.0)
+        assert entry.relevant == "0"
 
     def test_unparseable_scores_midpoint(self, drug_instance, fgf6_path):
         backend = FakeBackend([FakeBackend.single("no idea")])
-        score = score_subgraph(drug_instance, fgf6_path, backend)
-        assert score.s == 1.0
-        assert not score.correct
-        assert score.predicted is None
-        assert score.p == 0.0
-        assert score.mean_logprob is None
+        entry = score_subgraph(drug_instance, fgf6_path, backend)
+        assert entry.relscore == 1.0
+        assert entry.relevant == "0"
+        assert entry.probscore is None
+
+    @pytest.mark.parametrize("logprob, relscore", [(-0.1, 1.0 + math.exp(-0.1)),
+                                                   (-800.0, 1.0)], ids=["-0.1", "-800"])
+    def test_probscore_is_the_raw_mean_logprob(self, drug_instance, fgf6_path,
+                                               logprob, relscore):
+        """Two tokens overlap the label; exp(-800) underflows to p = 0, and
+        the label that parsed still carries its mean."""
+        tokens = (("cau", logprob), ("sal", logprob), (".", -3.0))
+        backend = FakeBackend([Completion(text="causal.", tokens=tokens, backend_id="fake")])
+        entry = score_subgraph(drug_instance, fgf6_path, backend)
+        assert entry.probscore == logprob
+        assert entry.relscore == relscore
+        assert entry.relevant == "1"
 
 
 class TestRankPair:
@@ -149,6 +164,12 @@ class TestBuildRankedDataset:
         return MockOracle(MockOracleConfig(causal_motifs=(("never-present",),),
                                            base_confidence=0.9))
 
+    @staticmethod
+    def estimate(jobs, backend):
+        """``rank_pair`` over the jobs, mapped as the estimate command maps them."""
+        return map_pairs(lambda job: rank_pair(job[0], job[1], backend), jobs, backend,
+                         qid=lambda job: job[0].qid)
+
     def jobs(self, world, **kwargs):
         kg, instances = world
         pairs = [(inst, candidate_subgraphs(inst, kg, seed=4, **kwargs)) for inst in instances]
@@ -159,7 +180,7 @@ class TestBuildRankedDataset:
         candidates = [candidate_subgraphs(inst, kg, seed=4) for inst in instances]
         assert len(candidates) == 3
         assert [bool(c) for c in candidates] == [True, True, False]
-        result = estimate_relevance(self.jobs(world), self.backend())
+        result = self.estimate(self.jobs(world), self.backend())
         assert len(result.records) == 2
         assert [r.qid for r in result.records] == ["p0", "p1"]
 
@@ -167,20 +188,20 @@ class TestBuildRankedDataset:
         kg, instances = world
         assert [len(candidate_subgraphs(inst, kg, k_max=10, seed=4)) for inst in instances] \
             == [3, 10, 0]
-        result = estimate_relevance(self.jobs(world, k_max=10), self.backend())
+        result = self.estimate(self.jobs(world, k_max=10), self.backend())
         by_qid = {r.qid: r for r in result.records}
         assert len(by_qid["p1"].metapaths) == 10
         assert len(by_qid["p0"].metapaths) == 3
 
     def test_rerun_is_byte_identical(self, world):
-        first = estimate_relevance(self.jobs(world), self.backend())
-        second = estimate_relevance(self.jobs(world), self.backend())
+        first = self.estimate(self.jobs(world), self.backend())
+        second = self.estimate(self.jobs(world), self.backend())
         assert [json.dumps(r.to_dict()) for r in first.records] \
             == [json.dumps(r.to_dict()) for r in second.records]
 
     def test_backend_call_count_matches_scored_pairs(self, world):
         backend = self.backend()
-        result = estimate_relevance(self.jobs(world, k_max=10), backend)
+        result = self.estimate(self.jobs(world, k_max=10), backend)
         assert backend.calls == 3 + 10
         assert result.backend_calls == backend.calls
 
@@ -197,7 +218,7 @@ class TestBuildRankedDataset:
                 return completion
 
         backend = DiesOnSecondPath(MockOracleConfig(causal_motifs=(("x",),)))
-        result = estimate_relevance(self.jobs(world, k_max=10), backend)
+        result = self.estimate(self.jobs(world, k_max=10), backend)
         assert result.skipped_backend_error == 1
         assert result.backend_calls == backend.calls == 3 + 2
 
@@ -214,7 +235,7 @@ class TestBuildRankedDataset:
                     raise BackendUnavailable("down")
                 return self.inner.complete(request)
 
-        result = estimate_relevance(self.jobs(world), FlakyBackend())
+        result = self.estimate(self.jobs(world), FlakyBackend())
         assert len(result.records) == 1
         assert result.skipped_backend_error == 1
         assert [r.qid for r in result.records] == ["p0"]
