@@ -9,9 +9,8 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import NoSuchNodeError
 from .kg import KnowledgeGraph, MetapathSubgraph, enumerate_subgraphs
-from .llm import CAUSAL, NON_CAUSAL, PATH_BLOCK_MARKER, ask_label
+from .llm import CAUSAL, NON_CAUSAL, PATH_BLOCK_MARKER, ask_label, probability
 from .ltr.models import RankerModel, rank_subgraphs
 from .ltr.ngram import NgramLM
 from .relevance import DEFAULT_INSTRUCTION, PairInstance
@@ -97,12 +96,9 @@ def classify_pair(instance: PairInstance, kg: Optional[KnowledgeGraph],
     prompt (the no-subgraph setting) without enumerating.
     """
     if ranker is not None and candidates is None:
-        try:
-            candidates = enumerate_subgraphs(
-                kg, (instance.e1, instance.e2), max_hops=config.max_hops,
-                limit=config.candidate_limit, seed=config.seed)
-        except NoSuchNodeError:
-            candidates = []
+        candidates = enumerate_subgraphs(
+            kg, (instance.e1, instance.e2), max_hops=config.max_hops,
+            limit=config.candidate_limit, seed=config.seed)
 
     if ranker is not None and candidates:
         ranked = rank_subgraphs(ranker, (instance.e1, instance.e2), candidates, lm)
@@ -110,12 +106,12 @@ def classify_pair(instance: PairInstance, kg: Optional[KnowledgeGraph],
     else:
         top = []
 
-    label, p, backend_id = ask_label(
+    label, mean_logprob, backend_id = ask_label(
         backend, build_discovery_prompt(instance, top, style=config.style))
     return CausalPrediction(
         qid=instance.qid,
         predicted=label,
-        p=p,
+        p=probability(mean_logprob),
         subgraphs_used=tuple(verbalize(sg, config.style) for sg in top),
         backend_id=backend_id,
     )

@@ -9,10 +9,6 @@ class KGLoadError(KgcausalError):
     """A knowledge-graph file could not be parsed or validated."""
 
 
-class NoSuchNodeError(KgcausalError):
-    """A variable name does not resolve to any node in the graph."""
-
-
 class BackendUnavailable(KgcausalError):
     """The text-generation backend could not be reached after retries."""
 

@@ -33,7 +33,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import KGLoadError, NoSuchNodeError
+from .errors import KGLoadError
 
 logger = logging.getLogger(__name__)
 
@@ -298,12 +298,11 @@ class KnowledgeGraph:
         return u if u < len(self._ids) and self._ids[u] == node_id else None
 
     def _resolve(self, name: str) -> array:
-        """The ints of the nodes named ``name``, case-insensitively, ascending."""
+        """The ints of the nodes named ``name``, case-insensitively, ascending;
+        empty when no node has the name."""
         key = name.lower()
         first = bisect.bisect_left(self._lowered_names, key)
         last = bisect.bisect_right(self._lowered_names, key, first)
-        if first == last:
-            raise NoSuchNodeError(f"no node named {name!r}")
         return self._by_name[first:last]
 
     def _adjacent(self, u: int) -> array:
@@ -405,8 +404,9 @@ def load_kg(path, format: str = FORMAT_JSONL) -> KnowledgeGraph:
 
     Endpoints may be bare id references as long as the id is declared with
     name and type somewhere in the file; the graph raises
-    :class:`KGLoadError` naming an id that is only ever referenced.  Ids,
-    names and types are interned as the lines are read.
+    :class:`KGLoadError` naming an id that is only ever referenced.  Every
+    other error is raised on the first line that has it.  Ids, names and
+    types are interned as the lines are read.
     """
     path = Path(path)
     if not path.exists():
@@ -415,18 +415,12 @@ def load_kg(path, format: str = FORMAT_JSONL) -> KnowledgeGraph:
         raise KGLoadError(f"unknown KG file format {format!r}")
 
     interned = _Interner()
-    # An id, name or type that is not a string is reported once every line
-    # has passed the checks above it, so those keep their line numbers.
-    not_string = None
     for where, head, relation, tail in _TRIPLE_READERS[format](path):
-        unhashable = False
         for node_id, name, node_type in (head, tail):
             if not (node_id and isinstance(node_id, str) and isinstance(name, _OPTIONAL_STR)
                     and isinstance(node_type, _OPTIONAL_STR)):
-                not_string = not_string or where
-                if isinstance(node_id, (list, dict)):
-                    unhashable = True
-                    continue
+                raise KGLoadError("%s:%d: node ids, names and types must be non-empty strings"
+                                  % where)
             if name is None and node_type is None:
                 continue
             if not name or not node_type:
@@ -435,11 +429,7 @@ def load_kg(path, format: str = FORMAT_JSONL) -> KnowledgeGraph:
             if not interned.declare(node_id, name, node_type):
                 raise KGLoadError("%s:%d: node id %r redeclared with conflicting name/type"
                                   % (*where, node_id))
-        if not unhashable:
-            interned.edge(head[0], relation, tail[0])
-    if not_string is not None:
-        raise KGLoadError("%s:%d: node ids, names and types must be non-empty strings"
-                          % not_string)
+        interned.edge(head[0], relation, tail[0])
 
     graph = KnowledgeGraph._from_interned(interned)
     logger.info("loaded %s: %d nodes, %d edges, %d duplicate triples dropped",
@@ -452,8 +442,8 @@ def _on_path_depths(kg: KnowledgeGraph, a_ids: Sequence[int], b_ids: Sequence[in
                     max_hops: int) -> tuple[dict[int, int], int]:
     """``(depth, shortest)``: the length of the shortest undirected paths from
     an ``a_ids`` node to a ``b_ids`` node, and the distance from ``a_ids`` of
-    every node on one of them.  ``({}, 0)`` when the sets share a node or no
-    path is within ``max_hops``.
+    every node on one of them.  ``({}, 0)`` when a set is empty, the sets
+    share a node or no path is within ``max_hops``.
 
     A level-synchronous breadth-first search runs from both sets, expanding
     one level at a time the frontier with fewer adjacency entries to read,
@@ -563,11 +553,11 @@ def enumerate_subgraphs(kg: KnowledgeGraph, pair: tuple[str, str], max_hops: int
     """All shortest paths between the pair, ignoring edge direction.
 
     Only paths of the minimal connecting length are returned, and only when
-    that length is within ``max_hops``.  Parallel edges yield one subgraph
-    per relation/direction combination.  Results are ordered
-    lexicographically by node-id sequence, then by the (label, direction)
-    pairs of the hops; when there are more than ``limit``, a seeded uniform
-    sample of that order is taken.
+    that length is within ``max_hops``; a name that no node has has none.
+    Parallel edges yield one subgraph per relation/direction combination.
+    Results are ordered lexicographically by node-id sequence, then by the
+    (label, direction) pairs of the hops; when there are more than
+    ``limit``, a seeded uniform sample of that order is taken.
 
     The search meets in the middle: a breadth-first search from each
     variable's ids, always growing the frontier with fewer adjacency entries,

@@ -115,26 +115,36 @@ def label_logprob(completion: Completion) -> tuple[str, float]:
                     offset += len(tok)
                     if tok_span[0] < span[1] and tok_span[1] > span[0]:
                         logprobs.append(lp)
-            return label, sum(logprobs) / len(logprobs)
+            mean = sum(logprobs) / len(logprobs)
+            if math.isinf(mean):  # the sum overflowed; divide before summing
+                mean = sum(lp / len(logprobs) for lp in logprobs)
+            return label, mean
     raise UnparseableLabel(f"no relation label found in {completion.text!r}")
 
 
+def probability(mean_logprob: Optional[float]) -> float:
+    """The probability a mean log-probability stands for, the geometric mean
+    of its tokens' probabilities, capped at 1; 0 for None (no label)."""
+    return 0.0 if mean_logprob is None else min(math.exp(mean_logprob), 1.0)
+
+
 def label_probability(completion: Completion) -> tuple[str, float]:
-    """:func:`label_logprob` with the mean exponentiated: the label's
-    probability, the geometric mean of its tokens' probabilities."""
+    """:func:`label_logprob` with the mean turned into the label's
+    :func:`probability`."""
     label, mean_logprob = label_logprob(completion)
-    return label, min(math.exp(mean_logprob), 1.0)
+    return label, probability(mean_logprob)
 
 
-def ask_label(backend, prompt: str) -> tuple[Optional[str], float, str]:
-    """(label, p, backend id) for the backend's answer to ``prompt``; the
-    label is None and p is 0 when the answer names no label."""
+def ask_label(backend, prompt: str) -> tuple[Optional[str], Optional[float], str]:
+    """(label, mean log-probability, backend id) of the backend's answer to
+    ``prompt``, as :func:`label_logprob` reads it; the label and the mean are
+    None when the answer names no label."""
     completion = backend.complete(CompletionRequest(prompt=prompt, want_logprobs=True))
     try:
-        label, p = label_probability(completion)
+        label, mean_logprob = label_logprob(completion)
     except UnparseableLabel:
-        return None, 0.0, completion.backend_id
-    return label, p, completion.backend_id
+        return None, None, completion.backend_id
+    return label, mean_logprob, completion.backend_id
 
 
 @dataclass(frozen=True)
@@ -150,12 +160,12 @@ class PairResults:
 
 
 def map_pairs(fn: Callable, jobs: Sequence, backend, qid: Callable) -> PairResults:
-    """``fn`` over ``jobs`` on up to ``backend.parallelism`` threads, in
-    sequence when that is 1 or there is at most one job; the records keep
-    input order.  A job whose backend call fails is logged under
-    ``qid(job)``, skipped and counted rather than aborting the stage.  Any
-    other error cancels the jobs not yet started, and the first such error in
-    input order is re-raised."""
+    """``fn`` over ``jobs`` on up to ``backend.parallelism`` threads (one for
+    a backend without it), in sequence when that is 1 or there is at most one
+    job; the records keep input order.  A job whose backend call fails is
+    logged under ``qid(job)``, skipped and counted rather than aborting the
+    stage.  Any other error cancels the jobs not yet started, and the first
+    such error in input order is re-raised."""
     def run(job):
         try:
             return fn(job)
@@ -245,7 +255,6 @@ class MockOracle:
     def __init__(self, config: MockOracleConfig):
         self.config = config
         self.backend_id = "mock"
-        self.parallelism = 1
         self.calls = 0
         self._calls_lock = threading.Lock()
 

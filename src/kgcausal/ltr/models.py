@@ -24,8 +24,7 @@ from ..kg import FORWARD, MetapathSubgraph
 from ..relevance import RankedPairRecord
 from ..util import atomic_write, descending_order, read_json, stable_hash
 from ..verbalize import HYPHEN_STYLE, ranker_input_tokens, tokenize, verbalize
-from .losses import (_KERNELS, LOSS_KINDS, RANKNET, RMSE, _segments, _stack_target,
-                     loss_and_grad)
+from .losses import _KERNELS, LOSS_KINDS, RANKNET, RMSE, _segments, _stack_target
 from .ngram import DEFAULT_HASH_DIM, NgramLM, dense_features, hashed_slots
 
 logger = logging.getLogger(__name__)
@@ -115,9 +114,6 @@ class RegressionTree:
     left: list[int]
     right: list[int]
     value: list[float]
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RegressionTree":
@@ -273,23 +269,6 @@ class _FlatScorer:
         np.add.reduce(d_pre, axis=0, out=self.g_b1)
         self.grad[-1] = np.add.reduce(dl_ds)
         return loss
-
-
-def scorer_loss_and_grads(params: NeuralParams, X: np.ndarray, loss_kind: str,
-                          targets: Optional[Sequence[float]] = None,
-                          ranks: Optional[Sequence[int]] = None,
-                          offsets: Optional[Sequence[int]] = None):
-    """Loss value and analytic gradients for every scorer parameter.
-
-    ``X`` stacks the paths of one or more records, and ``offsets`` gives the
-    row where each record starts (one record when omitted).  Loss and
-    gradients are sums over the records; see :func:`losses.loss_and_grad`.
-    """
-    scorer = _FlatScorer(params.w1, params.b1, params.w2, params.b2, len(X))
-    loss = scorer.loss_and_grads(X, lambda scores: loss_and_grad(
-        loss_kind, scores, targets=targets, ranks=ranks, offsets=offsets))
-    return loss, {"w1": scorer.g_w1, "b1": scorer.g_b1, "w2": scorer.g_w2,
-                  "b2": float(scorer.grad[-1])}
 
 
 def record_pair(record: RankedPairRecord) -> tuple[str, str]:

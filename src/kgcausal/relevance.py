@@ -9,13 +9,11 @@ in [0, 2] with 1.0 the no-signal midpoint.
 
 from __future__ import annotations
 
-import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
-from .errors import NoSuchNodeError, UnparseableLabel
 from .kg import KnowledgeGraph, MetapathSubgraph, enumerate_subgraphs, sample_subgraphs
-from .llm import CAUSAL, NON_CAUSAL, PATH_BLOCK_MARKER, CompletionRequest, label_logprob
+from .llm import CAUSAL, NON_CAUSAL, PATH_BLOCK_MARKER, ask_label, probability
 from .util import _unique_qids, descending_order, read_jsonl, stable_hash
 from .verbalize import HYPHEN_STYLE, verbalize
 
@@ -85,9 +83,6 @@ class RankedMetapath:
         if not all(isinstance(v, str) for v in (self.stops, self.reltypes, self.nodelabels)):
             raise TypeError(f"path {self.pathid}: stops, reltypes and nodelabels must be strings")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "RankedMetapath":
         return cls(
@@ -140,26 +135,18 @@ def build_sre_prompt(instance: PairInstance, subgraph: MetapathSubgraph) -> str:
 
 
 def score_subgraph(instance: PairInstance, subgraph: MetapathSubgraph,
-                   backend) -> RankedMetapath:
-    """Score one candidate into its ranked-record entry, with ``pathid`` 0.
+                   backend) -> tuple[float, Optional[float], str]:
+    """``(relscore, probscore, relevant)`` of one candidate's ranked entry.
 
     ``relscore`` is 1 + p when the backend is right and 1 - p when wrong, and
-    ``probscore`` is the mean log-probability p is the exponential of.
-    Output that names no label counts as a wrong prediction with p = 0,
-    which lands exactly on the score midpoint 1.0, and a null ``probscore``.
+    ``probscore`` is the mean log-probability p stands for.  Output that
+    names no label counts as a wrong prediction with p = 0, which lands
+    exactly on the score midpoint 1.0, and a null ``probscore``.
     """
-    completion = backend.complete(CompletionRequest(build_sre_prompt(instance, subgraph)))
-    try:
-        label, mean_logprob = label_logprob(completion)
-    except UnparseableLabel:
-        label, mean_logprob = None, None
-    p = 0.0 if mean_logprob is None else min(math.exp(mean_logprob), 1.0)
+    label, mean_logprob, _ = ask_label(backend, build_sre_prompt(instance, subgraph))
+    p = probability(mean_logprob)
     correct = label == instance.groundtruth
-    return RankedMetapath(pathid=0, relscore=1.0 + p if correct else 1.0 - p,
-                          probscore=mean_logprob, relevant="1" if correct else "0",
-                          stops=" - ".join(subgraph.node_names),
-                          reltypes=" - ".join(subgraph.edge_labels),
-                          nodelabels=" - ".join(subgraph.node_types))
+    return (1.0 + p if correct else 1.0 - p), mean_logprob, "1" if correct else "0"
 
 
 def rank_pair(instance: PairInstance, subgraphs: Sequence[MetapathSubgraph],
@@ -171,24 +158,26 @@ def rank_pair(instance: PairInstance, subgraphs: Sequence[MetapathSubgraph],
     """
     if not subgraphs:
         raise ValueError(f"{instance.qid}: no candidate subgraphs")
-    entries = [score_subgraph(instance, sg, backend) for sg in subgraphs]
-    order = descending_order([entry.relscore for entry in entries])
+    scores = [score_subgraph(instance, sg, backend) for sg in subgraphs]
+    order = descending_order([relscore for relscore, _, _ in scores])
+    metapaths = tuple(
+        RankedMetapath(rank, *scores[i], stops=" - ".join(subgraphs[i].node_names),
+                       reltypes=" - ".join(subgraphs[i].edge_labels),
+                       nodelabels=" - ".join(subgraphs[i].node_types))
+        for rank, i in enumerate(order, start=1))
     return RankedPairRecord(qid=instance.qid, e1=instance.e1, e2=instance.e2,
                             groundtruth="1" if instance.groundtruth == CAUSAL else "0",
-                            metapaths=tuple(replace(entries[i], pathid=rank)
-                                            for rank, i in enumerate(order, start=1)))
+                            metapaths=metapaths)
 
 
 def candidate_subgraphs(instance: PairInstance, kg: KnowledgeGraph, max_hops: int = 4,
                         candidate_limit: Optional[int] = 64, k_max: int = DEFAULT_K_MAX,
                         seed: int = 0) -> list[MetapathSubgraph]:
-    """Shortest-path candidates for one pair, capped to k_max by sampling."""
-    try:
-        found = enumerate_subgraphs(kg, (instance.e1, instance.e2), max_hops=max_hops,
-                                    limit=candidate_limit,
-                                    seed=stable_hash(seed, "enumerate", instance.qid))
-    except NoSuchNodeError:
-        return []
+    """Shortest-path candidates for one pair, capped to k_max by sampling;
+    none when a variable names no node of the graph."""
+    found = enumerate_subgraphs(kg, (instance.e1, instance.e2), max_hops=max_hops,
+                                limit=candidate_limit,
+                                seed=stable_hash(seed, "enumerate", instance.qid))
     return sample_subgraphs(found, k_max, seed=stable_hash(seed, "sample", instance.qid))
 
 

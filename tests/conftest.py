@@ -11,6 +11,8 @@ import pytest
 
 from kgcausal.kg import FORWARD, KnowledgeGraph, MetapathSubgraph, NodeRecord, EdgeRecord
 from kgcausal.llm import Completion
+from kgcausal.ltr.losses import loss_and_grad
+from kgcausal.ltr.models import _FlatScorer
 
 
 def make_subgraph(names, types=None, labels=None, directions=None, ids=None):
@@ -23,6 +25,21 @@ def make_subgraph(names, types=None, labels=None, directions=None, ids=None):
         edge_labels=tuple(labels if labels is not None else ["rel"] * (n - 1)),
         edge_directions=tuple(directions if directions is not None else [FORWARD] * (n - 1)),
     )
+
+
+def scorer_loss_and_grads(params, X, loss_kind, targets=None, ranks=None, offsets=None):
+    """Loss value and analytic gradients for every scorer parameter, through
+    the trainer's own forward and backward pass.
+
+    ``X`` stacks the paths of one or more records, and ``offsets`` gives the
+    row where each record starts (one record when omitted).  Loss and
+    gradients are sums over the records; see :func:`losses.loss_and_grad`.
+    """
+    scorer = _FlatScorer(params.w1, params.b1, params.w2, params.b2, len(X))
+    loss = scorer.loss_and_grads(X, lambda scores: loss_and_grad(
+        loss_kind, scores, targets=targets, ranks=ranks, offsets=offsets))
+    return loss, {"w1": scorer.g_w1, "b1": scorer.g_b1, "w2": scorer.g_w2,
+                  "b2": float(scorer.grad[-1])}
 
 
 class FakeBackend:

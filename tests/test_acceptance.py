@@ -15,6 +15,7 @@ import random
 import numpy as np
 import pytest
 
+from conftest import scorer_loss_and_grads
 from kgcausal.cli import EXIT_OK, main as cli_main
 from kgcausal.discovery import (
     DiscoveryConfig,
@@ -40,7 +41,6 @@ from kgcausal.ltr.models import (
     record_pair,
     record_subgraphs,
     score_subgraphs,
-    scorer_loss_and_grads,
     train_gbdt_ranker,
     train_neural_ranker,
 )

@@ -229,6 +229,27 @@ class TestEstimate:
         summary = json.loads(Path(str(ranked) + ".meta.json").read_text())["summary"]
         assert summary["unparseable"] == 0
 
+    def test_label_split_over_tokens_whose_sum_overflows(self, pipeline, stub_server,
+                                                         tmp_path):
+        """Two tokens at -1e308 each: their sum is -inf, their mean is not, and
+        ranked.jsonl stays JSON."""
+        root, _, out = pipeline
+        stub_server.script = [(200, {"choices": [{"text": "causal", "logprobs": {
+            "tokens": ["cau", "sal"], "token_logprobs": [-1e308, -1e308]}}]})]
+        config = {
+            "kg": {"path": str(root / "kg.jsonl")},
+            "llm": {"backend": "http", "model": "m",
+                    "endpoint": f"http://127.0.0.1:{stub_server.server_address[1]}"},
+        }
+        cfg = tmp_path / "http.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        ranked = tmp_path / "ranked.jsonl"
+        assert run("estimate", out / "candidates.jsonl", "--config", cfg,
+                   "--out", ranked) == EXIT_OK
+        assert "Infinity" not in ranked.read_text()
+        rows = [json.loads(line) for line in ranked.read_text().splitlines()]
+        assert {mp["probscore"] for row in rows for mp in row["metapaths"]} == {-1e308}
+
     def test_credential_goes_to_the_header_and_nowhere_else(self, pipeline, stub_server,
                                                             tmp_path, monkeypatch):
         root, _, out = pipeline

@@ -136,6 +136,21 @@ class TestClassifyPair:
         assert prediction.predicted == "non-causal"
         assert prediction.subgraphs_used == ()
 
+    def test_pair_on_one_node_prompts_bare(self, hetionet_style_kg):
+        prompts = []
+
+        class Recording(FakeBackend):
+            def complete(self, request):
+                prompts.append(request.prompt)
+                return super().complete(request)
+
+        inst = PairInstance(qid="1", e1="Aspirin", e2="aspirin", context="",
+                            groundtruth="non-causal")
+        prediction = classify_pair(inst, hetionet_style_kg, RankerModel(kind="random"),
+                                   Recording([FakeBackend.single("non-causal")]))
+        assert prompts == [build_discovery_prompt(inst, [])]
+        assert prediction.subgraphs_used == ()
+
     def test_unparseable_text_yields_none(self):
         inst = PairInstance(qid="1", e1="a", e2="b", context="", groundtruth="causal")
         backend = FakeBackend([FakeBackend.single("gibberish output")])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from kgcausal import kg as kg_module
-from kgcausal.errors import KGLoadError, NoSuchNodeError
+from kgcausal.errors import KGLoadError
 from kgcausal.kg import (
     FORWARD,
     REVERSE,
@@ -101,13 +101,14 @@ class TestLoad:
         with pytest.raises(KGLoadError, match=r"kg\.jsonl:2: node ids, names and types"):
             load_kg(write_kg(tmp_path, lines))
 
-    def test_line_checks_come_before_the_string_check(self, tmp_path):
-        """A later line's conflicting redeclaration is named, not the earlier
-        empty id, as when the empty id was caught only once the file was read."""
+    def test_first_bad_line_is_named(self, tmp_path):
+        """The empty id on line 1 is named, not the later line's conflicting
+        redeclaration: the string check runs on each line as it is read."""
         lines = [jsonl_line("", "E", "T", "r", "b", "B", "T"),
                  jsonl_line("a", "A", "T", "r", "b", "B", "T"),
                  jsonl_line("a", "Other", "T", "r", "b", "B", "T")]
-        with pytest.raises(KGLoadError, match=r"kg\.jsonl:3: node id 'a' redeclared"):
+        with pytest.raises(KGLoadError,
+                           match=r"kg\.jsonl:1: node ids, names and types must be non-empty"):
             load_kg(write_kg(tmp_path, lines))
 
     def test_missing_file_names_path(self, tmp_path):
@@ -383,10 +384,15 @@ class TestEnumerate:
         kg = chain_graph("a", "x", "y", "z", "b")
         assert enumerate_subgraphs(kg, ("a", "b"), max_hops=3) == []
 
-    def test_unknown_name_raises(self):
+    def test_unknown_name_has_no_paths(self):
         kg = chain_graph("a", "b")
-        with pytest.raises(NoSuchNodeError, match="ghost"):
-            enumerate_subgraphs(kg, ("a", "ghost"), max_hops=2)
+        assert enumerate_subgraphs(kg, ("a", "ghost"), max_hops=2) == []
+        assert enumerate_subgraphs(kg, ("ghost", "b"), max_hops=2) == []
+        assert enumerate_subgraphs(kg, ("ghost", "phantom"), max_hops=2) == []
+
+    def test_pair_on_one_node_has_no_paths(self, hetionet_style_kg):
+        """Both names resolve to n1: a zero-length path carries no relation."""
+        assert enumerate_subgraphs(hetionet_style_kg, ("Aspirin", "aspirin"), max_hops=4) == []
 
     def test_limit_sampling_is_seed_deterministic(self):
         nodes = [NodeRecord(id="a", name="a", node_type="T"),

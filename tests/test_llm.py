@@ -12,7 +12,7 @@ import warnings
 
 import pytest
 
-from conftest import ok_body
+from conftest import FakeBackend, ok_body
 from kgcausal.errors import (
     BackendRejected,
     BackendUnavailable,
@@ -28,8 +28,10 @@ from kgcausal.llm import (
     MockOracleConfig,
     ask_label,
     canonical_label,
+    label_logprob,
     label_probability,
     map_pairs,
+    probability,
 )
 from kgcausal.util import read_json
 
@@ -198,6 +200,30 @@ class TestLabelProbability:
         assert canonical_label("Non Causal") == "non-causal"
         assert canonical_label("noncausal") == "non-causal"
         assert canonical_label("CAUSAL") == "causal"
+
+
+class TestLabelLogprob:
+    def test_label_only_in_text_averages_every_token(self):
+        """The tokens concatenate to "cax", so their offsets do not locate
+        the label found in the text; the mean covers all of them."""
+        completion = Completion(text="causal", tokens=(("ca", -0.2), ("x", -0.4)),
+                                backend_id="fake")
+        assert label_logprob(completion) == ("causal", -0.30000000000000004)
+
+    def test_mean_of_logprobs_whose_sum_overflows_is_finite(self):
+        completion = Completion(text="causal", tokens=(("cau", -1e308), ("sal", -1e308)),
+                                backend_id="fake")
+        assert label_logprob(completion) == ("causal", -1e308)
+
+    def test_probability_of_a_mean(self):
+        assert probability(math.log(0.8)) == pytest.approx(0.8)
+        assert probability(-800.0) == 0.0
+        assert probability(None) == 0.0
+
+    def test_ask_label_reads_no_label_as_none(self):
+        backend = FakeBackend([FakeBackend.single("no idea"), FakeBackend.single("causal", 0.8)])
+        assert ask_label(backend, "p") == (None, None, "fake")
+        assert ask_label(backend, "p") == ("causal", math.log(0.8), "fake")
 
 
 class TestHttpBackend:

@@ -5,11 +5,12 @@ from __future__ import annotations
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from conftest import make_subgraph
+from conftest import make_subgraph, scorer_loss_and_grads
 from kgcausal.errors import KgcausalError
 from kgcausal.kg import enumerate_subgraphs
 from kgcausal.llm import MockOracle
@@ -32,7 +33,6 @@ from kgcausal.ltr.models import (
     ranker_input_tokens,
     save_model,
     score_subgraphs,
-    scorer_loss_and_grads,
     train_gbdt_ranker,
     train_neural_ranker,
 )
@@ -457,7 +457,7 @@ class OracleTree(RegressionTree):
 def loop_predict(ensemble, X):
     out = np.full(len(X), ensemble.base_score, dtype=np.float64)
     for tree in ensemble.trees:
-        out += ensemble.learning_rate * OracleTree(**tree.to_dict()).predict(X)
+        out += ensemble.learning_rate * OracleTree(**asdict(tree)).predict(X)
     return out
 
 
@@ -624,7 +624,7 @@ def replay_trees(model, X, y, depth, config):
     splits = 0
     for tree in model.gbdt.trees:
         expected = loop_fit_tree(X, y - predictions, depth)
-        assert tree.to_dict() == expected.to_dict()
+        assert asdict(tree) == asdict(expected)
         predictions += config.gbdt_learning_rate * expected.predict(X)
         splits += sum(f >= 0 for f in tree.feature)
     return splits

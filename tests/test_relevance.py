@@ -49,29 +49,29 @@ class TestBuildSrePrompt:
 class TestScoreSubgraph:
     def test_correct_prediction(self, drug_instance, fgf6_path):
         backend = FakeBackend([FakeBackend.single("causal", p=0.8)])
-        entry = score_subgraph(drug_instance, fgf6_path, backend)
-        assert entry.relscore == pytest.approx(1.8)
-        assert entry.relevant == "1"
-        assert entry.probscore == pytest.approx(math.log(0.8))
-        assert entry.pathid == 0
+        relscore, probscore, relevant = score_subgraph(drug_instance, fgf6_path, backend)
+        assert relscore == pytest.approx(1.8)
+        assert relevant == "1"
+        assert probscore == pytest.approx(math.log(0.8))
+        entry, = rank_pair(drug_instance, [fgf6_path], backend).metapaths
+        assert (entry.pathid, entry.relscore, entry.probscore, entry.relevant) \
+            == (1, relscore, probscore, relevant)
         assert entry.stops == "FGF6 - tendon - SDRDL - FGFR2 - prostate cancer"
         assert entry.reltypes == "express - express - regulate - associate"
         assert entry.nodelabels == "Gene - anatomy - gene - gene - disease"
 
     def test_boundary_confidence(self, drug_instance, fgf6_path):
         backend = FakeBackend([FakeBackend.single("causal", p=1.0)])
-        assert score_subgraph(drug_instance, fgf6_path, backend).relscore == pytest.approx(2.0)
+        relscore, _, _ = score_subgraph(drug_instance, fgf6_path, backend)
+        assert relscore == pytest.approx(2.0)
         backend = FakeBackend([FakeBackend.single("non-causal", p=1.0)])
-        entry = score_subgraph(drug_instance, fgf6_path, backend)
-        assert entry.relscore == pytest.approx(0.0)
-        assert entry.relevant == "0"
+        relscore, _, relevant = score_subgraph(drug_instance, fgf6_path, backend)
+        assert relscore == pytest.approx(0.0)
+        assert relevant == "0"
 
     def test_unparseable_scores_midpoint(self, drug_instance, fgf6_path):
         backend = FakeBackend([FakeBackend.single("no idea")])
-        entry = score_subgraph(drug_instance, fgf6_path, backend)
-        assert entry.relscore == 1.0
-        assert entry.relevant == "0"
-        assert entry.probscore is None
+        assert score_subgraph(drug_instance, fgf6_path, backend) == (1.0, None, "0")
 
     @pytest.mark.parametrize("logprob, relscore", [(-0.1, 1.0 + math.exp(-0.1)),
                                                    (-800.0, 1.0)], ids=["-0.1", "-800"])
@@ -81,10 +81,7 @@ class TestScoreSubgraph:
         the label that parsed still carries its mean."""
         tokens = (("cau", logprob), ("sal", logprob), (".", -3.0))
         backend = FakeBackend([Completion(text="causal.", tokens=tokens, backend_id="fake")])
-        entry = score_subgraph(drug_instance, fgf6_path, backend)
-        assert entry.probscore == logprob
-        assert entry.relscore == relscore
-        assert entry.relevant == "1"
+        assert score_subgraph(drug_instance, fgf6_path, backend) == (relscore, logprob, "1")
 
 
 class TestRankPair:
