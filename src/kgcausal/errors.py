@@ -14,7 +14,7 @@ class BackendUnavailable(KgcausalError):
 
 
 class BackendRejected(KgcausalError):
-    """The backend answered with a client error (HTTP 4xx)."""
+    """The backend answered with a client error (HTTP 4xx) or an unfollowed redirect."""
 
     def __init__(self, status: int, body_excerpt: str):
         super().__init__(f"backend rejected request (HTTP {status}): {body_excerpt}")

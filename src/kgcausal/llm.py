@@ -7,19 +7,25 @@ callers can turn a generated label into a confidence value.
 
 from __future__ import annotations
 
+import functools
+import http.client
+import json
 import logging
 import math
 import os
 import random
 import re
+import select
+import ssl
 import threading
 import time
+import urllib.parse
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
-import requests
-
+from . import __version__
 from .errors import (
     BackendRejected,
     BackendUnavailable,
@@ -299,8 +305,10 @@ class HttpBackend:
     Transient failures (connection errors, HTTP 5xx, 429 and 408, a success
     whose body is not JSON) are retried up to ``max_retries`` extra attempts,
     after the delay of :func:`_retry_delay`; other client errors are surfaced
-    immediately.  ``parallelism`` bounds in-flight requests; ``calls`` counts
-    ``complete`` calls.  The only credential sent is the one named by
+    immediately.  A 307 or 308 to the same scheme and host is followed once
+    with the same POST; any other redirect is rejected.  ``parallelism``
+    bounds in-flight requests, and so the kept-alive connections; ``calls``
+    counts ``complete`` calls.  The only credential sent is the one named by
     ``credential_env``; netrc files are not read.
     """
 
@@ -312,13 +320,25 @@ class HttpBackend:
         self.max_retries = max_retries
         self.parallelism = max(1, parallelism)
         self.backend_id = f"http:{model}"
-        # Proxy and CA settings are read once; with trust_env on, the session
-        # rescanned them per request and let a netrc entry replace the header.
-        self._session = requests.Session()
-        self._session.trust_env = False
-        self._session.proxies = requests.utils.get_environ_proxies(endpoint)
-        self._session.verify = (os.environ.get("REQUESTS_CA_BUNDLE")
-                                or os.environ.get("CURL_CA_BUNDLE") or True)
+        url = urllib.parse.urlsplit(endpoint)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"endpoint {endpoint!r} is not an http or https URL")
+        # Proxy and CA settings are read once.  An http endpoint sends its
+        # proxy the absolute URL; an https one tunnels through it (CONNECT).
+        proxy = (None if urllib.request.proxy_bypass(url.hostname)
+                 else urllib.request.getproxies().get(url.scheme))
+        via = urllib.parse.urlsplit(proxy if "://" in proxy else "//" + proxy) if proxy else url
+        self._address = (via.hostname, via.port)
+        self._absolute_target = bool(proxy) and url.scheme == "http"
+        self._tunnel = (url.hostname, url.port) if proxy and url.scheme == "https" else None
+        ca = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+        ca_args = {("capath" if os.path.isdir(ca) else "cafile"): ca} if ca else {}
+        self._new_connection = (functools.partial(
+            http.client.HTTPSConnection, context=ssl.create_default_context(**ca_args))
+            if url.scheme == "https" else http.client.HTTPConnection)
+        self._target = self._same_origin_target(endpoint)
+        self._idle: list[http.client.HTTPConnection] = []  # most recently used last
+        self._idle_lock = threading.Lock()
         self._jitter = random.Random()
         self._slots = threading.Semaphore(self.parallelism)
         self.calls = 0
@@ -326,15 +346,53 @@ class HttpBackend:
 
     def close(self) -> None:
         """Close the pooled connections; call once no request is in flight."""
-        self._session.close()
+        with self._idle_lock:
+            while self._idle:
+                self._idle.pop().close()
 
     def _headers(self) -> dict:
-        headers = {"Content-Type": "application/json"}
+        headers = {"Content-Type": "application/json", "User-Agent": f"kgcausal/{__version__}"}
         if self.credential_env:
             secret = os.environ.get(self.credential_env)
             if secret:
                 headers["Authorization"] = f"Bearer {secret}"
         return headers
+
+    def _same_origin_target(self, location: str) -> Optional[str]:
+        """The request target of ``location`` if it has the endpoint's origin."""
+        url = urllib.parse.urlsplit(urllib.parse.urljoin(self.endpoint, location))
+        if url[:2] != urllib.parse.urlsplit(self.endpoint)[:2]:
+            return None
+        if self._absolute_target:
+            return url.geturl()
+        return urllib.parse.urlunsplit(("", "", url.path or "/", url.query, ""))
+
+    def _post(self, target: str, body: bytes) -> tuple[int, http.client.HTTPMessage, bytes]:
+        """Status, headers and body of one POST over the last idle connection
+        or a new one, pooled again unless it raised or the answer closes it."""
+        with self._idle_lock:
+            conn = self._idle.pop() if self._idle else None
+            # Readable while idle means the server closed or reset it.
+            while conn is not None and select.select([conn.sock], [], [], 0)[0]:
+                conn.close()
+                conn = self._idle.pop() if self._idle else None
+        if conn is None:
+            conn = self._new_connection(*self._address, timeout=TIMEOUT)
+            if self._tunnel:
+                conn.set_tunnel(*self._tunnel)
+        try:
+            conn.request("POST", target, body, self._headers())
+            response = conn.getresponse()
+            answer = response.read()
+        except BaseException:
+            conn.close()
+            raise
+        if response.will_close:
+            conn.close()
+        else:
+            with self._idle_lock:
+                self._idle.append(conn)
+        return response.status, response.headers, answer
 
     def complete(self, request: CompletionRequest) -> Completion:
         payload = {
@@ -344,6 +402,7 @@ class HttpBackend:
             "temperature": 0.0,
             "logprobs": request.want_logprobs,
         }
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
         with self._calls_lock:
             self.calls += 1
         last_error: Optional[Exception] = None
@@ -354,27 +413,31 @@ class HttpBackend:
                     time.sleep(_retry_delay(attempt, retry_after, self._jitter))
                 retry_after = None
                 try:
-                    response = self._session.post(self.endpoint, json=payload,
-                                                  headers=self._headers(), timeout=TIMEOUT)
-                except requests.RequestException as exc:
+                    status, headers, answer = self._post(self._target, body)
+                    location = headers.get("Location")
+                    if status in (307, 308) and location and (
+                            target := self._same_origin_target(location)):
+                        status, headers, answer = self._post(target, body)
+                except (OSError, http.client.HTTPException) as exc:
                     last_error = exc
                     logger.warning("backend attempt %d failed: %s", attempt + 1, exc)
                     continue
-                status = response.status_code
+                excerpt = answer.decode("utf-8", "replace")[:200]
                 if status >= 500 or status in _RETRIED_CLIENT_ERRORS:
-                    retry_after = response.headers.get("Retry-After")
-                    last_error = BackendUnavailable(f"HTTP {status}: {response.text[:200]}")
+                    retry_after = headers.get("Retry-After")
+                    last_error = BackendUnavailable(f"HTTP {status}: {excerpt}")
                     logger.warning("backend attempt %d failed: HTTP %d", attempt + 1, status)
                     continue
-                if status >= 400:
-                    raise BackendRejected(status, response.text[:200])
+                if status >= 300:
+                    raise BackendRejected(status, excerpt if status >= 400
+                                          else f"redirect to {headers.get('Location')}")
                 try:
-                    body = response.json()
+                    parsed = json.loads(answer)
                 except ValueError as exc:
                     last_error = BackendUnavailable(f"response body is not JSON: {exc}")
                     logger.warning("backend attempt %d failed: body is not JSON", attempt + 1)
                     continue
-                return self._parse(body, request)
+                return self._parse(parsed, request)
         raise BackendUnavailable(
             f"backend unreachable after {1 + self.max_retries} attempts: {last_error}")
 

@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import json
 import math
+import select
+import socket
+import socketserver
+import ssl
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -105,10 +110,6 @@ class StubHandler(BaseHTTPRequestHandler):
     disable_nagle_algorithm = True
     wbufsize = -1  # buffered: handle_one_request flushes once per response
 
-    def finish(self):
-        super().finish()
-        self.server.disconnected.set()
-
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         request = json.loads(self.rfile.read(length))
@@ -130,17 +131,31 @@ class StubHandler(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture
-def stub_server():
-    """Loopback completion endpoint; set ``script`` and read ``requests`` and
-    ``authorizations``.  ``disconnected`` is set once a client has closed its
-    connection."""
-    server = ThreadingHTTPServer(("127.0.0.1", 0), StubHandler)
-    server.script = [(200, {})]
-    server.requests = []
-    server.authorizations = []
-    server.lock = threading.Lock()
-    server.disconnected = threading.Event()
+class StubServer(ThreadingHTTPServer):
+    """Serves :class:`StubHandler`; set ``script`` and read ``requests`` and
+    ``authorizations``.  ``disconnected`` is set once the server has closed
+    a connection, which it does after the client closed it or after an
+    answer with ``Connection: close``."""
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), StubHandler)
+        self.script = [(200, {})]
+        self.requests = []
+        self.authorizations = []
+        self.lock = threading.Lock()
+        self.disconnected = threading.Event()
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.disconnected.set()
+
+
+# Self-signed certificate and key for IP:127.0.0.1, valid until 2126.
+TLS_CERT = Path(__file__).parent / "tls" / "cert.pem"
+TLS_KEY = Path(__file__).parent / "tls" / "key.pem"
+
+
+def _serve(server):
     # A short poll lets shutdown() in teardown return at once rather than
     # after the default half-second poll.
     thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
@@ -150,6 +165,56 @@ def stub_server():
     server.shutdown()
     server.server_close()
     thread.join(timeout=2)
+
+
+@pytest.fixture
+def stub_server():
+    """Loopback completion endpoint over HTTP; see :class:`StubServer`."""
+    yield from _serve(StubServer())
+
+
+@pytest.fixture
+def tls_stub_server():
+    """:func:`stub_server` over HTTPS, with the certificate ``TLS_CERT``."""
+    server = StubServer()
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(TLS_CERT, TLS_KEY)
+    # Each accepted socket shakes hands in accept(); one that fails is
+    # closed there and never reaches a handler.
+    server.socket = context.wrap_socket(server.socket, server_side=True)
+    yield from _serve(server)
+
+
+class TunnelHandler(socketserver.StreamRequestHandler):
+    """Answers a CONNECT with 200, then relays bytes both ways until either
+    side closes or both stay idle for 5 s."""
+
+    def handle(self):
+        target = self.rfile.readline().decode("latin-1").split()[1]
+        while self.rfile.readline() not in (b"\r\n", b""):
+            pass
+        self.server.connects.append(target)
+        host, port = target.rsplit(":", 1)
+        with socket.create_connection((host, int(port))) as upstream:
+            self.wfile.write(b"HTTP/1.1 200 Connection established\r\n\r\n")
+            peer = {self.connection: upstream, upstream: self.connection}
+            while True:
+                readable, _, _ = select.select(list(peer), [], [], 5)
+                chunks = [(sock, sock.recv(65536)) for sock in readable]
+                if not chunks or not all(data for _, data in chunks):
+                    return
+                for sock, data in chunks:
+                    peer[sock].sendall(data)
+
+
+@pytest.fixture
+def connect_proxy():
+    """Loopback proxy that tunnels CONNECT requests; ``connects`` lists the
+    ``host:port`` of each."""
+    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), TunnelHandler)
+    server.daemon_threads = True
+    server.connects = []
+    yield from _serve(server)
 
 
 def ok_body(text="causal", logprob=-0.2):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,6 +37,16 @@ def workdir(tmp_path_factory):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def test_cli_loads_no_third_party_http_stack():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, kgcausal.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=60)
+    assert result.stdout.strip() == "[]"
 
 
 class TestExtract:

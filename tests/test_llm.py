@@ -12,7 +12,7 @@ import warnings
 
 import pytest
 
-from conftest import FakeBackend, ok_body
+from conftest import TLS_CERT, FakeBackend, StubHandler, ok_body
 from kgcausal.errors import (
     BackendRejected,
     BackendUnavailable,
@@ -242,8 +242,8 @@ class TestHttpBackend:
         for backend in self.opened:
             backend.close()
 
-    def backend(self, server, **kwargs):
-        backend = HttpBackend(endpoint=f"http://127.0.0.1:{server.server_address[1]}",
+    def backend(self, server, scheme="http", **kwargs):
+        backend = HttpBackend(endpoint=f"{scheme}://127.0.0.1:{server.server_address[1]}",
                               model="test-model", **kwargs)
         self.opened.append(backend)
         return backend
@@ -377,6 +377,12 @@ class TestHttpBackend:
         with pytest.raises(BackendUnavailable):
             backend.complete(CompletionRequest(prompt="p"))
 
+    @pytest.mark.parametrize("endpoint", ["localhost:8000/v1/completions",
+                                          "ftp://127.0.0.1/v1", "http:///v1"])
+    def test_endpoint_that_is_not_an_http_url_is_rejected(self, endpoint):
+        with pytest.raises(ValueError, match="not an http or https URL"):
+            HttpBackend(endpoint=endpoint, model="m")
+
     def test_credential_header(self, stub_server, monkeypatch):
         monkeypatch.setenv("TEST_LLM_KEY", "sk-secret")
         stub_server.script = [(200, ok_body())]
@@ -409,6 +415,93 @@ class TestHttpBackend:
         self.opened.append(backend)
         assert backend.complete(CompletionRequest(prompt="p")).text == "causal"
         assert len(stub_server.requests) == 1
+
+    def test_no_proxy_is_honoured(self, stub_server, monkeypatch):
+        for name in ("http_proxy", "no_proxy"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:1")
+        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+        stub_server.script = [(200, ok_body())]
+        backend = self.backend(stub_server, max_retries=0)
+        assert backend.complete(CompletionRequest(prompt="p")).text == "causal"
+        assert len(stub_server.requests) == 1
+
+    def test_connection_closed_by_its_answer_is_replaced(self, stub_server, caplog):
+        stub_server.script = [(200, ok_body(), {"Connection": "close"}), (200, ok_body())]
+        backend = self.backend(stub_server, max_retries=0)
+        backend.complete(CompletionRequest(prompt="p"))
+        assert stub_server.disconnected.wait(timeout=5)
+        assert backend.complete(CompletionRequest(prompt="p")).text == "causal"
+        assert len(stub_server.requests) == 2
+        assert not [r for r in caplog.records if r.levelname == "WARNING"]
+
+    def test_connection_closed_while_idle_is_replaced(self, stub_server, monkeypatch,
+                                                      caplog):
+        monkeypatch.setattr(StubHandler, "timeout", 0.2)
+        stub_server.script = [(200, ok_body())]
+        backend = self.backend(stub_server, max_retries=0)
+        backend.complete(CompletionRequest(prompt="p"))
+        # the handler's idle timeout closes the kept-alive connection
+        assert stub_server.disconnected.wait(timeout=5)
+        assert backend.complete(CompletionRequest(prompt="p")).text == "causal"
+        assert len(stub_server.requests) == 2
+        assert not [r for r in caplog.records if r.levelname == "WARNING"]
+
+    @pytest.mark.parametrize("status, location", [
+        (301, "/v2"), (302, "/v2"), (303, "/v2"),
+        (307, "http://backend.invalid/v1"), (308, "https://127.0.0.1/v1")],
+        ids=["301", "302", "303", "307-other-host", "308-other-scheme"])
+    def test_redirect_is_rejected_without_a_second_request(self, stub_server, status,
+                                                           location):
+        stub_server.script = [(status, b"", {"Location": location}), (200, ok_body())]
+        with pytest.raises(BackendRejected) as info:
+            self.backend(stub_server, max_retries=3).complete(CompletionRequest(prompt="p"))
+        assert info.value.status == status
+        assert location in str(info.value)
+        assert len(stub_server.requests) == 1
+
+    @pytest.mark.parametrize("status", [307, 308])
+    def test_same_origin_redirect_repeats_the_post(self, stub_server, status):
+        stub_server.script = [(status, b"", {"Location": "/v2"}), (200, ok_body())]
+        completion = self.backend(stub_server, max_retries=0).complete(
+            CompletionRequest(prompt="p"))
+        assert completion.text == "causal"
+        assert len(stub_server.requests) == 2
+        assert stub_server.requests[0] == stub_server.requests[1]
+
+    @pytest.mark.parametrize("variable", ["REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE"])
+    def test_https_trusts_the_ca_bundle_variable(self, tls_stub_server, monkeypatch,
+                                                 variable):
+        for name in ("REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv(variable, str(TLS_CERT))
+        tls_stub_server.script = [(200, ok_body())]
+        backend = self.backend(tls_stub_server, scheme="https", max_retries=0)
+        assert backend.complete(CompletionRequest(prompt="p")).text == "causal"
+        assert len(tls_stub_server.requests) == 1
+
+    def test_https_without_a_trusted_certificate_is_unavailable(self, tls_stub_server,
+                                                                monkeypatch, caplog):
+        for name in ("REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE"):
+            monkeypatch.delenv(name, raising=False)
+        with pytest.raises(BackendUnavailable, match="after 3 attempts"):
+            self.backend(tls_stub_server, scheme="https", max_retries=2).complete(
+                CompletionRequest(prompt="p"))
+        assert len([r for r in caplog.records if "attempt" in r.getMessage()]) == 3
+        assert tls_stub_server.requests == []
+
+    def test_https_proxy_tunnels_with_connect(self, tls_stub_server, connect_proxy,
+                                              monkeypatch):
+        for name in ("https_proxy", "no_proxy", "NO_PROXY", "CURL_CA_BUNDLE"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("HTTPS_PROXY", f"http://127.0.0.1:{connect_proxy.server_address[1]}")
+        monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(TLS_CERT))
+        tls_stub_server.script = [(200, ok_body())]
+        backend = self.backend(tls_stub_server, scheme="https", max_retries=0)
+        assert backend.complete(CompletionRequest(prompt="p")).text == "causal"
+        backend.close()  # ends the tunnel before the proxy shuts down
+        assert connect_proxy.connects == [f"127.0.0.1:{tls_stub_server.server_address[1]}"]
+        assert len(tls_stub_server.requests) == 1
 
 
 class TestMapPairs:
