@@ -35,6 +35,7 @@ from .ltr.models import (
     GBDT,
     MODEL_KINDS,
     NEURAL,
+    RANDOM,
     RankerModel,
     TrainConfig,
     load_model,
@@ -268,15 +269,14 @@ def cmd_train(args, config: dict) -> int:
     if not dataset:
         raise KgcausalError(f"ranked dataset {args.dataset} is empty")
 
-    corpus = []
-    for record in dataset:
-        pair = record_pair(record)
-        for sg in record_subgraphs(record):
-            corpus.append(ranker_input_tokens(pair, sg))
-    lm = train_ngram_lm(corpus, n=rcfg["ngram"]["n"], d=rcfg["ngram"]["d"],
-                        seed=stage_seed(seed, "ngram"),
-                        epochs=rcfg["ngram"]["epochs"],
-                        learning_rate=rcfg["ngram"]["lr"])
+    lm = None
+    if kind != RANDOM:  # a random scorer reads nothing of the LM
+        corpus = [ranker_input_tokens(record_pair(record), sg)
+                  for record in dataset for sg in record_subgraphs(record)]
+        lm = train_ngram_lm(corpus, n=rcfg["ngram"]["n"], d=rcfg["ngram"]["d"],
+                            seed=stage_seed(seed, "ngram"),
+                            epochs=rcfg["ngram"]["epochs"],
+                            learning_rate=rcfg["ngram"]["lr"])
 
     if kind == NEURAL:
         model = train_neural_ranker(dataset, lm, rcfg["loss"], train_config)
@@ -287,7 +287,7 @@ def cmd_train(args, config: dict) -> int:
 
     save_model(model, args.out, lm)
     summary = {"kind": kind, "loss": model.loss_kind, "records": len(dataset),
-               "lm_vocab": len(lm.vocab),
+               "lm_vocab": len(lm.vocab) if lm else None,
                "final_train_loss": (model.train_loss_history or model.train_rmse_history
                                     or [None])[-1]}
     _write_meta(args.out, "train", config, summary)

@@ -25,7 +25,7 @@ from ..relevance import RankedPairRecord
 from ..util import atomic_write, descending_order, read_json, stable_hash
 from ..verbalize import HYPHEN_STYLE, ranker_input_tokens, tokenize, verbalize
 from .losses import _KERNELS, LOSS_KINDS, RANKNET, RMSE, _segments, _stack_target
-from .ngram import DEFAULT_HASH_DIM, NgramLM, dense_features, hashed_slots
+from .ngram import DEFAULT_HASH_DIM, NgramLM, checked_order, dense_features, hashed_slots
 
 logger = logging.getLogger(__name__)
 
@@ -34,10 +34,12 @@ GBDT = "gbdt"
 SIMILARITY = "similarity"
 RANDOM = "random"
 MODEL_KINDS = (NEURAL, GBDT, SIMILARITY, RANDOM)
+# The kinds whose scorer reads the LM's embeddings; only their files hold the LM.
+EMBEDDING_KINDS = (NEURAL, SIMILARITY)
 
 DEFAULT_HIDDEN = 64
 MIN_LEAF = 1
-MODEL_FORMAT_VERSION = "v1"
+MODEL_FORMAT_VERSION = "v2"
 # The feature settings every model file records; no other value is read.
 FEATURE = {"include_types": True, "hash_dim": DEFAULT_HASH_DIM}
 
@@ -184,7 +186,7 @@ class _TreeStack:
 @dataclass(frozen=True)
 class GbdtEnsemble:
     """``base_score`` plus ``learning_rate`` times each tree's leaf value,
-    added in tree order.
+    added in tree order, over the hashed counts of every 1..``n``-gram.
 
     ``predict`` walks every row through every tree at once, one tree level
     per round (QuickScorer, Lucchese et al., SIGIR 2015), over a stack of
@@ -193,6 +195,7 @@ class GbdtEnsemble:
 
     base_score: float
     learning_rate: float
+    n: int = 2
     trees: tuple[RegressionTree, ...] = ()
 
     def __post_init__(self):
@@ -208,7 +211,7 @@ class GbdtEnsemble:
     @classmethod
     def from_dict(cls, d: dict) -> "GbdtEnsemble":
         return cls(base_score=float(d["base_score"]),
-                   learning_rate=float(d["learning_rate"]),
+                   learning_rate=float(d["learning_rate"]), n=checked_order(d["n"]),
                    trees=tuple(RegressionTree.from_dict(t) for t in d["trees"]))
 
 
@@ -305,11 +308,11 @@ def _dense_matrix(lm: NgramLM, pair, subgraphs) -> np.ndarray:
     return np.stack([dense_features(lm, ranker_input_tokens(pair, sg)) for sg in subgraphs])
 
 
-def _hashed_matrix(lm: NgramLM, pair, subgraphs) -> np.ndarray:
-    """Hashed n-gram counts, one row per subgraph, from one bincount over
-    ``row * DEFAULT_HASH_DIM + slot``."""
+def _hashed_matrix(n: int, pair, subgraphs) -> np.ndarray:
+    """Hashed counts of every 1..n-gram, one row per subgraph, from one
+    bincount over ``row * DEFAULT_HASH_DIM + slot``."""
     dim = DEFAULT_HASH_DIM
-    slots = [hashed_slots(ranker_input_tokens(pair, sg), lm.n, dim) for sg in subgraphs]
+    slots = [hashed_slots(ranker_input_tokens(pair, sg), n, dim) for sg in subgraphs]
     rows = np.repeat(np.arange(len(slots)) * dim, [len(row) for row in slots])
     cells = rows + np.fromiter(itertools.chain.from_iterable(slots), dtype=np.int64,
                                count=len(rows))
@@ -320,7 +323,7 @@ def _hashed_matrix(lm: NgramLM, pair, subgraphs) -> np.ndarray:
 def score_subgraphs(model: RankerModel, pair: tuple[str, str],
                     subgraphs: Sequence[MetapathSubgraph],
                     lm: Optional[NgramLM] = None) -> np.ndarray:
-    """Model scores in input order."""
+    """Model scores in input order; only EMBEDDING_KINDS read ``lm``."""
     if not subgraphs:
         return np.zeros(0, dtype=np.float64)
     if model.kind == NEURAL:
@@ -328,7 +331,7 @@ def score_subgraphs(model: RankerModel, pair: tuple[str, str],
         X = params.standardize(_dense_matrix(lm, pair, subgraphs))
         return _FlatScorer(params.w1, params.b1, params.w2, params.b2, len(X)).forward(X)
     if model.kind == GBDT:
-        return model.gbdt.predict(_hashed_matrix(lm, pair, subgraphs))
+        return model.gbdt.predict(_hashed_matrix(model.gbdt.n, pair, subgraphs))
     if model.kind == SIMILARITY:
         pair_vec = dense_features(lm, tokenize(f"{pair[0]} - {pair[1]}"))
         scores = []
@@ -545,10 +548,10 @@ def train_gbdt_ranker(dataset: Sequence[RankedPairRecord], lm: NgramLM,
 
     Each round fits a tree to the current residuals; with a learning rate in
     (0, 2] the training RMSE can never increase, and the per-round values
-    are recorded on the model.
+    are recorded on the model.  Only ``lm.n`` is read; the ensemble keeps it.
     """
     records = _eligible_records(dataset, RMSE)
-    X = np.concatenate([_hashed_matrix(lm, record_pair(record), record_subgraphs(record))
+    X = np.concatenate([_hashed_matrix(lm.n, record_pair(record), record_subgraphs(record))
                         for record in records]).astype(np.int64)
     y = np.asarray([mp.relscore for record in records for mp in record.metapaths],
                    dtype=np.float64)
@@ -571,13 +574,13 @@ def train_gbdt_ranker(dataset: Sequence[RankedPairRecord], lm: NgramLM,
         logger.debug("gbdt round %d: train rmse %.5f", round_idx + 1, rmse)
 
     ensemble = GbdtEnsemble(base_score=base_score, learning_rate=config.gbdt_learning_rate,
-                            trees=tuple(trees))
+                            n=lm.n, trees=tuple(trees))
     return RankerModel(kind=GBDT, loss_kind=None, seed=config.seed, gbdt=ensemble,
                        train_rmse_history=history)
 
 
 def save_model(model: RankerModel, path, lm: Optional[NgramLM] = None) -> None:
-    """Write the model (and its language model) as one JSON document."""
+    """Write the model as one JSON document; only EMBEDDING_KINDS keep ``lm``."""
     doc = {
         "version": MODEL_FORMAT_VERSION,
         "kind": model.kind,
@@ -588,28 +591,41 @@ def save_model(model: RankerModel, path, lm: Optional[NgramLM] = None) -> None:
         "gbdt": model.gbdt.to_dict() if model.gbdt else None,
         "train_loss_history": model.train_loss_history,
         "train_rmse_history": model.train_rmse_history,
-        "ngram_lm": lm.to_dict() if lm else None,
+        "ngram_lm": lm.to_dict() if model.kind in EMBEDDING_KINDS else None,
     }
     atomic_write(path, json.dumps(doc, ensure_ascii=False) + "\n")
 
 
 def load_model(path) -> tuple[RankerModel, Optional[NgramLM]]:
+    """The model a :func:`save_model` file holds, and its LM or None."""
     return read_json(path, _model_from_doc)
 
 
 def _model_from_doc(doc: dict) -> tuple[RankerModel, Optional[NgramLM]]:
-    if doc.get("version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {doc.get('version')!r}")
+    """The model a v2 or v1 document holds, whose kind must hold just the
+    sections its scorer reads.  v1 held the LM, output layer included, for
+    every kind, and a GBDT's order only there."""
+    version = doc.get("version")
+    if version == "v1":
+        if doc["kind"] == GBDT:
+            doc["gbdt"]["n"] = doc["ngram_lm"]["n"]
+        if doc["kind"] not in EMBEDDING_KINDS:
+            doc["ngram_lm"] = None
+    elif version != MODEL_FORMAT_VERSION:
+        raise ValueError(f"unsupported model format version {version!r}")
     if doc["feature"] != FEATURE:
         raise ValueError(f"unsupported feature settings {doc['feature']!r}")
+    kind = doc["kind"]
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    for section, read in (("neural", kind == NEURAL), ("gbdt", kind == GBDT),
+                          ("ngram_lm", kind in EMBEDDING_KINDS)):
+        if (doc[section] is not None) != read:
+            raise ValueError(f"a {kind} model must {'' if read else 'not '}hold {section}")
     model = RankerModel(
-        kind=doc["kind"],
-        loss_kind=doc["loss_kind"],
-        seed=doc["seed"],
-        neural=NeuralParams.from_dict(doc["neural"]) if doc["neural"] else None,
-        gbdt=GbdtEnsemble.from_dict(doc["gbdt"]) if doc["gbdt"] else None,
+        kind=kind, loss_kind=doc["loss_kind"], seed=doc["seed"],
+        neural=NeuralParams.from_dict(doc["neural"]) if kind == NEURAL else None,
+        gbdt=GbdtEnsemble.from_dict(doc["gbdt"]) if kind == GBDT else None,
         train_loss_history=list(doc.get("train_loss_history") or []),
-        train_rmse_history=list(doc.get("train_rmse_history") or []),
-    )
-    lm = NgramLM.from_dict(doc["ngram_lm"]) if doc.get("ngram_lm") else None
-    return model, lm
+        train_rmse_history=list(doc.get("train_rmse_history") or []))
+    return model, NgramLM.from_dict(doc["ngram_lm"]) if kind in EMBEDDING_KINDS else None

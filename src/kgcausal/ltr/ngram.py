@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -22,45 +22,52 @@ UNK = "<unk>"
 DEFAULT_EMBED_DIM = 128
 DEFAULT_HASH_DIM = 1024
 BATCH_SIZE = 256
+# The largest n-gram order a model may have: hashed_slots holds n shifted
+# copies of every token sequence.
+MAX_ORDER = 16
+
+
+def checked_order(n) -> int:
+    """``n`` when it is an integer n-gram order from 1 to MAX_ORDER."""
+    if type(n) is not int or not 1 <= n <= MAX_ORDER:
+        raise ValueError(f"n-gram order must be an integer from 1 to {MAX_ORDER}, not {n!r}")
+    return n
 
 
 @dataclass
 class NgramLM:
-    """Trained model: vocab, embedding matrix, and output weights."""
+    """Trained model: vocab and embeddings.  ``output_weights`` and
+    ``loss_history`` are training state, which no model file holds."""
 
     n: int
     d: int
     seed: int
     vocab: dict[str, int]
     embeddings: np.ndarray
-    output_weights: np.ndarray
+    output_weights: Optional[np.ndarray] = None
     loss_history: list[float] = field(default_factory=list)
 
     def token_index(self, token: str) -> int:
         return self.vocab.get(token, self.vocab[UNK])
 
     def to_dict(self) -> dict:
-        ordered = sorted(self.vocab.items(), key=lambda kv: kv[1])
-        return {
-            "n": self.n,
-            "d": self.d,
-            "seed": self.seed,
-            "vocab": [tok for tok, _ in ordered],
-            "embeddings": self.embeddings.tolist(),
-            "output_weights": self.output_weights.tolist(),
-        }
+        return {"n": self.n, "d": self.d, "seed": self.seed,
+                "vocab": sorted(self.vocab, key=self.vocab.get),
+                "embeddings": self.embeddings.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "NgramLM":
+        """The model :meth:`to_dict` wrote, checked: its order, a vocab that
+        holds UNK, and one embedding row of width ``d`` per vocab entry."""
         vocab = {tok: i for i, tok in enumerate(d["vocab"])}
-        return cls(
-            n=d["n"],
-            d=d["d"],
-            seed=d["seed"],
-            vocab=vocab,
-            embeddings=np.asarray(d["embeddings"], dtype=np.float64),
-            output_weights=np.asarray(d["output_weights"], dtype=np.float64),
-        )
+        if UNK not in vocab:
+            raise ValueError(f"language model vocab must hold {UNK}")
+        embeddings = np.asarray(d["embeddings"], dtype=np.float64)
+        if embeddings.shape != (len(vocab), d["d"]):
+            raise ValueError(f"language model embeddings must have shape "
+                             f"({len(vocab)}, {d['d']!r}), not {embeddings.shape}")
+        return cls(n=checked_order(d["n"]), d=d["d"], seed=d["seed"], vocab=vocab,
+                   embeddings=embeddings)
 
 
 def _context_windows(sequences: Sequence[Sequence[str]], n: int):
@@ -75,11 +82,12 @@ def train_ngram_lm(corpus: Sequence[Sequence[str]], n: int = 2, d: int = DEFAULT
                    min_count: int = 1) -> NgramLM:
     """Fit the model by minibatch gradient descent on next-token cross-entropy.
 
-    Deterministic in ``seed``; the per-epoch mean loss is kept on the model
-    so callers can check it went down.  Tokens seen fewer than ``min_count``
-    times share the UNK entry, which keeps downstream features free of
-    one-off token noise.
+    ``n`` is at most MAX_ORDER.  Deterministic in ``seed``; the per-epoch
+    mean loss is kept on the model so callers can check it went down.
+    Tokens seen fewer than ``min_count`` times share the UNK entry, which
+    keeps downstream features free of one-off token noise.
     """
+    checked_order(n)
     if not corpus or all(len(s) < n for s in corpus):
         raise ValueError("corpus must contain at least one sequence of length >= n")
     counts: dict[str, int] = {}

@@ -85,9 +85,16 @@ class RankedMetapath:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RankedMetapath":
+        """The path a ranked file holds, with an integer ``pathid`` and a
+        ``relscore`` in [0, 2]."""
+        pathid, relscore = int(d["pathid"]), float(d["relscore"])
+        if pathid != d["pathid"]:
+            raise ValueError(f"pathid must be an integer, not {d['pathid']!r}")
+        if not 0.0 <= relscore <= 2.0:
+            raise ValueError(f"path {pathid}: relscore must lie in [0, 2], not {relscore!r}")
         return cls(
-            pathid=int(d["pathid"]),
-            relscore=float(d["relscore"]),
+            pathid=pathid,
+            relscore=relscore,
             probscore=None if d.get("probscore") is None else float(d["probscore"]),
             relevant=str(d["relevant"]),
             stops=d["stops"],

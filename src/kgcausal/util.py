@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -44,14 +45,23 @@ def write_jsonl(path, rows: Iterable[dict]) -> None:
     atomic_write(path, "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
 def parse_fields(parse: Callable[[dict], T], text: str, source: str) -> T:
     """``parse`` of the JSON object in ``text``, read from ``source``.  Text
-    that is not JSON, a value that is not an object, a missing field, and the
-    TypeError, ValueError, IndexError or AttributeError ``parse`` raises on a
-    value of the wrong shape each raise a KgcausalError naming ``source``."""
+    that is not JSON or holds a number that is not finite (NaN, Infinity, or
+    one too large for a float), a value that is not an object, a missing
+    field, and the TypeError, ValueError, IndexError, AttributeError or
+    OverflowError ``parse`` raises on a value of the wrong shape each raise
+    a KgcausalError naming ``source``."""
     try:
-        value = json.loads(text)
-    except json.JSONDecodeError as exc:
+        value = json.loads(text, parse_float=_finite, parse_constant=_finite)
+    except ValueError as exc:
         raise KgcausalError(f"{source}: invalid JSON: {exc}") from None
     if not isinstance(value, dict):
         raise KgcausalError(f"{source}: expected a JSON object, not {type(value).__name__}")
@@ -59,7 +69,7 @@ def parse_fields(parse: Callable[[dict], T], text: str, source: str) -> T:
         return parse(value)
     except KeyError as exc:
         raise KgcausalError(f"{source}: missing field {exc.args[0]!r}") from None
-    except (TypeError, ValueError, IndexError, AttributeError) as exc:
+    except (TypeError, ValueError, IndexError, AttributeError, OverflowError) as exc:
         raise KgcausalError(f"{source}: {exc}") from None
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -291,9 +292,10 @@ class TestTrainRankDiscoverEval:
     def test_model_file_is_versioned_json(self, pipeline):
         _, _, out = pipeline
         doc = json.loads((out / "model.json").read_text())
-        assert doc["version"] == "v1"
+        assert doc["version"] == "v2"
         assert doc["kind"] == "gbdt"
-        assert doc["ngram_lm"]["vocab"]
+        assert doc["ngram_lm"] is None
+        assert doc["gbdt"]["n"] == 2
 
     def test_rankings_carry_gains(self, pipeline):
         _, _, out = pipeline
@@ -655,6 +657,194 @@ class TestBadInputs:
         assert code == EXIT_CONFIG
         assert "unsupported feature settings" in capsys.readouterr().err
         assert not rankings.exists()
+
+    @pytest.mark.parametrize("command,source,edit,message", [
+        ("train", "ranked.jsonl", lambda row: row["metapaths"][0].update(relscore=math.nan),
+         "NaN is not a finite number"),
+        ("train", "ranked.jsonl", lambda row: row["metapaths"][0].update(relscore=math.inf),
+         "Infinity is not a finite number"),
+        ("train", "ranked.jsonl", lambda row: row["metapaths"][0].update(probscore=-math.inf),
+         "-Infinity is not a finite number"),
+        ("train", "ranked.jsonl", lambda row: row["metapaths"][0].update(relscore=2.5),
+         "path 1: relscore must lie in [0, 2], not 2.5"),
+        ("train", "ranked.jsonl", lambda row: row["metapaths"][0].update(relscore=-0.5),
+         "path 1: relscore must lie in [0, 2], not -0.5"),
+        ("rank", "ranked.jsonl", lambda row: row["metapaths"][0].update(pathid=1.5),
+         "pathid must be an integer, not 1.5"),
+        ("rank", "ranked.jsonl", lambda row: row["metapaths"][0].update(pathid=math.inf),
+         "Infinity is not a finite number"),
+        ("eval", "rankings.jsonl", lambda row: row["entries"][0].update(gain=math.nan),
+         "NaN is not a finite number"),
+        ("estimate", "candidates.jsonl",
+         lambda row: row["subgraphs"][0]["node_names"].__setitem__(1, 7),
+         "node ids, names and types and edge labels must be strings"),
+        ("rank", "candidates.jsonl",
+         lambda row: row["subgraphs"][0]["node_names"].__setitem__(1, 7),
+         "node ids, names and types and edge labels must be strings"),
+        ("rank", "candidates.jsonl",
+         lambda row: row["subgraphs"][0]["node_types"].__setitem__(0, None),
+         "node ids, names and types and edge labels must be strings"),
+    ], ids=["relscore-nan", "relscore-infinity", "probscore-minus-infinity",
+            "relscore-above-2", "relscore-below-0", "pathid-fraction", "pathid-infinity",
+            "rankings-gain-nan", "estimate-int-node-name", "rank-int-node-name",
+            "rank-null-node-type"])
+    def test_value_outside_its_domain_exits_2_naming_file_and_line(
+            self, pipeline, tmp_path, capsys, command, source, edit, message):
+        """``json.dumps`` writes NaN and the infinities as the literals
+        ``NaN``, ``Infinity`` and ``-Infinity``."""
+        root, _, out = pipeline
+        bad = tmp_path / source
+        bad.write_text(first_row(edit)((out / source).read_text()), encoding="utf-8")
+        argv = {"train": [bad], "estimate": [bad], "rank": [out / "model.json", bad],
+                "eval": [out / "predictions.jsonl", root / "pairs.jsonl", "--rankings", bad]}
+        result = tmp_path / "result"
+        code = run(command, *argv[command], "--config", root / "config.json", "--out", result)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"error: {bad}:1: " in err and message in err
+        assert not result.exists()
+
+
+@pytest.fixture(scope="module")
+def trained(pipeline, tmp_path_factory):
+    """A model file of every kind, trained on the pipeline's ranked file."""
+    root, _, out = pipeline
+    models = tmp_path_factory.mktemp("models")
+    config = json.loads((root / "config.json").read_text())
+    config["ranker"]["train"] = {"epochs": 5}
+    (models / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    for kind in cli.MODEL_KINDS:
+        assert run("train", out / "ranked.jsonl", "--kind", kind, "--config",
+                   models / "config.json", "--out", models / f"{kind}.json") == EXIT_OK
+    return models
+
+
+def v1_document(trained, kind):
+    """The v2 model file of ``kind`` as the v1 format held it: the LM in
+    every kind, output layer included, and a GBDT's order only in the LM."""
+    doc = json.loads((trained / f"{kind}.json").read_text())
+    lm = json.loads((trained / "neural.json").read_text())["ngram_lm"]
+    doc["ngram_lm"] = {**lm, "output_weights": [[0.25] * len(lm["vocab"])] * lm["d"]}
+    if kind == "gbdt":
+        del doc["gbdt"]["n"]
+    doc["version"] = "v1"
+    return doc
+
+
+class TestModelFile:
+    """A model file holds what its kind's scorer reads, and the reader checks
+    that it does."""
+
+    def test_random_model_fits_no_language_model(self, pipeline, tmp_path, monkeypatch):
+        root, _, out = pipeline
+        trained = []
+        monkeypatch.setattr(cli, "train_ngram_lm", lambda *a, **k: trained.append(a))
+        model = tmp_path / "model.json"
+        assert run("train", out / "ranked.jsonl", "--kind", "random", "--config",
+                   root / "config.json", "--out", model) == EXIT_OK
+        assert trained == []
+        assert json.loads(model.read_text())["ngram_lm"] is None
+        meta = json.loads(Path(str(model) + ".meta.json").read_text())
+        assert meta["summary"]["lm_vocab"] is None
+
+    @pytest.mark.parametrize("kind", ["neural", "gbdt", "similarity", "random"])
+    def test_file_holds_only_what_its_scorer_reads(self, trained, kind):
+        text = (trained / f"{kind}.json").read_text()
+        doc = json.loads(text)
+        assert "output_weights" not in text
+        assert (doc["neural"] is not None) == (kind == "neural")
+        assert (doc["gbdt"] is not None) == (kind == "gbdt")
+        if kind in ("neural", "similarity"):
+            lm = doc["ngram_lm"]
+            assert set(lm) == {"n", "d", "seed", "vocab", "embeddings"}
+            assert len(lm["embeddings"]) == len(lm["vocab"])
+        else:
+            assert doc["ngram_lm"] is None
+        if kind == "gbdt":
+            assert doc["gbdt"]["n"] == 2
+
+    @pytest.mark.parametrize("kind", ["gbdt", "neural"])
+    def test_v1_file_ranks_like_the_v2_file(self, pipeline, trained, tmp_path, kind):
+        root, _, out = pipeline
+        v1 = tmp_path / "v1.json"
+        v1.write_text(json.dumps(v1_document(trained, kind)), encoding="utf-8")
+        for model, rankings in ((trained / f"{kind}.json", tmp_path / "v2.jsonl"),
+                                (v1, tmp_path / "v1.jsonl")):
+            assert run("rank", model, out / "ranked.jsonl", "--config", root / "config.json",
+                       "--out", rankings) == EXIT_OK
+        assert (tmp_path / "v1.jsonl").read_bytes() == (tmp_path / "v2.jsonl").read_bytes()
+
+    def test_v1_gbdt_file_without_its_language_model_exits_2(self, pipeline, trained,
+                                                             tmp_path, capsys):
+        root, _, out = pipeline
+        doc = v1_document(trained, "gbdt")
+        doc["ngram_lm"] = None
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        assert run("rank", model, out / "ranked.jsonl", "--config", root / "config.json",
+                   "--out", tmp_path / "rankings.jsonl") == EXIT_CONFIG
+        assert f"error: {model}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind,edit,message", [
+        pytest.param("gbdt", lambda doc: doc.update(gbdt=None),
+                     "a gbdt model must hold gbdt", id="gbdt-without-trees"),
+        pytest.param("neural", lambda doc: doc.update(ngram_lm=None),
+                     "a neural model must hold ngram_lm", id="neural-without-lm"),
+        pytest.param("random", lambda doc: doc.update(neural={}),
+                     "a random model must not hold neural", id="random-with-neural"),
+        pytest.param("gbdt", lambda doc: doc["gbdt"].update(n="2"),
+                     "n-gram order must be an integer from 1 to 16, not '2'",
+                     id="order-string"),
+        pytest.param("gbdt", lambda doc: doc["gbdt"].update(n=0),
+                     "n-gram order must be an integer from 1 to 16, not 0", id="order-0"),
+        pytest.param("gbdt", lambda doc: doc["gbdt"].update(n=2**70),
+                     f"n-gram order must be an integer from 1 to 16, not {2**70}",
+                     id="order-2**70"),
+        pytest.param("similarity", lambda doc: doc["ngram_lm"].update(n=True),
+                     "n-gram order must be an integer from 1 to 16, not True",
+                     id="lm-order-boolean"),
+        pytest.param("neural", lambda doc: doc["ngram_lm"]["embeddings"].pop(),
+                     "language model embeddings must have shape", id="embeddings-row-short"),
+        pytest.param("similarity", lambda doc: doc["ngram_lm"].update(d=31),
+                     "language model embeddings must have shape", id="embeddings-width"),
+        pytest.param("neural", lambda doc: (doc["ngram_lm"]["vocab"].remove("<unk>"),
+                                            doc["ngram_lm"]["embeddings"].pop()),
+                     "language model vocab must hold <unk>", id="vocab-without-unk"),
+        pytest.param("neural", lambda doc: doc["ngram_lm"]["embeddings"][0].__setitem__(
+            0, math.nan), "NaN is not a finite number", id="embedding-nan"),
+        pytest.param("gbdt", lambda doc: doc["gbdt"].update(base_score=math.inf),
+                     "Infinity is not a finite number", id="base-score-infinity"),
+        pytest.param("neural", lambda doc: doc["neural"].update(b2="1e999"),
+                     "1e999 is not a finite number", id="weight-overflows"),
+    ])
+    def test_model_its_scorer_cannot_read_exits_2_naming_the_file(
+            self, pipeline, trained, tmp_path, capsys, kind, edit, message):
+        root, _, out = pipeline
+        doc = json.loads((trained / f"{kind}.json").read_text())
+        edit(doc)
+        model = tmp_path / "model.json"
+        # a quoted 1e999 stands for the bare number, which json.dumps cannot write
+        model.write_text(json.dumps(doc).replace('"1e999"', "1e999"), encoding="utf-8")
+        for command, inputs in (("rank", [model, out / "ranked.jsonl"]),
+                                ("discover", [model, root / "pairs.jsonl"])):
+            result = tmp_path / f"{command}.jsonl"
+            code = run(command, *inputs, "--config", root / "config.json", "--out", result)
+            assert code == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert f"error: {model}: " in err and message in err
+            assert not result.exists()
+
+    def test_train_refuses_an_order_no_reader_takes(self, pipeline, tmp_path, capsys):
+        root, _, out = pipeline
+        config = json.loads((root / "config.json").read_text())
+        config["ranker"]["ngram"]["n"] = 17
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        model = tmp_path / "model.json"
+        code = run("train", out / "ranked.jsonl", "--config", cfg, "--out", model)
+        assert code == EXIT_CONFIG
+        assert "n-gram order must be an integer from 1 to 16, not 17" in capsys.readouterr().err
+        assert not model.exists()
 
 
 def set_key(config, dotted, value):

@@ -546,3 +546,14 @@ class TestSample:
     def test_k_validation(self):
         with pytest.raises(ValueError):
             sample_subgraphs(self._paths(3), 0)
+
+
+class TestMetapathSubgraph:
+    @pytest.mark.parametrize("field,value", [
+        ("node_ids", ["a", 7]), ("node_names", [7, "b"]), ("node_types", ["T", None]),
+        ("edge_labels", [["r"]])])
+    def test_item_that_is_not_a_string_rejected(self, field, value):
+        fields = {"node_ids": ["a", "b"], "node_names": ["a", "b"], "node_types": ["T", "T"],
+                  "edge_labels": ["r"], "edge_directions": [FORWARD], field: value}
+        with pytest.raises(TypeError, match="must be strings"):
+            MetapathSubgraph.from_dict(fields)

@@ -432,6 +432,15 @@ class TestGbdt:
         model = train_gbdt_ranker(train, lm, config)
         assert heldout_ndcg1(model, held, lm) >= 0.9
 
+    def test_scores_read_the_order_the_ensemble_records(self, planted):
+        _, records, lm = planted
+        model = train_gbdt_ranker(records[:20], lm, TrainConfig(gbdt_rounds=10, seed=0))
+        assert model.gbdt.n == lm.n
+        for record in records[20:30]:
+            subs = record_subgraphs(record)
+            assert np.array_equal(score_subgraphs(model, record_pair(record), subs),
+                                  score_subgraphs(model, record_pair(record), subs, lm))
+
 
 class OracleTree(RegressionTree):
     """A tree that predicts on its own, one tree at a time: the reference for
@@ -522,7 +531,7 @@ class TestEnsemblePredict:
         assert isinstance(ensemble.trees, tuple)
         X = rng.integers(0, 5, size=(30, 8)).astype(np.float64)
         before = ensemble.predict(X)
-        assert set(ensemble.to_dict()) == {"base_score", "learning_rate", "trees"}
+        assert set(ensemble.to_dict()) == {"base_score", "learning_rate", "n", "trees"}
         loaded = GbdtEnsemble.from_dict(json.loads(json.dumps(ensemble.to_dict())))
         assert np.array_equal(loaded.predict(X), before)
 
@@ -700,7 +709,7 @@ class TestHistogramSplits:
         config = TrainConfig(gbdt_rounds=8, gbdt_max_depth=3, gbdt_learning_rate=0.3)
         model = train_gbdt_ranker(records, lm, config)
         records = [r for r in records if r.metapaths]
-        X = np.concatenate([models._hashed_matrix(lm, record_pair(r), record_subgraphs(r))
+        X = np.concatenate([models._hashed_matrix(lm.n, record_pair(r), record_subgraphs(r))
                             for r in records]).astype(np.int64)
         y = np.asarray([mp.relscore for r in records for mp in r.metapaths])
         assert 0 < np.count_nonzero(X) < 0.05 * X.size
