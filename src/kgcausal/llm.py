@@ -223,6 +223,11 @@ class MockOracleConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MockOracleConfig":
+        """The rule a mock config file, or :meth:`to_dict`, holds; every motif
+        must be a list of strings."""
+        if not all(isinstance(m, (list, tuple)) and all(isinstance(t, str) for t in m)
+                   for m in d["causal_motifs"]):
+            raise TypeError("causal_motifs must be lists of strings")
         return cls(
             causal_motifs=tuple(tuple(m) for m in d["causal_motifs"]),
             base_confidence=d.get("base_confidence", 0.9),

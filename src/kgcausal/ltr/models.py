@@ -119,8 +119,24 @@ class RegressionTree:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RegressionTree":
-        return cls(feature=list(d["feature"]), threshold=list(d["threshold"]),
+        """The tree a model file holds, checked: node lists of one length, and
+        each split on a hashed count column with both children later nodes,
+        so that every walk ends at a leaf of this tree."""
+        tree = cls(feature=list(d["feature"]), threshold=list(d["threshold"]),
                    left=list(d["left"]), right=list(d["right"]), value=list(d["value"]))
+        size = len(tree.feature)
+        if any(len(column) != size for column in (tree.threshold, tree.left, tree.right,
+                                                  tree.value)):
+            raise ValueError("tree node lists must have one length")
+        for node, (feature, left, right) in enumerate(zip(tree.feature, tree.left, tree.right)):
+            if type(feature) is not int or not -1 <= feature < DEFAULT_HASH_DIM:
+                raise ValueError(f"tree node {node} splits on feature {feature!r}, "
+                                 f"not one in [-1, {DEFAULT_HASH_DIM})")
+            if feature >= 0 and not all(type(child) is int and node < child < size
+                                        for child in (left, right)):
+                raise ValueError(f"tree node {node} has children {left!r} and {right!r}, "
+                                 f"not later nodes of its tree")
+        return tree
 
 
 def _tree_depth(tree: RegressionTree) -> int:
@@ -628,4 +644,23 @@ def _model_from_doc(doc: dict) -> tuple[RankerModel, Optional[NgramLM]]:
         gbdt=GbdtEnsemble.from_dict(doc["gbdt"]) if kind == GBDT else None,
         train_loss_history=list(doc.get("train_loss_history") or []),
         train_rmse_history=list(doc.get("train_rmse_history") or []))
-    return model, NgramLM.from_dict(doc["ngram_lm"]) if kind in EMBEDDING_KINDS else None
+    lm = NgramLM.from_dict(doc["ngram_lm"]) if kind in EMBEDDING_KINDS else None
+    if kind == NEURAL:
+        _check_neural_shapes(model.neural, lm.d)
+    return model, lm
+
+
+def _check_neural_shapes(params: NeuralParams, d: int) -> None:
+    """Raise a ValueError unless the scorer's weights fit features of width
+    ``d``: ``w1`` (d, h), ``b1`` and ``w2`` (h,), and the standardization
+    (d,) or absent."""
+    if (params.x_mean is None) != (params.x_std is None):
+        raise ValueError("neural x_mean and x_std must both be arrays or both null")
+    if params.w1.ndim != 2 or params.w1.shape[0] != d:
+        raise ValueError(f"neural w1 must have shape ({d}, hidden), not {params.w1.shape}")
+    hidden = params.w1.shape[1]
+    for name, shape in (("b1", (hidden,)), ("w2", (hidden,)), ("x_mean", (d,)),
+                        ("x_std", (d,))):
+        value = getattr(params, name)
+        if value is not None and value.shape != shape:
+            raise ValueError(f"neural {name} must have shape {shape}, not {value.shape}")

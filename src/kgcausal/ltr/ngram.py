@@ -1,9 +1,11 @@
 """Small next-token language model used as a feature extractor.
 
-A token embedding matrix feeds a linear softmax head that predicts the next
-token from the previous n-1 tokens.  After training, the embedding rows are
-mean-pooled into dense features, and every 1..n-gram is hashed to a slot of
-a fixed-size count vector for tree-based models.
+The mean of the previous n-1 tokens' embedding rows scores the next token
+against one output row per vocabulary entry.  Training uses a sampled
+softmax, which scores each target against a few drawn negatives instead of
+the whole vocabulary.  After training, the embedding rows are mean-pooled
+into dense features, and every 1..n-gram is hashed to a slot of a fixed-size
+count vector for tree-based models.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ UNK = "<unk>"
 DEFAULT_EMBED_DIM = 128
 DEFAULT_HASH_DIM = 1024
 BATCH_SIZE = 256
+# Negatives drawn per minibatch for the sampled softmax; 20 were too few for
+# the planted motif to rank first on held-out records.
+SAMPLED = 64
 # The largest n-gram order a model may have: hashed_slots holds n shifted
 # copies of every token sequence.
 MAX_ORDER = 16
@@ -80,12 +85,19 @@ def _context_windows(sequences: Sequence[Sequence[str]], n: int):
 def train_ngram_lm(corpus: Sequence[Sequence[str]], n: int = 2, d: int = DEFAULT_EMBED_DIM,
                    seed: int = 0, epochs: int = 10, learning_rate: float = 0.5,
                    min_count: int = 1) -> NgramLM:
-    """Fit the model by minibatch gradient descent on next-token cross-entropy.
+    """Fit the model by minibatch gradient descent on sampled-softmax
+    next-token cross-entropy.
 
+    Each minibatch draws SAMPLED negatives, with replacement, from the
+    targets' unigram counts to the power 0.75, shared by its rows.  A row's
+    logits are its target's and the negatives', each less log(SAMPLED * q)
+    for its draw probability q; a negative equal to the row's target is left
+    out.  So a step costs O(rows x SAMPLED x d) whatever the vocabulary size
+    (Jean et al., ACL 2015).  Copies of one drawn token share a column.
     ``n`` is at most MAX_ORDER.  Deterministic in ``seed``; the per-epoch
-    mean loss is kept on the model so callers can check it went down.
-    Tokens seen fewer than ``min_count`` times share the UNK entry, which
-    keeps downstream features free of one-off token noise.
+    mean sampled loss is kept on the model so callers can check it went
+    down.  Tokens seen fewer than ``min_count`` times share the UNK entry,
+    which keeps downstream features free of one-off token noise.
     """
     checked_order(n)
     if not corpus or all(len(s) < n for s in corpus):
@@ -107,14 +119,13 @@ def train_ngram_lm(corpus: Sequence[Sequence[str]], n: int = 2, d: int = DEFAULT
 
     rng = np.random.default_rng(seed)
     embeddings = rng.normal(0.0, 0.1, size=(vocab_size, d))
-    output_weights = rng.normal(0.0, 0.1, size=(d, vocab_size))
+    output_rows = rng.normal(0.0, 0.1, size=(vocab_size, d))
+    draw_weights = np.bincount(targets, minlength=vocab_size) ** 0.75
+    draw_cdf = np.cumsum(draw_weights)
+    with np.errstate(divide="ignore"):  # tokens never drawn: log 0
+        log_expected = np.log(SAMPLED * draw_weights / draw_cdf[-1])
 
     n_samples = len(targets)
-    # one buffer per step product, so a step allocates no (rows x V) array
-    logits_buf = np.empty((min(BATCH_SIZE, n_samples), vocab_size))
-    column_buf = np.empty((len(logits_buf), 1))
-    dx_buf = np.empty((len(logits_buf), d))
-    grad_w = np.empty((d, vocab_size))
     loss_history: list[float] = []
     for epoch in range(epochs):
         order = rng.permutation(n_samples)
@@ -123,33 +134,63 @@ def train_ngram_lm(corpus: Sequence[Sequence[str]], n: int = 2, d: int = DEFAULT
             batch = order[start:start + BATCH_SIZE]
             ctx = contexts[batch]
             tgt = targets[batch]
-            x = embeddings[ctx].mean(axis=1)
-            probs, column, dx = logits_buf[:len(tgt)], column_buf[:len(tgt)], dx_buf[:len(tgt)]
-            np.matmul(x, output_weights, out=probs)
-            np.maximum.reduce(probs, axis=1, keepdims=True, out=column)
-            probs -= column
-            np.exp(probs, out=probs)
-            np.add.reduce(probs, axis=1, keepdims=True, out=column)
-            probs /= column
-            batch_loss = -np.log(np.maximum(probs[np.arange(len(tgt)), tgt], 1e-300))
-            total += batch_loss.sum()
+            # one column per distinct drawn token, its logit raised by the log
+            # of its copies: the loss of one column per draw, in fewer columns
+            negatives, copies = np.unique(
+                np.searchsorted(draw_cdf, rng.random(SAMPLED) * draw_cdf[-1], side="right"),
+                return_counts=True)
+            x = embeddings[ctx[:, 0]]
+            for j in range(1, n - 1):
+                x += embeddings[ctx[:, j]]
+            x /= n - 1
+            w_tgt = output_rows[tgt]
+            w_neg = output_rows[negatives]
+            # the target's logits apart from the negatives', so that both
+            # arrays are contiguous; probabilities then overwrite them
+            tgt_p = np.einsum("ij,ij->i", x, w_tgt)
+            tgt_p -= log_expected[tgt]
+            neg_p = x @ w_neg.T
+            neg_p -= log_expected[negatives] - np.log(copies)
+            np.copyto(neg_p, -np.inf, where=negatives == tgt[:, None])
+            top = neg_p.max(axis=1)
+            np.maximum(top, tgt_p, out=top)
+            neg_p -= top[:, None]
+            np.exp(neg_p, out=neg_p)
+            tgt_p -= top
+            np.exp(tgt_p, out=tgt_p)
+            norm = neg_p.sum(axis=1)
+            norm += tgt_p
+            neg_p /= norm[:, None]
+            tgt_p /= norm
+            total -= np.log(np.maximum(tgt_p, 1e-300)).sum()
 
-            dlogits = probs
-            dlogits[np.arange(len(tgt)), tgt] -= 1.0
-            dlogits /= len(tgt)
-            np.matmul(x.T, dlogits, out=grad_w)
-            np.matmul(dlogits, output_weights.T, out=dx)
+            # gradient of the mean loss with respect to each logit
+            tgt_p -= 1.0
+            tgt_p /= len(tgt)
+            neg_p /= len(tgt)
+            dx = tgt_p[:, None] * w_tgt
+            dx += neg_p @ w_neg
             dx /= n - 1
-            grad_w *= learning_rate
-            output_weights -= grad_w
+            grad_rows = np.concatenate([tgt_p[:, None] * x, neg_p.T @ x])
+            grad_rows *= learning_rate
+            _subtract_rows(output_rows, np.concatenate([tgt, negatives]), grad_rows)
             dx *= learning_rate
-            np.subtract.at(embeddings, ctx.reshape(-1), np.repeat(dx, n - 1, axis=0))
+            _subtract_rows(embeddings, ctx.reshape(-1), np.repeat(dx, n - 1, axis=0))
         mean_loss = total / n_samples
         loss_history.append(float(mean_loss))
         logger.debug("lm epoch %d: loss %.4f", epoch + 1, mean_loss)
 
     return NgramLM(n=n, d=d, seed=seed, vocab=vocab, embeddings=embeddings,
-                   output_weights=output_weights, loss_history=loss_history)
+                   output_weights=output_rows.T, loss_history=loss_history)
+
+
+def _subtract_rows(matrix: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """``matrix[rows] -= values``, a repeated row taking each of its values in
+    turn, as ``np.subtract.at(matrix, rows, values)`` does; a 1-D ufunc.at
+    over flat indices runs about three times faster than the 2-D one."""
+    width = matrix.shape[1]
+    flat = (rows[:, None] * width + np.arange(width)).reshape(-1)
+    np.subtract.at(matrix.reshape(-1), flat, values.reshape(-1))
 
 
 # N-grams whose slot is kept, per hash_dim; a table is emptied when full.

@@ -556,6 +556,14 @@ class TestBadInputs:
                      first_row(lambda doc: doc.pop("causal_motifs")),
                      {"llm.mock_config_path": "BAD"}, "missing field 'causal_motifs'",
                      id="mock-without-motifs"),
+        pytest.param("estimate", ["candidates.jsonl"], "mock.json",
+                     first_row(lambda doc: doc.update(causal_motifs=[[1]])),
+                     {"llm.mock_config_path": "BAD"}, "causal_motifs must be lists of strings",
+                     id="mock-motif-int"),
+        pytest.param("estimate", ["candidates.jsonl"], "mock.json",
+                     first_row(lambda doc: doc.update(causal_motifs=["stress hormone"])),
+                     {"llm.mock_config_path": "BAD"}, "causal_motifs must be lists of strings",
+                     id="mock-motif-string"),
         pytest.param("eval", ["predictions.jsonl", "pairs.jsonl", "--rankings", "BAD"],
                      "rankings.jsonl", first_row(lambda row: row.update(entries=5)), {},
                      "'int' object is not subscriptable", id="int-entries"),
@@ -731,6 +739,16 @@ def v1_document(trained, kind):
     return doc
 
 
+def edit_first_split(field, value):
+    """An edit of the first split node of the first GBDT tree: ``field``
+    becomes ``value(tree, node)``."""
+    def edit(doc):
+        tree = doc["gbdt"]["trees"][0]
+        node = next(i for i, feature in enumerate(tree["feature"]) if feature >= 0)
+        tree[field][node] = value(tree, node)
+    return edit
+
+
 class TestModelFile:
     """A model file holds what its kind's scorer reads, and the reader checks
     that it does."""
@@ -816,6 +834,28 @@ class TestModelFile:
                      "Infinity is not a finite number", id="base-score-infinity"),
         pytest.param("neural", lambda doc: doc["neural"].update(b2="1e999"),
                      "1e999 is not a finite number", id="weight-overflows"),
+        pytest.param("gbdt", edit_first_split("feature", lambda tree, node: 1024),
+                     "tree node 0 splits on feature 1024, not one in [-1, 1024)",
+                     id="tree-feature-beyond-hash-dim"),
+        pytest.param("gbdt", edit_first_split("feature", lambda tree, node: -2),
+                     "splits on feature -2", id="tree-feature-below-leaf-mark"),
+        pytest.param("gbdt", edit_first_split("left", lambda tree, node: len(tree["left"])),
+                     "not later nodes of its tree", id="tree-child-outside"),
+        pytest.param("gbdt", edit_first_split("right", lambda tree, node: -1),
+                     "not later nodes of its tree", id="tree-child-negative"),
+        pytest.param("gbdt", lambda doc: doc["gbdt"]["trees"][0]["value"].pop(),
+                     "tree node lists must have one length", id="tree-lists-ragged"),
+        pytest.param("neural", lambda doc: doc["neural"]["w1"].pop(),
+                     "neural w1 must have shape (32, hidden), not (31,", id="w1-row-dropped"),
+        pytest.param("neural", lambda doc: doc["neural"]["b1"].pop(),
+                     "neural b1 must have shape", id="b1-short"),
+        pytest.param("neural", lambda doc: doc["neural"]["w2"].append(0.5),
+                     "neural w2 must have shape", id="w2-long"),
+        pytest.param("neural", lambda doc: doc["neural"]["x_std"].pop(),
+                     "neural x_std must have shape (32,), not (31,)", id="x-std-short"),
+        pytest.param("neural", lambda doc: doc["neural"].update(x_mean=None),
+                     "neural x_mean and x_std must both be arrays or both null",
+                     id="x-mean-null"),
     ])
     def test_model_its_scorer_cannot_read_exits_2_naming_the_file(
             self, pipeline, trained, tmp_path, capsys, kind, edit, message):

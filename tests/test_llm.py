@@ -134,6 +134,7 @@ class TestMockOracle:
         path = tmp_path / "mock.json"
         path.write_text(json.dumps(MOTIF_CONFIG.to_dict()), encoding="utf-8")
         assert read_json(path, MockOracleConfig.from_dict) == MOTIF_CONFIG
+        assert MockOracleConfig.from_dict(MOTIF_CONFIG.to_dict()) == MOTIF_CONFIG
 
 
 class TestLabelProbability:

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from kgcausal.ltr.ngram import (
     BATCH_SIZE,
+    SAMPLED,
     UNK,
     _context_windows,
     dense_features,
@@ -57,10 +60,27 @@ class TestTraining:
         lm = train_ngram_lm(corpus, n=3, d=8, seed=0, epochs=20, learning_rate=1.0)
         assert predicts_every_next_token(lm, corpus[0])
 
+    def test_fit_allocates_no_rows_by_vocabulary_array(self):
+        """A step's cost may not grow with the vocabulary: one epoch over
+        20,000 distinct tokens allocates less than a BATCH_SIZE x V float64
+        array (41 MB) at its peak."""
+        tokens = [f"w{i}" for i in np.random.default_rng(0).permutation(20_000)]
+        corpus = [tokens[i:i + 10] for i in range(0, len(tokens), 10)]
+        tracemalloc.start()
+        try:
+            lm = train_ngram_lm(corpus, n=2, d=8, seed=0, epochs=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(lm.vocab) == 20_001
+        assert peak < BATCH_SIZE * len(lm.vocab) * 8
 
-def reference_lm(corpus, n, d, seed, epochs, learning_rate, min_count):
-    """The training loop as first written, with a fresh array for every
-    intermediate: (embeddings, output weights, loss history)."""
+
+def reference_lm(corpus, n, d, seed, epochs, learning_rate, min_count, group_copies=True):
+    """The sampled-softmax training loop written plainly, with a fresh array
+    for every intermediate and a 2-D ``np.subtract.at`` for every update:
+    (embeddings, output weights, loss history).  With ``group_copies``
+    false, every draw has its own column, as in the loss's definition."""
     counts = {}
     for seq in corpus:
         for tok in seq:
@@ -74,7 +94,11 @@ def reference_lm(corpus, n, d, seed, epochs, learning_rate, min_count):
     targets = np.array([vocab.get(t, unk) for _, t in windows], dtype=np.int64)
     rng = np.random.default_rng(seed)
     embeddings = rng.normal(0.0, 0.1, size=(len(vocab), d))
-    output_weights = rng.normal(0.0, 0.1, size=(d, len(vocab)))
+    output_rows = rng.normal(0.0, 0.1, size=(len(vocab), d))
+    weights = np.bincount(targets, minlength=len(vocab)) ** 0.75
+    cdf = np.cumsum(weights)
+    with np.errstate(divide="ignore"):
+        log_expected = np.log(SAMPLED * weights / cdf[-1])
     history = []
     for _ in range(epochs):
         order = rng.permutation(len(targets))
@@ -82,22 +106,31 @@ def reference_lm(corpus, n, d, seed, epochs, learning_rate, min_count):
         for start in range(0, len(targets), BATCH_SIZE):
             batch = order[start:start + BATCH_SIZE]
             ctx, tgt = contexts[batch], targets[batch]
+            negatives = np.searchsorted(cdf, rng.random(SAMPLED) * cdf[-1], side="right")
+            copies = np.ones(SAMPLED)
+            if group_copies:
+                negatives, copies = np.unique(negatives, return_counts=True)
             x = embeddings[ctx].mean(axis=1)
-            logits = x @ output_weights
-            shifted = logits - logits.max(axis=1, keepdims=True)
-            expd = np.exp(shifted)
-            probs = expd / expd.sum(axis=1, keepdims=True)
-            total += (-np.log(np.maximum(probs[np.arange(len(tgt)), tgt], 1e-300))).sum()
-            dlogits = probs
-            dlogits[np.arange(len(tgt)), tgt] -= 1.0
-            dlogits /= len(tgt)
-            grad_w = x.T @ dlogits
-            dx = dlogits @ output_weights.T / (n - 1)
-            output_weights -= learning_rate * grad_w
+            w_tgt, w_neg = output_rows[tgt], output_rows[negatives]
+            tgt_logit = np.einsum("ij,ij->i", x, w_tgt) - log_expected[tgt]
+            neg_logits = x @ w_neg.T - (log_expected[negatives] - np.log(copies))
+            neg_logits[negatives[None, :] == tgt[:, None]] = -np.inf
+            top = np.maximum(neg_logits.max(axis=1), tgt_logit)
+            tgt_exp = np.exp(tgt_logit - top)
+            neg_exp = np.exp(neg_logits - top[:, None])
+            norm = neg_exp.sum(axis=1) + tgt_exp
+            tgt_p, neg_p = tgt_exp / norm, neg_exp / norm[:, None]
+            total -= np.log(np.maximum(tgt_p, 1e-300)).sum()
+            d_tgt = (tgt_p - 1.0) / len(tgt)
+            d_neg = neg_p / len(tgt)
+            dx = (d_tgt[:, None] * w_tgt + d_neg @ w_neg) / (n - 1)
+            grad_rows = np.concatenate([d_tgt[:, None] * x, d_neg.T @ x])
+            np.subtract.at(output_rows, np.concatenate([tgt, negatives]),
+                           learning_rate * grad_rows)
             np.subtract.at(embeddings, ctx.reshape(-1),
                            learning_rate * np.repeat(dx, n - 1, axis=0))
         history.append(float(total / len(targets)))
-    return embeddings, output_weights, history
+    return embeddings, output_rows.T, history
 
 
 def random_corpus(n, n_windows, seed):
@@ -115,7 +148,7 @@ def random_corpus(n, n_windows, seed):
 
 
 class TestTrainerIsBitExact:
-    """The in-place step against the loop with fresh arrays, in one process."""
+    """The sampled-softmax step against the plain loop, in one process."""
 
     @pytest.mark.parametrize("n_windows", [50, 2 * BATCH_SIZE, 2 * BATCH_SIZE + 37],
                              ids=["under-one-batch", "whole-batches", "partial-last-batch"])
@@ -131,6 +164,16 @@ class TestTrainerIsBitExact:
         assert lm.embeddings.tobytes() == embeddings.tobytes()
         assert lm.output_weights.tobytes() == output_weights.tobytes()
         assert lm.loss_history == history
+
+    def test_copies_sharing_a_column_change_only_rounding(self):
+        corpus = random_corpus(2, 2 * BATCH_SIZE + 37, seed=21)
+        lm = train_ngram_lm(corpus, n=2, d=24, seed=4, epochs=3, learning_rate=0.7)
+        embeddings, output_weights, history = reference_lm(
+            corpus, n=2, d=24, seed=4, epochs=3, learning_rate=0.7, min_count=1,
+            group_copies=False)
+        assert np.allclose(lm.embeddings, embeddings, rtol=0, atol=1e-12)
+        assert np.allclose(lm.output_weights, output_weights, rtol=0, atol=1e-12)
+        assert np.allclose(lm.loss_history, history, rtol=1e-12, atol=0)
 
 
 @pytest.fixture
