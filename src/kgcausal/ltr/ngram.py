@@ -125,6 +125,10 @@ def train_ngram_lm(corpus: Sequence[Sequence[str]], n: int = 2, d: int = DEFAULT
     with np.errstate(divide="ignore"):  # tokens never drawn: log 0
         log_expected = np.log(SAMPLED * draw_weights / draw_cdf[-1])
 
+    # divisor of the mean of a window's context rows; an order-1 model has
+    # none, so it scores every window from the zero vector and its
+    # embeddings keep their initial draw
+    context_mean = max(n - 1, 1)
     n_samples = len(targets)
     loss_history: list[float] = []
     for epoch in range(epochs):
@@ -139,10 +143,8 @@ def train_ngram_lm(corpus: Sequence[Sequence[str]], n: int = 2, d: int = DEFAULT
             negatives, copies = np.unique(
                 np.searchsorted(draw_cdf, rng.random(SAMPLED) * draw_cdf[-1], side="right"),
                 return_counts=True)
-            x = embeddings[ctx[:, 0]]
-            for j in range(1, n - 1):
-                x += embeddings[ctx[:, j]]
-            x /= n - 1
+            x = embeddings[ctx].sum(axis=1)
+            x /= context_mean
             w_tgt = output_rows[tgt]
             w_neg = output_rows[negatives]
             # the target's logits apart from the negatives', so that both
@@ -170,7 +172,7 @@ def train_ngram_lm(corpus: Sequence[Sequence[str]], n: int = 2, d: int = DEFAULT
             neg_p /= len(tgt)
             dx = tgt_p[:, None] * w_tgt
             dx += neg_p @ w_neg
-            dx /= n - 1
+            dx /= context_mean
             grad_rows = np.concatenate([tgt_p[:, None] * x, neg_p.T @ x])
             grad_rows *= learning_rate
             _subtract_rows(output_rows, np.concatenate([tgt, negatives]), grad_rows)

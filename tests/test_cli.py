@@ -941,6 +941,19 @@ class TestConfigKeys:
         meta = json.loads(Path(str(model_path) + ".meta.json").read_text())
         assert meta["config"]["ranker"]["train"]["lr"] == 1
 
+    @pytest.mark.parametrize("kind", ["gbdt", "neural", "similarity"])
+    def test_order_one_trains_and_ranks(self, pipeline, tmp_path, kind):
+        root, _, out = pipeline
+        cfg = self._write_config(root, tmp_path, lambda config: (
+            config["ranker"].update(kind=kind), config["ranker"]["ngram"].update(n=1)))
+        model = tmp_path / "model.json"
+        assert run("train", out / "ranked.jsonl", "--config", cfg, "--out", model) == EXIT_OK
+        rankings = tmp_path / "rankings.jsonl"
+        assert run("rank", model, out / "ranked.jsonl", "--config", cfg,
+                   "--out", rankings) == EXIT_OK
+        rows = [json.loads(line) for line in rankings.read_text().splitlines()]
+        assert rows and all(math.isfinite(e["score"]) for row in rows for e in row["entries"])
+
     def test_null_candidate_limit_runs_uncapped(self, workdir, tmp_path):
         root, world = workdir
         cfg = self._write_config(root, tmp_path,

@@ -60,6 +60,14 @@ class TestTraining:
         lm = train_ngram_lm(corpus, n=3, d=8, seed=0, epochs=20, learning_rate=1.0)
         assert predicts_every_next_token(lm, corpus[0])
 
+    def test_order_one_keeps_the_initial_embeddings(self):
+        """An order-1 model has no context rows to train: every window is
+        scored from the zero vector, and the loss stays finite."""
+        lm = train_ngram_lm([["a", "b", "a", "c"]], n=1, d=8, seed=3, epochs=2)
+        initial = np.random.default_rng(3).normal(0.0, 0.1, size=(len(lm.vocab), 8))
+        assert np.array_equal(lm.embeddings, initial)
+        assert len(lm.loss_history) == 2 and np.all(np.isfinite(lm.loss_history))
+
     def test_fit_allocates_no_rows_by_vocabulary_array(self):
         """A step's cost may not grow with the vocabulary: one epoch over
         20,000 distinct tokens allocates less than a BATCH_SIZE x V float64
@@ -80,7 +88,8 @@ def reference_lm(corpus, n, d, seed, epochs, learning_rate, min_count, group_cop
     """The sampled-softmax training loop written plainly, with a fresh array
     for every intermediate and a 2-D ``np.subtract.at`` for every update:
     (embeddings, output weights, loss history).  With ``group_copies``
-    false, every draw has its own column, as in the loss's definition."""
+    false, every draw has its own column, as in the loss's definition.  At
+    n = 1 the context is empty and its mean is the zero vector."""
     counts = {}
     for seq in corpus:
         for tok in seq:
@@ -110,7 +119,7 @@ def reference_lm(corpus, n, d, seed, epochs, learning_rate, min_count, group_cop
             copies = np.ones(SAMPLED)
             if group_copies:
                 negatives, copies = np.unique(negatives, return_counts=True)
-            x = embeddings[ctx].mean(axis=1)
+            x = embeddings[ctx].sum(axis=1) / max(n - 1, 1)
             w_tgt, w_neg = output_rows[tgt], output_rows[negatives]
             tgt_logit = np.einsum("ij,ij->i", x, w_tgt) - log_expected[tgt]
             neg_logits = x @ w_neg.T - (log_expected[negatives] - np.log(copies))
@@ -123,7 +132,7 @@ def reference_lm(corpus, n, d, seed, epochs, learning_rate, min_count, group_cop
             total -= np.log(np.maximum(tgt_p, 1e-300)).sum()
             d_tgt = (tgt_p - 1.0) / len(tgt)
             d_neg = neg_p / len(tgt)
-            dx = (d_tgt[:, None] * w_tgt + d_neg @ w_neg) / (n - 1)
+            dx = (d_tgt[:, None] * w_tgt + d_neg @ w_neg) / max(n - 1, 1)
             grad_rows = np.concatenate([d_tgt[:, None] * x, d_neg.T @ x])
             np.subtract.at(output_rows, np.concatenate([tgt, negatives]),
                            learning_rate * grad_rows)
@@ -153,7 +162,7 @@ class TestTrainerIsBitExact:
     @pytest.mark.parametrize("n_windows", [50, 2 * BATCH_SIZE, 2 * BATCH_SIZE + 37],
                              ids=["under-one-batch", "whole-batches", "partial-last-batch"])
     @pytest.mark.parametrize("min_count", [1, 3])
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_equals_the_reference_loop(self, n, min_count, n_windows):
         corpus = random_corpus(n, n_windows, seed=n * 10 + min_count)
         lm = train_ngram_lm(corpus, n=n, d=24, seed=4, epochs=3, learning_rate=0.7,
