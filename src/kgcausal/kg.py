@@ -196,6 +196,29 @@ def _unique_rows(columns: Sequence[np.ndarray], bounds: Sequence[int]) -> list[n
     return [key, *rows[::-1]]
 
 
+def _component_labels(n: int, source: np.ndarray, neighbour: np.ndarray) -> np.ndarray:
+    """The smallest node int of each node's connected component, as int32.
+
+    Min-label propagation with pointer jumping: each round hooks, for every
+    adjacency entry, the root of the larger label onto the smaller label,
+    then jumps every label to its root.  A label only ever falls to the int
+    of a node joined to it, so once no entry joins two labels each node
+    holds its component's least int."""
+    label = np.arange(n, dtype=np.int32)
+    while True:
+        ends = label[source], label[neighbour]
+        hooked = label.copy()
+        np.minimum.at(hooked, np.maximum(*ends), np.minimum(*ends))
+        while True:
+            jumped = hooked[hooked]
+            if np.array_equal(jumped, hooked):
+                break
+            hooked = jumped
+        if np.array_equal(hooked, label):
+            return label
+        label = hooked
+
+
 class KnowledgeGraph:
     """Typed, directed, relation-labeled multigraph; read-only after load.
 
@@ -253,6 +276,7 @@ class KnowledgeGraph:
         self._degrees = array("q", np.diff(offsets).tobytes())
         self._neighbours = array("i", neighbour.astype(np.int32).tobytes())
         self._hop_codes = array("i", hop.astype(np.int32).tobytes())
+        self._components = array("i", _component_labels(n, source, neighbour).tobytes())
 
         # Lowercased names in sorted order, ties in id order, for _resolve().
         lowered = [name.lower() for name in self._names]
@@ -449,7 +473,8 @@ def _on_path_depths(kg: KnowledgeGraph, a_ids: Sequence[int], b_ids: Sequence[in
     """``(depth, shortest)``: the length of the shortest undirected paths from
     an ``a_ids`` node to a ``b_ids`` node, and the distance from ``a_ids`` of
     every node on one of them.  ``({}, 0)`` when a set is empty, the sets
-    share a node or no path is within ``max_hops``.
+    share a node or no path is within ``max_hops``; when no ``a_ids`` node
+    shares a component label with a ``b_ids`` node, at once.
 
     A level-synchronous breadth-first search runs from both sets, expanding
     one level at a time the frontier with fewer adjacency entries to read,
@@ -461,6 +486,9 @@ def _on_path_depths(kg: KnowledgeGraph, a_ids: Sequence[int], b_ids: Sequence[in
     adjacency of nodes the search has already expanded, never that of the
     (often high-degree) meeting nodes.
     """
+    component = kg._components
+    if {component[u] for u in a_ids}.isdisjoint([component[v] for v in b_ids]):
+        return {}, 0
     degree, adjacent = kg._degrees.__getitem__, kg._adjacent
     seen = (set(a_ids), set(b_ids))
     levels = ([set(a_ids)], [set(b_ids)])

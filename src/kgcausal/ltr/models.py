@@ -23,9 +23,10 @@ import numpy as np
 from ..kg import FORWARD, MetapathSubgraph
 from ..relevance import RankedPairRecord
 from ..util import atomic_write, descending_order, read_json, stable_hash
-from ..verbalize import HYPHEN_STYLE, ranker_input_tokens, tokenize, verbalize
+from ..verbalize import (HYPHEN_STYLE, ranker_input_pieces, ranker_input_tokens, tokenize,
+                         verbalize)
 from .losses import _KERNELS, LOSS_KINDS, RANKNET, RMSE, _segments, _stack_target
-from .ngram import DEFAULT_HASH_DIM, NgramLM, checked_order, dense_features, hashed_slots
+from .ngram import DEFAULT_HASH_DIM, NgramLM, checked_order, dense_features, piecewise_slots
 
 logger = logging.getLogger(__name__)
 
@@ -325,15 +326,14 @@ def _dense_matrix(lm: NgramLM, pair, subgraphs) -> np.ndarray:
 
 
 def _hashed_matrix(n: int, pair, subgraphs) -> np.ndarray:
-    """Hashed counts of every 1..n-gram, one row per subgraph, from one
-    bincount over ``row * DEFAULT_HASH_DIM + slot``."""
+    """Hashed counts of every 1..n-gram of each subgraph's ranker input, one
+    int64 row per subgraph, from one bincount over ``row * DEFAULT_HASH_DIM +
+    slot``.  The slots are read piece by piece (:func:`piecewise_slots`)."""
     dim = DEFAULT_HASH_DIM
-    slots = [hashed_slots(ranker_input_tokens(pair, sg), n, dim) for sg in subgraphs]
-    rows = np.repeat(np.arange(len(slots)) * dim, [len(row) for row in slots])
-    cells = rows + np.fromiter(itertools.chain.from_iterable(slots), dtype=np.int64,
-                               count=len(rows))
-    counts = np.bincount(cells, minlength=len(slots) * dim)
-    return counts.reshape(len(slots), dim).astype(np.float64)
+    rows = [piecewise_slots(pieces, n, dim) for pieces in ranker_input_pieces(pair, subgraphs)]
+    cells = np.repeat(np.arange(len(rows)) * dim, [len(row) for row in rows])
+    cells += np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=len(cells))
+    return np.bincount(cells, minlength=len(rows) * dim).reshape(len(rows), dim)
 
 
 def score_subgraphs(model: RankerModel, pair: tuple[str, str],

@@ -27,8 +27,8 @@ BATCH_SIZE = 256
 # Negatives drawn per minibatch for the sampled softmax; 20 were too few for
 # the planted motif to rank first on held-out records.
 SAMPLED = 64
-# The largest n-gram order a model may have: hashed_slots holds n shifted
-# copies of every token sequence.
+# The largest n-gram order a model may have: hashed_slots hashes up to n
+# n-grams at every token.
 MAX_ORDER = 16
 
 
@@ -195,26 +195,49 @@ def _subtract_rows(matrix: np.ndarray, rows: np.ndarray, values: np.ndarray) -> 
     np.subtract.at(matrix.reshape(-1), flat, values.reshape(-1))
 
 
-# N-grams whose slot is kept, per hash_dim; a table is emptied when full.
+# Slot lists kept per hash_dim, one per (n, tokens, ahead); a table is
+# emptied when full.
 _SLOTS_LIMIT = 1 << 14
-_slot_tables: dict[int, dict[tuple[str, ...], int]] = {}
+_slot_tables: dict[int, dict[tuple, tuple[int, ...]]] = {}
 
 
-def hashed_slots(tokens: Sequence[str], n: int, hash_dim: int = DEFAULT_HASH_DIM) -> list[int]:
-    """The hashed slot of every 1..n-gram, shortest n-grams first."""
+def hashed_slots(tokens: Sequence[str], n: int, hash_dim: int = DEFAULT_HASH_DIM,
+                 ahead: Sequence[str] = ()) -> list[int]:
+    """The hashed slot of every 1..n-gram that starts in ``tokens`` and ends
+    within ``tokens`` followed by ``ahead``, shortest n-grams first, each
+    order by start; with ``ahead`` empty, of every 1..n-gram of ``tokens``.
+    The list is kept per ``(n, tokens, ahead)`` in ``_slot_tables[hash_dim]``.
+    """
     table = _slot_tables.setdefault(hash_dim, {})
-    tokens = tuple(tokens)
-    shifted = [tokens[i:] for i in range(n)]
-    ngrams = []
-    for order in range(1, n + 1):
-        ngrams += zip(*shifted[:order])
-    slots = list(map(table.get, ngrams))
-    if None in slots:
-        for i, slot in enumerate(slots):
-            if slot is None:
-                if len(table) >= _SLOTS_LIMIT:
-                    table.clear()
-                slots[i] = table[ngrams[i]] = stable_hash(*ngrams[i]) % hash_dim
+    tokens, ahead = tuple(tokens), tuple(ahead)
+    key = (n, tokens, ahead)
+    slots = table.get(key)
+    if slots is None:
+        seq = tokens + ahead
+        slots = tuple(stable_hash(*seq[start:start + order]) % hash_dim
+                      for order in range(1, n + 1)
+                      for start in range(min(len(tokens), len(seq) - order + 1)))
+        if len(table) >= _SLOTS_LIMIT:
+            table.clear()
+        table[key] = slots
+    return list(slots)
+
+
+def piecewise_slots(pieces: Sequence[tuple[str, ...]], n: int,
+                    hash_dim: int = DEFAULT_HASH_DIM) -> list[int]:
+    """The slots :func:`hashed_slots` gives the concatenated ``pieces``, in
+    another order: piece by piece from the last, each piece's 1..n-grams
+    read with the n - 1 tokens that follow it, which may span several short
+    pieces.  A piece that recurs, with what follows it, is hashed once."""
+    get = _slot_tables.setdefault(hash_dim, {}).get
+    keep = n - 1
+    slots: list[int] = []
+    ahead: tuple[str, ...] = ()
+    for piece in reversed(pieces):
+        # most pieces are found: a lookup here costs less than a call
+        found = get((n, piece, ahead))
+        slots += hashed_slots(piece, n, hash_dim, ahead) if found is None else found
+        ahead = (piece + ahead)[:keep]
     return slots
 
 

@@ -74,19 +74,24 @@ def verbalize(subgraph: MetapathSubgraph, style: VerbalizationStyle = PLAIN_ARRO
     return PREFIX + ", ".join(triples)
 
 
-def _ranker_layout(pair: tuple[str, str], subgraph: MetapathSubgraph,
-                   words: Callable[[str], Sequence[str]]) -> list[str]:
-    """The layout of :func:`encode_ranker_input`, with ``words`` splitting
-    each text into tokens."""
+def _ranker_layout(pair: tuple[str, str], subgraphs: Sequence[MetapathSubgraph],
+                   words: Callable[[str], Sequence[str]]) -> list[list[Sequence[str]]]:
+    """The layout of :func:`encode_ranker_input` for each of ``subgraphs``,
+    as pieces whose tokens, in order, are the input: CLS and the first
+    variable's words, the second's and SEP, both built once, then one piece
+    per node.  ``words`` splits a text into tokens at whitespace, so the
+    words of two texts joined by a space are the words of one, then of the
+    other, and each node's piece is the words of one text."""
     a, b = pair
-    tokens = [CLS, *words(a), *words(b), SEP]
-    last_label = len(subgraph.node_names) - 2
-    for i, name in enumerate(subgraph.node_names):
-        if i > 0:
-            tokens.append("-")
-        tokens.extend(words(subgraph.node_types[i] or subgraph.edge_labels[min(i, last_label)]))
-        tokens.extend(words(name))
-    return tokens
+    first, second = (CLS, *words(a)), (*words(b), SEP)
+    layouts = []
+    for subgraph in subgraphs:
+        names, last_label = subgraph.node_names, len(subgraph.node_names) - 2
+        kinds = [t or subgraph.edge_labels[min(i, last_label)]
+                 for i, t in enumerate(subgraph.node_types)]
+        layouts.append([first, second, words(f"{kinds[0]} {names[0]}"),
+                        *[words(f"- {kind} {name}") for kind, name in zip(kinds[1:], names[1:])]])
+    return layouts
 
 
 def encode_ranker_input(pair: tuple[str, str], subgraph: MetapathSubgraph) -> list[str]:
@@ -96,7 +101,7 @@ def encode_ranker_input(pair: tuple[str, str], subgraph: MetapathSubgraph) -> li
     "type name" segment per node with a "-" token between segments.  When a
     node has no type, the adjacent edge label fills the type slot.
     """
-    return _ranker_layout(pair, subgraph, str.split)
+    return [token for piece in _ranker_layout(pair, [subgraph], str.split)[0] for token in piece]
 
 
 def tokenize(text: str) -> list[str]:
@@ -118,7 +123,15 @@ def _words(text: str) -> tuple[str, ...]:
     return words
 
 
+def ranker_input_pieces(pair: tuple[str, str], subgraphs: Sequence[MetapathSubgraph]
+                        ) -> list[list[tuple[str, ...]]]:
+    """The pieces of :func:`ranker_input_tokens` for each of ``subgraphs``,
+    as token tuples: one per variable of the pair, then one per node, each
+    node's from the cache of every text's words."""
+    return _ranker_layout(pair, subgraphs, _words)
+
+
 def ranker_input_tokens(pair: tuple[str, str], subgraph: MetapathSubgraph) -> list[str]:
     """Lowercased feature tokens for one (pair, subgraph) input: the tokens
     of :func:`encode_ranker_input`, from a cache of each text's words."""
-    return _ranker_layout(pair, subgraph, _words)
+    return [token for piece in ranker_input_pieces(pair, [subgraph])[0] for token in piece]

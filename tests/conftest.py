@@ -14,10 +14,12 @@ from pathlib import Path
 
 import pytest
 
+from kgcausal.cli import main
 from kgcausal.kg import FORWARD, KnowledgeGraph, MetapathSubgraph, NodeRecord, EdgeRecord
 from kgcausal.llm import Completion
 from kgcausal.ltr.losses import loss_and_grad
 from kgcausal.ltr.models import _FlatScorer
+from kgcausal.synthetic import make_planted_world, write_instances_jsonl, write_kg_jsonl
 
 
 def make_subgraph(names, types=None, labels=None, directions=None, ids=None):
@@ -165,6 +167,35 @@ def _serve(server):
     server.shutdown()
     server.server_close()
     thread.join(timeout=2)
+
+
+@pytest.fixture(scope="session")
+def artifacts(tmp_path_factory):
+    """extract -> estimate -> eval on a small world with a noisy mock; the
+    golden digests pin its files."""
+    root = tmp_path_factory.mktemp("golden")
+    world = make_planted_world(n_pairs=24, flip_rate=0.2, seed=31)
+    write_kg_jsonl(world, root / "kg.jsonl")
+    write_instances_jsonl(world.instances, root / "pairs.jsonl")
+    (root / "mock.json").write_text(json.dumps(world.mock_config.to_dict()), encoding="utf-8")
+    config = {"kg": {"path": str(root / "kg.jsonl")},
+              "llm": {"backend": "mock", "mock_config_path": str(root / "mock.json")},
+              "sre": {"k_max": 3},
+              "seed": 17}
+    cfg = root / "config.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    common = ["--config", str(cfg), "--out"]
+    assert main(["extract", str(root / "pairs.jsonl"), *common,
+                 str(root / "candidates.jsonl")]) == 0
+    assert main(["estimate", str(root / "candidates.jsonl"), *common,
+                 str(root / "ranked.jsonl")]) == 0
+    predictions = root / "predictions.jsonl"
+    predictions.write_text("".join(
+        json.dumps({"qid": inst.qid, "predicted": inst.groundtruth, "p": 1.0})
+        + "\n" for inst in world.instances), encoding="utf-8")
+    assert main(["eval", str(predictions), str(root / "pairs.jsonl"), *common,
+                 str(root / "report.json")]) == 0
+    return root
 
 
 @pytest.fixture

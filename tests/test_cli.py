@@ -564,6 +564,19 @@ class TestBadInputs:
                      first_row(lambda doc: doc.update(causal_motifs=["stress hormone"])),
                      {"llm.mock_config_path": "BAD"}, "causal_motifs must be lists of strings",
                      id="mock-motif-string"),
+        *[pytest.param("estimate", ["candidates.jsonl"], "mock.json",
+                       first_row(lambda doc, value=value: doc.update(noise_seed=value)),
+                       {"llm.mock_config_path": "BAD"}, "noise_seed must be an integer",
+                       id=f"mock-noise-seed-{name}")
+          for name, value in (("string", "7"), ("true", True), ("list", [1]),
+                              ("object", {"a": 1}))],
+        *[pytest.param("estimate", ["candidates.jsonl"], "mock.json",
+                       first_row(lambda doc, key=key, value=value: doc.update({key: value})),
+                       {"llm.mock_config_path": "BAD"}, f"{key} must be a number",
+                       id=f"mock-{key.replace('_', '-')}-{name}")
+          for key, name, value in (("base_confidence", "true", True),
+                                   ("base_confidence", "string", "0.9"),
+                                   ("flip_rate", "true", True), ("flip_rate", "null", None))],
         pytest.param("eval", ["predictions.jsonl", "pairs.jsonl", "--rankings", "BAD"],
                      "rankings.jsonl", first_row(lambda row: row.update(entries=5)), {},
                      "'int' object is not subscriptable", id="int-entries"),

@@ -3,18 +3,22 @@
 from __future__ import annotations
 
 import importlib
+import json
 import random
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from conftest import make_subgraph
+from kgcausal.kg import MetapathSubgraph
 from kgcausal.ltr import ngram
-from kgcausal.ltr.models import ranker_input_tokens
-from kgcausal.ltr.ngram import hashed_slots
+from kgcausal.ltr.models import _hashed_matrix, ranker_input_tokens
+from kgcausal.ltr.ngram import DEFAULT_HASH_DIM, MAX_ORDER, hashed_slots, piecewise_slots
 from kgcausal.util import stable_hash
-from kgcausal.verbalize import encode_ranker_input, tokenize
+from kgcausal.verbalize import encode_ranker_input, ranker_input_pieces, tokenize
 
 WORDS = ["FGF6", "fgf6", "Prostate", "cancer", "CLS", "SEP", "cls", "Sep", "-", "x", "TNF-a"]
 HASH_DIMS = (7, 256, 1024)
@@ -44,6 +48,21 @@ def random_case(rng):
         labels=[random_text(rng, 2) for _ in range(nodes - 1)],
         ids=[f"n{i}" for i in range(nodes)])
     return (random_text(rng), random_text(rng)), subgraph
+
+
+def random_sparse_case(rng):
+    """:func:`random_case` whose texts may tokenize to nothing, so that a
+    piece may be shorter than n - 1 tokens, or empty."""
+    def text(words=3):
+        return rng.choice(["", "  ", random_text(rng, words)])
+
+    nodes = rng.randint(2, 6)
+    subgraph = make_subgraph(
+        names=[text() for _ in range(nodes)],
+        types=[rng.choice(["", text(2)]) for _ in range(nodes)],
+        labels=[text(2) for _ in range(nodes - 1)],
+        ids=[f"n{i}" for i in range(nodes)])
+    return (text(), text()), subgraph
 
 
 def random_tokens(rng):
@@ -137,3 +156,83 @@ def test_caches_under_threads(tiny_caches):
             list(pool.map(work, range(8), timeout=120))
     finally:
         sys.setswitchinterval(interval)
+
+
+def check_pieces(cases, orders=range(1, MAX_ORDER + 1)):
+    """Piece by piece, the slots of the whole input, in another order."""
+    for pair, subgraph in cases:
+        pieces, = ranker_input_pieces(pair, [subgraph])
+        tokens = oracle_tokens(pair, subgraph)
+        assert [token for piece in pieces for token in piece] == tokens
+        for n in orders:
+            for hash_dim in HASH_DIMS:
+                assert (Counter(piecewise_slots(pieces, n, hash_dim))
+                        == Counter(oracle_slots(tokens, n, hash_dim)))
+
+
+def test_slots_with_ahead_are_those_of_the_ngrams_starting_in_the_tokens(fresh_caches):
+    rng = random.Random(5)
+    for _ in range(100):
+        tokens, ahead = random_tokens(rng), random_tokens(rng)
+        for n in range(1, 6):
+            seq = tokens + ahead
+            expected = [stable_hash(*seq[start:start + order]) % 7
+                        for order in range(1, n + 1)
+                        for start in range(len(tokens)) if start + order <= len(seq)]
+            assert hashed_slots(tokens, n, 7, ahead) == expected
+            assert hashed_slots(tuple(tokens), n, 7, tuple(ahead)) == expected
+
+
+def test_piecewise_slots_count_like_the_whole_input(fresh_caches):
+    rng = random.Random(6)
+    cases = [random_sparse_case(rng) for _ in range(40)]
+    check_pieces(cases)
+    check_pieces(cases)  # now from the tables
+
+
+def test_pieces_shorter_than_the_order_and_empty_types(fresh_caches):
+    """Empty node texts make empty or one-token pieces, so that a piece's
+    n - 1 tokens ahead span several pieces; empty types fall back to the
+    adjacent label."""
+    sg = make_subgraph(["a", "", " ", "b c"], types=["", "", "T", ""], labels=["", "x", ""])
+    pieces, = ranker_input_pieces(("P", ""), [sg])
+    assert pieces == [("CLS", "p"), ("SEP",), ("a",), ("-", "x"), ("-", "t"), ("-", "b", "c")]
+    check_pieces([(("P", ""), sg)])
+
+
+def test_piecewise_slots_within_tiny_bounds(tiny_caches):
+    rng = random.Random(7)
+    check_pieces([random_sparse_case(rng) for _ in range(30)], orders=range(1, 6))
+    assert all(0 < len(table) <= 5 for table in ngram._slot_tables.values())
+
+
+def test_piecewise_slots_under_threads(tiny_caches):
+    rng = random.Random(8)
+    cases = [random_sparse_case(rng) for _ in range(20)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            list(pool.map(lambda _: check_pieces(cases, orders=range(1, 5)), range(8),
+                          timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_hashed_matrix_counts_the_slots_of_the_tokens(fresh_caches, artifacts, n):
+    """On the golden world's candidates, one row per path equal to the
+    bincount of the slots of its whole token list."""
+    rows = 0
+    for line in (artifacts / "candidates.jsonl").read_text(encoding="utf-8").splitlines():
+        row = json.loads(line)
+        pair = (row["e1"], row["e2"])
+        subgraphs = [MetapathSubgraph.from_dict(d) for d in row["subgraphs"]]
+        if not subgraphs:
+            continue
+        expected = np.stack([
+            np.bincount(hashed_slots(ranker_input_tokens(pair, sg), n, DEFAULT_HASH_DIM),
+                        minlength=DEFAULT_HASH_DIM) for sg in subgraphs])
+        assert np.array_equal(_hashed_matrix(n, pair, subgraphs), expected)
+        rows += len(subgraphs)
+    assert rows

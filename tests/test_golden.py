@@ -16,9 +16,7 @@ import json
 import random
 
 import numpy as np
-import pytest
 
-from kgcausal.cli import main
 from kgcausal.kg import (
     EdgeRecord,
     KnowledgeGraph,
@@ -28,7 +26,7 @@ from kgcausal.kg import (
 )
 from kgcausal.ltr.models import RANDOM, RankerModel, ranker_input_tokens, score_subgraphs
 from kgcausal.ltr.ngram import hashed_slots
-from kgcausal.synthetic import make_planted_world, write_instances_jsonl, write_kg_jsonl
+from kgcausal.synthetic import make_planted_world
 
 EXTRACT_SHA256 = "2ca0950bd7722a850061ac3561e7e7e080aaec7939edc9059f5bb9b8f0cf5d68"
 ESTIMATE_SHA256 = "563d97390f2e915b2422ff6fa0080b62681c29c3301eefb2a06fe1541b697047"
@@ -41,34 +39,6 @@ MULTIGRAPH_PATHS_SHA256 = "973397d537cf070f35a82469e45bb87976f0ae5ea32faecc3d106
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-@pytest.fixture(scope="module")
-def artifacts(tmp_path_factory):
-    """extract -> estimate -> eval on a small world with a noisy mock."""
-    root = tmp_path_factory.mktemp("golden")
-    world = make_planted_world(n_pairs=24, flip_rate=0.2, seed=31)
-    write_kg_jsonl(world, root / "kg.jsonl")
-    write_instances_jsonl(world.instances, root / "pairs.jsonl")
-    (root / "mock.json").write_text(json.dumps(world.mock_config.to_dict()), encoding="utf-8")
-    config = {"kg": {"path": str(root / "kg.jsonl")},
-              "llm": {"backend": "mock", "mock_config_path": str(root / "mock.json")},
-              "sre": {"k_max": 3},
-              "seed": 17}
-    cfg = root / "config.json"
-    cfg.write_text(json.dumps(config), encoding="utf-8")
-    common = ["--config", str(cfg), "--out"]
-    assert main(["extract", str(root / "pairs.jsonl"), *common,
-                 str(root / "candidates.jsonl")]) == 0
-    assert main(["estimate", str(root / "candidates.jsonl"), *common,
-                 str(root / "ranked.jsonl")]) == 0
-    predictions = root / "predictions.jsonl"
-    predictions.write_text("".join(
-        json.dumps({"qid": inst.qid, "predicted": inst.groundtruth, "p": 1.0})
-        + "\n" for inst in world.instances), encoding="utf-8")
-    assert main(["eval", str(predictions), str(root / "pairs.jsonl"), *common,
-                 str(root / "report.json")]) == 0
-    return root
 
 
 def candidate_rows(root):

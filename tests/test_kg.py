@@ -384,6 +384,35 @@ class TestEnumerate:
         kg = chain_graph("a", "x", "y", "z", "b")
         assert enumerate_subgraphs(kg, ("a", "b"), max_hops=3) == []
 
+    def test_pair_in_two_components_reads_no_adjacency(self, monkeypatch):
+        nodes = [NodeRecord(id=i, name=i, node_type="T") for i in "abcxyz"]
+        edges = [EdgeRecord(head=u, relation="r", tail=v) for u, v in ("ab", "bc", "xy", "yz")]
+        kg = KnowledgeGraph(nodes, edges)
+        reads = record_adjacency_reads(monkeypatch)
+        assert enumerate_subgraphs(kg, ("a", "z"), max_hops=6) == []
+        assert reads == []
+        assert len(enumerate_subgraphs(kg, ("a", "c"), max_hops=6)) == 1
+        assert reads
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_component_labels_are_each_components_least_int(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 40)
+        nodes = [NodeRecord(id=f"n{i:02d}", name=f"v{i}", node_type="T") for i in range(n)]
+        edges = [EdgeRecord(head=f"n{rng.randrange(n):02d}", relation="r",
+                            tail=f"n{rng.randrange(n):02d}")
+                 for _ in range(rng.randint(0, n))]
+        kg = KnowledgeGraph(nodes, edges)
+        expected = [0] * n
+        for start in range(n - 1, -1, -1):  # ascending ints overwrite last
+            seen, frontier = {start}, [start]
+            while frontier:
+                frontier = [v for u in frontier for v in kg._adjacent(u) if v not in seen]
+                seen.update(frontier)
+            for u in seen:
+                expected[u] = start
+        assert list(kg._components) == expected
+
     def test_unknown_name_has_no_paths(self):
         kg = chain_graph("a", "b")
         assert enumerate_subgraphs(kg, ("a", "ghost"), max_hops=2) == []
