@@ -16,13 +16,14 @@ import itertools
 import json
 import logging
 from dataclasses import asdict, dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from ..kg import FORWARD, MetapathSubgraph
 from ..relevance import RankedPairRecord
-from ..util import atomic_write, descending_order, read_json, stable_hash
+from ..util import (atomic_write, descending_order, number, number_array, read_json,
+                    stable_hash)
 from ..verbalize import (HYPHEN_STYLE, ranker_input_pieces, ranker_input_tokens, tokenize,
                          verbalize)
 from .losses import _KERNELS, LOSS_KINDS, RANKNET, RMSE, _segments, _stack_target
@@ -98,14 +99,14 @@ class NeuralParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NeuralParams":
-        return cls(w1=np.asarray(d["w1"], dtype=np.float64),
-                   b1=np.asarray(d["b1"], dtype=np.float64),
-                   w2=np.asarray(d["w2"], dtype=np.float64),
-                   b2=float(d["b2"]),
+        return cls(w1=number_array(d["w1"], "neural w1"),
+                   b1=number_array(d["b1"], "neural b1"),
+                   w2=number_array(d["w2"], "neural w2"),
+                   b2=number(d["b2"], "neural b2"),
                    x_mean=None if d.get("x_mean") is None
-                   else np.asarray(d["x_mean"], dtype=np.float64),
+                   else number_array(d["x_mean"], "neural x_mean"),
                    x_std=None if d.get("x_std") is None
-                   else np.asarray(d["x_std"], dtype=np.float64))
+                   else number_array(d["x_std"], "neural x_std"))
 
 
 @dataclass
@@ -120,11 +121,16 @@ class RegressionTree:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RegressionTree":
-        """The tree a model file holds, checked: node lists of one length, and
-        each split on a hashed count column with both children later nodes,
-        so that every walk ends at a leaf of this tree."""
-        tree = cls(feature=list(d["feature"]), threshold=list(d["threshold"]),
-                   left=list(d["left"]), right=list(d["right"]), value=list(d["value"]))
+        """The tree a model file holds, checked: node lists of one length, a
+        number for each threshold and value, and each split on a hashed count
+        column with both children later nodes, so that every walk ends at a
+        leaf of this tree."""
+        tree = cls(feature=list(d["feature"]),
+                   threshold=[number(v, f"tree node {node} threshold")
+                              for node, v in enumerate(d["threshold"])],
+                   left=list(d["left"]), right=list(d["right"]),
+                   value=[number(v, f"tree node {node} value")
+                          for node, v in enumerate(d["value"])])
         size = len(tree.feature)
         if any(len(column) != size for column in (tree.threshold, tree.left, tree.right,
                                                   tree.value)):
@@ -227,9 +233,17 @@ class GbdtEnsemble:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GbdtEnsemble":
-        return cls(base_score=float(d["base_score"]),
-                   learning_rate=float(d["learning_rate"]), n=checked_order(d["n"]),
-                   trees=tuple(RegressionTree.from_dict(t) for t in d["trees"]))
+        """The ensemble :meth:`to_dict` wrote, checked: a positive learning
+        rate and a non-empty list of trees, as the trainer makes."""
+        learning_rate = number(d["learning_rate"], "gbdt learning_rate")
+        if learning_rate <= 0:
+            raise ValueError(f"gbdt learning_rate must be positive, not {learning_rate!r}")
+        trees = d["trees"]
+        if type(trees) is not list or not trees:
+            raise ValueError("gbdt trees must be a non-empty list of trees")
+        return cls(base_score=number(d["base_score"], "gbdt base_score"),
+                   learning_rate=learning_rate, n=checked_order(d["n"]),
+                   trees=tuple(RegressionTree.from_dict(t) for t in trees))
 
 
 @dataclass
@@ -508,18 +522,56 @@ def _split_gains(rows: np.ndarray, r: np.ndarray, n_cols: int, row_ptr: np.ndarr
     return gain[np.arange(n_cols), bins_below], bins_below
 
 
-def _fit_tree(X: np.ndarray, residuals: np.ndarray, max_depth: int,
-              nonzero: tuple[np.ndarray, np.ndarray, int]) -> tuple[RegressionTree, np.ndarray]:
-    """Greedy variance-reduction regression tree on integer count features,
-    and the value of the leaf each row of ``X`` falls into.
+class _SparseCounts(NamedTuple):
+    """The nonzero counts of an ``(n_rows x n_cols)`` count matrix.  Row k's
+    are ``bin_ids[row_ptr[k]:row_ptr[k + 1]]``, each ``column * width +
+    value``, as :func:`_split_gains` reads them; ``sorted_bins`` holds the
+    same bin ids sorted, and ``sorted_rows`` the row of each."""
 
-    ``nonzero`` is ``(row_ptr, bin_ids, width)`` of ``X`` for
-    :func:`_split_gains`.  Every leaf keeps at least MIN_LEAF rows.  Columns
-    are taken in order, and a column replaces the chosen one when its best
-    gain is higher by more than 1e-12; the split is at the chosen column's
-    first best threshold."""
+    n_cols: int
+    width: int
+    row_ptr: np.ndarray
+    bin_ids: np.ndarray
+    sorted_bins: np.ndarray
+    sorted_rows: np.ndarray
+
+
+def _sparse_counts(blocks) -> _SparseCounts:
+    """The nonzero counts of the row blocks stacked in order.  Each block is
+    read and dropped in turn; only its nonzeros are kept."""
+    row_counts, columns, values = [], [], []
+    for block in blocks:
+        rows, cols = np.nonzero(block)
+        row_counts.append(np.bincount(rows, minlength=len(block)))
+        columns.append(cols)
+        values.append(block[rows, cols].astype(np.int64))
+    n_cols = block.shape[1]
+    values = np.concatenate(values)
+    width = int(values.max(initial=0)) + 1
+    bin_ids = np.concatenate(columns) * width + values
+    del columns, values
+    counts = np.concatenate(row_counts)
+    order = np.argsort(bin_ids)
+    return _SparseCounts(
+        n_cols=n_cols, width=width,
+        row_ptr=np.concatenate([[0], np.cumsum(counts)]), bin_ids=bin_ids,
+        sorted_bins=bin_ids[order],
+        sorted_rows=np.repeat(np.arange(len(counts)), counts)[order])
+
+
+def _fit_tree(residuals: np.ndarray, max_depth: int,
+              counts: _SparseCounts) -> tuple[RegressionTree, np.ndarray]:
+    """Greedy variance-reduction regression tree on integer count features,
+    and the value of the leaf each row falls into; row k's residual is
+    ``residuals[k]`` and its counts are row k of ``counts``.
+
+    Every leaf keeps at least MIN_LEAF rows.  Columns are taken in order,
+    and a column replaces the chosen one when its best gain is higher by
+    more than 1e-12; the split is at the chosen column's first best
+    threshold.  The rows it sends right are those of the chosen column's
+    entries above the threshold, one run of ``counts.sorted_bins``."""
     tree = RegressionTree(feature=[], threshold=[], left=[], right=[], value=[])
-    leaf_values = np.empty(len(X))
+    leaf_values = np.empty(len(residuals))
 
     def add_node() -> int:
         tree.feature.append(-1)
@@ -535,7 +587,8 @@ def _fit_tree(X: np.ndarray, residuals: np.ndarray, max_depth: int,
         tree.value[node] = float(r.mean())
         best_feature = -1
         if depth < max_depth and len(rows) >= 2 * MIN_LEAF and np.ptp(r) != 0.0:
-            gains, bins_below = _split_gains(rows, r, X.shape[1], *nonzero)
+            gains, bins_below = _split_gains(rows, r, counts.n_cols, counts.row_ptr,
+                                             counts.bin_ids, counts.width)
             best_gain = 0.0
             while True:
                 ahead = np.flatnonzero(gains[best_feature + 1:] > best_gain + 1e-12)
@@ -546,15 +599,18 @@ def _fit_tree(X: np.ndarray, residuals: np.ndarray, max_depth: int,
         if best_feature < 0:
             leaf_values[rows] = tree.value[node]
             return node
-        best_threshold = int(bins_below[best_feature]) + 0.5
-        mask = X[rows, best_feature] <= best_threshold
+        bin_below = int(bins_below[best_feature])
+        above = slice(*np.searchsorted(
+            counts.sorted_bins, [best_feature * counts.width + bin_below + 1,
+                                 (best_feature + 1) * counts.width]))
+        mask = ~np.isin(rows, counts.sorted_rows[above])
         tree.feature[node] = best_feature
-        tree.threshold[node] = best_threshold
+        tree.threshold[node] = bin_below + 0.5
         tree.left[node] = build(rows[mask], depth + 1)
         tree.right[node] = build(rows[~mask], depth + 1)
         return node
 
-    build(np.arange(len(X)), 0)
+    build(np.arange(len(residuals)), 0)
     return tree, leaf_values
 
 
@@ -565,24 +621,21 @@ def train_gbdt_ranker(dataset: Sequence[RankedPairRecord], lm: NgramLM,
     Each round fits a tree to the current residuals; with a learning rate in
     (0, 2] the training RMSE can never increase, and the per-round values
     are recorded on the model.  Only ``lm.n`` is read; the ensemble keeps it.
+    The hashed counts are read one record at a time and only their nonzeros
+    kept, so no dense matrix of the whole dataset is built.
     """
     records = _eligible_records(dataset, RMSE)
-    X = np.concatenate([_hashed_matrix(lm.n, record_pair(record), record_subgraphs(record))
-                        for record in records]).astype(np.int64)
     y = np.asarray([mp.relscore for record in records for mp in record.metapaths],
                    dtype=np.float64)
-
-    width = int(X.max(initial=0)) + 1
-    nonzero_rows, nonzero_cols = np.nonzero(X)
-    nonzero = (np.searchsorted(nonzero_rows, np.arange(len(X) + 1)),
-               nonzero_cols * width + X[nonzero_rows, nonzero_cols], width)
+    counts = _sparse_counts(_hashed_matrix(lm.n, record_pair(record), record_subgraphs(record))
+                            for record in records)
 
     base_score = float(y.mean())
     predictions = np.full(len(y), base_score)
     history = [float(np.sqrt(np.mean((y - predictions) ** 2)))]
     trees = []
     for round_idx in range(config.gbdt_rounds):
-        tree, leaf_values = _fit_tree(X, y - predictions, config.gbdt_max_depth, nonzero)
+        tree, leaf_values = _fit_tree(y - predictions, config.gbdt_max_depth, counts)
         trees.append(tree)
         predictions += config.gbdt_learning_rate * leaf_values
         rmse = float(np.sqrt(np.mean((y - predictions) ** 2)))
@@ -653,7 +706,7 @@ def _model_from_doc(doc: dict) -> tuple[RankerModel, Optional[NgramLM]]:
 def _check_neural_shapes(params: NeuralParams, d: int) -> None:
     """Raise a ValueError unless the scorer's weights fit features of width
     ``d``: ``w1`` (d, h), ``b1`` and ``w2`` (h,), and the standardization
-    (d,) or absent."""
+    (d,), with a positive ``x_std``, or absent."""
     if (params.x_mean is None) != (params.x_std is None):
         raise ValueError("neural x_mean and x_std must both be arrays or both null")
     if params.w1.ndim != 2 or params.w1.shape[0] != d:
@@ -664,3 +717,5 @@ def _check_neural_shapes(params: NeuralParams, d: int) -> None:
         value = getattr(params, name)
         if value is not None and value.shape != shape:
             raise ValueError(f"neural {name} must have shape {shape}, not {value.shape}")
+    if params.x_std is not None and not np.all(params.x_std > 0):
+        raise ValueError("neural x_std must be positive")

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..util import stable_hash
+from ..util import number_array, stable_hash
 
 logger = logging.getLogger(__name__)
 
@@ -67,7 +67,7 @@ class NgramLM:
         vocab = {tok: i for i, tok in enumerate(d["vocab"])}
         if UNK not in vocab:
             raise ValueError(f"language model vocab must hold {UNK}")
-        embeddings = np.asarray(d["embeddings"], dtype=np.float64)
+        embeddings = number_array(d["embeddings"], "language model embeddings")
         if embeddings.shape != (len(vocab), d["d"]):
             raise ValueError(f"language model embeddings must have shape "
                              f"({len(vocab)}, {d['d']!r}), not {embeddings.shape}")
@@ -75,11 +75,34 @@ class NgramLM:
                    embeddings=embeddings)
 
 
-def _context_windows(sequences: Sequence[Sequence[str]], n: int):
-    """(context tokens, target token) pairs for every usable position."""
-    for seq in sequences:
-        for i in range(n - 1, len(seq)):
-            yield tuple(seq[i - (n - 1):i]), seq[i]
+def _vocab_and_windows(corpus: Sequence[Sequence[str]], n: int, min_count: int
+                       ) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
+    """The vocabulary, the tokens seen at least ``min_count`` times in sorted
+    order and then UNK, and the vocab ids of every window's ``n - 1``
+    context tokens and target, sequence by sequence and position by
+    position.  A token spelled like UNK is UNK.  Each token is looked up
+    once; the windows are index arithmetic over the sequences' offsets in
+    the flattened corpus."""
+    first_seen: dict[str, int] = {}
+    flat = np.fromiter((first_seen.setdefault(tok, len(first_seen))
+                        for seq in corpus for tok in seq), dtype=np.int64)
+    counts = np.bincount(flat, minlength=len(first_seen))
+    kept = sorted(tok for tok, i in first_seen.items() if counts[i] >= min_count and tok != UNK)
+    vocab = {tok: i for i, tok in enumerate(kept)}
+    vocab[UNK] = len(vocab)
+    to_vocab = np.full(len(first_seen), vocab[UNK], dtype=np.int64)
+    to_vocab[[first_seen[tok] for tok in kept]] = np.arange(len(kept))
+    flat = to_vocab[flat]
+
+    lengths = np.fromiter(map(len, corpus), dtype=np.int64, count=len(corpus))
+    windows = np.maximum(lengths - (n - 1), 0)
+    # a window's target position: its sequence's first target position plus
+    # its place among that sequence's windows
+    firsts = np.cumsum(lengths) - lengths + (n - 1)
+    before = np.cumsum(windows) - windows
+    targets = np.arange(windows.sum()) + np.repeat(firsts - before, windows)
+    contexts = flat[targets[:, None] - (n - 1) + np.arange(n - 1)]
+    return vocab, contexts, flat[targets]
 
 
 def train_ngram_lm(corpus: Sequence[Sequence[str]], n: int = 2, d: int = DEFAULT_EMBED_DIM,
@@ -102,20 +125,8 @@ def train_ngram_lm(corpus: Sequence[Sequence[str]], n: int = 2, d: int = DEFAULT
     checked_order(n)
     if not corpus or all(len(s) < n for s in corpus):
         raise ValueError("corpus must contain at least one sequence of length >= n")
-    counts: dict[str, int] = {}
-    for seq in corpus:
-        for tok in seq:
-            counts[tok] = counts.get(tok, 0) + 1
-    tokens = sorted(tok for tok, c in counts.items() if c >= min_count)
-    vocab = {tok: i for i, tok in enumerate(tokens)}
-    vocab[UNK] = len(vocab)
+    vocab, contexts, targets = _vocab_and_windows(corpus, n, min_count)
     vocab_size = len(vocab)
-    unk = vocab[UNK]
-
-    windows = list(_context_windows(corpus, n))
-    contexts = np.array([[vocab.get(t, unk) for t in ctx] for ctx, _ in windows],
-                        dtype=np.int64)
-    targets = np.array([vocab.get(t, unk) for _, t in windows], dtype=np.int64)
 
     rng = np.random.default_rng(seed)
     embeddings = rng.normal(0.0, 0.1, size=(vocab_size, d))

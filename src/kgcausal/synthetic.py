@@ -107,8 +107,8 @@ def write_kg_jsonl(world: SyntheticWorld, path) -> Path:
         node = by_id[node_id]
         return {"id": node.id, "name": node.name, "type": node.node_type}
 
-    write_jsonl(path, [{"head": endpoint(e.head), "relation": e.relation,
-                        "tail": endpoint(e.tail)} for e in world.edges])
+    write_jsonl(path, ({"head": endpoint(e.head), "relation": e.relation,
+                        "tail": endpoint(e.tail)} for e in world.edges))
     return Path(path)
 
 

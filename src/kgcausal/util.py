@@ -1,14 +1,18 @@
 """Small helpers shared by the pipeline stages: the seeded hash, the stable
-descending sort, atomic artifact writes and JSON Lines I/O."""
+descending sort, atomic artifact writes, JSON Lines I/O and checked JSON
+numbers."""
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
+
+import numpy as np
 
 from .errors import KgcausalError
 
@@ -29,11 +33,16 @@ def descending_order(scores: Sequence[float]) -> list[int]:
 def atomic_write(path, text: str) -> None:
     """Replace ``path`` with ``text`` in one step: readers see the old file or
     the new one, never a partial write, and a failure leaves the old file."""
+    _atomic_writelines(path, (text,))
+
+
+def _atomic_writelines(path, chunks: Iterable[str]) -> None:
+    """:func:`atomic_write` of the strings ``chunks`` yields, written in turn."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -41,8 +50,9 @@ def atomic_write(path, text: str) -> None:
 
 
 def write_jsonl(path, rows: Iterable[dict]) -> None:
-    """Atomically write one JSON object per line."""
-    atomic_write(path, "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
+    """Atomically write one JSON object per line, line by line, so that the
+    file's text is never held whole."""
+    _atomic_writelines(path, (json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
 
 
 def _finite(text: str) -> float:
@@ -50,6 +60,28 @@ def _finite(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{text} is not a finite number")
     return value
+
+
+def number(value, name: str) -> float:
+    """A JSON number as a float; a null, a boolean or any other value raises
+    a ValueError naming ``name``."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} must be a number, not {json.dumps(value)}")
+    return float(value)
+
+
+def number_array(values, name: str) -> np.ndarray:
+    """A JSON list, or list of lists, of numbers as a float64 array; a null,
+    a boolean or a string in it raises a ValueError naming ``name``, where
+    numpy would read NaN, 1.0 or the string's number."""
+    array = np.asarray(values, dtype=np.float64)
+    items = values if array.ndim else [values]
+    for _ in range(array.ndim - 1):
+        items = itertools.chain.from_iterable(items)
+    for value in items:
+        if type(value) not in (int, float):
+            raise ValueError(f"{name} must hold only numbers, not {json.dumps(value)}")
+    return array
 
 
 def parse_fields(parse: Callable[[dict], T], text: str, source: str) -> T:

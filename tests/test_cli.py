@@ -869,6 +869,36 @@ class TestModelFile:
         pytest.param("neural", lambda doc: doc["neural"].update(x_mean=None),
                      "neural x_mean and x_std must both be arrays or both null",
                      id="x-mean-null"),
+        pytest.param("gbdt", lambda doc: doc["gbdt"]["trees"][0]["value"].__setitem__(0, None),
+                     "tree node 0 value must be a number, not null", id="tree-value-null"),
+        pytest.param("gbdt", lambda doc: doc["gbdt"]["trees"][0]["value"].__setitem__(0, True),
+                     "tree node 0 value must be a number, not true", id="tree-value-true"),
+        pytest.param("gbdt", edit_first_split("threshold", lambda tree, node: None),
+                     "threshold must be a number, not null", id="tree-threshold-null"),
+        pytest.param("gbdt", lambda doc: doc["gbdt"].update(base_score=True),
+                     "gbdt base_score must be a number, not true", id="base-score-true"),
+        pytest.param("gbdt", lambda doc: doc["gbdt"].update(trees={}),
+                     "gbdt trees must be a non-empty list of trees", id="trees-object"),
+        pytest.param("gbdt", lambda doc: doc["gbdt"].update(learning_rate=-0.1),
+                     "gbdt learning_rate must be positive, not -0.1",
+                     id="learning-rate-negative"),
+        pytest.param("neural", lambda doc: doc["neural"]["w1"][0].__setitem__(0, None),
+                     "neural w1 must hold only numbers, not null", id="w1-null"),
+        pytest.param("neural", lambda doc: doc["neural"]["b1"].__setitem__(0, None),
+                     "neural b1 must hold only numbers, not null", id="b1-null"),
+        pytest.param("neural", lambda doc: doc["neural"]["x_std"].__setitem__(0, None),
+                     "neural x_std must hold only numbers, not null", id="x-std-null"),
+        pytest.param("neural", lambda doc: doc["neural"]["x_std"].__setitem__(0, 0.0),
+                     "neural x_std must be positive", id="x-std-zero"),
+        pytest.param("neural", lambda doc: doc["neural"].update(b2=True),
+                     "neural b2 must be a number, not true", id="b2-true"),
+        pytest.param("neural", lambda doc: doc["ngram_lm"]["embeddings"][0].__setitem__(0, None),
+                     "language model embeddings must hold only numbers, not null",
+                     id="embedding-null"),
+        pytest.param("similarity",
+                     lambda doc: doc["ngram_lm"]["embeddings"][0].__setitem__(0, "0.5"),
+                     'language model embeddings must hold only numbers, not "0.5"',
+                     id="embedding-string"),
     ])
     def test_model_its_scorer_cannot_read_exits_2_naming_the_file(
             self, pipeline, trained, tmp_path, capsys, kind, edit, message):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
@@ -714,6 +715,28 @@ class TestHistogramSplits:
         y = np.asarray([mp.relscore for r in records for mp in r.metapaths])
         assert 0 < np.count_nonzero(X) < 0.05 * X.size
         assert replay_trees(model, X, y, config.gbdt_max_depth, config)
+
+
+def test_gbdt_training_holds_only_the_nonzero_counts():
+    """About 2,000 paths of about 23 nonzero counts each: the fit's peak
+    stays under 4 KiB a path, where one dense int64 row of 1,024 hashed
+    counts is 8 KiB.  The n-gram slot cache, which is bounded and outlives
+    the fit, is filled by an untraced fit first."""
+    world = make_planted_world(n_pairs=220, decoys_per_pair=8, seed=3)
+    backend = MockOracle(world.mock_config)
+    records = [rank_pair(inst, enumerate_subgraphs(world.kg, (inst.e1, inst.e2), max_hops=4),
+                         backend) for inst in world.instances]
+    paths = sum(len(record.metapaths) for record in records)
+    lm = handcrafted_lm()
+    train_gbdt_ranker(records, lm, TrainConfig(gbdt_rounds=1))
+    tracemalloc.start()
+    try:
+        train_gbdt_ranker(records, lm, TrainConfig(gbdt_rounds=5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 1900 <= paths <= 2100
+    assert peak < 4096 * paths
 
 
 class TestRankSubgraphs:

@@ -11,11 +11,18 @@ from kgcausal.ltr.ngram import (
     BATCH_SIZE,
     SAMPLED,
     UNK,
-    _context_windows,
+    _vocab_and_windows,
     dense_features,
     hashed_slots,
     train_ngram_lm,
 )
+
+
+def _context_windows(sequences, n):
+    """(context tokens, target token) pairs for every usable position."""
+    for seq in sequences:
+        for i in range(n - 1, len(seq)):
+            yield tuple(seq[i - (n - 1):i]), seq[i]
 
 
 def predicts_every_next_token(lm, sequence):
@@ -60,6 +67,11 @@ class TestTraining:
         lm = train_ngram_lm(corpus, n=3, d=8, seed=0, epochs=20, learning_rate=1.0)
         assert predicts_every_next_token(lm, corpus[0])
 
+    def test_token_spelled_like_unk_trains_the_unk_row(self):
+        lm = train_ngram_lm([[UNK, "a", UNK, "b"]], n=2, d=4, seed=0, epochs=2)
+        assert lm.vocab == {"a": 0, "b": 1, UNK: 2}
+        assert lm.embeddings.shape == (3, 4)
+
     def test_order_one_keeps_the_initial_embeddings(self):
         """An order-1 model has no context rows to train: every window is
         scored from the zero vector, and the loss stays finite."""
@@ -82,6 +94,33 @@ class TestTraining:
             tracemalloc.stop()
         assert len(lm.vocab) == 20_001
         assert peak < BATCH_SIZE * len(lm.vocab) * 8
+
+
+@pytest.mark.parametrize("min_count", [1, 2, 99])
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_vocab_and_windows_equal_the_window_tuples(n, min_count):
+    """The vocabulary and window ids equal those of a dict count and a
+    tuple per window, over sequences shorter than a window and tokens that
+    sort by code point; a token spelled like UNK is UNK."""
+    rng = np.random.default_rng(n * 7 + min_count)
+    alphabet = ["a", "b", "B", "é", "a\x00", "", "中", "ab", UNK]
+    corpus = [[alphabet[i] for i in rng.integers(0, len(alphabet), size=length)]
+              for length in rng.integers(0, 9, size=40)]
+    counts = {}
+    for seq in corpus:
+        for tok in seq:
+            counts[tok] = counts.get(tok, 0) + 1
+    expected = {tok: i for i, tok in enumerate(sorted(t for t, c in counts.items()
+                                                      if c >= min_count and t != UNK))}
+    expected[UNK] = len(expected)
+    windows = list(_context_windows(corpus, n))
+    vocab, contexts, targets = _vocab_and_windows(corpus, n, min_count)
+    assert list(vocab.items()) == list(expected.items())
+    unk = expected[UNK]
+    assert contexts.dtype == targets.dtype == np.int64
+    assert contexts.shape == (len(windows), n - 1)
+    assert contexts.tolist() == [[expected.get(t, unk) for t in ctx] for ctx, _ in windows]
+    assert targets.tolist() == [expected.get(t, unk) for _, t in windows]
 
 
 def reference_lm(corpus, n, d, seed, epochs, learning_rate, min_count, group_copies=True):
