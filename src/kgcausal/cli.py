@@ -32,6 +32,7 @@ from .llm import HttpBackend, MockOracle, MockOracleConfig, map_pairs
 from .ltr.metrics import ndcg_at_k, recall_at_k
 from .ltr.losses import LOSS_KINDS
 from .ltr.models import (
+    EMBEDDING_KINDS,
     GBDT,
     MODEL_KINDS,
     NEURAL,
@@ -259,6 +260,11 @@ def cmd_train(args, config: dict) -> int:
         if value not in allowed:
             raise KgcausalError(f"config key ranker.{key} must be one of "
                                 f"{', '.join(allowed)}, not {value!r}")
+    if kind in EMBEDDING_KINDS and rcfg["ngram"]["n"] < 2:
+        # an order-1 LM has no context, so its embeddings would stay at
+        # their random initial draw
+        raise KgcausalError(f"config key ranker.ngram.n must be at least 2 for "
+                            f"ranker.kind {kind}, not {rcfg['ngram']['n']}")
     seed = stage_seed(config["seed"], "train")
     train_config = TrainConfig(
         epochs=rcfg["train"]["epochs"], learning_rate=rcfg["train"]["lr"],

@@ -23,7 +23,6 @@ import bisect
 import itertools
 import json
 import logging
-import math
 import random
 from array import array
 from dataclasses import asdict, dataclass
@@ -43,6 +42,10 @@ _DIRECTIONS = (FORWARD, REVERSE)  # indexed by the low bit of a hop code
 
 FORMAT_JSONL = "triples-jsonl"
 FORMAT_TSV = "triples-tsv"
+
+# Keys each of a graph's tables of shared path tuples holds; once a table is
+# full, new sequences get tuples of their own.
+_SHARED_LIMIT = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -73,13 +76,19 @@ class EdgeRecord:
             raise ValueError(f"edge {self.head!r}->{self.tail!r}: relation must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetapathSubgraph:
     """A simple path between a variable pair.
 
     Carries the node id / name / type sequences plus the label and crossing
     direction of every hop.  The first node is always the first variable of
     the query pair and the last node the second.
+
+    Slotted, so a path holds its five tuples and no instance dict.  Paths
+    that :func:`enumerate_subgraphs` returns share tuples: those with the
+    same hop codes share one ``edge_labels`` and one ``edge_directions``
+    object, and those with the same type sequence one ``node_types``.  The
+    tuples are immutable, so sharing them changes no path.
     """
 
     node_ids: tuple[str, ...]
@@ -167,6 +176,24 @@ class _Interner:
         self.relation_ids.append(self.relations.setdefault(relation, len(self.relations)))
         self.tails.append(self.node(tail))
 
+    def undeclared(self) -> Optional[str]:
+        """The first edge endpoint, in edge order, whose id is never declared."""
+        declared = np.array([d is not None for d in self.declared], dtype=bool)
+        heads, tails = (np.frombuffer(a, dtype=np.int64) for a in (self.heads, self.tails))
+        undeclared = ~declared[heads] | ~declared[tails]
+        if not undeclared.any():
+            return None
+        k = int(np.argmax(undeclared))
+        return self.ids[heads[k] if not declared[heads[k]] else tails[k]]
+
+    def pop_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The head, relation and tail columns as int64 arrays; the interner
+        lets go of them, so they are freed once the caller drops them."""
+        columns = tuple(np.frombuffer(a, dtype=np.int64)
+                        for a in (self.heads, self.relation_ids, self.tails))
+        self.heads, self.relation_ids, self.tails = array("q"), array("q"), array("q")
+        return columns
+
 
 def _sorted_ranks(keys: Sequence[str]) -> tuple[list[int], np.ndarray]:
     """``(order, rank)``: the indices of ``keys`` in sorted key order, and
@@ -177,38 +204,79 @@ def _sorted_ranks(keys: Sequence[str]) -> tuple[list[int], np.ndarray]:
     return order, rank
 
 
-def _unique_rows(columns: Sequence[np.ndarray], bounds: Sequence[int]) -> list[np.ndarray]:
-    """The distinct rows of ``columns``, each column's values below its
-    bound, in ascending order with the first column most significant.  When
-    the bounds allow, each row is packed into one int64 key and the keys are
-    sorted by value, many times faster than ``np.lexsort``."""
-    if math.prod(bounds) >= 2 ** 63:
-        return list(np.unique(np.stack(columns, axis=1), axis=0).T)
-    key = np.zeros(len(columns[0]), dtype=np.int64)
-    for column, bound in zip(columns, bounds):
-        key = key * bound + column
+# A packed adjacency key (node, neighbour, hop code) must stay below this.
+_KEY_LIMIT = 2 ** 63
+
+
+def _adjacency(interned: _Interner, node_rank: np.ndarray, relation_rank: np.ndarray
+               ) -> tuple[np.ndarray, array, array]:
+    """The distinct adjacency entries of the interner's edges, one at each
+    end of every edge, sorted by (node, neighbour, hop code): the nodes as
+    an int32 array, the neighbours and hop codes as ``array("i")`` columns.
+    The interner's edge columns are freed on the way.
+
+    Each entry is one int64 key ``(node * n + neighbour) * codes + hop``,
+    written straight from the edge columns into one array that is sorted in
+    place; repeated keys are dropped and the rest split into the outputs.
+    Beside the keys, at most one int64 column of temporaries is alive.  Only
+    when a key could reach ``_KEY_LIMIT`` does ``np.unique`` sort the rows."""
+    n, codes = len(node_rank), 2 * len(relation_rank)
+    heads, relations, tails = interned.pop_edges()
+    if n * n * codes >= _KEY_LIMIT:
+        h, t, r = node_rank[heads], node_rank[tails], 2 * relation_rank[relations]
+        rows = np.unique(np.stack((np.concatenate((h, t)), np.concatenate((t, h)),
+                                   np.concatenate((r, r + 1))), axis=1), axis=0)
+        source, neighbour, hop = rows.T.astype(np.int32)
+        return source, array("i", neighbour.tobytes()), array("i", hop.tobytes())
+
+    m = len(heads)
+    key = np.empty(2 * m, dtype=np.int64)
+    at_head, at_tail = key[:m], key[m:]
+    np.take(node_rank, heads, out=at_head)
+    np.take(node_rank, tails, out=at_tail)
+    at_head *= n
+    at_head += at_tail  # head * n + tail
+    at_tail *= n
+    at_tail += at_head // n  # tail * n + head
+    hop = np.take(relation_rank, relations)
+    del heads, relations, tails
+    hop *= 2
+    at_head *= codes
+    at_head += hop
+    hop += 1
+    at_tail *= codes
+    at_tail += hop
+    del hop, at_head, at_tail  # the views would keep the keys alive past key[distinct]
+
     key.sort()
-    key = key[np.diff(key, prepend=-1) != 0]
-    rows = []
-    for bound in bounds[:0:-1]:
-        key, column = np.divmod(key, bound)
-        rows.append(column)
-    return [key, *rows[::-1]]
+    distinct = np.empty(len(key), dtype=bool)
+    distinct[:1] = True
+    np.not_equal(key[1:], key[:-1], out=distinct[1:])
+    if not distinct.all():
+        key = key[distinct]
+    del distinct
+    neighbours, hop_codes = array("i", [0]) * len(key), array("i", [0]) * len(key)
+    np.remainder(key, codes, out=np.frombuffer(hop_codes, dtype=np.int32), casting="unsafe")
+    key //= codes
+    np.remainder(key, n, out=np.frombuffer(neighbours, dtype=np.int32), casting="unsafe")
+    key //= n
+    return key.astype(np.int32), neighbours, hop_codes
 
 
 def _component_labels(n: int, source: np.ndarray, neighbour: np.ndarray) -> np.ndarray:
     """The smallest node int of each node's connected component, as int32.
 
     Min-label propagation with pointer jumping: each round hooks, for every
-    adjacency entry, the root of the larger label onto the smaller label,
-    then jumps every label to its root.  A label only ever falls to the int
-    of a node joined to it, so once no entry joins two labels each node
-    holds its component's least int."""
+    adjacency entry, the root of the node's label onto the neighbour's
+    label when that is smaller, then jumps every label to its root.  Every
+    edge has an entry at each end, so each round hooks the larger label of
+    every edge onto the smaller.  A label only ever falls to the int of a
+    node joined to it, so once no entry joins two labels each node holds its
+    component's least int."""
     label = np.arange(n, dtype=np.int32)
     while True:
-        ends = label[source], label[neighbour]
         hooked = label.copy()
-        np.minimum.at(hooked, np.maximum(*ends), np.minimum(*ends))
+        np.minimum.at(hooked, label[source], label[neighbour])
         while True:
             jumped = hooked[hooked]
             if np.array_equal(jumped, hooked):
@@ -225,6 +293,15 @@ class KnowledgeGraph:
     ``name_index`` maps lowercased names to node ids (a multimap: name
     collisions keep every id).  Safe to share across threads once
     constructed.
+
+    The one state that changes after construction is a pair of tables of
+    the tuples that returned paths share (see :class:`MetapathSubgraph`):
+    ``(edge_labels, edge_directions)`` per hop-code sequence and
+    ``node_types`` per type sequence.  Each holds at most about
+    ``_SHARED_LIMIT`` keys; once full, new sequences get tuples of their
+    own, and it is never emptied.  A key is read and stored with single
+    dict operations, so threads need no lock: two that race to add one key
+    store equal tuples, and either path is correct.
     """
 
     def __init__(self, nodes: Iterable[NodeRecord], edges: Iterable[EdgeRecord]):
@@ -244,15 +321,9 @@ class KnowledgeGraph:
         return graph
 
     def _build(self, interned: _Interner) -> None:
-        declared = np.array([d is not None for d in interned.declared], dtype=bool)
-        heads, relations, tails = (np.frombuffer(a, dtype=np.int64) for a in
-                                   (interned.heads, interned.relation_ids, interned.tails))
-        undeclared = ~declared[heads] | ~declared[tails]
-        if undeclared.any():
-            k = int(np.argmax(undeclared))
-            endpoint = heads[k] if not declared[heads[k]] else tails[k]
-            raise KGLoadError(
-                f"edge endpoint references undeclared node id {interned.ids[endpoint]!r}")
+        undeclared = interned.undeclared()
+        if undeclared is not None:
+            raise KGLoadError(f"edge endpoint references undeclared node id {undeclared!r}")
 
         order, node_rank = _sorted_ranks(interned.ids)
         self._ids = [interned.ids[i] for i in order]
@@ -263,20 +334,21 @@ class KnowledgeGraph:
         self._relations = [relation_strings[i] for i in order]
         self._hop_labels = [rel for rel in self._relations for _ in _DIRECTIONS]
 
-        # One entry at each end of every edge, sorted by (node, neighbour,
-        # hop code); a repeated triple repeats both of its entries.
+        # One entry at each end of every edge; a repeated triple repeats both
+        # of its entries.
         n = len(self._ids)
-        h, r, t = node_rank[heads], relation_rank[relations], node_rank[tails]
-        source, neighbour, hop = _unique_rows(
-            (np.concatenate((h, t)), np.concatenate((t, h)), np.concatenate((2 * r, 2 * r + 1))),
-            (n, n, len(self._hop_labels)))
+        triples = len(interned.heads)
+        source, self._neighbours, self._hop_codes = _adjacency(interned, node_rank, relation_rank)
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(source, minlength=n), out=offsets[1:])
         self._offsets = array("q", offsets.tobytes())
         self._degrees = array("q", np.diff(offsets).tobytes())
-        self._neighbours = array("i", neighbour.astype(np.int32).tobytes())
-        self._hop_codes = array("i", hop.astype(np.int32).tobytes())
+        neighbour = np.frombuffer(self._neighbours, dtype=np.int32)
         self._components = array("i", _component_labels(n, source, neighbour).tobytes())
+        del source, neighbour
+
+        self._shared_hops: dict[tuple[int, ...], tuple[tuple[str, ...], tuple[str, ...]]] = {}
+        self._shared_types: dict[tuple[str, ...], tuple[str, ...]] = {}
 
         # Lowercased names in sorted order, ties in id order, for _resolve().
         lowered = [name.lower() for name in self._names]
@@ -285,8 +357,8 @@ class KnowledgeGraph:
         self._lowered_names = [lowered[i] for i in by_name]
         self._by_name = array("i", by_name)
 
-        self.load_report = LoadReport(nodes=n, edges=len(source) // 2,
-                                      duplicates_dropped=len(heads) - len(source) // 2)
+        edges = len(self._neighbours) // 2
+        self.load_report = LoadReport(nodes=n, edges=edges, duplicates_dropped=triples - edges)
 
     # -- string-facing views ------------------------------------------------
 
@@ -356,14 +428,27 @@ class KnowledgeGraph:
         return found
 
     def _subgraph(self, nodes: tuple[int, ...], codes: tuple[int, ...]) -> MetapathSubgraph:
-        """The subgraph of a path of at least two nodes, given as ints."""
+        """The subgraph of a path of at least two nodes, given as ints, with
+        the graph's shared hop and type tuples where its tables have them."""
         take = itemgetter(*nodes)
+        hops = self._shared_hops.get(codes)
+        if hops is None:
+            hops = (tuple([self._hop_labels[c] for c in codes]),
+                    tuple([_DIRECTIONS[c & 1] for c in codes]))
+            if len(self._shared_hops) < _SHARED_LIMIT:
+                self._shared_hops[codes] = hops
+        types = take(self._types)
+        shared = self._shared_types.get(types)
+        if shared is not None:
+            types = shared
+        elif len(self._shared_types) < _SHARED_LIMIT:
+            self._shared_types[types] = types
         return MetapathSubgraph(
             node_ids=take(self._ids),
             node_names=take(self._names),
-            node_types=take(self._types),
-            edge_labels=tuple([self._hop_labels[c] for c in codes]),
-            edge_directions=tuple([_DIRECTIONS[c & 1] for c in codes]),
+            node_types=types,
+            edge_labels=hops[0],
+            edge_directions=hops[1],
         )
 
 

@@ -5,8 +5,10 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
 import pytest
 
 from kgcausal import kg as kg_module
@@ -23,6 +25,7 @@ from kgcausal.kg import (
     load_kg,
     sample_subgraphs,
 )
+from kgcausal.synthetic import make_planted_world
 
 
 def jsonl_line(hid, hname, htype, rel, tid, tname, ttype):
@@ -202,15 +205,26 @@ class TestViews:
                         t for t in triples if t[0] == other.id)
             assert kg.neighbors("absent") == () and kg._node_int("absent") is None
 
-    def test_unique_rows_the_same_packed_or_not(self):
-        """Rows are sorted through one packed int64 key when the column
-        bounds allow it, and row by row when they do not."""
-        rng = np.random.default_rng(0)
-        columns = [rng.integers(0, 5, 300) for _ in range(3)]
-        expected = sorted(set(zip(*(c.tolist() for c in columns))))
-        for bounds in ((5, 5, 5), (2 ** 31, 2 ** 31, 2 ** 31)):
-            rows = kg_module._unique_rows(columns, bounds)
-            assert list(zip(*(c.tolist() for c in rows))) == expected
+    def test_unique_rows_the_same_packed_or_not(self, monkeypatch):
+        """The distinct adjacency rows (node, neighbour, hop code) are sorted
+        through one packed int64 key when the key fits, and by np.unique
+        when it could not."""
+        rng = random.Random(0)
+        triples = [(rng.randrange(5), rng.randrange(3), rng.randrange(5)) for _ in range(300)]
+        # ids n0..n4 and relations r0..r2 sort in int order
+        nodes = [NodeRecord(id=f"n{i}", name=f"v{i}", node_type="T") for i in range(5)]
+        edges = [EdgeRecord(head=f"n{h}", relation=f"r{r}", tail=f"n{t}") for h, r, t in triples]
+        expected = sorted({(h, t, 2 * r) for h, r, t in triples}
+                          | {(t, h, 2 * r + 1) for h, r, t in triples})
+        for limit in (kg_module._KEY_LIMIT, 0):
+            monkeypatch.setattr(kg_module, "_KEY_LIMIT", limit)
+            kg = KnowledgeGraph(nodes, edges)
+            offsets = kg._offsets
+            assert [(u, v, c) for u in range(5)
+                    for v, c in zip(kg._adjacent(u), kg._hop_codes[offsets[u]:offsets[u + 1]])
+                    ] == expected
+            assert kg.load_report == LoadReport(nodes=5, edges=len(set(triples)),
+                                                duplicates_dropped=300 - len(set(triples)))
 
     def test_undeclared_endpoint_named_in_constructor_error(self):
         with pytest.raises(KGLoadError, match="'ghost'"):
@@ -586,3 +600,74 @@ class TestMetapathSubgraph:
                   "edge_labels": ["r"], "edge_directions": [FORWARD], field: value}
         with pytest.raises(TypeError, match="must be strings"):
             MetapathSubgraph.from_dict(fields)
+
+
+@pytest.fixture(scope="module")
+def dense_planted():
+    """The planted world of 220 pairs with 8 decoys each: 1,980 two-hop paths."""
+    world = make_planted_world(n_pairs=220, decoys_per_pair=8, seed=3)
+    return world.kg, [(inst.e1, inst.e2) for inst in world.instances]
+
+
+def enumerate_all(kg, pairs):
+    return [enumerate_subgraphs(kg, pair, max_hops=4) for pair in pairs]
+
+
+class TestSharedPathTuples:
+    """Returned paths share their hop and type tuples through per-graph
+    tables, which change no path."""
+
+    def test_paths_take_under_320_bytes_each(self, dense_planted):
+        kg, pairs = dense_planted
+        warm = enumerate_all(kg, pairs)  # fills the graph's tables
+        tracemalloc.start()
+        try:
+            found = enumerate_all(kg, pairs)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        paths = sum(map(len, found))
+        assert found == warm and paths == 1980
+        assert kept / paths < 320, f"{kept / paths:.0f} B a path"
+
+    def test_paths_with_the_same_hops_share_their_tuples(self, dense_planted):
+        kg, pairs = dense_planted
+        found = [path for paths in enumerate_all(kg, pairs) for path in paths]
+        by_hops, by_types = {}, {}
+        for path in found:
+            first = by_hops.setdefault((path.edge_labels, path.edge_directions), path)
+            assert path.edge_labels is first.edge_labels
+            assert path.edge_directions is first.edge_directions
+            assert path.node_types is by_types.setdefault(path.node_types, path).node_types
+        assert len(by_hops) + len(by_types) < 50
+
+    def test_enumeration_under_threads_equals_serial(self, dense_planted):
+        kg, pairs = dense_planted
+        expected = enumerate_all(kg, pairs)
+        fresh = KnowledgeGraph(kg.nodes.values(), kg.edges)  # empty tables
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(lambda _: enumerate_all(fresh, pairs), range(8),
+                                        timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(result == expected for result in results)
+
+    def test_full_tables_change_no_path(self, monkeypatch):
+        rng = random.Random(12)
+        graphs = [random_typed_multigraph(rng, n=10) for _ in range(8)]
+        queries = [(pair, max_hops) for max_hops in (2, 4)
+                   for pair in itertools.permutations([f"v{i}" for i in range(10)], 2)]
+
+        def paths(kg):
+            return [[path.to_dict() for path in enumerate_subgraphs(kg, pair, max_hops)]
+                    for pair, max_hops in queries]
+
+        expected = [paths(kg) for kg in graphs]
+        monkeypatch.setattr(kg_module, "_SHARED_LIMIT", 1)
+        for kg, before in zip(graphs, expected):
+            fresh = KnowledgeGraph(kg.nodes.values(), kg.edges)
+            assert paths(fresh) == before
+            assert len(fresh._shared_hops) == len(fresh._shared_types) == 1
