@@ -52,16 +52,18 @@ from .ltr.ngram import train_ngram_lm
 from .relevance import (
     DEFAULT_SRE_TEMPLATE,
     PairInstance,
-    RankedPairRecord,
     candidate_subgraphs,
+    parse_ranked_record,
     rank_pair,
     read_instances,
     read_ranked_dataset,
 )
 from .util import (
+    _field,
     _unique_qids,
     atomic_write,
     descending_order,
+    read_fields,
     read_json,
     read_jsonl,
     stable_hash,
@@ -160,7 +162,8 @@ def make_backend(config: dict):
     if llm["backend"] == "mock":
         if not llm["mock_config_path"]:
             raise KgcausalError("llm.mock_config_path is required for the mock backend")
-        return MockOracle(read_json(llm["mock_config_path"], MockOracleConfig.from_dict))
+        return MockOracle(read_json(llm["mock_config_path"],
+                                    lambda d: read_fields(MockOracleConfig, d)))
     if llm["backend"] == "http":
         if not llm["endpoint"]:
             raise KgcausalError("llm.endpoint is required for the http backend")
@@ -234,8 +237,8 @@ def _backend_stage(args, config: dict, command: str, jobs: list, fn, qid, summar
 
 
 def _candidate_row(row: dict) -> tuple[PairInstance, list[MetapathSubgraph]]:
-    return (PairInstance.from_dict(row),
-            [MetapathSubgraph.from_dict(d) for d in row.get("subgraphs", [])])
+    return (read_fields(PairInstance, row),
+            _field(list[MetapathSubgraph])(row.get("subgraphs", []), "subgraphs"))
 
 
 def cmd_estimate(args, config: dict) -> int:
@@ -307,7 +310,7 @@ def _subgraph_set(row: dict):
     stops and score: its gain and relevant flag in a ranked row, none in a
     candidate row."""
     if "metapaths" in row:
-        record = RankedPairRecord.from_dict(row)
+        record = parse_ranked_record(row)
         extras = [{"gain": mp.relscore, "relevant": mp.relevant == "1"}
                   for mp in record.metapaths]
         return record.qid, (record.e1, record.e2), record_subgraphs(record), extras
@@ -365,7 +368,9 @@ def _ranked_gains(row: dict):
     entries = row["entries"]
     if not entries or "gain" not in entries[0]:
         return None
-    return [float(e["gain"]) for e in entries], [bool(e.get("relevant")) for e in entries]
+    return ([_field(float)(e["gain"], f"entries[{i}].gain") for i, e in enumerate(entries)],
+            [_field(bool)(e.get("relevant", False), f"entries[{i}].relevant")
+             for i, e in enumerate(entries)])
 
 
 def _ranking_metrics(rankings_path: Path, ks) -> dict:

@@ -14,7 +14,7 @@ from .llm import CAUSAL, NON_CAUSAL, PATH_BLOCK_MARKER, ask_label, probability
 from .ltr.models import RankerModel, rank_subgraphs
 from .ltr.ngram import NgramLM
 from .relevance import DEFAULT_INSTRUCTION, PairInstance
-from .util import _unique_qids, read_jsonl
+from .util import _unique_qids, read_fields, read_jsonl
 from .verbalize import PLAIN_ARROWS_STYLE, VerbalizationStyle, verbalize
 
 DEFAULT_DISCOVERY_TEMPLATE = (
@@ -25,16 +25,16 @@ DEFAULT_DISCOVERY_TEMPLATE = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class CausalPrediction:
     """Predicted label and confidence for one pair; predicted is None when
     the generated text named no label."""
 
     qid: str
-    predicted: Optional[str]
+    predicted: Optional[str] = None
     p: float
-    subgraphs_used: tuple[str, ...]
-    backend_id: str
+    subgraphs_used: tuple[str, ...] = ()
+    backend_id: str = ""
 
     def __post_init__(self):
         if self.predicted not in (CAUSAL, NON_CAUSAL, None):
@@ -45,12 +45,6 @@ class CausalPrediction:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CausalPrediction":
-        return cls(qid=str(d["qid"]), predicted=d.get("predicted"), p=float(d["p"]),
-                   subgraphs_used=tuple(d.get("subgraphs_used", ())),
-                   backend_id=d.get("backend_id", ""))
 
 
 @dataclass(frozen=True)
@@ -234,4 +228,4 @@ def hamming_distance(adj: np.ndarray, gold_adj: np.ndarray) -> tuple[int, float]
 
 
 def read_predictions(path) -> list[CausalPrediction]:
-    return read_jsonl(path, _unique_qids(CausalPrediction.from_dict))
+    return read_jsonl(path, _unique_qids(lambda d: read_fields(CausalPrediction, d)))

@@ -117,22 +117,6 @@ class MetapathSubgraph:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "MetapathSubgraph":
-        """The path a candidates file holds.  Its ids, names, types and labels
-        are checked to be strings here, not in the constructor: the
-        enumerator builds many paths per pair from strings load_kg checked."""
-        fields = ("node_ids", "node_names", "node_types", "edge_labels")
-        if not all(isinstance(v, str) for field in fields for v in d[field]):
-            raise TypeError("node ids, names and types and edge labels must be strings")
-        return cls(
-            node_ids=tuple(d["node_ids"]),
-            node_names=tuple(d["node_names"]),
-            node_types=tuple(d["node_types"]),
-            edge_labels=tuple(d["edge_labels"]),
-            edge_directions=tuple(d["edge_directions"]),
-        )
-
 
 @dataclass(frozen=True)
 class LoadReport:

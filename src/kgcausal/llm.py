@@ -221,25 +221,6 @@ class MockOracleConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "MockOracleConfig":
-        """The rule a mock config file, or :meth:`to_dict`, holds; every motif
-        must be a list of strings, ``noise_seed`` an integer and the two
-        rates numbers (a JSON ``true`` is none of these)."""
-        if not all(isinstance(m, (list, tuple)) and all(isinstance(t, str) for t in m)
-                   for m in d["causal_motifs"]):
-            raise TypeError("causal_motifs must be lists of strings")
-        seed = d.get("noise_seed", 0)
-        if type(seed) is not int:
-            raise TypeError(f"noise_seed must be an integer, not {seed!r}")
-        rates = {key: d.get(key, default)
-                 for key, default in (("base_confidence", 0.9), ("flip_rate", 0.0))}
-        for key, value in rates.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise TypeError(f"{key} must be a number, not {value!r}")
-        return cls(causal_motifs=tuple(tuple(m) for m in d["causal_motifs"]), noise_seed=seed,
-                   **rates)
-
 
 def _path_block(prompt: str) -> str:
     """Text of the relation-path section, or the whole prompt without it."""

@@ -12,6 +12,7 @@ text and a seeded random scorer.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import logging
@@ -22,8 +23,7 @@ import numpy as np
 
 from ..kg import FORWARD, MetapathSubgraph
 from ..relevance import RankedPairRecord
-from ..util import (atomic_write, descending_order, number, number_array, read_json,
-                    stable_hash)
+from ..util import atomic_write, descending_order, read_fields, read_json, stable_hash
 from ..verbalize import (HYPHEN_STYLE, ranker_input_pieces, ranker_input_tokens, tokenize,
                          verbalize)
 from .losses import _KERNELS, LOSS_KINDS, RANKNET, RMSE, _segments, _stack_target
@@ -97,17 +97,6 @@ class NeuralParams:
                 "x_mean": None if self.x_mean is None else self.x_mean.tolist(),
                 "x_std": None if self.x_std is None else self.x_std.tolist()}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "NeuralParams":
-        return cls(w1=number_array(d["w1"], "neural w1"),
-                   b1=number_array(d["b1"], "neural b1"),
-                   w2=number_array(d["w2"], "neural w2"),
-                   b2=number(d["b2"], "neural b2"),
-                   x_mean=None if d.get("x_mean") is None
-                   else number_array(d["x_mean"], "neural x_mean"),
-                   x_std=None if d.get("x_std") is None
-                   else number_array(d["x_std"], "neural x_std"))
-
 
 @dataclass
 class RegressionTree:
@@ -118,32 +107,6 @@ class RegressionTree:
     left: list[int]
     right: list[int]
     value: list[float]
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RegressionTree":
-        """The tree a model file holds, checked: node lists of one length, a
-        number for each threshold and value, and each split on a hashed count
-        column with both children later nodes, so that every walk ends at a
-        leaf of this tree."""
-        tree = cls(feature=list(d["feature"]),
-                   threshold=[number(v, f"tree node {node} threshold")
-                              for node, v in enumerate(d["threshold"])],
-                   left=list(d["left"]), right=list(d["right"]),
-                   value=[number(v, f"tree node {node} value")
-                          for node, v in enumerate(d["value"])])
-        size = len(tree.feature)
-        if any(len(column) != size for column in (tree.threshold, tree.left, tree.right,
-                                                  tree.value)):
-            raise ValueError("tree node lists must have one length")
-        for node, (feature, left, right) in enumerate(zip(tree.feature, tree.left, tree.right)):
-            if type(feature) is not int or not -1 <= feature < DEFAULT_HASH_DIM:
-                raise ValueError(f"tree node {node} splits on feature {feature!r}, "
-                                 f"not one in [-1, {DEFAULT_HASH_DIM})")
-            if feature >= 0 and not all(type(child) is int and node < child < size
-                                        for child in (left, right)):
-                raise ValueError(f"tree node {node} has children {left!r} and {right!r}, "
-                                 f"not later nodes of its tree")
-        return tree
 
 
 def _tree_depth(tree: RegressionTree) -> int:
@@ -213,7 +176,7 @@ class GbdtEnsemble:
 
     ``predict`` walks every row through every tree at once, one tree level
     per round (QuickScorer, Lucchese et al., SIGIR 2015), over a stack of
-    the trees built with the ensemble.  Trees are not edited in place.
+    the trees, built at the first prediction.  Trees are not edited in place.
     """
 
     base_score: float
@@ -223,27 +186,16 @@ class GbdtEnsemble:
 
     def __post_init__(self):
         object.__setattr__(self, "trees", tuple(self.trees))
-        object.__setattr__(self, "_stack", _TreeStack(self.trees))
+
+    @functools.cached_property
+    def _stack(self) -> _TreeStack:
+        return _TreeStack(self.trees)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self._stack.predict(X, self.base_score, self.learning_rate)
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GbdtEnsemble":
-        """The ensemble :meth:`to_dict` wrote, checked: a positive learning
-        rate and a non-empty list of trees, as the trainer makes."""
-        learning_rate = number(d["learning_rate"], "gbdt learning_rate")
-        if learning_rate <= 0:
-            raise ValueError(f"gbdt learning_rate must be positive, not {learning_rate!r}")
-        trees = d["trees"]
-        if type(trees) is not list or not trees:
-            raise ValueError("gbdt trees must be a non-empty list of trees")
-        return cls(base_score=number(d["base_score"], "gbdt base_score"),
-                   learning_rate=learning_rate, n=checked_order(d["n"]),
-                   trees=tuple(RegressionTree.from_dict(t) for t in trees))
 
 
 @dataclass
@@ -671,17 +623,9 @@ def load_model(path) -> tuple[RankerModel, Optional[NgramLM]]:
 
 
 def _model_from_doc(doc: dict) -> tuple[RankerModel, Optional[NgramLM]]:
-    """The model a v2 or v1 document holds, whose kind must hold just the
-    sections its scorer reads.  v1 held the LM, output layer included, for
-    every kind, and a GBDT's order only there."""
-    version = doc.get("version")
-    if version == "v1":
-        if doc["kind"] == GBDT:
-            doc["gbdt"]["n"] = doc["ngram_lm"]["n"]
-        if doc["kind"] not in EMBEDDING_KINDS:
-            doc["ngram_lm"] = None
-    elif version != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {version!r}")
+    """The model a v2 document holds, with just the sections its kind reads."""
+    if doc.get("version") != MODEL_FORMAT_VERSION:
+        raise ValueError(f"unsupported model format version {doc.get('version')!r}")
     if doc["feature"] != FEATURE:
         raise ValueError(f"unsupported feature settings {doc['feature']!r}")
     kind = doc["kind"]
@@ -691,16 +635,34 @@ def _model_from_doc(doc: dict) -> tuple[RankerModel, Optional[NgramLM]]:
                           ("ngram_lm", kind in EMBEDDING_KINDS)):
         if (doc[section] is not None) != read:
             raise ValueError(f"a {kind} model must {'' if read else 'not '}hold {section}")
-    model = RankerModel(
-        kind=kind, loss_kind=doc["loss_kind"], seed=doc["seed"],
-        neural=NeuralParams.from_dict(doc["neural"]) if kind == NEURAL else None,
-        gbdt=GbdtEnsemble.from_dict(doc["gbdt"]) if kind == GBDT else None,
-        train_loss_history=list(doc.get("train_loss_history") or []),
-        train_rmse_history=list(doc.get("train_rmse_history") or []))
+    model = read_fields(RankerModel, doc)
     lm = NgramLM.from_dict(doc["ngram_lm"]) if kind in EMBEDDING_KINDS else None
     if kind == NEURAL:
         _check_neural_shapes(model.neural, lm.d)
+    if kind == GBDT:
+        _check_gbdt(model.gbdt)
     return model, lm
+
+
+def _check_gbdt(gbdt: GbdtEnsemble) -> None:
+    """Raise a ValueError unless the ensemble is one the trainer makes, with
+    at least one tree, and every walk through a tree ends at one of its leaves."""
+    if gbdt.learning_rate <= 0:
+        raise ValueError(f"gbdt.learning_rate must be positive, not {gbdt.learning_rate!r}")
+    checked_order(gbdt.n)
+    if not gbdt.trees:
+        raise ValueError("gbdt.trees must hold at least one tree")
+    for t, tree in enumerate(gbdt.trees):
+        size = len(tree.feature)
+        if {len(nodes) for nodes in (tree.threshold, tree.left, tree.right, tree.value)} != {size}:
+            raise ValueError(f"gbdt.trees[{t}]: tree node lists must have one length")
+        for node, (feature, left, right) in enumerate(zip(tree.feature, tree.left, tree.right)):
+            if not -1 <= feature < DEFAULT_HASH_DIM:
+                raise ValueError(f"gbdt.trees[{t}]: tree node {node} splits on feature "
+                                 f"{feature!r}, not one in [-1, {DEFAULT_HASH_DIM})")
+            if feature >= 0 and not all(node < child < size for child in (left, right)):
+                raise ValueError(f"gbdt.trees[{t}]: tree node {node} has children {left!r} "
+                                 f"and {right!r}, not later nodes of its tree")
 
 
 def _check_neural_shapes(params: NeuralParams, d: int) -> None:

@@ -9,12 +9,12 @@ in [0, 2] with 1.0 the no-signal midpoint.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 from .kg import KnowledgeGraph, MetapathSubgraph, enumerate_subgraphs, sample_subgraphs
 from .llm import CAUSAL, NON_CAUSAL, PATH_BLOCK_MARKER, ask_label, probability
-from .util import _unique_qids, descending_order, read_jsonl, stable_hash
+from .util import _unique_qids, descending_order, read_fields, read_jsonl, stable_hash
 from .verbalize import HYPHEN_STYLE, verbalize
 
 LABELS = (CAUSAL, NON_CAUSAL)
@@ -35,19 +35,17 @@ DEFAULT_SRE_TEMPLATE = (
 DEFAULT_K_MAX = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class PairInstance:
-    """One labeled variable pair with its textual context."""
+    """One labeled variable pair with its textual context; files hold its label as ``label``."""
 
     qid: str
     e1: str
     e2: str
-    context: str
-    groundtruth: str
+    context: str = ""
+    groundtruth: str = field(metadata={"key": "label"})
 
     def __post_init__(self):
-        if not all(isinstance(v, str) for v in (self.e1, self.e2, self.context)):
-            raise TypeError(f"{self.qid}: e1, e2 and context must be strings")
         if self.e1 == self.e2:
             raise ValueError(f"{self.qid}: pair variables must differ")
         if self.groundtruth not in LABELS:
@@ -56,11 +54,6 @@ class PairInstance:
     def to_dict(self) -> dict:
         return {"qid": self.qid, "e1": self.e1, "e2": self.e2,
                 "context": self.context, "label": self.groundtruth}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PairInstance":
-        return cls(qid=str(d["qid"]), e1=d["e1"], e2=d["e2"],
-                   context=d.get("context", ""), groundtruth=d["label"])
 
 
 @dataclass(frozen=True)
@@ -79,29 +72,6 @@ class RankedMetapath:
     reltypes: str
     nodelabels: str
 
-    def __post_init__(self):
-        if not all(isinstance(v, str) for v in (self.stops, self.reltypes, self.nodelabels)):
-            raise TypeError(f"path {self.pathid}: stops, reltypes and nodelabels must be strings")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RankedMetapath":
-        """The path a ranked file holds, with an integer ``pathid`` and a
-        ``relscore`` in [0, 2]."""
-        pathid, relscore = int(d["pathid"]), float(d["relscore"])
-        if pathid != d["pathid"]:
-            raise ValueError(f"pathid must be an integer, not {d['pathid']!r}")
-        if not 0.0 <= relscore <= 2.0:
-            raise ValueError(f"path {pathid}: relscore must lie in [0, 2], not {relscore!r}")
-        return cls(
-            pathid=pathid,
-            relscore=relscore,
-            probscore=None if d.get("probscore") is None else float(d["probscore"]),
-            relevant=str(d["relevant"]),
-            stops=d["stops"],
-            reltypes=d["reltypes"],
-            nodelabels=d["nodelabels"],
-        )
-
 
 @dataclass(frozen=True)
 class RankedPairRecord:
@@ -113,22 +83,17 @@ class RankedPairRecord:
     groundtruth: str
     metapaths: tuple[RankedMetapath, ...]
 
-    def __post_init__(self):
-        if not all(isinstance(v, str) for v in (self.e1, self.e2)):
-            raise TypeError(f"{self.qid}: e1 and e2 must be strings")
-
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RankedPairRecord":
-        return cls(
-            qid=str(d["qid"]),
-            e1=d["e1"],
-            e2=d["e2"],
-            groundtruth=str(d["groundtruth"]),
-            metapaths=tuple(RankedMetapath.from_dict(m) for m in d["metapaths"]),
-        )
+
+def parse_ranked_record(d: dict) -> RankedPairRecord:
+    """The record a ranked-dataset row holds, with every ``relscore`` in [0, 2]."""
+    record = read_fields(RankedPairRecord, d)
+    for i, mp in enumerate(record.metapaths):
+        if not 0.0 <= mp.relscore <= 2.0:
+            raise ValueError(f"metapaths[{i}].relscore must lie in [0, 2], not {mp.relscore!r}")
+    return record
 
 
 def build_sre_prompt(instance: PairInstance, subgraph: MetapathSubgraph) -> str:
@@ -190,9 +155,9 @@ def candidate_subgraphs(instance: PairInstance, kg: KnowledgeGraph, max_hops: in
 
 def read_instances(path) -> list[PairInstance]:
     """Parse a JSON Lines instance file; its qids are unique."""
-    return read_jsonl(path, _unique_qids(PairInstance.from_dict))
+    return read_jsonl(path, _unique_qids(lambda d: read_fields(PairInstance, d)))
 
 
 def read_ranked_dataset(path) -> list[RankedPairRecord]:
     """Parse a ranked-dataset JSON Lines file; its qids are unique."""
-    return read_jsonl(path, _unique_qids(RankedPairRecord.from_dict))
+    return read_jsonl(path, _unique_qids(parse_ranked_record))

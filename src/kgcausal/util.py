@@ -1,14 +1,18 @@
 """Small helpers shared by the pipeline stages: the seeded hash, the stable
-descending sort, atomic artifact writes, JSON Lines I/O and checked JSON
-numbers."""
+descending sort, atomic artifact writes, JSON Lines I/O and the one reader
+of JSON objects into dataclasses."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
 import math
 import os
+import types
+import typing
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -62,14 +66,6 @@ def _finite(text: str) -> float:
     return value
 
 
-def number(value, name: str) -> float:
-    """A JSON number as a float; a null, a boolean or any other value raises
-    a ValueError naming ``name``."""
-    if type(value) not in (int, float):
-        raise ValueError(f"{name} must be a number, not {json.dumps(value)}")
-    return float(value)
-
-
 def number_array(values, name: str) -> np.ndarray:
     """A JSON list, or list of lists, of numbers as a float64 array; a null,
     a boolean or a string in it raises a ValueError naming ``name``, where
@@ -119,16 +115,78 @@ def read_jsonl(path, parse: Callable[[dict], T]) -> list[T]:
 
 
 def _unique_qids(parse: Callable[[dict], T]) -> Callable[[dict], T]:
-    """``parse`` for one file's rows, raising a ValueError on a row whose
-    ``qid`` field an earlier row had."""
+    """``parse`` for one file's rows, with each ``qid`` a string or an integer
+    read as one; any other qid, or one an earlier row had, is a ValueError."""
     seen: set[str] = set()
 
     def parse_once(d: dict) -> T:
-        row = parse(d)
+        if type(d["qid"]) not in (str, int):
+            raise ValueError(f"qid must be a string or an integer, not {json.dumps(d['qid'])}")
         qid = str(d["qid"])
         if qid in seen:
             raise ValueError(f"qid {qid!r} repeated")
         seen.add(qid)
-        return row
+        return parse({**d, "qid": qid})
     return parse_once
 
+
+# Each scalar annotation's name in errors and the JSON types it takes.
+_SCALARS = {str: ("a string", {str}), int: ("an integer", {int}),
+            bool: ("a boolean", {bool}), float: ("a number", {int, float})}
+
+
+@functools.cache
+def _field(hint) -> Callable:
+    """The reader, of a value and its key path, for the annotation ``hint``."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        read = _field(next(arg for arg in args if arg is not type(None)))
+        return lambda value, path: None if value is None else read(value, path)
+    if origin in (list, tuple):
+        read, fits = _field(args[0]), _SCALARS.get(args[0], ("", set()))[1]
+
+        def read_list(value, path):
+            if type(value) not in (list, tuple):
+                raise ValueError(f"{path} must be a list, not {json.dumps(value)}")
+            if fits.issuperset(map(type, value)):  # scalars that fit, read at once
+                return origin(map(float, value) if args[0] is float else value)
+            return origin(read(item, f"{path}[{i}]") for i, item in enumerate(value))
+        return read_list
+    if hint is np.ndarray:
+        return number_array
+    if is_dataclass(hint):
+        hints = typing.get_type_hints(hint)
+        spec = [(f.name, f.metadata.get("key", f.name), _field(hints[f.name]),
+                 f.default is f.default_factory is MISSING) for f in fields(hint)]
+
+        def read_object(value, path):
+            if type(value) is not dict:
+                raise ValueError(f"{path} must be an object, not {json.dumps(value)}")
+            values = {}
+            for name, key, read, required in spec:
+                where = f"{path}.{key}" if path else key
+                if key in value:
+                    values[name] = read(value[key], where)
+                elif required:
+                    raise KeyError(where)
+            return hint(**values)
+        return read_object
+    name, json_types = _SCALARS[hint]
+
+    def read_scalar(value, path):
+        if type(value) not in json_types:
+            raise ValueError(f"{path} must be {name}, not {json.dumps(value)}")
+        return float(value) if hint is float else value
+    return read_scalar
+
+
+def read_fields(cls: type[T], d: dict) -> T:
+    """The dataclass ``cls`` read from the JSON object ``d`` by its field
+    annotations, resolved once per class: ``str``, ``int`` and ``bool`` take
+    just that JSON type, ``float`` any number but a boolean, ``Optional`` also
+    null, ``list`` and ``tuple`` a list, ``np.ndarray`` :func:`number_array`,
+    and a dataclass an object.  A field's key is its name, or the ``key`` in
+    its metadata.  A field with a default may be left out, and other keys are
+    ignored.  A misfit is a ValueError, and a missing field a KeyError, naming
+    its key path, such as ``metapaths[0].relscore``."""
+    return _field(cls)(d, "")

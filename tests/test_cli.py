@@ -537,16 +537,16 @@ class TestBadInputs:
                      "invalid JSON", id="pairs-not-json"),
         pytest.param("extract", ["BAD"], "pairs.jsonl",
                      lambda _: '{"qid": 1, "e1": 5, "e2": "x", "label": "causal"}\n', {},
-                     "e1, e2 and context must be strings", id="int-e1"),
+                     "e1 must be a string, not 5", id="int-e1"),
         pytest.param("train", ["BAD"], "ranked.jsonl",
                      first_row(lambda row: row.update(metapaths=[1])), {},
-                     "'int' object is not subscriptable", id="int-metapath"),
+                     "metapaths[0] must be an object, not 1", id="int-metapath"),
         pytest.param("train", ["BAD"], "ranked.jsonl",
                      first_row(lambda row: row["metapaths"][0].update(pathid="x")), {},
-                     "invalid literal for int()", id="pathid-x"),
+                     'metapaths[0].pathid must be an integer, not "x"', id="pathid-x"),
         pytest.param("rank", ["model.json", "BAD"], "candidates.jsonl",
                      first_row(lambda row: row.update(e1=5)), {},
-                     "e1, e2 and context must be strings", id="rank-int-e1"),
+                     "e1 must be a string, not 5", id="rank-int-e1"),
         pytest.param("rank", ["BAD", "ranked.jsonl"], "model.json",
                      lambda text: text[:len(text) // 2], {}, "invalid JSON", id="truncated-model"),
         pytest.param("discover", ["BAD", "pairs.jsonl"], "model.json",
@@ -558,11 +558,12 @@ class TestBadInputs:
                      id="mock-without-motifs"),
         pytest.param("estimate", ["candidates.jsonl"], "mock.json",
                      first_row(lambda doc: doc.update(causal_motifs=[[1]])),
-                     {"llm.mock_config_path": "BAD"}, "causal_motifs must be lists of strings",
-                     id="mock-motif-int"),
+                     {"llm.mock_config_path": "BAD"},
+                     "causal_motifs[0][0] must be a string, not 1", id="mock-motif-int"),
         pytest.param("estimate", ["candidates.jsonl"], "mock.json",
                      first_row(lambda doc: doc.update(causal_motifs=["stress hormone"])),
-                     {"llm.mock_config_path": "BAD"}, "causal_motifs must be lists of strings",
+                     {"llm.mock_config_path": "BAD"},
+                     'causal_motifs[0] must be a list, not "stress hormone"',
                      id="mock-motif-string"),
         *[pytest.param("estimate", ["candidates.jsonl"], "mock.json",
                        first_row(lambda doc, value=value: doc.update(noise_seed=value)),
@@ -610,10 +611,10 @@ class TestBadInputs:
                      {}, "adjacency variables must be a list of distinct strings",
                      id="adjacency-variables-repeated"),
         pytest.param("train", ["BAD"], "ranked.jsonl", first_row(lambda row: row.update(e1=5)),
-                     {}, "e1 and e2 must be strings", id="ranked-int-e1"),
+                     {}, "e1 must be a string, not 5", id="ranked-int-e1"),
         pytest.param("train", ["BAD"], "ranked.jsonl",
                      first_row(lambda row: row["metapaths"][0].update(stops=5)), {},
-                     "stops, reltypes and nodelabels must be strings", id="ranked-int-stops"),
+                     "metapaths[0].stops must be a string, not 5", id="ranked-int-stops"),
         pytest.param("eval", ["BAD", "pairs.jsonl"], "predictions.jsonl",
                      first_row(lambda row: row.update(predicted="maybe")), {},
                      "predicted must be 'causal', 'non-causal' or null, not 'maybe'",
@@ -632,6 +633,40 @@ class TestBadInputs:
         pytest.param("eval", ["predictions.jsonl", "pairs.jsonl", "--rankings", "BAD"],
                      "rankings.jsonl", lambda text: text.splitlines(True)[0] * 2, {},
                      "qid 'q0000' repeated", id="rankings-repeated-qid"),
+        pytest.param("eval", ["predictions.jsonl", "pairs.jsonl", "--rankings", "BAD"],
+                     "rankings.jsonl", first_row(lambda row: row["entries"][0].update(
+                         relevant="0")), {},
+                     'entries[0].relevant must be a boolean, not "0"',
+                     id="rankings-relevant-string"),
+        *[pytest.param("train", ["BAD"], "ranked.jsonl",
+                       first_row(lambda row, key=key, value=value:
+                                 row["metapaths"][0].update({key: value})), {},
+                       f"metapaths[0].{key} must be {message}", id=f"ranked-{key}-{name}")
+          for key, value, name, message in (
+              ("pathid", True, "true", "an integer, not true"),
+              ("relscore", True, "true", "a number, not true"),
+              ("probscore", "-0.5", "string", 'a number, not "-0.5"'),
+              ("relevant", [], "list", "a string, not []"))],
+        pytest.param("eval", ["BAD", "pairs.jsonl"], "predictions.jsonl",
+                     first_row(lambda row: row.update(p=True)), {},
+                     "p must be a number, not true", id="predictions-p-true"),
+        pytest.param("eval", ["BAD", "pairs.jsonl"], "predictions.jsonl",
+                     first_row(lambda row: row.update(subgraphs_used="abc")), {},
+                     'subgraphs_used must be a list, not "abc"',
+                     id="predictions-subgraphs-used-string"),
+        pytest.param("extract", ["BAD"], "pairs.jsonl",
+                     first_row(lambda row: row.update(qid=True)), {},
+                     "qid must be a string or an integer, not true", id="pairs-qid-true"),
+        pytest.param("extract", ["BAD"], "pairs.jsonl",
+                     first_row(lambda row: row.update(label=5)), {},
+                     "label must be a string, not 5", id="pairs-label-int"),
+        pytest.param("rank", ["BAD", "ranked.jsonl"], "model.json",
+                     first_row(lambda doc: doc.update(seed="x")), {},
+                     'seed must be an integer, not "x"', id="model-seed-string"),
+        pytest.param("rank", ["BAD", "ranked.jsonl"], "model.json",
+                     first_row(lambda doc: doc.update(train_loss_history="ab")), {},
+                     'train_loss_history must be a list, not "ab"',
+                     id="model-loss-history-string"),
     ])
     def test_malformed_input_exits_2_naming_file_and_line(
             self, pipeline, tmp_path, capsys, command, argv, source, rewrite, keys, message):
@@ -687,9 +722,9 @@ class TestBadInputs:
         ("train", "ranked.jsonl", lambda row: row["metapaths"][0].update(probscore=-math.inf),
          "-Infinity is not a finite number"),
         ("train", "ranked.jsonl", lambda row: row["metapaths"][0].update(relscore=2.5),
-         "path 1: relscore must lie in [0, 2], not 2.5"),
+         "metapaths[0].relscore must lie in [0, 2], not 2.5"),
         ("train", "ranked.jsonl", lambda row: row["metapaths"][0].update(relscore=-0.5),
-         "path 1: relscore must lie in [0, 2], not -0.5"),
+         "metapaths[0].relscore must lie in [0, 2], not -0.5"),
         ("rank", "ranked.jsonl", lambda row: row["metapaths"][0].update(pathid=1.5),
          "pathid must be an integer, not 1.5"),
         ("rank", "ranked.jsonl", lambda row: row["metapaths"][0].update(pathid=math.inf),
@@ -698,13 +733,13 @@ class TestBadInputs:
          "NaN is not a finite number"),
         ("estimate", "candidates.jsonl",
          lambda row: row["subgraphs"][0]["node_names"].__setitem__(1, 7),
-         "node ids, names and types and edge labels must be strings"),
+         "subgraphs[0].node_names[1] must be a string, not 7"),
         ("rank", "candidates.jsonl",
          lambda row: row["subgraphs"][0]["node_names"].__setitem__(1, 7),
-         "node ids, names and types and edge labels must be strings"),
+         "subgraphs[0].node_names[1] must be a string, not 7"),
         ("rank", "candidates.jsonl",
          lambda row: row["subgraphs"][0]["node_types"].__setitem__(0, None),
-         "node ids, names and types and edge labels must be strings"),
+         "subgraphs[0].node_types[0] must be a string, not null"),
     ], ids=["relscore-nan", "relscore-infinity", "probscore-minus-infinity",
             "relscore-above-2", "relscore-below-0", "pathid-fraction", "pathid-infinity",
             "rankings-gain-nan", "estimate-int-node-name", "rank-int-node-name",
@@ -794,16 +829,18 @@ class TestModelFile:
         if kind == "gbdt":
             assert doc["gbdt"]["n"] == 2
 
-    @pytest.mark.parametrize("kind", ["gbdt", "neural"])
-    def test_v1_file_ranks_like_the_v2_file(self, pipeline, trained, tmp_path, kind):
+    def test_v1_file_exits_2_as_an_unsupported_version(self, pipeline, trained, tmp_path,
+                                                       capsys):
+        """v1 files held the whole LM in every kind; they no longer load."""
         root, _, out = pipeline
-        v1 = tmp_path / "v1.json"
-        v1.write_text(json.dumps(v1_document(trained, kind)), encoding="utf-8")
-        for model, rankings in ((trained / f"{kind}.json", tmp_path / "v2.jsonl"),
-                                (v1, tmp_path / "v1.jsonl")):
-            assert run("rank", model, out / "ranked.jsonl", "--config", root / "config.json",
-                       "--out", rankings) == EXIT_OK
-        assert (tmp_path / "v1.jsonl").read_bytes() == (tmp_path / "v2.jsonl").read_bytes()
+        model = tmp_path / "v1.json"
+        model.write_text(json.dumps(v1_document(trained, "neural")), encoding="utf-8")
+        rankings = tmp_path / "rankings.jsonl"
+        assert run("rank", model, out / "ranked.jsonl", "--config", root / "config.json",
+                   "--out", rankings) == EXIT_CONFIG
+        assert (f"error: {model}: unsupported model format version 'v1'"
+                in capsys.readouterr().err)
+        assert not rankings.exists()
 
     def test_v1_gbdt_file_without_its_language_model_exits_2(self, pipeline, trained,
                                                              tmp_path, capsys):
@@ -824,8 +861,7 @@ class TestModelFile:
         pytest.param("random", lambda doc: doc.update(neural={}),
                      "a random model must not hold neural", id="random-with-neural"),
         pytest.param("gbdt", lambda doc: doc["gbdt"].update(n="2"),
-                     "n-gram order must be an integer from 1 to 16, not '2'",
-                     id="order-string"),
+                     'gbdt.n must be an integer, not "2"', id="order-string"),
         pytest.param("gbdt", lambda doc: doc["gbdt"].update(n=0),
                      "n-gram order must be an integer from 1 to 16, not 0", id="order-0"),
         pytest.param("gbdt", lambda doc: doc["gbdt"].update(n=2**70),
@@ -870,28 +906,29 @@ class TestModelFile:
                      "neural x_mean and x_std must both be arrays or both null",
                      id="x-mean-null"),
         pytest.param("gbdt", lambda doc: doc["gbdt"]["trees"][0]["value"].__setitem__(0, None),
-                     "tree node 0 value must be a number, not null", id="tree-value-null"),
+                     "gbdt.trees[0].value[0] must be a number, not null", id="tree-value-null"),
         pytest.param("gbdt", lambda doc: doc["gbdt"]["trees"][0]["value"].__setitem__(0, True),
-                     "tree node 0 value must be a number, not true", id="tree-value-true"),
+                     "gbdt.trees[0].value[0] must be a number, not true", id="tree-value-true"),
         pytest.param("gbdt", edit_first_split("threshold", lambda tree, node: None),
-                     "threshold must be a number, not null", id="tree-threshold-null"),
+                     "gbdt.trees[0].threshold[0] must be a number, not null",
+                     id="tree-threshold-null"),
         pytest.param("gbdt", lambda doc: doc["gbdt"].update(base_score=True),
-                     "gbdt base_score must be a number, not true", id="base-score-true"),
+                     "gbdt.base_score must be a number, not true", id="base-score-true"),
         pytest.param("gbdt", lambda doc: doc["gbdt"].update(trees={}),
-                     "gbdt trees must be a non-empty list of trees", id="trees-object"),
+                     "gbdt.trees must be a list, not {}", id="trees-object"),
         pytest.param("gbdt", lambda doc: doc["gbdt"].update(learning_rate=-0.1),
-                     "gbdt learning_rate must be positive, not -0.1",
+                     "gbdt.learning_rate must be positive, not -0.1",
                      id="learning-rate-negative"),
         pytest.param("neural", lambda doc: doc["neural"]["w1"][0].__setitem__(0, None),
-                     "neural w1 must hold only numbers, not null", id="w1-null"),
+                     "neural.w1 must hold only numbers, not null", id="w1-null"),
         pytest.param("neural", lambda doc: doc["neural"]["b1"].__setitem__(0, None),
-                     "neural b1 must hold only numbers, not null", id="b1-null"),
+                     "neural.b1 must hold only numbers, not null", id="b1-null"),
         pytest.param("neural", lambda doc: doc["neural"]["x_std"].__setitem__(0, None),
-                     "neural x_std must hold only numbers, not null", id="x-std-null"),
+                     "neural.x_std must hold only numbers, not null", id="x-std-null"),
         pytest.param("neural", lambda doc: doc["neural"]["x_std"].__setitem__(0, 0.0),
                      "neural x_std must be positive", id="x-std-zero"),
         pytest.param("neural", lambda doc: doc["neural"].update(b2=True),
-                     "neural b2 must be a number, not true", id="b2-true"),
+                     "neural.b2 must be a number, not true", id="b2-true"),
         pytest.param("neural", lambda doc: doc["ngram_lm"]["embeddings"][0].__setitem__(0, None),
                      "language model embeddings must hold only numbers, not null",
                      id="embedding-null"),

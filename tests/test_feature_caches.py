@@ -17,7 +17,7 @@ from kgcausal.kg import MetapathSubgraph
 from kgcausal.ltr import ngram
 from kgcausal.ltr.models import _hashed_matrix, ranker_input_tokens
 from kgcausal.ltr.ngram import DEFAULT_HASH_DIM, MAX_ORDER, hashed_slots, piecewise_slots
-from kgcausal.util import stable_hash
+from kgcausal.util import read_fields, stable_hash
 from kgcausal.verbalize import encode_ranker_input, ranker_input_pieces, tokenize
 
 WORDS = ["FGF6", "fgf6", "Prostate", "cancer", "CLS", "SEP", "cls", "Sep", "-", "x", "TNF-a"]
@@ -227,7 +227,7 @@ def test_hashed_matrix_counts_the_slots_of_the_tokens(fresh_caches, artifacts, n
     for line in (artifacts / "candidates.jsonl").read_text(encoding="utf-8").splitlines():
         row = json.loads(line)
         pair = (row["e1"], row["e2"])
-        subgraphs = [MetapathSubgraph.from_dict(d) for d in row["subgraphs"]]
+        subgraphs = [read_fields(MetapathSubgraph, d) for d in row["subgraphs"]]
         if not subgraphs:
             continue
         expected = np.stack([

@@ -27,6 +27,7 @@ from kgcausal.kg import (
 from kgcausal.ltr.models import RANDOM, RankerModel, ranker_input_tokens, score_subgraphs
 from kgcausal.ltr.ngram import hashed_slots
 from kgcausal.synthetic import make_planted_world
+from kgcausal.util import read_fields
 
 EXTRACT_SHA256 = "2ca0950bd7722a850061ac3561e7e7e080aaec7939edc9059f5bb9b8f0cf5d68"
 ESTIMATE_SHA256 = "563d97390f2e915b2422ff6fa0080b62681c29c3301eefb2a06fe1541b697047"
@@ -58,7 +59,7 @@ def test_random_ranker_scores(artifacts):
     model = RankerModel(kind=RANDOM, seed=23)
     scores = []
     for row in candidate_rows(artifacts):
-        subgraphs = [MetapathSubgraph.from_dict(d) for d in row["subgraphs"]]
+        subgraphs = [read_fields(MetapathSubgraph, d) for d in row["subgraphs"]]
         scores.extend(float(s).hex()
                       for s in score_subgraphs(model, (row["e1"], row["e2"]), subgraphs))
     assert sha256(" ".join(scores).encode("ascii")) == RANDOM_SCORES_SHA256
@@ -69,7 +70,7 @@ def test_hashed_counts(artifacts):
     for row in candidate_rows(artifacts):
         for d in row["subgraphs"]:
             tokens = ranker_input_tokens((row["e1"], row["e2"]),
-                                         MetapathSubgraph.from_dict(d))
+                                         read_fields(MetapathSubgraph, d))
             slots = hashed_slots(tokens, n=3, hash_dim=256)
             rows.append(np.bincount(slots, minlength=256).astype(np.float64))
     assert sha256(np.stack(rows).astype("<f8").tobytes()) == HASHED_COUNTS_SHA256

@@ -25,7 +25,7 @@ from kgcausal.kg import load_kg
 from kgcausal.llm import MockOracleConfig
 from kgcausal.ltr.models import MODEL_KINDS, load_model
 from kgcausal.relevance import read_instances, read_ranked_dataset
-from kgcausal.util import _unique_qids, read_json, read_jsonl
+from kgcausal.util import _unique_qids, read_fields, read_json, read_jsonl
 
 PROBE_VALUES = (None, True, 0, -1, 2 ** 70, 1e308, math.nan, math.inf, "", "x", [], {}, [1],
                 ["a", "a"])
@@ -48,7 +48,7 @@ READERS = {
     "rankings": [jsonl_reader(cli._ranked_gains)],
     "gold-adjacency": [json_reader(cli._gold_adjacency)],
     "config": [load_config],
-    "mock-config": [json_reader(MockOracleConfig.from_dict)],
+    "mock-config": [json_reader(lambda d: read_fields(MockOracleConfig, d))],
     **{f"model-{kind}": [load_model] for kind in MODEL_KINDS},
     "kg": [load_kg],
 }

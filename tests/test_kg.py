@@ -26,6 +26,7 @@ from kgcausal.kg import (
     sample_subgraphs,
 )
 from kgcausal.synthetic import make_planted_world
+from kgcausal.util import read_fields
 
 
 def jsonl_line(hid, hname, htype, rel, tid, tname, ttype):
@@ -598,8 +599,8 @@ class TestMetapathSubgraph:
     def test_item_that_is_not_a_string_rejected(self, field, value):
         fields = {"node_ids": ["a", "b"], "node_names": ["a", "b"], "node_types": ["T", "T"],
                   "edge_labels": ["r"], "edge_directions": [FORWARD], field: value}
-        with pytest.raises(TypeError, match="must be strings"):
-            MetapathSubgraph.from_dict(fields)
+        with pytest.raises(ValueError, match=rf"{field}\[\d\] must be a string"):
+            read_fields(MetapathSubgraph, fields)
 
 
 @pytest.fixture(scope="module")

@@ -33,7 +33,7 @@ from kgcausal.llm import (
     map_pairs,
     probability,
 )
-from kgcausal.util import read_json
+from kgcausal.util import read_fields, read_json
 
 MOTIF_CONFIG = MockOracleConfig(causal_motifs=(("stress hormone",),),
                                 base_confidence=0.8, noise_seed=3, flip_rate=0.0)
@@ -133,8 +133,8 @@ class TestMockOracle:
     def test_config_json_round_trip(self, tmp_path):
         path = tmp_path / "mock.json"
         path.write_text(json.dumps(MOTIF_CONFIG.to_dict()), encoding="utf-8")
-        assert read_json(path, MockOracleConfig.from_dict) == MOTIF_CONFIG
-        assert MockOracleConfig.from_dict(MOTIF_CONFIG.to_dict()) == MOTIF_CONFIG
+        assert read_json(path, lambda d: read_fields(MockOracleConfig, d)) == MOTIF_CONFIG
+        assert read_fields(MockOracleConfig, MOTIF_CONFIG.to_dict()) == MOTIF_CONFIG
 
 
 class TestLabelProbability:

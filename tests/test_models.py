@@ -40,6 +40,7 @@ from kgcausal.ltr.models import (
 from kgcausal.ltr.ngram import NgramLM, dense_features, train_ngram_lm
 from kgcausal.relevance import RankedMetapath, RankedPairRecord, rank_pair
 from kgcausal.synthetic import make_planted_world
+from kgcausal.util import read_fields
 
 
 def handcrafted_lm(d=4, extra_tokens=(), seed=0):
@@ -533,7 +534,7 @@ class TestEnsemblePredict:
         X = rng.integers(0, 5, size=(30, 8)).astype(np.float64)
         before = ensemble.predict(X)
         assert set(ensemble.to_dict()) == {"base_score", "learning_rate", "n", "trees"}
-        loaded = GbdtEnsemble.from_dict(json.loads(json.dumps(ensemble.to_dict())))
+        loaded = read_fields(GbdtEnsemble, json.loads(json.dumps(ensemble.to_dict())))
         assert np.array_equal(loaded.predict(X), before)
 
     def test_threads_share_the_first_use(self):

@@ -13,9 +13,9 @@ from kgcausal.kg import EdgeRecord, KnowledgeGraph, NodeRecord
 from kgcausal.llm import Completion, MockOracle, MockOracleConfig, map_pairs
 from kgcausal.relevance import (
     PairInstance,
-    RankedPairRecord,
     build_sre_prompt,
     candidate_subgraphs,
+    parse_ranked_record,
     rank_pair,
     score_subgraph,
 )
@@ -250,7 +250,7 @@ class TestRecordSerialization:
         paths = [make_subgraph(["a", f"m{i}", "b"]) for i in range(3)]
         record = rank_pair(inst, paths, backend)
         line = json.dumps(record.to_dict(), ensure_ascii=False)
-        parsed = RankedPairRecord.from_dict(json.loads(line))
+        parsed = parse_ranked_record(json.loads(line))
         assert parsed == record
         assert json.dumps(parsed.to_dict(), ensure_ascii=False) == line
 

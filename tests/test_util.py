@@ -2,10 +2,27 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+from typing import Optional
+
 import pytest
 
 from kgcausal.errors import KgcausalError
-from kgcausal.util import parse_fields, write_jsonl
+from kgcausal.util import parse_fields, read_fields, write_jsonl
+
+
+@dataclass(frozen=True)
+class Leaf:
+    x: float
+    tags: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
+class Row:
+    n: int
+    leaves: list[Leaf]
+    note: Optional[str] = None
+    flag: bool = field(default=False, metadata={"key": "is_flag"})
 
 
 @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"])
@@ -29,3 +46,40 @@ def test_jsonl_write_that_fails_midway_leaves_the_old_file(tmp_path):
         write_jsonl(path, ({"a": 2} if i < 3 else {"a": object()} for i in range(5)))
     assert path.read_text(encoding="utf-8") == '{"a": 1}\n{"b": "é"}\n'
     assert [p.name for p in tmp_path.iterdir()] == ["rows.jsonl"]
+
+
+def test_read_fields_follows_the_annotations():
+    """Ints read as floats where a float is annotated, tuples and lists as
+    annotated, omitted defaults kept, a metadata key followed and unknown
+    keys ignored."""
+    row = read_fields(Row, {"n": 2, "leaves": [{"x": 1}, {"x": 0.5, "tags": ["a"]}],
+                            "note": None, "is_flag": True, "extra": [1]})
+    assert row == Row(n=2, leaves=[Leaf(1.0), Leaf(0.5, ("a",))], flag=True)
+    assert type(row.leaves[0].x) is float and type(row.leaves[1].tags) is tuple
+
+
+@pytest.mark.parametrize("d,message", [
+    ({"n": True, "leaves": []}, "n must be an integer, not true"),
+    ({"n": 1.0, "leaves": []}, "n must be an integer, not 1.0"),
+    ({"n": 1, "leaves": {}}, "leaves must be a list, not {}"),
+    ({"n": 1, "leaves": [5]}, "leaves[0] must be an object, not 5"),
+    ({"n": 1, "leaves": [{"x": True}]}, "leaves[0].x must be a number, not true"),
+    ({"n": 1, "leaves": [{"x": "1"}]}, 'leaves[0].x must be a number, not "1"'),
+    ({"n": 1, "leaves": [{"x": 1, "tags": "ab"}]}, 'leaves[0].tags must be a list, not "ab"'),
+    ({"n": 1, "leaves": [{"x": 1, "tags": ["a", 2]}]},
+     "leaves[0].tags[1] must be a string, not 2"),
+    ({"n": 1, "leaves": [], "note": 3}, "note must be a string, not 3"),
+    ({"n": 1, "leaves": [], "is_flag": 1}, "is_flag must be a boolean, not 1"),
+])
+def test_read_fields_names_the_key_path_of_a_misfit(d, message):
+    with pytest.raises(ValueError) as exc:
+        read_fields(Row, d)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("d,key", [({"leaves": []}, "n"),
+                                   ({"n": 1, "leaves": [{"tags": []}]}, "leaves[0].x")])
+def test_read_fields_names_a_missing_field(d, key):
+    with pytest.raises(KeyError) as exc:
+        read_fields(Row, d)
+    assert exc.value.args[0] == key
