@@ -44,7 +44,8 @@ class CausalPrediction:
             raise ValueError("p must be in [0, 1]")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields as they are, equal to ``asdict``'s deep copy."""
+        return vars(self).copy()
 
 
 @dataclass(frozen=True)

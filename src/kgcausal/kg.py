@@ -25,7 +25,7 @@ import json
 import logging
 import random
 from array import array
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -88,7 +88,10 @@ class MetapathSubgraph:
     that :func:`enumerate_subgraphs` returns share tuples: those with the
     same hop codes share one ``edge_labels`` and one ``edge_directions``
     object, and those with the same type sequence one ``node_types``.  The
-    tuples are immutable, so sharing them changes no path.
+    tuples are immutable, so sharing them changes no path.  Those paths are
+    built by :func:`_unchecked_path`, without the checks below: a shortest
+    path is simple, and its tuples come from the graph.  Every other path,
+    such as one read from a file, is checked.
     """
 
     node_ids: tuple[str, ...]
@@ -115,7 +118,25 @@ class MetapathSubgraph:
         return len(self.edge_labels)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields as they are, equal to ``asdict``'s deep copy."""
+        return {name: getattr(self, name) for name in self.__slots__}
+
+
+# The slot setters of MetapathSubgraph's fields, in field order.
+_set_ids, _set_names, _set_types, _set_labels, _set_directions = (
+    MetapathSubgraph.__dict__[name].__set__ for name in MetapathSubgraph.__slots__)
+
+
+def _unchecked_path(ids, names, types, labels, directions) -> MetapathSubgraph:
+    """The path of these five tuples without ``__post_init__``'s checks, for
+    a caller whose paths meet them by construction."""
+    path = object.__new__(MetapathSubgraph)
+    _set_ids(path, ids)
+    _set_names(path, names)
+    _set_types(path, types)
+    _set_labels(path, labels)
+    _set_directions(path, directions)
+    return path
 
 
 @dataclass(frozen=True)
@@ -427,13 +448,7 @@ class KnowledgeGraph:
             types = shared
         elif len(self._shared_types) < _SHARED_LIMIT:
             self._shared_types[types] = types
-        return MetapathSubgraph(
-            node_ids=take(self._ids),
-            node_names=take(self._names),
-            node_types=types,
-            edge_labels=hops[0],
-            edge_directions=hops[1],
-        )
+        return _unchecked_path(take(self._ids), take(self._names), types, *hops)
 
 
 _DECODER = json.JSONDecoder()

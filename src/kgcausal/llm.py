@@ -86,6 +86,11 @@ def canonical_label(variant: str) -> str:
     return NON_CAUSAL if collapsed.startswith("non") else CAUSAL
 
 
+# Each of LABEL_VARIANTS, in order, as a compiled pattern with its label.
+_LABEL_PATTERNS = tuple((re.compile(re.escape(variant), re.ASCII | re.IGNORECASE),
+                         canonical_label(variant)) for variant in LABEL_VARIANTS)
+
+
 def label_logprob(completion: Completion) -> tuple[str, float]:
     """Which label the completion expresses, and the mean log-probability of
     the tokens whose spans overlap the matched label.
@@ -101,13 +106,12 @@ def label_logprob(completion: Completion) -> tuple[str, float]:
         haystacks.append(completion.text)
 
     for haystack in haystacks:
-        for variant in LABEL_VARIANTS:
+        for pattern, label in _LABEL_PATTERNS:
             # Matched in place, so the span indexes the tokens even where
             # lowercasing would change the text's length.
-            match = re.search(re.escape(variant), haystack, re.ASCII | re.IGNORECASE)
+            match = pattern.search(haystack)
             if match is None:
                 continue
-            label = canonical_label(variant)
             if haystack is not concat:
                 # Token offsets are only meaningful in the concatenation;
                 # fall back to averaging across all tokens.

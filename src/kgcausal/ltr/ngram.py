@@ -10,6 +10,7 @@ count vector for tree-based models.
 
 from __future__ import annotations
 
+import json
 import logging
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -62,8 +63,13 @@ class NgramLM:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NgramLM":
-        """The model :meth:`to_dict` wrote, checked: its order, a vocab that
-        holds UNK, and one embedding row of width ``d`` per vocab entry."""
+        """The model :meth:`to_dict` wrote, checked: its order, an integer
+        ``d`` and ``seed``, a vocab that holds UNK, and one embedding row of
+        width ``d`` per vocab entry."""
+        for key in ("d", "seed"):
+            if type(d[key]) is not int:
+                raise ValueError(f"language model {key} must be an integer, "
+                                 f"not {json.dumps(d[key])}")
         vocab = {tok: i for i, tok in enumerate(d["vocab"])}
         if UNK not in vocab:
             raise ValueError(f"language model vocab must hold {UNK}")
@@ -206,50 +212,36 @@ def _subtract_rows(matrix: np.ndarray, rows: np.ndarray, values: np.ndarray) -> 
     np.subtract.at(matrix.reshape(-1), flat, values.reshape(-1))
 
 
-# Slot lists kept per hash_dim, one per (n, tokens, ahead); a table is
-# emptied when full.
+# Slot lists kept per hash_dim, one per (n, tokens, ahead); once a table is
+# full, new keys are not kept.
 _SLOTS_LIMIT = 1 << 14
 _slot_tables: dict[int, dict[tuple, tuple[int, ...]]] = {}
 
 
-def hashed_slots(tokens: Sequence[str], n: int, hash_dim: int = DEFAULT_HASH_DIM,
-                 ahead: Sequence[str] = ()) -> list[int]:
+def ngram_slots(tokens: tuple[str, ...], n: int, hash_dim: int,
+                ahead: tuple[str, ...]) -> tuple[int, ...]:
     """The hashed slot of every 1..n-gram that starts in ``tokens`` and ends
     within ``tokens`` followed by ``ahead``, shortest n-grams first, each
-    order by start; with ``ahead`` empty, of every 1..n-gram of ``tokens``.
-    The list is kept per ``(n, tokens, ahead)`` in ``_slot_tables[hash_dim]``.
-    """
+    order by start."""
+    seq = tokens + ahead
+    return tuple(stable_hash(*seq[start:start + order]) % hash_dim
+                 for order in range(1, n + 1)
+                 for start in range(min(len(tokens), len(seq) - order + 1)))
+
+
+def hashed_slots(tokens: Sequence[str], n: int, hash_dim: int = DEFAULT_HASH_DIM,
+                 ahead: Sequence[str] = ()) -> list[int]:
+    """:func:`ngram_slots` as a new list; with ``ahead`` empty, the slots of
+    every 1..n-gram of ``tokens``.  The slots are kept per ``(n, tokens,
+    ahead)`` in ``_slot_tables[hash_dim]``."""
     table = _slot_tables.setdefault(hash_dim, {})
-    tokens, ahead = tuple(tokens), tuple(ahead)
-    key = (n, tokens, ahead)
+    key = (n, tuple(tokens), tuple(ahead))
     slots = table.get(key)
     if slots is None:
-        seq = tokens + ahead
-        slots = tuple(stable_hash(*seq[start:start + order]) % hash_dim
-                      for order in range(1, n + 1)
-                      for start in range(min(len(tokens), len(seq) - order + 1)))
-        if len(table) >= _SLOTS_LIMIT:
-            table.clear()
-        table[key] = slots
+        slots = ngram_slots(key[1], n, hash_dim, key[2])
+        if len(table) < _SLOTS_LIMIT:
+            table[key] = slots
     return list(slots)
-
-
-def piecewise_slots(pieces: Sequence[tuple[str, ...]], n: int,
-                    hash_dim: int = DEFAULT_HASH_DIM) -> list[int]:
-    """The slots :func:`hashed_slots` gives the concatenated ``pieces``, in
-    another order: piece by piece from the last, each piece's 1..n-grams
-    read with the n - 1 tokens that follow it, which may span several short
-    pieces.  A piece that recurs, with what follows it, is hashed once."""
-    get = _slot_tables.setdefault(hash_dim, {}).get
-    keep = n - 1
-    slots: list[int] = []
-    ahead: tuple[str, ...] = ()
-    for piece in reversed(pieces):
-        # most pieces are found: a lookup here costs less than a call
-        found = get((n, piece, ahead))
-        slots += hashed_slots(piece, n, hash_dim, ahead) if found is None else found
-        ahead = (piece + ahead)[:keep]
-    return slots
 
 
 def dense_features(lm: NgramLM, tokens: Sequence[str]) -> np.ndarray:

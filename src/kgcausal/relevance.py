@@ -9,8 +9,8 @@ in [0, 2] with 1.0 the no-signal midpoint.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Literal, Optional, Sequence
 
 from .kg import KnowledgeGraph, MetapathSubgraph, enumerate_subgraphs, sample_subgraphs
 from .llm import CAUSAL, NON_CAUSAL, PATH_BLOCK_MARKER, ask_label, probability
@@ -67,7 +67,7 @@ class RankedMetapath:
     pathid: int
     relscore: float
     probscore: Optional[float]
-    relevant: str
+    relevant: Literal["1", "0"]
     stops: str
     reltypes: str
     nodelabels: str
@@ -80,11 +80,12 @@ class RankedPairRecord:
     qid: str
     e1: str
     e2: str
-    groundtruth: str
+    groundtruth: Literal["1", "0"]
     metapaths: tuple[RankedMetapath, ...]
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields as they are, equal to ``asdict``'s deep copy."""
+        return {**vars(self), "metapaths": tuple(vars(mp).copy() for mp in self.metapaths)}
 
 
 def parse_ranked_record(d: dict) -> RankedPairRecord:

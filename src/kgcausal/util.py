@@ -152,6 +152,14 @@ def _field(hint) -> Callable:
                 return origin(map(float, value) if args[0] is float else value)
             return origin(read(item, f"{path}[{i}]") for i, item in enumerate(value))
         return read_list
+    if origin is typing.Literal:
+        read, name = _field(type(args[0])), " or ".join(map(json.dumps, args))
+
+        def read_choice(value, path):
+            if read(value, path) not in args:
+                raise ValueError(f"{path} must be {name}, not {json.dumps(value)}")
+            return value
+        return read_choice
     if hint is np.ndarray:
         return number_array
     if is_dataclass(hint):
@@ -183,10 +191,11 @@ def _field(hint) -> Callable:
 def read_fields(cls: type[T], d: dict) -> T:
     """The dataclass ``cls`` read from the JSON object ``d`` by its field
     annotations, resolved once per class: ``str``, ``int`` and ``bool`` take
-    just that JSON type, ``float`` any number but a boolean, ``Optional`` also
-    null, ``list`` and ``tuple`` a list, ``np.ndarray`` :func:`number_array`,
-    and a dataclass an object.  A field's key is its name, or the ``key`` in
-    its metadata.  A field with a default may be left out, and other keys are
-    ignored.  A misfit is a ValueError, and a missing field a KeyError, naming
-    its key path, such as ``metapaths[0].relscore``."""
+    just that JSON type, ``float`` any number but a boolean, ``Literal`` one
+    of its values, ``Optional`` also null, ``list`` and ``tuple`` a list,
+    ``np.ndarray`` :func:`number_array`, and a dataclass an object.  A
+    field's key is its name, or the ``key`` in its metadata.  A field with a
+    default may be left out, and other keys are ignored.  A misfit is a
+    ValueError, and a missing field a KeyError, naming its key path, such as
+    ``metapaths[0].relscore``."""
     return _field(cls)(d, "")

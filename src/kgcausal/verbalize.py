@@ -74,23 +74,29 @@ def verbalize(subgraph: MetapathSubgraph, style: VerbalizationStyle = PLAIN_ARRO
     return PREFIX + ", ".join(triples)
 
 
+def _node_text(kind: str, name: str, first: bool) -> str:
+    """A node's text in the ranker input: its kind and name, after a "-"
+    unless the node is the path's first."""
+    return f"{kind} {name}" if first else f"- {kind} {name}"
+
+
 def _ranker_layout(pair: tuple[str, str], subgraphs: Sequence[MetapathSubgraph],
                    words: Callable[[str], Sequence[str]]) -> list[list[Sequence[str]]]:
     """The layout of :func:`encode_ranker_input` for each of ``subgraphs``,
     as pieces whose tokens, in order, are the input: CLS and the first
     variable's words, the second's and SEP, both built once, then one piece
-    per node.  ``words`` splits a text into tokens at whitespace, so the
-    words of two texts joined by a space are the words of one, then of the
-    other, and each node's piece is the words of one text."""
-    a, b = pair
-    first, second = (CLS, *words(a)), (*words(b), SEP)
+    per node.  A node's kind is its type, or when that is empty the label of
+    the hop after it (before it, for the last node).  ``words`` splits a
+    text into tokens at whitespace, so the words of two texts joined by a
+    space are the words of one, then of the other, and each node's piece is
+    the words of one text."""
+    first, second = pair_pieces(pair, words)
     layouts = []
     for subgraph in subgraphs:
-        names, last_label = subgraph.node_names, len(subgraph.node_names) - 2
-        kinds = [t or subgraph.edge_labels[min(i, last_label)]
-                 for i, t in enumerate(subgraph.node_types)]
-        layouts.append([first, second, words(f"{kinds[0]} {names[0]}"),
-                        *[words(f"- {kind} {name}") for kind, name in zip(kinds[1:], names[1:])]])
+        last_label = len(subgraph.edge_labels) - 1
+        layouts.append([first, second, *[
+            words(_node_text(t or subgraph.edge_labels[min(i, last_label)], name, i == 0))
+            for i, (t, name) in enumerate(zip(subgraph.node_types, subgraph.node_names))]])
     return layouts
 
 
@@ -109,7 +115,8 @@ def tokenize(text: str) -> list[str]:
     return [t if t in _MARKERS else t.lower() for t in text.split()]
 
 
-# Texts whose tokenized words are kept; the cache is emptied when full.
+# Texts whose tokenized words are kept; once the cache is full, new texts
+# are not kept.
 _WORDS_LIMIT = 1 << 14
 _words_cache: dict[str, tuple[str, ...]] = {}
 
@@ -117,10 +124,23 @@ _words_cache: dict[str, tuple[str, ...]] = {}
 def _words(text: str) -> tuple[str, ...]:
     words = _words_cache.get(text)
     if words is None:
-        if len(_words_cache) >= _WORDS_LIMIT:
-            _words_cache.clear()
-        words = _words_cache[text] = tuple(tokenize(text))
+        words = tuple(tokenize(text))
+        if len(_words_cache) < _WORDS_LIMIT:
+            _words_cache[text] = words
     return words
+
+
+def pair_pieces(pair: tuple[str, str], words: Callable[[str], Sequence[str]] = _words
+                ) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The ranker input's two pieces before its first node: CLS and the
+    first variable's words, then the second's and SEP."""
+    return (CLS, *words(pair[0])), (*words(pair[1]), SEP)
+
+
+def node_tokens(kind: str, name: str, first: bool) -> tuple[str, ...]:
+    """The ranker input's tokens of one node (see :func:`_ranker_layout`),
+    tokenized afresh: the caller keeps what it needs."""
+    return tuple(tokenize(_node_text(kind, name, first)))
 
 
 def ranker_input_pieces(pair: tuple[str, str], subgraphs: Sequence[MetapathSubgraph]

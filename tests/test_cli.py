@@ -667,6 +667,17 @@ class TestBadInputs:
                      first_row(lambda doc: doc.update(train_loss_history="ab")), {},
                      'train_loss_history must be a list, not "ab"',
                      id="model-loss-history-string"),
+        pytest.param("train", ["BAD"], "ranked.jsonl",
+                     first_row(lambda row: row.update(groundtruth="yes")), {},
+                     'groundtruth must be "1" or "0", not "yes"', id="ranked-groundtruth-yes"),
+        pytest.param("train", ["BAD"], "ranked.jsonl",
+                     first_row(lambda row: row["metapaths"][0].update(relevant="maybe")), {},
+                     'metapaths[0].relevant must be "1" or "0", not "maybe"',
+                     id="ranked-relevant-maybe"),
+        pytest.param("rank", ["model.json", "BAD"], "ranked.jsonl",
+                     first_row(lambda row: row["metapaths"][0].update(relevant="true")), {},
+                     'metapaths[0].relevant must be "1" or "0", not "true"',
+                     id="rank-relevant-true-string"),
     ])
     def test_malformed_input_exits_2_naming_file_and_line(
             self, pipeline, tmp_path, capsys, command, argv, source, rewrite, keys, message):
@@ -870,6 +881,16 @@ class TestModelFile:
         pytest.param("similarity", lambda doc: doc["ngram_lm"].update(n=True),
                      "n-gram order must be an integer from 1 to 16, not True",
                      id="lm-order-boolean"),
+        pytest.param("neural", lambda doc: doc["ngram_lm"].update(d=True),
+                     "language model d must be an integer, not true", id="lm-width-boolean"),
+        pytest.param("similarity", lambda doc: doc["ngram_lm"].update(d="32"),
+                     'language model d must be an integer, not "32"', id="lm-width-string"),
+        pytest.param("neural", lambda doc: doc["ngram_lm"].update(seed="x"),
+                     'language model seed must be an integer, not "x"', id="lm-seed-string"),
+        pytest.param("similarity", lambda doc: doc["ngram_lm"].update(seed=None),
+                     "language model seed must be an integer, not null", id="lm-seed-null"),
+        pytest.param("neural", lambda doc: doc["ngram_lm"].update(seed=False),
+                     "language model seed must be an integer, not false", id="lm-seed-boolean"),
         pytest.param("neural", lambda doc: doc["ngram_lm"]["embeddings"].pop(),
                      "language model embeddings must have shape", id="embeddings-row-short"),
         pytest.param("similarity", lambda doc: doc["ngram_lm"].update(d=31),

@@ -14,9 +14,9 @@ import pytest
 
 from conftest import make_subgraph
 from kgcausal.kg import MetapathSubgraph
-from kgcausal.ltr import ngram
-from kgcausal.ltr.models import _hashed_matrix, ranker_input_tokens
-from kgcausal.ltr.ngram import DEFAULT_HASH_DIM, MAX_ORDER, hashed_slots, piecewise_slots
+from kgcausal.ltr import models, ngram
+from kgcausal.ltr.models import _hashed_matrix, _path_slots, ranker_input_tokens
+from kgcausal.ltr.ngram import DEFAULT_HASH_DIM, MAX_ORDER, hashed_slots
 from kgcausal.util import read_fields, stable_hash
 from kgcausal.verbalize import encode_ranker_input, ranker_input_pieces, tokenize
 
@@ -73,13 +73,15 @@ def random_tokens(rng):
 def fresh_caches(monkeypatch):
     monkeypatch.setattr(verbalize_module, "_words_cache", {})
     monkeypatch.setattr(ngram, "_slot_tables", {})
+    monkeypatch.setattr(models, "_node_slots", {})
 
 
 @pytest.fixture
 def tiny_caches(monkeypatch, fresh_caches):
-    """Bounds of a few entries, so that the caches are emptied many times."""
+    """Bounds of a few entries, so that the caches are full almost at once."""
     monkeypatch.setattr(verbalize_module, "_WORDS_LIMIT", 3)
     monkeypatch.setattr(ngram, "_SLOTS_LIMIT", 5)
+    monkeypatch.setattr(models, "_NODE_SLOTS_LIMIT", 5)
 
 
 def check_tokens(cases):
@@ -159,15 +161,15 @@ def test_caches_under_threads(tiny_caches):
 
 
 def check_pieces(cases, orders=range(1, MAX_ORDER + 1)):
-    """Piece by piece, the slots of the whole input, in another order."""
+    """Node by node, the slots of the whole input, in another order."""
     for pair, subgraph in cases:
         pieces, = ranker_input_pieces(pair, [subgraph])
         tokens = oracle_tokens(pair, subgraph)
         assert [token for piece in pieces for token in piece] == tokens
         for n in orders:
             for hash_dim in HASH_DIMS:
-                assert (Counter(piecewise_slots(pieces, n, hash_dim))
-                        == Counter(oracle_slots(tokens, n, hash_dim)))
+                row, = _path_slots(n, hash_dim, pair, [subgraph])
+                assert Counter(row) == Counter(oracle_slots(tokens, n, hash_dim))
 
 
 def test_slots_with_ahead_are_those_of_the_ngrams_starting_in_the_tokens(fresh_caches):
@@ -204,6 +206,30 @@ def test_piecewise_slots_within_tiny_bounds(tiny_caches):
     rng = random.Random(7)
     check_pieces([random_sparse_case(rng) for _ in range(30)], orders=range(1, 6))
     assert all(0 < len(table) <= 5 for table in ngram._slot_tables.values())
+    assert 0 < len(models._node_slots) <= 5
+
+
+def test_full_tables_keep_their_first_keys(tiny_caches):
+    """A full table takes no new key and keeps the entries it took first,
+    and what is read through it stays that of the uncached definitions."""
+    rng = random.Random(9)
+    cases = [random_sparse_case(rng) for _ in range(30)]
+
+    def tables():
+        return {"words": verbalize_module._words_cache, "nodes": models._node_slots,
+                **{dim: table for dim, table in ngram._slot_tables.items()}}
+
+    check_pieces(cases[:4], orders=range(1, 5))
+    first = {name: dict(table) for name, table in tables().items()}
+    assert set(first) == {"words", "nodes", *HASH_DIMS}
+    assert len(first["words"]) == 3
+    assert all(len(table) == 5 for name, table in first.items() if name != "words")
+    check_pieces(cases, orders=range(1, 5))
+    check_tokens(cases)
+    check_slots([random_tokens(rng) for _ in range(20)])
+    for name, table in tables().items():
+        assert list(table) == list(first[name])
+        assert all(table[key] is value for key, value in first[name].items())
 
 
 def test_piecewise_slots_under_threads(tiny_caches):

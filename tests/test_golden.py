@@ -83,11 +83,15 @@ def test_template_hashes(artifacts):
 
 def paths_digest(queries) -> str:
     """One line per ``(kg, pair, max_hops, limit, seed)`` query: the pair and
-    every returned subgraph, in the order returned."""
+    every returned subgraph, in the order returned.  Each subgraph, built
+    without the constructor's checks, must equal the checked construction of
+    its five tuples."""
     h = hashlib.sha256()
     for kg, pair, max_hops, limit, seed in queries:
         found = enumerate_subgraphs(kg, pair, max_hops=max_hops, limit=limit, seed=seed)
-        h.update(json.dumps([pair, [sg.to_dict() for sg in found]]).encode("utf-8") + b"\n")
+        rows = [sg.to_dict() for sg in found]
+        assert found == [MetapathSubgraph(**row) for row in rows]
+        h.update(json.dumps([pair, rows]).encode("utf-8") + b"\n")
     return h.hexdigest()
 
 

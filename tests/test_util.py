@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+import json
+import random
+from dataclasses import asdict, dataclass, field
+from typing import Literal, Optional
 
 import pytest
 
+from kgcausal.discovery import CausalPrediction
 from kgcausal.errors import KgcausalError
+from kgcausal.kg import FORWARD, REVERSE, MetapathSubgraph
+from kgcausal.llm import CAUSAL, NON_CAUSAL
+from kgcausal.relevance import RankedMetapath, RankedPairRecord
 from kgcausal.util import parse_fields, read_fields, write_jsonl
 
 
@@ -83,3 +89,56 @@ def test_read_fields_names_a_missing_field(d, key):
     with pytest.raises(KeyError) as exc:
         read_fields(Row, d)
     assert exc.value.args[0] == key
+
+
+@dataclass(frozen=True)
+class Choice:
+    flag: Literal["1", "0"]
+
+
+@pytest.mark.parametrize("value,message", [
+    ("maybe", 'flag must be "1" or "0", not "maybe"'),
+    ("", 'flag must be "1" or "0", not ""'),
+    (1, "flag must be a string, not 1"),
+    (True, "flag must be a string, not true"),
+    (None, "flag must be a string, not null"),
+], ids=["maybe", "empty", "int", "true", "null"])
+def test_read_fields_takes_only_the_values_of_a_literal(value, message):
+    assert read_fields(Choice, {"flag": "0"}) == Choice("0")
+    with pytest.raises(ValueError) as exc:
+        read_fields(Choice, {"flag": value})
+    assert str(exc.value) == message
+
+
+def test_rows_dump_as_asdict_does():
+    """The rows' to_dict returns their fields without copies, equal to what
+    ``asdict`` returns, key for key and in key order, with tuples kept as
+    tuples."""
+    rng = random.Random(11)
+
+    def text():
+        return "".join(rng.choice("ab -\u2192\u00e9") for _ in range(rng.randint(0, 6)))
+
+    def texts(k):
+        return tuple(text() for _ in range(k))
+
+    for _ in range(200):
+        k = rng.randint(2, 6)
+        path = MetapathSubgraph(
+            node_ids=tuple(f"n{i}" for i in range(k)), node_names=texts(k), node_types=texts(k),
+            edge_labels=texts(k - 1),
+            edge_directions=tuple(rng.choice((FORWARD, REVERSE)) for _ in range(k - 1)))
+        record = RankedPairRecord(
+            qid=text(), e1=text(), e2=text(), groundtruth=rng.choice("10"),
+            metapaths=tuple(RankedMetapath(
+                pathid=i, relscore=rng.uniform(0, 2), probscore=rng.choice((None, -rng.random())),
+                relevant=rng.choice("10"), stops=text(), reltypes=text(), nodelabels=text())
+                for i in range(rng.randint(0, 4))))
+        prediction = CausalPrediction(
+            qid=text(), predicted=rng.choice((CAUSAL, NON_CAUSAL, None)), p=rng.random(),
+            subgraphs_used=texts(rng.randint(0, 3)), backend_id=text())
+        for row in (path, record, prediction):
+            d, expected = row.to_dict(), asdict(row)
+            assert d == expected
+            assert json.dumps(d) == json.dumps(expected)  # key order too
+            assert all(type(d[key]) is type(value) for key, value in expected.items())
