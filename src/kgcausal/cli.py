@@ -366,6 +366,8 @@ def cmd_discover(args, config: dict) -> int:
 def _ranked_gains(row: dict):
     """(gains, relevant flags) of a rankings row; None when it has no gains."""
     entries = row["entries"]
+    if type(entries) is not list or not all(type(e) is dict for e in entries):
+        raise ValueError(f"entries must be a list of objects, not {json.dumps(entries)}")
     if not entries or "gain" not in entries[0]:
         return None
     return ([_field(float)(e["gain"], f"entries[{i}].gain") for i, e in enumerate(entries)],

@@ -12,9 +12,9 @@ entries are ``offsets[u]:offsets[u + 1]`` of two parallel arrays, the
 neighbour and the hop code ``2 * relation + direction`` (0 forward, 1
 reverse), sorted by (neighbour, hop code) as the (id, relation, direction)
 strings sort.  No edge list or per-node tuple is kept: ``nodes``, ``edges``
-(in sorted head, relation, tail order), ``neighbors`` and ``name_index``
-are built when asked for.  Search and walk run on the ints, and a
-:class:`MetapathSubgraph` is built only for each path returned.
+(in sorted head, relation, tail order) and ``neighbors`` are built when
+asked for.  Search and walk run on the ints, and a :class:`MetapathSubgraph`
+is built only for each path returned.
 """
 
 from __future__ import annotations
@@ -295,9 +295,8 @@ def _component_labels(n: int, source: np.ndarray, neighbour: np.ndarray) -> np.n
 class KnowledgeGraph:
     """Typed, directed, relation-labeled multigraph; read-only after load.
 
-    ``name_index`` maps lowercased names to node ids (a multimap: name
-    collisions keep every id).  Safe to share across threads once
-    constructed.
+    A name resolves to every node that has it, case-insensitively.  Safe
+    to share across threads once constructed.
 
     The one state that changes after construction is a pair of tables of
     the tuples that returned paths share (see :class:`MetapathSubgraph`):
@@ -381,13 +380,6 @@ class KnowledgeGraph:
                      for c, v in sorted(zip(self._hop_codes[offsets[u]:offsets[u + 1]],
                                             self._neighbours[offsets[u]:offsets[u + 1]]))
                      if not c & 1)
-
-    @property
-    def name_index(self) -> dict[str, tuple[str, ...]]:
-        index: dict[str, tuple[str, ...]] = {}
-        for name, u in zip(self._lowered_names, self._by_name):
-            index[name] = index.get(name, ()) + (self._ids[u],)
-        return index
 
     def neighbors(self, node_id: str) -> tuple[tuple[str, str, str], ...]:
         """(neighbor id, relation, direction) triples, sorted."""

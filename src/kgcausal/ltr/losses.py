@@ -75,8 +75,8 @@ def _rmse(s: np.ndarray, y: np.ndarray, starts: np.ndarray, seg: np.ndarray):
 def _ranknet(s: np.ndarray, pairs, starts: np.ndarray, seg: np.ndarray):
     i, j = pairs
     diff = s[i] - s[j]
-    # Python's sum in row order adds the terms as ranknet_terms lists them,
-    # so the value is bit-identical to the reference loop.
+    # Python's sum in row order adds the terms in the order of a loop over
+    # every (i, j), so the value is bit-identical to such a reference loop.
     loss = float(sum(np.logaddexp(0.0, -diff).tolist()))
     # sigmoid(-(s_i - s_j)), computed stably on both tails
     decay = np.exp(-np.abs(diff))
@@ -123,23 +123,4 @@ def loss_and_grad(loss_kind: str, scores: Sequence[float],
     starts, seg = _segments(s.size, offsets)
     target = _stack_target(loss_kind, s.size, targets, ranks, starts, seg)
     return _KERNELS[loss_kind](s, target, starts, seg)
-
-
-def ranknet_terms(scores: Sequence[float], ranks: Sequence[int]) -> list[float]:
-    """One softplus term per ordered pair whose first item ranks better.
-
-    Rank 1 is the most relevant item; each term log(1 + exp(-(s_i - s_j)))
-    pushes the better-ranked item's score above the worse-ranked one.  The
-    loop is the reference that :func:`loss_and_grad`'s RankNet value is
-    tested against.
-    """
-    s = np.asarray(scores, dtype=np.float64)
-    starts, seg = _segments(s.size, None)
-    r = _check_ranks(ranks, starts, seg)
-    terms = []
-    for i in range(len(s)):
-        for j in range(len(s)):
-            if r[i] < r[j]:
-                terms.append(float(np.logaddexp(0.0, -(s[i] - s[j]))))
-    return terms
 

@@ -24,11 +24,9 @@ import numpy as np
 from ..kg import FORWARD, MetapathSubgraph
 from ..relevance import RankedPairRecord
 from ..util import atomic_write, descending_order, read_fields, read_json, stable_hash
-from ..verbalize import (HYPHEN_STYLE, node_tokens, pair_pieces, ranker_input_tokens, tokenize,
-                         verbalize)
+from ..verbalize import HYPHEN_STYLE, piece_tokens, ranker_input_tokens, tokenize, verbalize
 from .losses import _KERNELS, LOSS_KINDS, RANKNET, RMSE, _segments, _stack_target
-from .ngram import (DEFAULT_HASH_DIM, NgramLM, checked_order, dense_features, hashed_slots,
-                    ngram_slots)
+from .ngram import DEFAULT_HASH_DIM, NgramLM, checked_order, dense_features, hashed_slots
 
 logger = logging.getLogger(__name__)
 
@@ -292,49 +290,51 @@ def _dense_matrix(lm: NgramLM, pair, subgraphs) -> np.ndarray:
     return np.stack([dense_features(lm, ranker_input_tokens(pair, sg)) for sg in subgraphs])
 
 
-# A node's slots and the n - 1 tokens it leaves ahead, kept per (n,
-# hash_dim, kind, name, first node or not, tokens ahead); once the table is
-# full, new keys are not kept.
-_NODE_SLOTS_LIMIT = 1 << 14
-_node_slots: dict[tuple, tuple[tuple[int, ...], tuple[str, ...]]] = {}
+# A piece's slots and the n - 1 tokens it leaves ahead, kept per (n,
+# hash_dim, kind, name, first, tokens ahead), the piece as
+# ``verbalize.piece_tokens`` reads it; once the table is full, new keys are
+# not kept.
+_PIECE_SLOTS_LIMIT = 1 << 14
+_piece_slots: dict[tuple, tuple[tuple[int, ...], tuple[str, ...]]] = {}
 
 
-def _read_node(key: tuple, unkept: dict) -> tuple[tuple[int, ...], tuple[str, ...]]:
-    """A node's entry of ``_node_slots``, read afresh and kept there, or in
+def _read_piece(key: tuple, unkept: dict) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    """A piece's entry of ``_piece_slots``, read afresh and kept there, or in
     ``unkept``, a caller's own table, once that is full."""
     n, hash_dim, kind, name, first, ahead = key
-    tokens = node_tokens(kind, name, first)
-    found = ngram_slots(tokens, n, hash_dim, ahead), (tokens + ahead)[:n - 1]
-    (_node_slots if len(_node_slots) < _NODE_SLOTS_LIMIT else unkept)[key] = found
+    tokens = piece_tokens(kind, name, first)
+    found = tuple(hashed_slots(tokens, n, hash_dim, ahead)), (tokens + ahead)[:n - 1]
+    (_piece_slots if len(_piece_slots) < _PIECE_SLOTS_LIMIT else unkept)[key] = found
     return found
 
 
 def _path_slots(n: int, hash_dim: int, pair, subgraphs) -> list[list[int]]:
     """The hashed slot of every 1..n-gram of each subgraph's ranker input,
-    laid out as ``verbalize._ranker_layout`` does, in no fixed order.  A
-    path is read node by node from its last: a node's slots are those of the
-    n-grams that start in it, given the n - 1 tokens that follow it.  The
-    pair's two pieces come last, read once per pair and tokens ahead."""
-    get = _node_slots.get
+    in no fixed order.  A path is read piece by piece from its last node: a
+    piece's slots are those of the n-grams that start in it, given the n - 1
+    tokens that follow it.  The pair's two pieces come last, read once per
+    pair and tokens ahead."""
+    get = _piece_slots.get
     unkept: dict[tuple, tuple[tuple[int, ...], tuple[str, ...]]] = {}
-    pair_slots: dict[tuple[str, ...], list[int]] = {}
+    pair_slots: dict[tuple[str, ...], tuple[int, ...]] = {}
     rows = []
     for subgraph in subgraphs:
         names, types, labels = subgraph.node_names, subgraph.node_types, subgraph.edge_labels
         i = len(labels)
         key = (n, hash_dim, types[i] or labels[i - 1], names[i], False, ())
-        slots, ahead = get(key) or unkept.get(key) or _read_node(key, unkept)
+        slots, ahead = get(key) or unkept.get(key) or _read_piece(key, unkept)
         row = list(slots)
         for i in range(i - 1, -1, -1):
             key = (n, hash_dim, types[i] or labels[i], names[i], i == 0, ahead)
-            slots, ahead = get(key) or unkept.get(key) or _read_node(key, unkept)
+            slots, ahead = get(key) or unkept.get(key) or _read_piece(key, unkept)
             row += slots
         found = pair_slots.get(ahead)
         if found is None:
-            first, second = pair_pieces(pair)
-            found = pair_slots[ahead] = (
-                hashed_slots(second, n, hash_dim, ahead)
-                + hashed_slots(first, n, hash_dim, (second + ahead)[:n - 1]))
+            key = (n, hash_dim, None, pair[1], False, ahead)
+            second, second_ahead = get(key) or unkept.get(key) or _read_piece(key, unkept)
+            key = (n, hash_dim, None, pair[0], True, second_ahead)
+            first = (get(key) or unkept.get(key) or _read_piece(key, unkept))[0]
+            found = pair_slots[ahead] = second + first
         row += found
         rows.append(row)
     return rows

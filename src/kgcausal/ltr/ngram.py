@@ -5,7 +5,9 @@ against one output row per vocabulary entry.  Training uses a sampled
 softmax, which scores each target against a few drawn negatives instead of
 the whole vocabulary.  After training, the embedding rows are mean-pooled
 into dense features, and every 1..n-gram is hashed to a slot of a fixed-size
-count vector for tree-based models.
+count vector for tree-based models.  :func:`hashed_slots` keeps nothing; the
+GBDT's feature reader keeps the slots of each ranker-input piece
+(``ltr.models``).
 """
 
 from __future__ import annotations
@@ -212,36 +214,16 @@ def _subtract_rows(matrix: np.ndarray, rows: np.ndarray, values: np.ndarray) -> 
     np.subtract.at(matrix.reshape(-1), flat, values.reshape(-1))
 
 
-# Slot lists kept per hash_dim, one per (n, tokens, ahead); once a table is
-# full, new keys are not kept.
-_SLOTS_LIMIT = 1 << 14
-_slot_tables: dict[int, dict[tuple, tuple[int, ...]]] = {}
-
-
-def ngram_slots(tokens: tuple[str, ...], n: int, hash_dim: int,
-                ahead: tuple[str, ...]) -> tuple[int, ...]:
-    """The hashed slot of every 1..n-gram that starts in ``tokens`` and ends
-    within ``tokens`` followed by ``ahead``, shortest n-grams first, each
-    order by start."""
-    seq = tokens + ahead
-    return tuple(stable_hash(*seq[start:start + order]) % hash_dim
-                 for order in range(1, n + 1)
-                 for start in range(min(len(tokens), len(seq) - order + 1)))
-
-
 def hashed_slots(tokens: Sequence[str], n: int, hash_dim: int = DEFAULT_HASH_DIM,
                  ahead: Sequence[str] = ()) -> list[int]:
-    """:func:`ngram_slots` as a new list; with ``ahead`` empty, the slots of
-    every 1..n-gram of ``tokens``.  The slots are kept per ``(n, tokens,
-    ahead)`` in ``_slot_tables[hash_dim]``."""
-    table = _slot_tables.setdefault(hash_dim, {})
-    key = (n, tuple(tokens), tuple(ahead))
-    slots = table.get(key)
-    if slots is None:
-        slots = ngram_slots(key[1], n, hash_dim, key[2])
-        if len(table) < _SLOTS_LIMIT:
-            table[key] = slots
-    return list(slots)
+    """The hashed slot of every 1..n-gram that starts in ``tokens`` and ends
+    within ``tokens`` followed by ``ahead``, shortest n-grams first, each
+    order by start; with ``ahead`` empty, the slots of every 1..n-gram of
+    ``tokens``."""
+    seq = (*tokens, *ahead)
+    return [stable_hash(*seq[start:start + order]) % hash_dim
+            for order in range(1, n + 1)
+            for start in range(min(len(tokens), len(seq) - order + 1))]
 
 
 def dense_features(lm: NgramLM, tokens: Sequence[str]) -> np.ndarray:

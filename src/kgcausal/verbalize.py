@@ -1,9 +1,15 @@
-"""Turn metapath subgraphs into prompt text and ranker input tokens."""
+"""Turn metapath subgraphs into prompt text and ranker input tokens.
+
+A ranker input is a sequence of pieces, each one ``(kind, name, first)``:
+the pair's two, with ``kind`` None, then one per node of the path.  The LM
+corpus, the neural ranker and the GBDT read a piece's tokens through
+:func:`piece_tokens`; the GBDT hashes them piece by piece (``ltr.models``).
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Optional
 
 from .kg import FORWARD, MetapathSubgraph
 
@@ -74,84 +80,43 @@ def verbalize(subgraph: MetapathSubgraph, style: VerbalizationStyle = PLAIN_ARRO
     return PREFIX + ", ".join(triples)
 
 
-def _node_text(kind: str, name: str, first: bool) -> str:
-    """A node's text in the ranker input: its kind and name, after a "-"
-    unless the node is the path's first."""
-    return f"{kind} {name}" if first else f"- {kind} {name}"
-
-
-def _ranker_layout(pair: tuple[str, str], subgraphs: Sequence[MetapathSubgraph],
-                   words: Callable[[str], Sequence[str]]) -> list[list[Sequence[str]]]:
-    """The layout of :func:`encode_ranker_input` for each of ``subgraphs``,
-    as pieces whose tokens, in order, are the input: CLS and the first
-    variable's words, the second's and SEP, both built once, then one piece
-    per node.  A node's kind is its type, or when that is empty the label of
-    the hop after it (before it, for the last node).  ``words`` splits a
-    text into tokens at whitespace, so the words of two texts joined by a
-    space are the words of one, then of the other, and each node's piece is
-    the words of one text."""
-    first, second = pair_pieces(pair, words)
-    layouts = []
-    for subgraph in subgraphs:
-        last_label = len(subgraph.edge_labels) - 1
-        layouts.append([first, second, *[
-            words(_node_text(t or subgraph.edge_labels[min(i, last_label)], name, i == 0))
-            for i, (t, name) in enumerate(zip(subgraph.node_types, subgraph.node_names))]])
-    return layouts
-
-
-def encode_ranker_input(pair: tuple[str, str], subgraph: MetapathSubgraph) -> list[str]:
-    """Token sequence fed to ranking models.
-
-    Layout: CLS marker, the pair's name tokens, SEP marker, then one
-    "type name" segment per node with a "-" token between segments.  When a
-    node has no type, the adjacent edge label fills the type slot.
-    """
-    return [token for piece in _ranker_layout(pair, [subgraph], str.split)[0] for token in piece]
-
-
 def tokenize(text: str) -> list[str]:
     """Whitespace tokens, lowercased except for the CLS/SEP markers."""
     return [t if t in _MARKERS else t.lower() for t in text.split()]
 
 
-# Texts whose tokenized words are kept; once the cache is full, new texts
-# are not kept.
-_WORDS_LIMIT = 1 << 14
-_words_cache: dict[str, tuple[str, ...]] = {}
+# Pieces whose tokens are kept, keyed (kind, name, first); once the table is
+# full, new keys are not kept.
+_TOKENS_LIMIT = 1 << 14
+_tokens: dict[tuple, tuple[str, ...]] = {}
 
 
-def _words(text: str) -> tuple[str, ...]:
-    words = _words_cache.get(text)
-    if words is None:
-        words = tuple(tokenize(text))
-        if len(_words_cache) < _WORDS_LIMIT:
-            _words_cache[text] = words
-    return words
-
-
-def pair_pieces(pair: tuple[str, str], words: Callable[[str], Sequence[str]] = _words
-                ) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The ranker input's two pieces before its first node: CLS and the
-    first variable's words, then the second's and SEP."""
-    return (CLS, *words(pair[0])), (*words(pair[1]), SEP)
-
-
-def node_tokens(kind: str, name: str, first: bool) -> tuple[str, ...]:
-    """The ranker input's tokens of one node (see :func:`_ranker_layout`),
-    tokenized afresh: the caller keeps what it needs."""
-    return tuple(tokenize(_node_text(kind, name, first)))
-
-
-def ranker_input_pieces(pair: tuple[str, str], subgraphs: Sequence[MetapathSubgraph]
-                        ) -> list[list[tuple[str, ...]]]:
-    """The pieces of :func:`ranker_input_tokens` for each of ``subgraphs``,
-    as token tuples: one per variable of the pair, then one per node, each
-    node's from the cache of every text's words."""
-    return _ranker_layout(pair, subgraphs, _words)
+def piece_tokens(kind: Optional[str], name: str, first: bool) -> tuple[str, ...]:
+    """The tokens of one piece of the ranker input.  With ``kind`` None it
+    is one of the pair's two: CLS and the words of ``name``, the first
+    variable, when ``first``, else the words of the second and SEP.
+    Otherwise it is a node's: "-" unless the node is the path's first, then
+    the words of its kind and of its name."""
+    key = (kind, name, first)
+    tokens = _tokens.get(key)
+    if tokens is None:
+        if kind is None:
+            tokens = (CLS, *tokenize(name)) if first else (*tokenize(name), SEP)
+        else:
+            tokens = tuple(tokenize(f"{kind} {name}" if first else f"- {kind} {name}"))
+        if len(_tokens) < _TOKENS_LIMIT:
+            _tokens[key] = tokens
+    return tokens
 
 
 def ranker_input_tokens(pair: tuple[str, str], subgraph: MetapathSubgraph) -> list[str]:
-    """Lowercased feature tokens for one (pair, subgraph) input: the tokens
-    of :func:`encode_ranker_input`, from a cache of each text's words."""
-    return [token for piece in ranker_input_pieces(pair, [subgraph])[0] for token in piece]
+    """Lowercased feature tokens for one (pair, subgraph) input, the tokens
+    of its pieces in order: the pair's two, then one per node.  A node's
+    kind is its type, or when that is empty the label of the hop after it
+    (before it, for the last node)."""
+    labels = subgraph.edge_labels
+    last = len(labels) - 1
+    tokens = [*piece_tokens(None, pair[0], True), *piece_tokens(None, pair[1], False)]
+    for i, (node_type, name) in enumerate(zip(subgraph.node_types, subgraph.node_names)):
+        tokens += piece_tokens(node_type or labels[min(i, last)], name, i == 0)
+    return tokens

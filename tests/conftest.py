@@ -12,12 +12,13 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kgcausal.cli import main
 from kgcausal.kg import FORWARD, KnowledgeGraph, MetapathSubgraph, NodeRecord, EdgeRecord
 from kgcausal.llm import Completion
-from kgcausal.ltr.losses import loss_and_grad
+from kgcausal.ltr.losses import _check_ranks, _segments, loss_and_grad
 from kgcausal.ltr.models import _FlatScorer
 from kgcausal.synthetic import make_planted_world, write_instances_jsonl, write_kg_jsonl
 
@@ -32,6 +33,49 @@ def make_subgraph(names, types=None, labels=None, directions=None, ids=None):
         edge_labels=tuple(labels if labels is not None else ["rel"] * (n - 1)),
         edge_directions=tuple(directions if directions is not None else [FORWARD] * (n - 1)),
     )
+
+
+def encode_ranker_input(pair, subgraph):
+    """The ranker input's layout, built here from the subgraph's fields
+    alone: CLS, the pair's words, SEP, then per node a "-" (but before the
+    first), the words of its type, or when that is empty of the label of
+    the hop after it (before it, for the last node), and of its name."""
+    tokens = ["CLS", *pair[0].split(), *pair[1].split(), "SEP"]
+    labels = subgraph.edge_labels
+    for i, (node_type, name) in enumerate(zip(subgraph.node_types, subgraph.node_names)):
+        kind = node_type or labels[i if i < len(labels) else i - 1]
+        if i:
+            tokens.append("-")
+        tokens += kind.split() + name.split()
+    return tokens
+
+
+def name_index(kg):
+    """Lowercased names to the ids of the nodes that have them (a multimap:
+    name collisions keep every id), from the graph's name order."""
+    index = {}
+    for name, u in zip(kg._lowered_names, kg._by_name):
+        index[name] = index.get(name, ()) + (kg._ids[u],)
+    return index
+
+
+def ranknet_terms(scores, ranks):
+    """One softplus term per ordered pair whose first item ranks better.
+
+    Rank 1 is the most relevant item; each term log(1 + exp(-(s_i - s_j)))
+    pushes the better-ranked item's score above the worse-ranked one.  The
+    loop is the reference that :func:`losses.loss_and_grad`'s RankNet value
+    is tested against.
+    """
+    s = np.asarray(scores, dtype=np.float64)
+    starts, seg = _segments(s.size, None)
+    r = _check_ranks(ranks, starts, seg)
+    terms = []
+    for i in range(len(s)):
+        for j in range(len(s)):
+            if r[i] < r[j]:
+                terms.append(float(np.logaddexp(0.0, -(s[i] - s[j]))))
+    return terms
 
 
 def scorer_loss_and_grads(params, X, loss_kind, targets=None, ranks=None, offsets=None):

@@ -15,7 +15,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import scorer_loss_and_grads
+from conftest import ranknet_terms, scorer_loss_and_grads
 from kgcausal.cli import EXIT_OK, main as cli_main
 from kgcausal.discovery import (
     DiscoveryConfig,
@@ -31,7 +31,6 @@ from kgcausal.ltr.losses import (
     RANKNET,
     RMSE,
     loss_and_grad,
-    ranknet_terms,
 )
 from kgcausal.ltr.metrics import ndcg_at_k, recall_at_k
 from kgcausal.ltr.models import (

@@ -580,7 +580,14 @@ class TestBadInputs:
                                    ("flip_rate", "true", True), ("flip_rate", "null", None))],
         pytest.param("eval", ["predictions.jsonl", "pairs.jsonl", "--rankings", "BAD"],
                      "rankings.jsonl", first_row(lambda row: row.update(entries=5)), {},
-                     "'int' object is not subscriptable", id="int-entries"),
+                     "entries must be a list of objects, not 5", id="int-entries"),
+        *[pytest.param("eval", ["predictions.jsonl", "pairs.jsonl", "--rankings", "BAD"],
+                       "rankings.jsonl", first_row(lambda row, value=value: row.update(
+                           entries=value)), {},
+                       f"entries must be a list of objects, not {json.dumps(value)}",
+                       id=f"rankings-entries-{name}")
+          for value, name in (("x", "string"), ({}, "empty-object"),
+                              ({"gain": 1}, "object"))],
         pytest.param("eval", ["predictions.jsonl", "pairs.jsonl", "--gold-adjacency", "BAD"],
                      "adjacency.json",
                      lambda _: '{"variables": ["a", "b"], "matrix": [[0, 1], [0]]}', {},

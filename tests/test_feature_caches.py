@@ -1,4 +1,5 @@
-"""Cached ranker tokens and n-gram slots against their uncached definitions."""
+"""Cached ranker-input pieces and their n-gram slots against their uncached
+definitions."""
 
 from __future__ import annotations
 
@@ -12,13 +13,13 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import make_subgraph
+from conftest import encode_ranker_input, make_subgraph
 from kgcausal.kg import MetapathSubgraph
-from kgcausal.ltr import models, ngram
+from kgcausal.ltr import models
 from kgcausal.ltr.models import _hashed_matrix, _path_slots, ranker_input_tokens
 from kgcausal.ltr.ngram import DEFAULT_HASH_DIM, MAX_ORDER, hashed_slots
 from kgcausal.util import read_fields, stable_hash
-from kgcausal.verbalize import encode_ranker_input, ranker_input_pieces, tokenize
+from kgcausal.verbalize import CLS, SEP, piece_tokens, tokenize
 
 WORDS = ["FGF6", "fgf6", "Prostate", "cancer", "CLS", "SEP", "cls", "Sep", "-", "x", "TNF-a"]
 HASH_DIMS = (7, 256, 1024)
@@ -52,17 +53,22 @@ def random_case(rng):
 
 def random_sparse_case(rng):
     """:func:`random_case` whose texts may tokenize to nothing, so that a
-    piece may be shorter than n - 1 tokens, or empty."""
+    piece may be shorter than n - 1 tokens, or empty.  One node is typed CLS
+    or SEP, and one of the pair's variables is a node's name, so that a
+    pair's piece and a node's share their name and may share their words."""
     def text(words=3):
         return rng.choice(["", "  ", random_text(rng, words)])
 
     nodes = rng.randint(2, 6)
+    names = [text() for _ in range(nodes)]
+    types = [rng.choice(["", text(2)]) for _ in range(nodes)]
+    types[rng.randrange(nodes)] = rng.choice([CLS, SEP])
     subgraph = make_subgraph(
-        names=[text() for _ in range(nodes)],
-        types=[rng.choice(["", text(2)]) for _ in range(nodes)],
-        labels=[text(2) for _ in range(nodes - 1)],
+        names=names, types=types, labels=[text(2) for _ in range(nodes - 1)],
         ids=[f"n{i}" for i in range(nodes)])
-    return (text(), text()), subgraph
+    pair = [text(), text()]
+    pair[rng.randrange(2)] = rng.choice(names)
+    return tuple(pair), subgraph
 
 
 def random_tokens(rng):
@@ -71,17 +77,15 @@ def random_tokens(rng):
 
 @pytest.fixture
 def fresh_caches(monkeypatch):
-    monkeypatch.setattr(verbalize_module, "_words_cache", {})
-    monkeypatch.setattr(ngram, "_slot_tables", {})
-    monkeypatch.setattr(models, "_node_slots", {})
+    monkeypatch.setattr(verbalize_module, "_tokens", {})
+    monkeypatch.setattr(models, "_piece_slots", {})
 
 
 @pytest.fixture
 def tiny_caches(monkeypatch, fresh_caches):
     """Bounds of a few entries, so that the caches are full almost at once."""
-    monkeypatch.setattr(verbalize_module, "_WORDS_LIMIT", 3)
-    monkeypatch.setattr(ngram, "_SLOTS_LIMIT", 5)
-    monkeypatch.setattr(models, "_NODE_SLOTS_LIMIT", 5)
+    monkeypatch.setattr(verbalize_module, "_TOKENS_LIMIT", 3)
+    monkeypatch.setattr(models, "_PIECE_SLOTS_LIMIT", 5)
 
 
 def check_tokens(cases):
@@ -124,7 +128,6 @@ def test_slots_equal_the_per_ngram_hash(fresh_caches):
     rng = random.Random(2)
     token_lists = [random_tokens(rng) for _ in range(100)]
     check_slots(token_lists)
-    check_slots(token_lists)  # now from the tables
 
 
 def test_counts_sum_to_the_ngram_count(fresh_caches):
@@ -137,9 +140,7 @@ def test_caches_stay_within_their_bounds(tiny_caches):
     rng = random.Random(3)
     check_tokens([random_case(rng) for _ in range(100)])
     check_slots([random_tokens(rng) for _ in range(40)])
-    assert 0 < len(verbalize_module._words_cache) <= 3
-    assert set(ngram._slot_tables) == set(HASH_DIMS)
-    assert all(0 < len(table) <= 5 for table in ngram._slot_tables.values())
+    assert 0 < len(verbalize_module._tokens) <= 3
 
 
 def test_caches_under_threads(tiny_caches):
@@ -161,11 +162,10 @@ def test_caches_under_threads(tiny_caches):
 
 
 def check_pieces(cases, orders=range(1, MAX_ORDER + 1)):
-    """Node by node, the slots of the whole input, in another order."""
+    """Piece by piece, the slots of the whole input, in another order."""
     for pair, subgraph in cases:
-        pieces, = ranker_input_pieces(pair, [subgraph])
         tokens = oracle_tokens(pair, subgraph)
-        assert [token for piece in pieces for token in piece] == tokens
+        assert ranker_input_tokens(pair, subgraph) == tokens
         for n in orders:
             for hash_dim in HASH_DIMS:
                 row, = _path_slots(n, hash_dim, pair, [subgraph])
@@ -197,16 +197,18 @@ def test_pieces_shorter_than_the_order_and_empty_types(fresh_caches):
     n - 1 tokens ahead span several pieces; empty types fall back to the
     adjacent label."""
     sg = make_subgraph(["a", "", " ", "b c"], types=["", "", "T", ""], labels=["", "x", ""])
-    pieces, = ranker_input_pieces(("P", ""), [sg])
+    pieces = [piece_tokens(kind, name, first) for kind, name, first in (
+        (None, "P", True), (None, "", False), ("", "a", True), ("x", "", False),
+        ("T", " ", False), ("", "b c", False))]
     assert pieces == [("CLS", "p"), ("SEP",), ("a",), ("-", "x"), ("-", "t"), ("-", "b", "c")]
+    assert ranker_input_tokens(("P", ""), sg) == [token for piece in pieces for token in piece]
     check_pieces([(("P", ""), sg)])
 
 
 def test_piecewise_slots_within_tiny_bounds(tiny_caches):
     rng = random.Random(7)
     check_pieces([random_sparse_case(rng) for _ in range(30)], orders=range(1, 6))
-    assert all(0 < len(table) <= 5 for table in ngram._slot_tables.values())
-    assert 0 < len(models._node_slots) <= 5
+    assert 0 < len(models._piece_slots) <= 5
 
 
 def test_full_tables_keep_their_first_keys(tiny_caches):
@@ -216,14 +218,12 @@ def test_full_tables_keep_their_first_keys(tiny_caches):
     cases = [random_sparse_case(rng) for _ in range(30)]
 
     def tables():
-        return {"words": verbalize_module._words_cache, "nodes": models._node_slots,
-                **{dim: table for dim, table in ngram._slot_tables.items()}}
+        return {"tokens": verbalize_module._tokens, "pieces": models._piece_slots}
 
     check_pieces(cases[:4], orders=range(1, 5))
     first = {name: dict(table) for name, table in tables().items()}
-    assert set(first) == {"words", "nodes", *HASH_DIMS}
-    assert len(first["words"]) == 3
-    assert all(len(table) == 5 for name, table in first.items() if name != "words")
+    assert len(first["tokens"]) == 3
+    assert len(first["pieces"]) == 5
     check_pieces(cases, orders=range(1, 5))
     check_tokens(cases)
     check_slots([random_tokens(rng) for _ in range(20)])

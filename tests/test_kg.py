@@ -11,6 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from conftest import name_index
 from kgcausal import kg as kg_module
 from kgcausal.errors import KGLoadError
 from kgcausal.kg import (
@@ -136,7 +137,7 @@ class TestLoad:
         kg = load_kg(path, format="triples-tsv")
         assert kg.load_report.nodes == 3
         assert kg.load_report.edges == 2
-        assert kg.nodes[kg.name_index["c"][0]].node_type == "Disease"
+        assert kg.nodes[name_index(kg)["c"][0]].node_type == "Disease"
 
     def test_tsv_bad_field_count(self, tmp_path):
         path = tmp_path / "kg.tsv"
@@ -155,7 +156,7 @@ class TestLoad:
             jsonl_line("x2", "shared", "T", "r", "y", "Y", "T"),
         ]
         kg = load_kg(write_kg(tmp_path, lines))
-        assert kg.name_index["shared"] == ("x1", "x2")
+        assert name_index(kg)["shared"] == ("x1", "x2")
         assert [kg._ids[u] for u in kg._resolve("SHARED")] == ["x1", "x2"]
 
 
@@ -188,7 +189,7 @@ class TestViews:
             names = {}
             for node in sorted(nodes, key=lambda n: n.id):
                 names.setdefault(node.name.lower(), []).append(node.id)
-            assert kg.name_index == {name: tuple(ids) for name, ids in names.items()}
+            assert name_index(kg) == {name: tuple(ids) for name, ids in names.items()}
             for node in nodes:
                 assert [kg._ids[u] for u in kg._resolve(node.name.upper())] == \
                     names[node.name.lower()]
@@ -283,8 +284,8 @@ def record_adjacency_reads(monkeypatch, methods=("_adjacent", "_hops")):
 def brute_force_shortest_paths(kg: KnowledgeGraph, a: str, b: str, max_hops: int):
     """Independent oracle: exhaustive DFS over all simple paths, then keep
     the minimal length and expand parallel edge choices."""
-    a_ids = set(kg.name_index[a.lower()])
-    b_ids = set(kg.name_index[b.lower()])
+    a_ids = set(name_index(kg)[a.lower()])
+    b_ids = set(name_index(kg)[b.lower()])
     undirected = {}
     for edge in kg.edges:
         undirected.setdefault(edge.head, set()).add(edge.tail)

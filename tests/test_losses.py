@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from kgcausal.ltr.losses import LISTNET, LOSS_KINDS, RANKNET, RMSE, loss_and_grad, ranknet_terms
+from conftest import ranknet_terms
+from kgcausal.ltr.losses import LISTNET, LOSS_KINDS, RANKNET, RMSE, loss_and_grad
 
 
 def central_difference(fn, x, step=1e-5):

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import make_subgraph
+from conftest import encode_ranker_input, make_subgraph
 from kgcausal.kg import FORWARD, REVERSE
 from kgcausal.verbalize import (
     CLS,
@@ -16,7 +16,6 @@ from kgcausal.verbalize import (
     PLAIN_ARROWS_STYLE,
     TYPED_ARROWS_STYLE,
     VerbalizationStyle,
-    encode_ranker_input,
     tokenize,
     verbalize,
 )
