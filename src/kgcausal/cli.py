@@ -106,18 +106,16 @@ _MINIMUMS = {"kg.max_hops": 1, "kg.candidate_limit": 1, "llm.parallelism": 1,
 _FLAG_KEYS = {"seed": "seed", "max_hops": "kg.max_hops", "kind": "ranker.kind",
               "loss": "ranker.loss", "k": "discovery.k"}
 
-_TYPE_NAMES = {list: "a list", str: "a string", bool: "a boolean", int: "an integer",
-               float: "a number", type(None): "null"}
-
 
 def _merge_config(default, value, path: str = ""):
     """``value`` checked against ``default``, its part of DEFAULT_CONFIG, and
     completed from it; a KgcausalError names the dotted path of a misfit.
     Sections take only the default's keys and keep the defaults of the others.
-    Values have their default's JSON type (list items that of its first item),
-    except that any number fits a float, a string fits a null default, and
-    null fits there and at the keys in ``_NULLABLE``; the keys in ``_MINIMUMS``
-    take no value below theirs."""
+    A value is read by :func:`util._field` for its default's type, a list's
+    items for that of its first item, and as an optional string where the
+    default is null; the keys in ``_NULLABLE`` take null too, and those in
+    ``_MINIMUMS`` no value below theirs.  The value is kept as given, so
+    an integer at a float key stays an integer."""
     if isinstance(default, dict):
         if not isinstance(value, dict):
             raise KgcausalError(f"config key {path} must be a section")
@@ -128,21 +126,20 @@ def _merge_config(default, value, path: str = ""):
                 raise KgcausalError(f"unknown config key {key_path}")
             merged[key] = _merge_config(default[key], item, key_path)
         return merged
-    if isinstance(value, dict):
-        raise KgcausalError(f"config key {path} must be a value, not a section")
     if isinstance(default, list) and isinstance(value, list):
         return [_merge_config(default[0], item, f"{path}[{i}]")
                 for i, item in enumerate(value)]
-    nullable = default is None or path in _NULLABLE
-    if value is None and nullable:
-        return None
-    expected = type("" if default is None else default)
-    if not (type(value) is expected or (expected is float and type(value) is int)):
-        or_null = " or null" if nullable else ""
-        raise KgcausalError(f"config key {path} must be {_TYPE_NAMES[expected]}{or_null}, "
-                            f"not {_TYPE_NAMES[type(value)]}")
+    hint = type("" if default is None else default)
+    if hint is list:  # a value that is not a list
+        hint = list[type(default[0])]
+    if default is None or path in _NULLABLE:
+        hint = Optional[hint]
+    try:
+        _field(hint)(value, path)
+    except ValueError as exc:
+        raise KgcausalError(f"config key {exc}") from None
     minimum = _MINIMUMS.get(path.partition("[")[0])
-    if minimum is not None and value < minimum:
+    if minimum is not None and value is not None and value < minimum:
         raise KgcausalError(f"config key {path} must be >= {minimum}, not {value}")
     return value
 
@@ -364,12 +361,16 @@ def cmd_discover(args, config: dict) -> int:
 
 
 def _ranked_gains(row: dict):
-    """(gains, relevant flags) of a rankings row; None when it has no gains."""
+    """(gains, relevant flags) of a rankings row; None when no entry has a
+    gain.  Where some have one, an entry without it is a missing field."""
     entries = row["entries"]
     if type(entries) is not list or not all(type(e) is dict for e in entries):
         raise ValueError(f"entries must be a list of objects, not {json.dumps(entries)}")
-    if not entries or "gain" not in entries[0]:
+    if not any("gain" in e for e in entries):
         return None
+    for i, e in enumerate(entries):
+        if "gain" not in e:
+            raise KeyError(f"entries[{i}].gain")
     return ([_field(float)(e["gain"], f"entries[{i}].gain") for i, e in enumerate(entries)],
             [_field(bool)(e.get("relevant", False), f"entries[{i}].relevant")
              for i, e in enumerate(entries)])

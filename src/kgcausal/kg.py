@@ -11,10 +11,9 @@ string order.  Each edge is one adjacency entry at each end; node ``u``'s
 entries are ``offsets[u]:offsets[u + 1]`` of two parallel arrays, the
 neighbour and the hop code ``2 * relation + direction`` (0 forward, 1
 reverse), sorted by (neighbour, hop code) as the (id, relation, direction)
-strings sort.  No edge list or per-node tuple is kept: ``nodes``, ``edges``
-(in sorted head, relation, tail order) and ``neighbors`` are built when
-asked for.  Search and walk run on the ints, and a :class:`MetapathSubgraph`
-is built only for each path returned.
+strings sort.  No edge list or per-node tuple is kept: ``nodes`` and
+``neighbors`` are built when asked for.  Search and walk run on the ints,
+and a :class:`MetapathSubgraph` is built only for each path returned.
 """
 
 from __future__ import annotations
@@ -56,12 +55,6 @@ class NodeRecord:
     name: str
     node_type: str
 
-    def __post_init__(self):
-        if not self.id:
-            raise ValueError("node id must be non-empty")
-        if not self.name or not self.node_type:
-            raise ValueError(f"node {self.id!r}: name and node_type must be non-empty")
-
 
 @dataclass(frozen=True)
 class EdgeRecord:
@@ -70,10 +63,6 @@ class EdgeRecord:
     head: str
     relation: str
     tail: str
-
-    def __post_init__(self):
-        if not self.relation:
-            raise ValueError(f"edge {self.head!r}->{self.tail!r}: relation must be non-empty")
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,7 +140,8 @@ class LoadReport:
 class _Interner:
     """Node ids and relations numbered in order of first appearance, the
     (name, type) each node is declared with (None until it is), and the
-    edges as columns of those numbers."""
+    edges as columns of those numbers.  It holds the graph's node and edge
+    rules: the first one an endpoint or edge breaks is a ValueError."""
 
     def __init__(self):
         self.index: dict[str, int] = {}
@@ -161,35 +151,38 @@ class _Interner:
         self.relations: dict[str, int] = {}
         self.heads, self.relation_ids, self.tails = array("q"), array("q"), array("q")
 
-    def node(self, node_id: str) -> int:
+    def endpoint(self, node_id: str, name: Optional[str] = None,
+                 node_type: Optional[str] = None) -> int:
+        """The number of node ``node_id``, a non-empty string.  A name and a
+        type, both non-empty strings, declare it, and no other name or type
+        may then; with both None it is only referenced."""
+        if not (node_id and isinstance(node_id, str) and isinstance(name, _OPTIONAL_STR)
+                and isinstance(node_type, _OPTIONAL_STR)):
+            raise ValueError("node ids, names and types must be non-empty strings")
         i = self.index.get(node_id)
         if i is None:
             i = self.index[node_id] = len(self.ids)
             self.ids.append(node_id)
             self.declared.append(None)
+        if name is None and node_type is None:
+            return i
+        if not name or not node_type:
+            raise ValueError(f"node {node_id!r} needs both name and type")
+        declared = self.declared[i]
+        if declared is None:
+            self.declared[i] = (name, self.types.setdefault(node_type, node_type))
+        elif declared != (name, node_type):
+            raise ValueError(f"node id {node_id!r} redeclared with conflicting name/type")
         return i
 
-    def declare(self, node_id: str, name: str, node_type: str) -> bool:
-        """False when ``node_id`` is already declared with another name or type."""
-        i = self.node(node_id)
-        if self.declared[i] is None:
-            self.declared[i] = (name, self.types.setdefault(node_type, node_type))
-        return self.declared[i] == (name, node_type)
-
-    def edge(self, head: str, relation: str, tail: str) -> None:
-        self.heads.append(self.node(head))
+    def edge(self, head: int, relation: str, tail: int) -> None:
+        """The edge between two numbered endpoints; ``relation`` is a
+        non-empty string."""
+        if not (relation and isinstance(relation, str)):
+            raise ValueError("relation must be a non-empty string")
+        self.heads.append(head)
         self.relation_ids.append(self.relations.setdefault(relation, len(self.relations)))
-        self.tails.append(self.node(tail))
-
-    def undeclared(self) -> Optional[str]:
-        """The first edge endpoint, in edge order, whose id is never declared."""
-        declared = np.array([d is not None for d in self.declared], dtype=bool)
-        heads, tails = (np.frombuffer(a, dtype=np.int64) for a in (self.heads, self.tails))
-        undeclared = ~declared[heads] | ~declared[tails]
-        if not undeclared.any():
-            return None
-        k = int(np.argmax(undeclared))
-        return self.ids[heads[k] if not declared[heads[k]] else tails[k]]
+        self.tails.append(tail)
 
     def pop_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The head, relation and tail columns as int64 arrays; the interner
@@ -310,12 +303,14 @@ class KnowledgeGraph:
 
     def __init__(self, nodes: Iterable[NodeRecord], edges: Iterable[EdgeRecord]):
         interned = _Interner()
-        for node in nodes:
-            if not interned.declare(node.id, node.name, node.node_type):
-                raise KGLoadError(
-                    f"node id {node.id!r} declared twice with conflicting name/type")
-        for edge in edges:
-            interned.edge(edge.head, edge.relation, edge.tail)
+        try:
+            for node in nodes:
+                interned.endpoint(node.id, node.name, node.node_type)
+            for edge in edges:
+                interned.edge(interned.endpoint(edge.head), edge.relation,
+                              interned.endpoint(edge.tail))
+        except ValueError as exc:
+            raise KGLoadError(str(exc)) from None
         self._build(interned)
 
     @classmethod
@@ -325,8 +320,8 @@ class KnowledgeGraph:
         return graph
 
     def _build(self, interned: _Interner) -> None:
-        undeclared = interned.undeclared()
-        if undeclared is not None:
+        if None in interned.declared:  # name the first one, in order of appearance
+            undeclared = interned.ids[interned.declared.index(None)]
             raise KGLoadError(f"edge endpoint references undeclared node id {undeclared!r}")
 
         order, node_rank = _sorted_ranks(interned.ids)
@@ -370,16 +365,6 @@ class KnowledgeGraph:
     def nodes(self) -> dict[str, NodeRecord]:
         return {i: NodeRecord(id=i, name=name, node_type=node_type)
                 for i, name, node_type in zip(self._ids, self._names, self._types)}
-
-    @property
-    def edges(self) -> tuple[EdgeRecord, ...]:
-        """Every edge once, in sorted (head, relation, tail) order."""
-        ids, offsets = self._ids, self._offsets
-        return tuple(EdgeRecord(head=ids[u], relation=self._hop_labels[c], tail=ids[v])
-                     for u in range(len(ids))
-                     for c, v in sorted(zip(self._hop_codes[offsets[u]:offsets[u + 1]],
-                                            self._neighbours[offsets[u]:offsets[u + 1]]))
-                     if not c & 1)
 
     def neighbors(self, node_id: str) -> tuple[tuple[str, str, str], ...]:
         """(neighbor id, relation, direction) triples, sorted."""
@@ -475,11 +460,8 @@ def _jsonl_triples(path: Path):
                 raise KGLoadError(f"{path}:{lineno}: malformed line: Extra data")
             if not isinstance(obj, dict) or "head" not in obj or "tail" not in obj:
                 raise KGLoadError(f"{path}:{lineno}: each line needs head, relation, tail")
-            relation = obj.get("relation")
-            if not relation or not isinstance(relation, str):
-                raise KGLoadError(f"{path}:{lineno}: relation must be a non-empty string")
             where = (path, lineno)
-            yield (where, _parse_endpoint(obj["head"], where), relation,
+            yield (where, _parse_endpoint(obj["head"], where), obj.get("relation"),
                    _parse_endpoint(obj["tail"], where))
 
 
@@ -496,8 +478,6 @@ def _tsv_triples(path: Path):
                     f"{path}:{lineno}: malformed line: expected 7 tab-separated fields, "
                     f"got {len(fields)}")
             head_id, head_name, head_type, relation, tail_id, tail_name, tail_type = fields
-            if not relation:
-                raise KGLoadError(f"{path}:{lineno}: relation must be non-empty")
             yield ((path, lineno), (head_id, head_name or None, head_type or None), relation,
                    (tail_id, tail_name or None, tail_type or None))
 
@@ -511,8 +491,9 @@ def load_kg(path, format: str = FORMAT_JSONL) -> KnowledgeGraph:
     Endpoints may be bare id references as long as the id is declared with
     name and type somewhere in the file; the graph raises
     :class:`KGLoadError` naming an id that is only ever referenced.  Every
-    other error is raised on the first line that has it.  Ids, names and
-    types are interned as the lines are read.
+    other error is raised on the first line that has it, the node and edge
+    rules of :class:`_Interner` with the file and line in front.  Each
+    endpoint is interned once, as its line is read.
     """
     path = Path(path)
     if not path.exists():
@@ -521,21 +502,12 @@ def load_kg(path, format: str = FORMAT_JSONL) -> KnowledgeGraph:
         raise KGLoadError(f"unknown KG file format {format!r}")
 
     interned = _Interner()
+    endpoint, edge = interned.endpoint, interned.edge
     for where, head, relation, tail in _TRIPLE_READERS[format](path):
-        for node_id, name, node_type in (head, tail):
-            if not (node_id and isinstance(node_id, str) and isinstance(name, _OPTIONAL_STR)
-                    and isinstance(node_type, _OPTIONAL_STR)):
-                raise KGLoadError("%s:%d: node ids, names and types must be non-empty strings"
-                                  % where)
-            if name is None and node_type is None:
-                continue
-            if not name or not node_type:
-                raise KGLoadError("%s:%d: node %r needs both name and type"
-                                  % (*where, node_id))
-            if not interned.declare(node_id, name, node_type):
-                raise KGLoadError("%s:%d: node id %r redeclared with conflicting name/type"
-                                  % (*where, node_id))
-        interned.edge(head[0], relation, tail[0])
+        try:
+            edge(endpoint(*head), relation, endpoint(*tail))
+        except ValueError as exc:
+            raise KGLoadError("%s:%d: %s" % (*where, exc)) from None
 
     graph = KnowledgeGraph._from_interned(interned)
     logger.info("loaded %s: %d nodes, %d edges, %d duplicate triples dropped",

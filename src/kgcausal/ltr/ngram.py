@@ -12,14 +12,13 @@ GBDT's feature reader keeps the slots of each ranker-input piece
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ..util import number_array, stable_hash
+from ..util import _field, number_array, stable_hash
 
 logger = logging.getLogger(__name__)
 
@@ -69,9 +68,7 @@ class NgramLM:
         ``d`` and ``seed``, a vocab that holds UNK, and one embedding row of
         width ``d`` per vocab entry."""
         for key in ("d", "seed"):
-            if type(d[key]) is not int:
-                raise ValueError(f"language model {key} must be an integer, "
-                                 f"not {json.dumps(d[key])}")
+            _field(int)(d[key], f"language model {key}")
         vocab = {tok: i for i, tok in enumerate(d["vocab"])}
         if UNK not in vocab:
             raise ValueError(f"language model vocab must hold {UNK}")

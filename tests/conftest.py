@@ -59,6 +59,17 @@ def name_index(kg):
     return index
 
 
+def edges(kg):
+    """Every edge of the graph once, in sorted (head, relation, tail) order,
+    read back from its adjacency entries at the head end."""
+    ids, offsets = kg._ids, kg._offsets
+    return tuple(EdgeRecord(head=ids[u], relation=kg._hop_labels[c], tail=ids[v])
+                 for u in range(len(ids))
+                 for c, v in sorted(zip(kg._hop_codes[offsets[u]:offsets[u + 1]],
+                                        kg._neighbours[offsets[u]:offsets[u + 1]]))
+                 if not c & 1)
+
+
 def ranknet_terms(scores, ranks):
     """One softplus term per ordered pair whose first item ranks better.
 

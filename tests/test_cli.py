@@ -645,6 +645,10 @@ class TestBadInputs:
                          relevant="0")), {},
                      'entries[0].relevant must be a boolean, not "0"',
                      id="rankings-relevant-string"),
+        *[pytest.param("eval", ["predictions.jsonl", "pairs.jsonl", "--rankings", "BAD"],
+                       "rankings.jsonl", first_row(lambda row, i=i: row["entries"][i].pop("gain")),
+                       {}, f"missing field 'entries[{i}].gain'", id=f"rankings-{name}-without-gain")
+          for i, name in ((0, "first"), (1, "second"))],
         *[pytest.param("train", ["BAD"], "ranked.jsonl",
                        first_row(lambda row, key=key, value=value:
                                  row["metapaths"][0].update({key: value})), {},
@@ -1035,7 +1039,7 @@ class TestConfigKeys:
         code = run("eval", out / "predictions.jsonl", root / "pairs.jsonl",
                    "--rankings", out / "rankings.jsonl", "--config", cfg, "--out", report)
         assert code == EXIT_CONFIG
-        assert "config key eval.ks[0] must be an integer, not a string" in \
+        assert 'config key eval.ks[0] must be an integer, not "1"' in \
             capsys.readouterr().err
         assert not report.exists()
 
@@ -1192,17 +1196,16 @@ class TestConfigKeys:
 
     @pytest.mark.parametrize("key, value, message", [
         ("kg", "oops", "config key kg must be a section"),
-        ("seed", {"x": 1}, "config key seed must be a value, not a section"),
-        ("kg.max_hops", "4", "config key kg.max_hops must be an integer, not a string"),
-        ("kg.max_hops", 4.0, "config key kg.max_hops must be an integer, not a number"),
+        ("seed", {"x": 1}, 'config key seed must be an integer, not {"x": 1}'),
+        ("kg.max_hops", "4", 'config key kg.max_hops must be an integer, not "4"'),
+        ("kg.max_hops", 4.0, "config key kg.max_hops must be an integer, not 4.0"),
         ("kg.candidate_limit", "8",
-         "config key kg.candidate_limit must be an integer or null, not a string"),
+         'config key kg.candidate_limit must be an integer, not "8"'),
         ("llm.model", None, "config key llm.model must be a string, not null"),
-        ("llm.endpoint", 8080,
-         "config key llm.endpoint must be a string or null, not an integer"),
-        ("ranker.gbdt.lr", True, "config key ranker.gbdt.lr must be a number, not a boolean"),
-        ("seed", True, "config key seed must be an integer, not a boolean"),
-        ("eval.ks", 5, "config key eval.ks must be a list, not an integer"),
+        ("llm.endpoint", 8080, "config key llm.endpoint must be a string, not 8080"),
+        ("ranker.gbdt.lr", True, "config key ranker.gbdt.lr must be a number, not true"),
+        ("seed", True, "config key seed must be an integer, not true"),
+        ("eval.ks", 5, "config key eval.ks must be a list, not 5"),
     ], ids=["section-given-a-value", "value-given-a-section", "string-for-integer",
             "float-for-integer", "string-for-nullable-integer", "null-for-string",
             "integer-for-optional-string", "boolean-for-number", "boolean-for-integer",

@@ -11,7 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from conftest import name_index
+from conftest import edges, name_index
 from kgcausal import kg as kg_module
 from kgcausal.errors import KGLoadError
 from kgcausal.kg import (
@@ -128,6 +128,29 @@ class TestLoad:
         with pytest.raises(KGLoadError, match="redeclared"):
             load_kg(write_kg(tmp_path, lines))
 
+    @pytest.mark.parametrize("node_rows, edge_rows, line", [
+        ([("", "A", "T")], [], jsonl_line("", "A", "T", "r", "b", "B", "T")),
+        ([("a", "", "T")], [], jsonl_line("a", "", "T", "r", "b", "B", "T")),
+        ([("a", "A", "")], [], jsonl_line("a", "A", "", "r", "b", "B", "T")),
+        ([("a", "A", "T"), ("a", "Other", "T")], [],
+         jsonl_line("a", "A", "T", "r", "a", "Other", "T")),
+        ([("a", "A", "T"), ("b", "B", "T")], [("a", "", "b")],
+         jsonl_line("a", "A", "T", "", "b", "B", "T")),
+    ], ids=["empty-id", "empty-name", "empty-type", "conflicting-redeclaration",
+            "empty-relation"])
+    def test_constructor_and_loader_state_each_rule_alike(self, tmp_path, node_rows,
+                                                          edge_rows, line):
+        """The records and the one-line file break the same node or edge
+        rule; the loader's message is the constructor's behind the file and
+        line."""
+        with pytest.raises(KGLoadError) as built:
+            KnowledgeGraph([NodeRecord(*row) for row in node_rows],
+                           [EdgeRecord(*row) for row in edge_rows])
+        path = write_kg(tmp_path, [line])
+        with pytest.raises(KGLoadError) as loaded:
+            load_kg(path)
+        assert str(loaded.value) == f"{path}:1: {built.value}"
+
     def test_tsv_format(self, tmp_path):
         path = tmp_path / "kg.tsv"
         path.write_text(
@@ -177,14 +200,15 @@ class TestViews:
             nodes = [NodeRecord(id=f"n{i}", name=rng.choice(["x", "X", f"v{i}"]),
                                 node_type=rng.choice("AB"))
                      for i in range(rng.randint(1, 14))]
-            edges = [EdgeRecord(head=rng.choice(nodes).id, relation=rng.choice(["r1", "r10", "r2"]),
-                                tail=rng.choice(nodes).id)
-                     for _ in range(rng.randint(0, 40))]
-            kg = KnowledgeGraph(nodes, edges)
-            unique = set(edges)
-            assert kg.edges == tuple(sorted(unique, key=lambda e: (e.head, e.relation, e.tail)))
+            records = [EdgeRecord(head=rng.choice(nodes).id,
+                                  relation=rng.choice(["r1", "r10", "r2"]),
+                                  tail=rng.choice(nodes).id)
+                       for _ in range(rng.randint(0, 40))]
+            kg = KnowledgeGraph(nodes, records)
+            unique = set(records)
+            assert edges(kg) == tuple(sorted(unique, key=lambda e: (e.head, e.relation, e.tail)))
             assert kg.load_report == LoadReport(nodes=len(nodes), edges=len(unique),
-                                                duplicates_dropped=len(edges) - len(unique))
+                                                duplicates_dropped=len(records) - len(unique))
             assert kg.nodes == {node.id: node for node in sorted(nodes, key=lambda n: n.id)}
             names = {}
             for node in sorted(nodes, key=lambda n: n.id):
@@ -287,7 +311,7 @@ def brute_force_shortest_paths(kg: KnowledgeGraph, a: str, b: str, max_hops: int
     a_ids = set(name_index(kg)[a.lower()])
     b_ids = set(name_index(kg)[b.lower()])
     undirected = {}
-    for edge in kg.edges:
+    for edge in edges(kg):
         undirected.setdefault(edge.head, set()).add(edge.tail)
         undirected.setdefault(edge.tail, set()).add(edge.head)
 
@@ -324,7 +348,7 @@ def brute_force_shortest_paths(kg: KnowledgeGraph, a: str, b: str, max_hops: int
 def edge_options(kg: KnowledgeGraph, u: str, v: str):
     """Every (relation, direction) by which one hop can cross from u to v."""
     options = []
-    for edge in kg.edges:
+    for edge in edges(kg):
         if edge.head == u and edge.tail == v:
             options.append((edge.relation, FORWARD))
         if edge.head == v and edge.tail == u:
@@ -646,7 +670,7 @@ class TestSharedPathTuples:
     def test_enumeration_under_threads_equals_serial(self, dense_planted):
         kg, pairs = dense_planted
         expected = enumerate_all(kg, pairs)
-        fresh = KnowledgeGraph(kg.nodes.values(), kg.edges)  # empty tables
+        fresh = KnowledgeGraph(kg.nodes.values(), edges(kg))  # empty tables
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -670,6 +694,6 @@ class TestSharedPathTuples:
         expected = [paths(kg) for kg in graphs]
         monkeypatch.setattr(kg_module, "_SHARED_LIMIT", 1)
         for kg, before in zip(graphs, expected):
-            fresh = KnowledgeGraph(kg.nodes.values(), kg.edges)
+            fresh = KnowledgeGraph(kg.nodes.values(), edges(kg))
             assert paths(fresh) == before
             assert len(fresh._shared_hops) == len(fresh._shared_types) == 1
