@@ -184,6 +184,13 @@ class _Interner:
         self.relation_ids.append(self.relations.setdefault(relation, len(self.relations)))
         self.tails.append(tail)
 
+    def pop_nodes(self) -> tuple[list[str], list[Optional[tuple[str, str]]]]:
+        """The node ids and their declarations, in order of first appearance;
+        the interner lets go of them and of its id index and type table."""
+        ids, declared = self.ids, self.declared
+        self.index, self.ids, self.declared, self.types = {}, [], [], {}
+        return ids, declared
+
     def pop_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The head, relation and tail columns as int64 arrays; the interner
         lets go of them, so they are freed once the caller drops them."""
@@ -320,14 +327,16 @@ class KnowledgeGraph:
         return graph
 
     def _build(self, interned: _Interner) -> None:
-        if None in interned.declared:  # name the first one, in order of appearance
-            undeclared = interned.ids[interned.declared.index(None)]
+        ids, declared = interned.pop_nodes()
+        if None in declared:  # name the first one, in order of appearance
+            undeclared = ids[declared.index(None)]
             raise KGLoadError(f"edge endpoint references undeclared node id {undeclared!r}")
 
-        order, node_rank = _sorted_ranks(interned.ids)
-        self._ids = [interned.ids[i] for i in order]
-        self._names = [interned.declared[i][0] for i in order]
-        self._types = [interned.declared[i][1] for i in order]
+        order, node_rank = _sorted_ranks(ids)
+        self._ids = [ids[i] for i in order]
+        self._names = [declared[i][0] for i in order]
+        self._types = [declared[i][1] for i in order]
+        del ids, declared, order  # freed before the adjacency build, the peak
         relation_strings = list(interned.relations)
         order, relation_rank = _sorted_ranks(relation_strings)
         self._relations = [relation_strings[i] for i in order]
@@ -591,42 +600,49 @@ def _walk(kg: KnowledgeGraph, marked: Sequence[Sequence[int]]
     """``(nodes, hop codes)`` of every path that steps from a ``marked[0]``
     node through one ``marked[d]`` node per depth ``d``, in ascending order.
 
-    Each ``marked[d]`` is sorted, and the hops out of a node come in
-    (neighbour, hop code) order, so the depth-first walk meets the paths in
-    ascending order.  The hops out of a node onto the next depth are found
-    once per node.  From a node with more adjacency entries
-    than the next depth has marked nodes, the walk looks up the hops onto
-    each marked node by bisection instead of reading the whole adjacency,
-    so a path through a hub costs what the hub leads to, not its degree.
+    The walk grows the partial paths one depth at a time.  Each
+    ``marked[d]`` is sorted, and the hops out of a node come in (neighbour,
+    hop code) order, so extending the ascending partial paths in turn keeps
+    them ascending.  Every marked node lies on a path, so no partial path
+    dies out.  The hops out of a node onto the next depth are found once per
+    node.  From a node with more adjacency entries than the next depth has
+    marked nodes, the walk looks up the hops onto each marked node by
+    bisection instead of reading the whole adjacency, so a path through a
+    hub costs what the hub leads to, not its degree.  A node path whose
+    hops each have one code is one path; only one with parallel edges goes
+    through :func:`_expand_node_path`.
+
+    A loop, not a nested function that calls itself: such a function's
+    closure refers to the function, and that cycle would keep every table
+    of the walk alive until the cyclic garbage collector ran.  Here they are
+    freed as the walk returns.
     """
-    n_hops = len(marked) - 1
-    marked_sets = [set(nodes) for nodes in marked]
-    steps: dict[int, list[tuple[int, array]]] = {}
+    degree, adjacent, hops = kg._degrees, kg._adjacent, kg._hops
+    # Each partial path: its nodes, the first code of each hop, and the
+    # codes of every hop once one of them has more than one (else None).
+    partial = [((u,), (), None) for u in marked[0]]
+    for targets in marked[1:]:
+        target_set = set(targets)
+        steps: dict[int, list[tuple[int, array]]] = {}
+        grown = []
+        for nodes, codes, options in partial:
+            u = nodes[-1]
+            out = steps.get(u)
+            if out is None:
+                out = steps[u] = hops(u, targets if len(targets) < degree[u]
+                                      else sorted(target_set.intersection(adjacent(u))))
+            for v, hop_codes in out:
+                parallel = options
+                if options is not None or len(hop_codes) > 1:
+                    parallel = (options or tuple((c,) for c in codes)) + (hop_codes,)
+                grown.append((nodes + (v,), codes + (hop_codes[0],), parallel))
+        partial = grown
     results: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    path = [0] * (n_hops + 1)
-    options: list[Optional[array]] = [None] * n_hops
-
-    def steps_from(u: int, depth: int) -> list[tuple[int, array]]:
-        targets = marked[depth + 1]
-        if len(targets) >= kg._degrees[u]:
-            targets = sorted(marked_sets[depth + 1].intersection(kg._adjacent(u)))
-        return kg._hops(u, targets)
-
-    def extend(u: int, depth: int) -> None:
-        out = steps.get(u)
-        if out is None:
-            out = steps[u] = steps_from(u, depth)
-        for v, codes in out:
-            path[depth + 1] = v
-            options[depth] = codes
-            if depth + 1 == n_hops:
-                results.extend(_expand_node_path(path, options))
-            else:
-                extend(v, depth + 1)
-
-    for start in marked[0]:
-        path[0] = start
-        extend(start, 0)
+    for nodes, codes, options in partial:
+        if options is None:
+            results.append((nodes, codes))
+        else:
+            results.extend(_expand_node_path(nodes, options))
     return results
 
 

@@ -570,22 +570,29 @@ def _fit_tree(residuals: np.ndarray, max_depth: int,
     and a column replaces the chosen one when its best gain is higher by
     more than 1e-12; the split is at the chosen column's first best
     threshold.  The rows it sends right are those of the chosen column's
-    entries above the threshold, one run of ``counts.sorted_bins``."""
+    entries above the threshold, one run of ``counts.sorted_bins``.
+
+    The tree grows from a stack of pending nodes, not from a nested function
+    that calls itself: such a function's closure refers to the function,
+    and that cycle would keep each round's ``residuals`` and
+    ``leaf_values`` alive until the cyclic garbage collector ran."""
     tree = RegressionTree(feature=[], threshold=[], left=[], right=[], value=[])
     leaf_values = np.empty(len(residuals))
-
-    def add_node() -> int:
+    # Nodes still to grow: (rows, depth, parent, the parent's ``left`` or
+    # ``right`` list).  The left child is popped first, so nodes are
+    # numbered in depth-first order, left before right.
+    pending = [(np.arange(len(residuals)), 0, -1, tree.left)]
+    while pending:
+        rows, depth, parent, side = pending.pop()
+        node = len(tree.feature)
+        if parent >= 0:
+            side[parent] = node
+        r = residuals[rows]
         tree.feature.append(-1)
         tree.threshold.append(0.0)
         tree.left.append(-1)
         tree.right.append(-1)
-        tree.value.append(0.0)
-        return len(tree.feature) - 1
-
-    def build(rows: np.ndarray, depth: int) -> int:
-        node = add_node()
-        r = residuals[rows]
-        tree.value[node] = float(r.mean())
+        tree.value.append(float(r.mean()))
         best_feature = -1
         if depth < max_depth and len(rows) >= 2 * MIN_LEAF and np.ptp(r) != 0.0:
             gains, bins_below = _split_gains(rows, r, counts.n_cols, counts.row_ptr,
@@ -599,7 +606,7 @@ def _fit_tree(residuals: np.ndarray, max_depth: int,
                 best_gain = float(gains[best_feature])
         if best_feature < 0:
             leaf_values[rows] = tree.value[node]
-            return node
+            continue
         bin_below = int(bins_below[best_feature])
         above = slice(*np.searchsorted(
             counts.sorted_bins, [best_feature * counts.width + bin_below + 1,
@@ -607,11 +614,8 @@ def _fit_tree(residuals: np.ndarray, max_depth: int,
         mask = ~np.isin(rows, counts.sorted_rows[above])
         tree.feature[node] = best_feature
         tree.threshold[node] = bin_below + 0.5
-        tree.left[node] = build(rows[mask], depth + 1)
-        tree.right[node] = build(rows[~mask], depth + 1)
-        return node
-
-    build(np.arange(len(residuals)), 0)
+        pending.append((rows[~mask], depth + 1, node, tree.right))
+        pending.append((rows[mask], depth + 1, node, tree.left))
     return tree, leaf_values
 
 

@@ -577,6 +577,22 @@ class TestEnumerate:
         assert len(found) == 8
         assert as_key_set(found) == brute_force_shortest_paths(kg, "a", "b", 3)
 
+    def test_only_node_paths_with_parallel_edges_are_expanded(self, monkeypatch):
+        """a - x - b has two relations on its second hop, a - y - b one on
+        each: only the first node path goes through the expansion."""
+        nodes = [NodeRecord(id=i, name=i, node_type="T") for i in "axyb"]
+        edges = [EdgeRecord(head=u, relation=rel, tail=v)
+                 for u, v, rel in (("a", "x", "r1"), ("x", "b", "r1"), ("x", "b", "r2"),
+                                   ("a", "y", "r1"), ("y", "b", "r1"))]
+        kg = KnowledgeGraph(nodes, edges)
+        calls = count_expansions(monkeypatch, kg)
+        found = enumerate_subgraphs(kg, ("a", "b"), max_hops=2)
+        assert calls == [("a", "x", "b")]
+        assert [(sg.node_ids, sg.edge_labels) for sg in found] == [
+            (("a", "x", "b"), ("r1", "r1")), (("a", "x", "b"), ("r1", "r2")),
+            (("a", "y", "b"), ("r1", "r1"))]
+        assert as_key_set(found) == brute_force_shortest_paths(kg, "a", "b", 2)
+
     def test_results_satisfy_subgraph_invariants(self, hetionet_style_kg):
         found = enumerate_subgraphs(hetionet_style_kg, ("Aspirin", "Headache"), max_hops=4)
         assert found
