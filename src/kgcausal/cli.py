@@ -61,12 +61,12 @@ from .relevance import (
 from .util import (
     _field,
     _unique_qids,
-    atomic_write,
     descending_order,
     read_fields,
     read_json,
     read_jsonl,
     stable_hash,
+    write_json,
     write_jsonl,
 )
 from .verbalize import VerbalizationStyle
@@ -176,13 +176,9 @@ def _load_kg(config: dict):
     return load_kg(config["kg"]["path"], config["kg"]["format"])
 
 
-def _write_json(path, doc: dict) -> None:
-    atomic_write(path, json.dumps(doc, ensure_ascii=False, indent=2) + "\n")
-
-
 def _write_meta(out: Path, command: str, config: dict, summary: dict) -> None:
-    _write_json(str(out) + ".meta.json",
-                {"command": command, "config": config, "summary": summary})
+    write_json(str(out) + ".meta.json",
+               {"command": command, "config": config, "summary": summary}, indent=2)
 
 
 def cmd_extract(args, config: dict) -> int:
@@ -428,9 +424,9 @@ def cmd_eval(args, config: dict) -> int:
         # both orientations of every unordered pair
         graph = {"hd": hd, "nhd": nhd, "n": len(variables), "orientation": "all-ordered-pairs"}
 
-    _write_json(args.out, {"classification": classification.to_dict(), "ranking": ranking,
-                           "graph": graph, "config": config,
-                           "template_hashes": TEMPLATE_HASHES})
+    write_json(args.out, {"classification": classification.to_dict(), "ranking": ranking,
+                          "graph": graph, "config": config,
+                          "template_hashes": TEMPLATE_HASHES}, indent=2)
     logger.info("eval: P=%.2f R=%.2f F1=%.2f, %d pairs without a prediction",
                 classification.precision, classification.recall, classification.f1,
                 classification.missing)

@@ -140,8 +140,10 @@ class LoadReport:
 class _Interner:
     """Node ids and relations numbered in order of first appearance, the
     (name, type) each node is declared with (None until it is), and the
-    edges as columns of those numbers.  It holds the graph's node and edge
-    rules: the first one an endpoint or edge breaks is a ValueError."""
+    edges as ``array("i")`` columns of those numbers, which, like the
+    adjacency's int32 columns, hold fewer than 2**31 nodes and relations.
+    It holds the graph's node and edge rules: the first one an endpoint or
+    edge breaks is a ValueError."""
 
     def __init__(self):
         self.index: dict[str, int] = {}
@@ -149,7 +151,7 @@ class _Interner:
         self.declared: list[Optional[tuple[str, str]]] = []
         self.types: dict[str, str] = {}  # one str object per type
         self.relations: dict[str, int] = {}
-        self.heads, self.relation_ids, self.tails = array("q"), array("q"), array("q")
+        self.heads, self.relation_ids, self.tails = array("i"), array("i"), array("i")
 
     def endpoint(self, node_id: str, name: Optional[str] = None,
                  node_type: Optional[str] = None) -> int:
@@ -192,11 +194,11 @@ class _Interner:
         return ids, declared
 
     def pop_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The head, relation and tail columns as int64 arrays; the interner
+        """The head, relation and tail columns as int32 arrays; the interner
         lets go of them, so they are freed once the caller drops them."""
-        columns = tuple(np.frombuffer(a, dtype=np.int64)
+        columns = tuple(np.frombuffer(a, dtype=np.int32)
                         for a in (self.heads, self.relation_ids, self.tails))
-        self.heads, self.relation_ids, self.tails = array("q"), array("q"), array("q")
+        self.heads, self.relation_ids, self.tails = array("i"), array("i"), array("i")
         return columns
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import logging
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Optional, Sequence
@@ -23,7 +22,7 @@ import numpy as np
 
 from ..kg import FORWARD, MetapathSubgraph
 from ..relevance import RankedPairRecord
-from ..util import atomic_write, descending_order, read_fields, read_json, stable_hash
+from ..util import descending_order, read_fields, read_json, stable_hash, write_json
 from ..verbalize import HYPHEN_STYLE, piece_tokens, ranker_input_tokens, tokenize, verbalize
 from .losses import _KERNELS, LOSS_KINDS, RANKNET, RMSE, _segments, _stack_target
 from .ngram import DEFAULT_HASH_DIM, NgramLM, checked_order, dense_features, hashed_slots
@@ -290,30 +289,37 @@ def _dense_matrix(lm: NgramLM, pair, subgraphs) -> np.ndarray:
     return np.stack([dense_features(lm, ranker_input_tokens(pair, sg)) for sg in subgraphs])
 
 
-# A piece's slots and the n - 1 tokens it leaves ahead, kept per (n,
-# hash_dim, kind, name, first, tokens ahead), the piece as
-# ``verbalize.piece_tokens`` reads it; once the table is full, new keys are
-# not kept.
+# A piece's slots and the n - 1 tokens it leaves ahead, kept per (n, kind,
+# name, first, tokens ahead), the piece as ``verbalize.piece_tokens`` reads
+# it; once the table is full, new keys are not kept.  A kept entry's slots
+# are items of ``_SLOT_INTS``, and its ahead tuple is the one of
+# ``_aheads``, so that entries share them instead of holding their own.
 _PIECE_SLOTS_LIMIT = 1 << 14
 _piece_slots: dict[tuple, tuple[tuple[int, ...], tuple[str, ...]]] = {}
+_SLOT_INTS = tuple(range(DEFAULT_HASH_DIM))
+_aheads: dict[tuple[str, ...], tuple[str, ...]] = {}
 
 
 def _read_piece(key: tuple, unkept: dict) -> tuple[tuple[int, ...], tuple[str, ...]]:
     """A piece's entry of ``_piece_slots``, read afresh and kept there, or in
     ``unkept``, a caller's own table, once that is full."""
-    n, hash_dim, kind, name, first, ahead = key
+    n, kind, name, first, ahead = key
     tokens = piece_tokens(kind, name, first)
-    found = tuple(hashed_slots(tokens, n, hash_dim, ahead)), (tokens + ahead)[:n - 1]
-    (_piece_slots if len(_piece_slots) < _PIECE_SLOTS_LIMIT else unkept)[key] = found
+    slots = tuple(map(_SLOT_INTS.__getitem__, hashed_slots(tokens, n, DEFAULT_HASH_DIM, ahead)))
+    ahead = (tokens + ahead)[:n - 1]
+    if len(_piece_slots) < _PIECE_SLOTS_LIMIT:
+        found = _piece_slots[key] = slots, _aheads.setdefault(ahead, ahead)
+    else:
+        found = unkept[key] = slots, ahead
     return found
 
 
-def _path_slots(n: int, hash_dim: int, pair, subgraphs) -> list[list[int]]:
-    """The hashed slot of every 1..n-gram of each subgraph's ranker input,
-    in no fixed order.  A path is read piece by piece from its last node: a
-    piece's slots are those of the n-grams that start in it, given the n - 1
-    tokens that follow it.  The pair's two pieces come last, read once per
-    pair and tokens ahead."""
+def _path_slots(n: int, pair, subgraphs) -> list[list[int]]:
+    """The slot in ``DEFAULT_HASH_DIM`` of every 1..n-gram of each
+    subgraph's ranker input, in no fixed order.  A path is read piece by
+    piece from its last node: a piece's slots are those of the n-grams that
+    start in it, given the n - 1 tokens that follow it.  The pair's two
+    pieces come last, read once per pair and tokens ahead."""
     get = _piece_slots.get
     unkept: dict[tuple, tuple[tuple[int, ...], tuple[str, ...]]] = {}
     pair_slots: dict[tuple[str, ...], tuple[int, ...]] = {}
@@ -321,18 +327,18 @@ def _path_slots(n: int, hash_dim: int, pair, subgraphs) -> list[list[int]]:
     for subgraph in subgraphs:
         names, types, labels = subgraph.node_names, subgraph.node_types, subgraph.edge_labels
         i = len(labels)
-        key = (n, hash_dim, types[i] or labels[i - 1], names[i], False, ())
+        key = (n, types[i] or labels[i - 1], names[i], False, ())
         slots, ahead = get(key) or unkept.get(key) or _read_piece(key, unkept)
         row = list(slots)
         for i in range(i - 1, -1, -1):
-            key = (n, hash_dim, types[i] or labels[i], names[i], i == 0, ahead)
+            key = (n, types[i] or labels[i], names[i], i == 0, ahead)
             slots, ahead = get(key) or unkept.get(key) or _read_piece(key, unkept)
             row += slots
         found = pair_slots.get(ahead)
         if found is None:
-            key = (n, hash_dim, None, pair[1], False, ahead)
+            key = (n, None, pair[1], False, ahead)
             second, second_ahead = get(key) or unkept.get(key) or _read_piece(key, unkept)
-            key = (n, hash_dim, None, pair[0], True, second_ahead)
+            key = (n, None, pair[0], True, second_ahead)
             first = (get(key) or unkept.get(key) or _read_piece(key, unkept))[0]
             found = pair_slots[ahead] = second + first
         row += found
@@ -345,7 +351,7 @@ def _hashed_matrix(n: int, pair, subgraphs) -> np.ndarray:
     int64 row per subgraph, from one bincount over ``row * DEFAULT_HASH_DIM +
     slot`` of the slots :func:`_path_slots` reads."""
     dim = DEFAULT_HASH_DIM
-    rows = _path_slots(n, dim, pair, subgraphs)
+    rows = _path_slots(n, pair, subgraphs)
     cells = np.repeat(np.arange(len(rows)) * dim, [len(row) for row in rows])
     cells += np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=len(cells))
     return np.bincount(cells, minlength=len(rows) * dim).reshape(len(rows), dim)
@@ -667,7 +673,7 @@ def save_model(model: RankerModel, path, lm: Optional[NgramLM] = None) -> None:
         "train_rmse_history": model.train_rmse_history,
         "ngram_lm": lm.to_dict() if model.kind in EMBEDDING_KINDS else None,
     }
-    atomic_write(path, json.dumps(doc, ensure_ascii=False) + "\n")
+    write_json(path, doc)
 
 
 def load_model(path) -> tuple[RankerModel, Optional[NgramLM]]:

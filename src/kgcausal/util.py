@@ -1,6 +1,6 @@
 """Small helpers shared by the pipeline stages: the seeded hash, the stable
-descending sort, atomic artifact writes, JSON Lines I/O and the one reader
-of JSON objects into dataclasses."""
+descending sort, the one writer and the one reader of every JSON and JSON
+Lines artifact, and the reader of JSON objects into dataclasses."""
 
 from __future__ import annotations
 
@@ -34,14 +34,25 @@ def descending_order(scores: Sequence[float]) -> list[int]:
     return sorted(range(len(scores)), key=lambda i: (-scores[i], i))
 
 
-def atomic_write(path, text: str) -> None:
-    """Replace ``path`` with ``text`` in one step: readers see the old file or
-    the new one, never a partial write, and a failure leaves the old file."""
-    _atomic_writelines(path, (text,))
+# The encoders of every artifact, compact and indented: non-ASCII text is
+# kept as is, and only finite numbers are taken, as the readers below take.
+_ENCODERS = {indent: json.JSONEncoder(ensure_ascii=False, allow_nan=False, indent=indent)
+             for indent in (None, 2)}
+
+
+def _encoded(doc, path, indent=None) -> str:
+    """``doc`` as one JSON text and a newline; a number that is not finite
+    (NaN or an infinity) is a ValueError naming ``path``."""
+    try:
+        return _ENCODERS[indent].encode(doc) + "\n"
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _atomic_writelines(path, chunks: Iterable[str]) -> None:
-    """:func:`atomic_write` of the strings ``chunks`` yields, written in turn."""
+    """Replace ``path`` with the strings ``chunks`` yields, written in turn,
+    in one step: readers see the old file or the new one, never a partial
+    write, and a failure, an encoding one included, leaves the old file."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
@@ -53,10 +64,16 @@ def _atomic_writelines(path, chunks: Iterable[str]) -> None:
         raise
 
 
+def write_json(path, doc, indent=None) -> None:
+    """Atomically write ``doc`` as one JSON document, compact or with
+    ``indent`` 2."""
+    _atomic_writelines(path, (_encoded(doc, path, indent),))
+
+
 def write_jsonl(path, rows: Iterable[dict]) -> None:
     """Atomically write one JSON object per line, line by line, so that the
     file's text is never held whole."""
-    _atomic_writelines(path, (json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
+    _atomic_writelines(path, (_encoded(row, path) for row in rows))
 
 
 def _finite(text: str) -> float:

@@ -782,6 +782,32 @@ class TestBadInputs:
         assert f"error: {bad}:1: " in err and message in err
         assert not result.exists()
 
+    @pytest.mark.parametrize("kind,section", [
+        ("gbdt", "gbdt"), ("neural", "train"), ("neural", "ngram"), ("similarity", "ngram"),
+    ], ids=["gbdt-lr", "neural-train-lr", "neural-ngram-lr", "similarity-ngram-lr"])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_diverged_train_exits_2_and_writes_nothing(self, pipeline, tmp_path, capsys,
+                                                       kind, section):
+        """A learning rate of 1e308 trains to NaN.  Every reader refuses a
+        model file that holds one, so train writes neither the model nor its
+        sidecar."""
+        root, _, out = pipeline
+        config = json.loads((root / "config.json").read_text())
+        config["ranker"].update(kind=kind, train={"epochs": 5})
+        config["ranker"][section]["lr"] = 1e308
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        model = runs / "model.json"
+        code = run("train", out / "ranked.jsonl", "--config", cfg, "--out", model)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"error: {model}: " in err and "not JSON compliant" in err
+        assert "Traceback" not in err
+        assert list(runs.iterdir()) == []
+
 
 @pytest.fixture(scope="module")
 def trained(pipeline, tmp_path_factory):

@@ -79,6 +79,7 @@ def random_tokens(rng):
 def fresh_caches(monkeypatch):
     monkeypatch.setattr(verbalize_module, "_tokens", {})
     monkeypatch.setattr(models, "_piece_slots", {})
+    monkeypatch.setattr(models, "_aheads", {})
 
 
 @pytest.fixture
@@ -167,9 +168,8 @@ def check_pieces(cases, orders=range(1, MAX_ORDER + 1)):
         tokens = oracle_tokens(pair, subgraph)
         assert ranker_input_tokens(pair, subgraph) == tokens
         for n in orders:
-            for hash_dim in HASH_DIMS:
-                row, = _path_slots(n, hash_dim, pair, [subgraph])
-                assert Counter(row) == Counter(oracle_slots(tokens, n, hash_dim))
+            row, = _path_slots(n, pair, [subgraph])
+            assert Counter(row) == Counter(oracle_slots(tokens, n, DEFAULT_HASH_DIM))
 
 
 def test_slots_with_ahead_are_those_of_the_ngrams_starting_in_the_tokens(fresh_caches):
@@ -209,6 +209,18 @@ def test_piecewise_slots_within_tiny_bounds(tiny_caches):
     rng = random.Random(7)
     check_pieces([random_sparse_case(rng) for _ in range(30)], orders=range(1, 6))
     assert 0 < len(models._piece_slots) <= 5
+
+
+def test_kept_entries_share_their_slot_ints_and_ahead_tuples(fresh_caches):
+    """A kept piece holds no slot int or ahead tuple of its own: its slots
+    are items of one tuple of every slot, and equal aheads are one tuple."""
+    rng = random.Random(10)
+    check_pieces([random_sparse_case(rng) for _ in range(30)], orders=range(1, 5))
+    assert models._piece_slots
+    aheads = {}
+    for slots, ahead in models._piece_slots.values():
+        assert all(slot is models._SLOT_INTS[slot] for slot in slots)
+        assert aheads.setdefault(ahead, ahead) is ahead
 
 
 def test_full_tables_keep_their_first_keys(tiny_caches):

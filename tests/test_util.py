@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import math
 import random
+import re
 from dataclasses import asdict, dataclass, field
 from typing import Literal, Optional
 
@@ -14,7 +16,7 @@ from kgcausal.errors import KgcausalError
 from kgcausal.kg import FORWARD, REVERSE, MetapathSubgraph
 from kgcausal.llm import CAUSAL, NON_CAUSAL
 from kgcausal.relevance import RankedMetapath, RankedPairRecord
-from kgcausal.util import parse_fields, read_fields, write_jsonl
+from kgcausal.util import parse_fields, read_fields, write_json, write_jsonl
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,31 @@ def test_jsonl_write_that_fails_midway_leaves_the_old_file(tmp_path):
         write_jsonl(path, ({"a": 2} if i < 3 else {"a": object()} for i in range(5)))
     assert path.read_text(encoding="utf-8") == '{"a": 1}\n{"b": "é"}\n'
     assert [p.name for p in tmp_path.iterdir()] == ["rows.jsonl"]
+
+
+@pytest.mark.parametrize("indent", [None, 2])
+def test_json_write_encodes_like_json_dumps(tmp_path, indent):
+    doc = {"a": [1, 0.5, -1e308], "b": {"é": None, "c": True}, "d": []}
+    write_json(tmp_path / "doc.json", doc, indent=indent)
+    assert (tmp_path / "doc.json").read_text(encoding="utf-8") == (
+        json.dumps(doc, ensure_ascii=False, indent=indent) + "\n")
+
+
+@pytest.mark.parametrize("number", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("write", [
+    lambda path, value: write_json(path, {"a": [1.0, value]}),
+    lambda path, value: write_json(path, {"a": {"b": value}}, indent=2),
+    lambda path, value: write_jsonl(path, iter([{"a": 1.0}, {"a": value}])),
+], ids=["json", "json-indented", "jsonl"])
+def test_number_that_is_not_finite_is_not_written(tmp_path, write, number):
+    """Such a number is a ValueError naming the file, which keeps its old
+    text; no temporary file is left."""
+    path = tmp_path / "out.json"
+    path.write_text("old\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*not JSON compliant"):
+        write(path, number)
+    assert path.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
 def test_read_fields_follows_the_annotations():
