@@ -10,7 +10,7 @@ import tempfile
 from pathlib import Path
 
 from kgcausal.kg import enumerate_subgraphs, load_kg, sample_subgraphs
-from kgcausal.verbalize import FULL_STYLE, HYPHEN_STYLE, PLAIN_ARROWS_STYLE, verbalize
+from kgcausal.verbalize import FULL, HYPHEN, PLAIN_ARROWS, verbalize
 
 TRIPLES = [
     ("c1", "raloxifene", "Compound", "upregulates", "g1", "ERBB2", "Gene"),
@@ -42,17 +42,17 @@ def main() -> None:
         print("1. all shortest paths raloxifene -> melanoma (up to 4 hops):")
         paths = enumerate_subgraphs(kg, ("raloxifene", "melanoma"), max_hops=4)
         for sg in paths:
-            print("   ", verbalize(sg, PLAIN_ARROWS_STYLE))
+            print("   ", verbalize(sg, PLAIN_ARROWS))
         print()
 
         print("2. the same paths in the other renderings:")
-        print("   full:  ", verbalize(paths[0], FULL_STYLE))
-        print("   hyphen:", verbalize(paths[0], HYPHEN_STYLE))
+        print("   full:  ", verbalize(paths[0], FULL))
+        print("   hyphen:", verbalize(paths[0], HYPHEN))
         print()
 
         print("3. seeded sampling keeps order and is reproducible:")
         sampled = sample_subgraphs(paths, k=1, seed=7)
-        print("   kept:", verbalize(sampled[0], HYPHEN_STYLE))
+        print("   kept:", verbalize(sampled[0], HYPHEN))
 
 
 if __name__ == "__main__":

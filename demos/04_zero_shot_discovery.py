@@ -25,7 +25,7 @@ from kgcausal.ltr.models import (
 from kgcausal.ltr.ngram import train_ngram_lm
 from kgcausal.relevance import rank_pair
 from kgcausal.synthetic import make_planted_world
-from kgcausal.verbalize import ranker_input_tokens
+from kgcausal.verbalize import ranker_input_tokens, verbalize
 
 
 def main() -> None:
@@ -57,7 +57,7 @@ def main() -> None:
     print("one discovery prompt (top-1 path in context):")
     print("-" * 60)
     ranked = rank_subgraphs(ranker, (example.e1, example.e2), candidates, lm)
-    print(build_discovery_prompt(example, [ranked[0][0]]))
+    print(build_discovery_prompt(example, [verbalize(ranked[0][0])]))
     print("-" * 60)
 
     augmented = [classify_pair(inst, world.kg, ranker, backend, config=config, lm=lm)

@@ -69,7 +69,6 @@ from .util import (
     write_json,
     write_jsonl,
 )
-from .verbalize import VerbalizationStyle
 
 logger = logging.getLogger(__name__)
 
@@ -272,20 +271,22 @@ def cmd_train(args, config: dict) -> int:
         raise KgcausalError(f"ranked dataset {args.dataset} is empty")
 
     lm = None
-    if kind != RANDOM:  # a random scorer reads nothing of the LM
-        corpus = [ranker_input_tokens(record_pair(record), sg)
-                  for record in dataset for sg in record_subgraphs(record)]
-        lm = train_ngram_lm(corpus, n=rcfg["ngram"]["n"], d=rcfg["ngram"]["d"],
-                            seed=stage_seed(seed, "ngram"),
-                            epochs=rcfg["ngram"]["epochs"],
-                            learning_rate=rcfg["ngram"]["lr"])
-
-    if kind == NEURAL:
-        model = train_neural_ranker(dataset, lm, rcfg["loss"], train_config)
-    elif kind == GBDT:
-        model = train_gbdt_ranker(dataset, lm, train_config)
-    else:
-        model = RankerModel(kind=kind, seed=seed)
+    try:  # a fit that fails, say one that diverges, names the model file
+        if kind != RANDOM:  # a random scorer reads nothing of the LM
+            corpus = [ranker_input_tokens(record_pair(record), sg)
+                      for record in dataset for sg in record_subgraphs(record)]
+            lm = train_ngram_lm(corpus, n=rcfg["ngram"]["n"], d=rcfg["ngram"]["d"],
+                                seed=stage_seed(seed, "ngram"),
+                                epochs=rcfg["ngram"]["epochs"],
+                                learning_rate=rcfg["ngram"]["lr"])
+        if kind == NEURAL:
+            model = train_neural_ranker(dataset, lm, rcfg["loss"], train_config)
+        elif kind == GBDT:
+            model = train_gbdt_ranker(dataset, lm, train_config)
+        else:
+            model = RankerModel(kind=kind, seed=seed)
+    except ValueError as exc:
+        raise KgcausalError(f"{args.out}: {exc}") from None
 
     save_model(model, args.out, lm)
     summary = {"kind": kind, "loss": model.loss_kind, "records": len(dataset),
@@ -328,6 +329,13 @@ def cmd_rank(args, config: dict) -> int:
 
 
 def cmd_discover(args, config: dict) -> int:
+    discovery_config = DiscoveryConfig(
+        k=config["discovery"]["k"],
+        max_hops=config["kg"]["max_hops"],
+        candidate_limit=config["kg"]["candidate_limit"],
+        seed=stage_seed(config["seed"], "discover"),
+        style=config["discovery"]["style"],
+    )
     instances = read_instances(args.pairs)
     if str(args.model).lower() == "none":
         # The bare prompt reads no path, so no graph is loaded.
@@ -336,14 +344,6 @@ def cmd_discover(args, config: dict) -> int:
         # The model first: a bad model file fails before the graph load.
         model, lm = load_model(args.model)
         kg = _load_kg(config)
-
-    discovery_config = DiscoveryConfig(
-        k=config["discovery"]["k"],
-        max_hops=config["kg"]["max_hops"],
-        candidate_limit=config["kg"]["candidate_limit"],
-        seed=stage_seed(config["seed"], "discover"),
-        style=VerbalizationStyle(variant=config["discovery"]["style"]),
-    )
 
     return _backend_stage(
         args, config, "discover", instances,

@@ -15,7 +15,7 @@ from .ltr.models import RankerModel, rank_subgraphs
 from .ltr.ngram import NgramLM
 from .relevance import DEFAULT_INSTRUCTION, PairInstance
 from .util import _unique_qids, read_fields, read_jsonl
-from .verbalize import PLAIN_ARROWS_STYLE, VerbalizationStyle, verbalize
+from .verbalize import PLAIN_ARROWS, check_variant, verbalize
 
 DEFAULT_DISCOVERY_TEMPLATE = (
     "{instruction}\n\n"
@@ -57,21 +57,20 @@ class DiscoveryConfig:
     max_hops: int = 4
     candidate_limit: Optional[int] = 64
     seed: int = 0
-    style: VerbalizationStyle = PLAIN_ARROWS_STYLE
+    style: str = PLAIN_ARROWS
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        check_variant(self.style)
 
 
-def build_discovery_prompt(instance: PairInstance,
-                           top_subgraphs: Sequence[MetapathSubgraph],
-                           style: VerbalizationStyle = PLAIN_ARROWS_STYLE) -> str:
+def build_discovery_prompt(instance: PairInstance, paths: Sequence[str]) -> str:
     """Zero-shot prompt with one verbalized path per line (possibly none)."""
     return DEFAULT_DISCOVERY_TEMPLATE.format(
         instruction=DEFAULT_INSTRUCTION,
         context=instance.context,
-        paths="\n".join(verbalize(sg, style) for sg in top_subgraphs),
+        paths="\n".join(paths),
         a=instance.e1,
         b=instance.e2,
     )
@@ -97,17 +96,16 @@ def classify_pair(instance: PairInstance, kg: Optional[KnowledgeGraph],
 
     if ranker is not None and candidates:
         ranked = rank_subgraphs(ranker, (instance.e1, instance.e2), candidates, lm)
-        top = [sg for sg, _score in ranked[:config.k]]
+        paths = tuple(verbalize(sg, config.style) for sg, _score in ranked[:config.k])
     else:
-        top = []
+        paths = ()
 
-    label, mean_logprob, backend_id = ask_label(
-        backend, build_discovery_prompt(instance, top, style=config.style))
+    label, mean_logprob, backend_id = ask_label(backend, build_discovery_prompt(instance, paths))
     return CausalPrediction(
         qid=instance.qid,
         predicted=label,
         p=probability(mean_logprob),
-        subgraphs_used=tuple(verbalize(sg, config.style) for sg in top),
+        subgraphs_used=paths,
         backend_id=backend_id,
     )
 

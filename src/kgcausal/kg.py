@@ -47,7 +47,7 @@ FORMAT_TSV = "triples-tsv"
 _SHARED_LIMIT = 1 << 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeRecord:
     """A single entity: opaque id, display name, and a type label."""
 
@@ -56,7 +56,7 @@ class NodeRecord:
     node_type: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeRecord:
     """A directed labeled edge between two node ids."""
 

@@ -39,9 +39,11 @@ logger = logging.getLogger(__name__)
 CAUSAL = "causal"
 NON_CAUSAL = "non-causal"
 
-# Non-causal spellings are checked first: "causal" is a substring of every
-# one of them, so priority order is what keeps the matching safe.
-LABEL_VARIANTS = ("non-causal", "noncausal", "non causal", CAUSAL)
+# Each label spelling with its label.  Non-causal spellings are checked
+# first: "causal" is a substring of every one of them, so priority order is
+# what keeps the matching safe.
+LABEL_VARIANTS = (("non-causal", NON_CAUSAL), ("noncausal", NON_CAUSAL),
+                  ("non causal", NON_CAUSAL), (CAUSAL, CAUSAL))
 
 # Heads the relation-path block of both prompts; the mock oracle matches there.
 PATH_BLOCK_MARKER = "[Relation Paths]:"
@@ -80,15 +82,9 @@ class Completion:
                 raise ValueError(f"token {tok!r} has log-probability {lp} > 0")
 
 
-def canonical_label(variant: str) -> str:
-    """Collapse a label spelling to 'causal' or 'non-causal'."""
-    collapsed = re.sub(r"[^a-z]", "", variant.lower())
-    return NON_CAUSAL if collapsed.startswith("non") else CAUSAL
-
-
 # Each of LABEL_VARIANTS, in order, as a compiled pattern with its label.
-_LABEL_PATTERNS = tuple((re.compile(re.escape(variant), re.ASCII | re.IGNORECASE),
-                         canonical_label(variant)) for variant in LABEL_VARIANTS)
+_LABEL_PATTERNS = tuple((re.compile(re.escape(variant), re.ASCII | re.IGNORECASE), label)
+                        for variant, label in LABEL_VARIANTS)
 
 
 def label_logprob(completion: Completion) -> tuple[str, float]:

@@ -23,7 +23,7 @@ import numpy as np
 from ..kg import FORWARD, MetapathSubgraph
 from ..relevance import RankedPairRecord
 from ..util import descending_order, read_fields, read_json, stable_hash, write_json
-from ..verbalize import HYPHEN_STYLE, piece_tokens, ranker_input_tokens, tokenize, verbalize
+from ..verbalize import HYPHEN, piece_tokens, ranker_input_tokens, tokenize, verbalize
 from .losses import _KERNELS, LOSS_KINDS, RANKNET, RMSE, _segments, _stack_target
 from .ngram import DEFAULT_HASH_DIM, NgramLM, checked_order, dense_features, hashed_slots
 
@@ -173,8 +173,9 @@ class GbdtEnsemble:
     added in tree order, over the hashed counts of every 1..``n``-gram.
 
     ``predict`` walks every row through every tree at once, one tree level
-    per round (QuickScorer, Lucchese et al., SIGIR 2015), over a stack of
-    the trees, built at the first prediction.  Trees are not edited in place.
+    per round, over a stack of the trees, built at the first prediction (a
+    numpy port of QuickScorer's bitvectors, Lucchese et al., SIGIR 2015, was
+    tried and was no faster).  Trees are not edited in place.
     """
 
     base_score: float
@@ -229,21 +230,17 @@ class _FlatScorer:
             for view in (buf[:d * h].reshape(d, h), buf[d * h:-h - 1], buf[-h - 1:-1]))
         self.hidden, self.d_pre = np.empty((2, max_rows, h))
 
-    def forward(self, X: np.ndarray) -> np.ndarray:
-        """tanh(X w1 + b1) w2 + b2, computed in the scratch rows."""
-        hidden = self.hidden[:len(X)]
+    def loss_and_grads(self, X: np.ndarray, loss_fn, *args) -> float:
+        """``loss_fn(scores, *args)``'s loss for the scores tanh(X w1 + b1) w2
+        + b2 of the stacked rows of ``X``, computed in the scratch rows; the
+        parameter gradients land in ``self.grad``."""
+        hidden, d_pre = self.hidden[:len(X)], self.d_pre[:len(X)]
         np.matmul(X, self.w1, out=hidden)
         hidden += self.b1
         np.tanh(hidden, out=hidden)
         scores = hidden @ self.w2
         scores += self.flat[-1]
-        return scores
-
-    def loss_and_grads(self, X: np.ndarray, loss_fn, *args) -> float:
-        """``loss_fn(scores, *args)``'s loss for the stacked rows of ``X``; the
-        parameter gradients land in ``self.grad``."""
-        loss, dl_ds = loss_fn(self.forward(X), *args)
-        hidden, d_pre = self.hidden[:len(X)], self.d_pre[:len(X)]
+        loss, dl_ds = loss_fn(scores, *args)
         np.matmul(hidden.T, dl_ds, out=self.g_w2)
         np.multiply(dl_ds[:, None], self.w2, out=d_pre)
         np.square(hidden, out=hidden)
@@ -366,14 +363,14 @@ def score_subgraphs(model: RankerModel, pair: tuple[str, str],
     if model.kind == NEURAL:
         params = model.neural
         X = params.standardize(_dense_matrix(lm, pair, subgraphs))
-        return _FlatScorer(params.w1, params.b1, params.w2, params.b2, len(X)).forward(X)
+        return np.tanh(X @ params.w1 + params.b1) @ params.w2 + params.b2
     if model.kind == GBDT:
         return model.gbdt.predict(_hashed_matrix(model.gbdt.n, pair, subgraphs))
     if model.kind == SIMILARITY:
         pair_vec = dense_features(lm, tokenize(f"{pair[0]} - {pair[1]}"))
         scores = []
         for sg in subgraphs:
-            sg_vec = dense_features(lm, tokenize(verbalize(sg, HYPHEN_STYLE)))
+            sg_vec = dense_features(lm, tokenize(verbalize(sg, HYPHEN)))
             denom = np.linalg.norm(pair_vec) * np.linalg.norm(sg_vec)
             scores.append(float(pair_vec @ sg_vec / denom) if denom > 0 else 0.0)
         return np.asarray(scores, dtype=np.float64)
@@ -414,6 +411,7 @@ def _eligible_records(dataset: Sequence[RankedPairRecord], loss_kind: str):
     return kept
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train_neural_ranker(dataset: Sequence[RankedPairRecord], lm: NgramLM, loss_kind: str,
                         config: TrainConfig = TrainConfig()) -> RankerModel:
     """Minibatch gradient descent on the feedforward scorer.
@@ -424,7 +422,8 @@ def train_neural_ranker(dataset: Sequence[RankedPairRecord], lm: NgramLM, loss_k
     epoch gathers the rows, and RankNet's pairs, in visiting order, so a
     minibatch of ``config.batch`` records is a slice of those stacks and
     takes one in-place forward and backward pass through the loss's
-    unchecked kernel.
+    unchecked kernel.  The fit stops with a ValueError at its first epoch
+    whose mean loss is not finite.
     """
     records = _eligible_records(dataset, loss_kind)
 
@@ -478,6 +477,8 @@ def train_neural_ranker(dataset: Sequence[RankedPairRecord], lm: NgramLM, loss_k
             scorer.grad *= learning_rate / len(starts)
             scorer.flat -= scorer.grad
         mean_loss = epoch_loss / len(records)
+        if not np.isfinite(mean_loss):
+            raise ValueError(f"train_neural_ranker: epoch {epoch + 1} mean loss is {mean_loss}")
         history.append(float(mean_loss))
         logger.debug("ranker epoch %d: %s loss %.5f", epoch + 1, loss_kind, mean_loss)
 
@@ -625,6 +626,7 @@ def _fit_tree(residuals: np.ndarray, max_depth: int,
     return tree, leaf_values
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train_gbdt_ranker(dataset: Sequence[RankedPairRecord], lm: NgramLM,
                       config: TrainConfig = TrainConfig()) -> RankerModel:
     """Squared-error gradient boosting on relevance scores.
@@ -633,7 +635,8 @@ def train_gbdt_ranker(dataset: Sequence[RankedPairRecord], lm: NgramLM,
     (0, 2] the training RMSE can never increase, and the per-round values
     are recorded on the model.  Only ``lm.n`` is read; the ensemble keeps it.
     The hashed counts are read one record at a time and only their nonzeros
-    kept, so no dense matrix of the whole dataset is built.
+    kept, so no dense matrix of the whole dataset is built.  The fit stops
+    with a ValueError at its first round whose training RMSE is not finite.
     """
     records = _eligible_records(dataset, RMSE)
     y = np.asarray([mp.relscore for record in records for mp in record.metapaths],
@@ -650,6 +653,8 @@ def train_gbdt_ranker(dataset: Sequence[RankedPairRecord], lm: NgramLM,
         trees.append(tree)
         predictions += config.gbdt_learning_rate * leaf_values
         rmse = float(np.sqrt(np.mean((y - predictions) ** 2)))
+        if not np.isfinite(rmse):
+            raise ValueError(f"train_gbdt_ranker: round {round_idx + 1} train RMSE is {rmse}")
         history.append(rmse)
         logger.debug("gbdt round %d: train rmse %.5f", round_idx + 1, rmse)
 

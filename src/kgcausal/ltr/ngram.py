@@ -110,6 +110,7 @@ def _vocab_and_windows(corpus: Sequence[Sequence[str]], n: int, min_count: int
     return vocab, contexts, flat[targets]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train_ngram_lm(corpus: Sequence[Sequence[str]], n: int = 2, d: int = DEFAULT_EMBED_DIM,
                    seed: int = 0, epochs: int = 10, learning_rate: float = 0.5,
                    min_count: int = 1) -> NgramLM:
@@ -125,7 +126,8 @@ def train_ngram_lm(corpus: Sequence[Sequence[str]], n: int = 2, d: int = DEFAULT
     ``n`` is at most MAX_ORDER.  Deterministic in ``seed``; the per-epoch
     mean sampled loss is kept on the model so callers can check it went
     down.  Tokens seen fewer than ``min_count`` times share the UNK entry,
-    which keeps downstream features free of one-off token noise.
+    which keeps downstream features free of one-off token noise.  The fit
+    stops with a ValueError at its first epoch whose mean loss is not finite.
     """
     checked_order(n)
     if not corpus or all(len(s) < n for s in corpus):
@@ -195,6 +197,8 @@ def train_ngram_lm(corpus: Sequence[Sequence[str]], n: int = 2, d: int = DEFAULT
             dx *= learning_rate
             _subtract_rows(embeddings, ctx.reshape(-1), np.repeat(dx, n - 1, axis=0))
         mean_loss = total / n_samples
+        if not np.isfinite(mean_loss):
+            raise ValueError(f"train_ngram_lm: epoch {epoch + 1} mean loss is {mean_loss}")
         loss_history.append(float(mean_loss))
         logger.debug("lm epoch %d: loss %.4f", epoch + 1, mean_loss)
 

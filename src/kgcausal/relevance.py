@@ -15,7 +15,7 @@ from typing import Literal, Optional, Sequence
 from .kg import KnowledgeGraph, MetapathSubgraph, enumerate_subgraphs, sample_subgraphs
 from .llm import CAUSAL, NON_CAUSAL, PATH_BLOCK_MARKER, ask_label, probability
 from .util import _unique_qids, descending_order, read_fields, read_jsonl, stable_hash
-from .verbalize import HYPHEN_STYLE, verbalize
+from .verbalize import HYPHEN, verbalize
 
 LABELS = (CAUSAL, NON_CAUSAL)
 
@@ -103,7 +103,7 @@ def build_sre_prompt(instance: PairInstance, subgraph: MetapathSubgraph) -> str:
         instruction=DEFAULT_INSTRUCTION,
         pair=f"{instance.e1} and {instance.e2}",
         context=instance.context,
-        paths=verbalize(subgraph, HYPHEN_STYLE),
+        paths=verbalize(subgraph, HYPHEN),
     )
 
 

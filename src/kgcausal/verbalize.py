@@ -1,5 +1,8 @@
 """Turn metapath subgraphs into prompt text and ranker input tokens.
 
+:func:`verbalize` renders a path in one of four variants, each a string
+constant: ``FULL``, ``TYPED_ARROWS``, ``PLAIN_ARROWS`` or ``HYPHEN``.
+
 A ranker input is a sequence of pieces, each one ``(kind, name, first)``:
 the pair's two, with ``kind`` None, then one per node of the path.  The LM
 corpus, the neural ranker and the GBDT read a piece's tokens through
@@ -8,7 +11,6 @@ corpus, the neural ranker and the GBDT read a piece's tokens through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .kg import FORWARD, MetapathSubgraph
@@ -30,29 +32,19 @@ SEP = "SEP"
 _MARKERS = frozenset((CLS, SEP))
 
 
-@dataclass(frozen=True)
-class VerbalizationStyle:
-    """Which of the four variants renders a subgraph (see :func:`verbalize`)."""
-
-    variant: str = PLAIN_ARROWS
-
-    def __post_init__(self):
-        if self.variant not in _VARIANTS:
-            raise ValueError(f"unknown verbalization variant {self.variant!r}")
-
-
-FULL_STYLE = VerbalizationStyle(variant=FULL)
-TYPED_ARROWS_STYLE = VerbalizationStyle(variant=TYPED_ARROWS)
-PLAIN_ARROWS_STYLE = VerbalizationStyle(variant=PLAIN_ARROWS)
-HYPHEN_STYLE = VerbalizationStyle(variant=HYPHEN)
-
-
 def _typed_name(node_type: str, name: str) -> str:
     return f"{node_type} {name}" if node_type else name
 
 
-def verbalize(subgraph: MetapathSubgraph, style: VerbalizationStyle = PLAIN_ARROWS_STYLE) -> str:
-    """Render a subgraph as natural-language path text.
+def check_variant(variant: str) -> None:
+    """Raise a ValueError unless ``variant`` is one of the four."""
+    if variant not in _VARIANTS:
+        raise ValueError(f"unknown verbalization variant {variant!r}")
+
+
+def verbalize(subgraph: MetapathSubgraph, variant: str = PLAIN_ARROWS) -> str:
+    """Render a subgraph as natural-language path text in ``variant``, one
+    of the four below; any other value is a ValueError.
 
     ``full`` lists every hop as an oriented triple "(type name, label,
     type name)" behind ``PREFIX``; ``typed_arrows`` chains typed names with
@@ -61,19 +53,20 @@ def verbalize(subgraph: MetapathSubgraph, style: VerbalizationStyle = PLAIN_ARRO
     """
     names = subgraph.node_names
     labels = subgraph.edge_labels
-    if style.variant == HYPHEN:
+    if variant == HYPHEN:
         return " - ".join(names)
 
     forward = [d == FORWARD for d in subgraph.edge_directions]
     arrows = [ARROW if f else MIRROR_ARROW for f in forward]
-    if style.variant == PLAIN_ARROWS:
+    if variant == PLAIN_ARROWS:
         return names[0] + "".join(f" {arrow} {name}" for arrow, name in zip(arrows, names[1:]))
 
     typed = [_typed_name(t, name) for t, name in zip(subgraph.node_types, names)]
-    if style.variant == TYPED_ARROWS:
+    if variant == TYPED_ARROWS:
         return typed[0] + "".join(f" {arrow}{label}{arrow} {name}"
                                   for arrow, label, name in zip(arrows, labels, typed[1:]))
 
+    check_variant(variant)
     # full: one oriented triple per hop, in the edge's stored orientation.
     triples = [f"({u}, {label}, {v})" if f else f"({v}, {label}, {u})"
                for u, label, v, f in zip(typed, labels, typed[1:], forward)]

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -360,6 +361,23 @@ class TestTrainRankDiscoverEval:
                    "--out", predictions)
         assert code == EXIT_CONFIG
         assert not predictions.exists()
+
+    @pytest.mark.parametrize("with_model", [True, False], ids=["model", "none"])
+    def test_discover_unknown_style_exits_2_without_output(self, pipeline, tmp_path, capsys,
+                                                           with_model):
+        root, _, out = pipeline
+        config = json.loads((root / "config.json").read_text())
+        config.setdefault("discovery", {})["style"] = "prose"
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        code = run("discover", out / "model.json" if with_model else "none",
+                   root / "pairs.jsonl", "--config", cfg, "--out", runs / "predictions.jsonl")
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "error: unknown verbalization variant 'prose'"]
+        assert list(runs.iterdir()) == []
 
     def test_discover_skips_and_counts_failed_pairs_and_exits_1(self, pipeline, stub_server,
                                                                 tmp_path):
@@ -782,15 +800,17 @@ class TestBadInputs:
         assert f"error: {bad}:1: " in err and message in err
         assert not result.exists()
 
-    @pytest.mark.parametrize("kind,section", [
-        ("gbdt", "gbdt"), ("neural", "train"), ("neural", "ngram"), ("similarity", "ngram"),
+    @pytest.mark.parametrize("kind,section,failure", [
+        ("gbdt", "gbdt", "train_gbdt_ranker: round 1 train RMSE is inf"),
+        ("neural", "train", "train_neural_ranker: epoch 1 mean loss is nan"),
+        ("neural", "ngram", "train_ngram_lm: epoch 1 mean loss is nan"),
+        ("similarity", "ngram", "train_ngram_lm: epoch 1 mean loss is nan"),
     ], ids=["gbdt-lr", "neural-train-lr", "neural-ngram-lr", "similarity-ngram-lr"])
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
     def test_diverged_train_exits_2_and_writes_nothing(self, pipeline, tmp_path, capsys,
-                                                       kind, section):
-        """A learning rate of 1e308 trains to NaN.  Every reader refuses a
-        model file that holds one, so train writes neither the model nor its
+                                                       kind, section, failure):
+        """A learning rate of 1e308 trains to a loss that is not finite.  The
+        fit stops at that epoch or round without a numpy warning, so train
+        prints one error line and writes neither the model nor its
         sidecar."""
         root, _, out = pipeline
         config = json.loads((root / "config.json").read_text())
@@ -801,11 +821,11 @@ class TestBadInputs:
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(config), encoding="utf-8")
         model = runs / "model.json"
-        code = run("train", out / "ranked.jsonl", "--config", cfg, "--out", model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run("train", out / "ranked.jsonl", "--config", cfg, "--out", model)
         assert code == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert f"error: {model}: " in err and "not JSON compliant" in err
-        assert "Traceback" not in err
+        assert capsys.readouterr().err.splitlines() == [f"error: {model}: {failure}"]
         assert list(runs.iterdir()) == []
 
 

@@ -22,11 +22,11 @@ from kgcausal.discovery import (
     metrics_from_counts,
 )
 from kgcausal.errors import BackendUnavailable
-from kgcausal.llm import MockOracle, map_pairs
+from kgcausal.llm import PATH_BLOCK_MARKER, MockOracle, map_pairs
 from kgcausal.ltr.models import GbdtEnsemble, RankerModel, rank_subgraphs, score_subgraphs
 from kgcausal.relevance import PairInstance
 from kgcausal.synthetic import make_planted_world
-from kgcausal.verbalize import verbalize
+from kgcausal.verbalize import TYPED_ARROWS, verbalize
 from test_models import handcrafted_lm
 
 
@@ -93,14 +93,14 @@ class TestBuildDiscoveryPrompt:
         inst = PairInstance(qid="1", e1="FGF6", e2="prostate cancer",
                             context="FGF6 contributes to the growth of prostate cancer",
                             groundtruth="causal")
-        prompt = build_discovery_prompt(inst, [fgf6_path])
+        prompt = build_discovery_prompt(inst, [verbalize(fgf6_path)])
         assert "FGF6 → tendon → SDRDL → FGFR2 → prostate cancer" in prompt
         assert prompt.endswith("The relation between FGF6 and prostate cancer is")
 
     def test_empty_block_for_no_subgraphs(self, fgf6_path):
         inst = PairInstance(qid="1", e1="FGF6", e2="prostate cancer", context="ctx",
                             groundtruth="causal")
-        with_path = build_discovery_prompt(inst, [fgf6_path])
+        with_path = build_discovery_prompt(inst, [verbalize(fgf6_path)])
         without = build_discovery_prompt(inst, [])
         assert without == with_path.replace(
             "FGF6 → tendon → SDRDL → FGFR2 → prostate cancer", "")
@@ -109,7 +109,7 @@ class TestBuildDiscoveryPrompt:
         inst = PairInstance(qid="1", e1="a", e2="b", context="", groundtruth="causal")
         first = make_subgraph(["a", "x", "b"])
         second = make_subgraph(["a", "y", "b"])
-        prompt = build_discovery_prompt(inst, [first, second])
+        prompt = build_discovery_prompt(inst, [verbalize(first), verbalize(second)])
         assert prompt.index("a → x → b") < prompt.index("a → y → b")
 
 
@@ -150,6 +150,27 @@ class TestClassifyPair:
                                    Recording([FakeBackend.single("non-causal")]))
         assert prompts == [build_discovery_prompt(inst, [])]
         assert prediction.subgraphs_used == ()
+
+    def test_prompt_path_block_is_subgraphs_used(self):
+        """The paths in the prompt are the very lines the prediction
+        reports, in rank order."""
+        prompts = []
+
+        class Recording(FakeBackend):
+            def complete(self, request):
+                prompts.append(request.prompt)
+                return super().complete(request)
+
+        inst = PairInstance(qid="1", e1="a", e2="b", context="", groundtruth="causal")
+        subs = [make_subgraph(["a", f"m{i}", "b"], types=["T", "M", "T"], labels=["r", "s"])
+                for i in range(3)]
+        prediction = classify_pair(inst, None, RankerModel(kind="random"),
+                                   Recording([FakeBackend.single("causal")]),
+                                   config=DiscoveryConfig(k=2, style=TYPED_ARROWS),
+                                   candidates=subs)
+        block = prompts[0].split(f"{PATH_BLOCK_MARKER}\n")[1].split("\n\n")[0]
+        assert len(prediction.subgraphs_used) == 2
+        assert block.split("\n") == list(prediction.subgraphs_used)
 
     def test_unparseable_text_yields_none(self):
         inst = PairInstance(qid="1", e1="a", e2="b", context="", groundtruth="causal")

@@ -644,6 +644,13 @@ class TestMetapathSubgraph:
             read_fields(MetapathSubgraph, fields)
 
 
+@pytest.mark.parametrize("record", [NodeRecord(id="a", name="A", node_type="T"),
+                                    EdgeRecord(head="a", relation="r", tail="b")],
+                         ids=["node", "edge"])
+def test_graph_record_has_no_instance_dict(record):
+    assert not hasattr(record, "__dict__")
+
+
 @pytest.fixture(scope="module")
 def dense_planted():
     """The planted world of 220 pairs with 8 decoys each: 1,980 two-hop paths."""

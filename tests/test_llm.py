@@ -27,7 +27,6 @@ from kgcausal.llm import (
     MockOracle,
     MockOracleConfig,
     ask_label,
-    canonical_label,
     label_logprob,
     label_probability,
     map_pairs,
@@ -196,11 +195,6 @@ class TestLabelProbability:
         completion = Completion(text="causal", tokens=(), backend_id="fake")
         with pytest.raises(CapabilityMissing):
             label_probability(completion)
-
-    def test_canonical_label(self):
-        assert canonical_label("Non Causal") == "non-causal"
-        assert canonical_label("noncausal") == "non-causal"
-        assert canonical_label("CAUSAL") == "causal"
 
 
 class TestLabelLogprob:

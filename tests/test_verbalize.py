@@ -11,11 +11,10 @@ from kgcausal.kg import FORWARD, REVERSE
 from kgcausal.verbalize import (
     CLS,
     SEP,
-    FULL_STYLE,
-    HYPHEN_STYLE,
-    PLAIN_ARROWS_STYLE,
-    TYPED_ARROWS_STYLE,
-    VerbalizationStyle,
+    FULL,
+    HYPHEN,
+    PLAIN_ARROWS,
+    TYPED_ARROWS,
     tokenize,
     verbalize,
 )
@@ -23,31 +22,32 @@ from kgcausal.verbalize import (
 
 class TestVerbalize:
     def test_plain_arrows_drops_types_and_labels(self, fgf6_path):
-        assert verbalize(fgf6_path, PLAIN_ARROWS_STYLE) == (
+        assert verbalize(fgf6_path, PLAIN_ARROWS) == (
             "FGF6 → tendon → SDRDL → FGFR2 → prostate cancer")
 
     def test_full_single_triple_with_prefix(self):
         sg = make_subgraph(["a", "b"], types=["ta", "tb"], labels=["r"])
-        assert verbalize(sg, FULL_STYLE) == "Relation paths between the pair: (ta a, r, tb b)"
+        assert verbalize(sg, FULL) == "Relation paths between the pair: (ta a, r, tb b)"
 
     def test_full_orients_reverse_edges(self):
         sg = make_subgraph(["a", "b"], types=["ta", "tb"], labels=["r"],
                            directions=[REVERSE])
-        assert verbalize(sg, FULL_STYLE) == "Relation paths between the pair: (tb b, r, ta a)"
+        assert verbalize(sg, FULL) == "Relation paths between the pair: (tb b, r, ta a)"
 
     def test_hyphen(self):
         sg = make_subgraph(["a", "b"])
-        assert verbalize(sg, HYPHEN_STYLE) == "a - b"
+        assert verbalize(sg, HYPHEN) == "a - b"
 
     def test_typed_arrows_carries_types_and_labels(self):
         sg = make_subgraph(["a", "x", "b"], types=["T1", "T2", "T3"],
                            labels=["r1", "r2"], directions=[FORWARD, REVERSE])
-        assert verbalize(sg, TYPED_ARROWS_STYLE) == (
+        assert verbalize(sg, TYPED_ARROWS) == (
             "T1 a →r1→ T2 x ←r2← T3 b")
 
     def test_unknown_variant_rejected(self):
-        with pytest.raises(ValueError):
-            VerbalizationStyle(variant="prose")
+        sg = make_subgraph(["a", "b"])
+        with pytest.raises(ValueError, match="unknown verbalization variant 'prose'"):
+            verbalize(sg, "prose")
 
     def test_full_style_injective_on_distinct_paths(self):
         rng = random.Random(5)
@@ -63,7 +63,7 @@ class TestVerbalize:
                 labels=[rng.choice(labels) for _ in range(n - 1)],
             )
             key = (sg.node_names, sg.node_types, sg.edge_labels)
-            text = verbalize(sg, FULL_STYLE)
+            text = verbalize(sg, FULL)
             if key in seen:
                 assert seen[key] == text
             else:
@@ -72,7 +72,7 @@ class TestVerbalize:
 
     def test_hyphen_round_trip(self):
         sg = make_subgraph(["FGF6", "prostate cancer", "IL6"])
-        assert verbalize(sg, HYPHEN_STYLE).split(" - ") == list(sg.node_names)
+        assert verbalize(sg, HYPHEN).split(" - ") == list(sg.node_names)
 
 
 class TestEncodeRankerInput:
