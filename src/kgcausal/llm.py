@@ -22,7 +22,7 @@ import time
 import urllib.parse
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from . import __version__
@@ -217,9 +217,6 @@ class MockOracleConfig:
             raise ValueError("base_confidence must be in (0.5, 1]")
         if not 0.0 <= self.flip_rate < 0.5:
             raise ValueError("flip_rate must be in [0, 0.5)")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _path_block(prompt: str) -> str:

@@ -8,6 +8,11 @@ Two trained families share the same scoring contract f((a, b), path) -> real:
 
 Two untrained kinds round out the set: cosine similarity against the pair
 text and a seeded random scorer.
+
+The hashed counts are read piece by piece through a table of piece slots
+that belongs to its reader: a GBDT fit keeps one for its records, and each
+ensemble one for the paths it scores, freed with it.  No table is kept
+process-wide.
 """
 
 from __future__ import annotations
@@ -190,6 +195,11 @@ class GbdtEnsemble:
     def _stack(self) -> _TreeStack:
         return _TreeStack(self.trees)
 
+    @functools.cached_property
+    def _pieces(self) -> dict:
+        # the slots of the pieces this ensemble has scored (_path_slots)
+        return {}
+
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self._stack.predict(X, self.base_score, self.learning_rate)
 
@@ -286,69 +296,61 @@ def _dense_matrix(lm: NgramLM, pair, subgraphs) -> np.ndarray:
     return np.stack([dense_features(lm, ranker_input_tokens(pair, sg)) for sg in subgraphs])
 
 
-# A piece's slots and the n - 1 tokens it leaves ahead, kept per (n, kind,
-# name, first, tokens ahead), the piece as ``verbalize.piece_tokens`` reads
-# it; once the table is full, new keys are not kept.  A kept entry's slots
-# are items of ``_SLOT_INTS``, and its ahead tuple is the one of
-# ``_aheads``, so that entries share them instead of holding their own.
-_PIECE_SLOTS_LIMIT = 1 << 14
-_piece_slots: dict[tuple, tuple[tuple[int, ...], tuple[str, ...]]] = {}
+# Every slot is one of DEFAULT_HASH_DIM, so a table entry's slots are items
+# of this one tuple instead of ints of their own.
 _SLOT_INTS = tuple(range(DEFAULT_HASH_DIM))
-_aheads: dict[tuple[str, ...], tuple[str, ...]] = {}
 
 
-def _read_piece(key: tuple, unkept: dict) -> tuple[tuple[int, ...], tuple[str, ...]]:
-    """A piece's entry of ``_piece_slots``, read afresh and kept there, or in
-    ``unkept``, a caller's own table, once that is full."""
+def _read_piece(table: dict, key: tuple) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    """A piece's slots and the n - 1 tokens it leaves ahead, read afresh and
+    kept in ``table`` under ``key``: (n, kind, name, first, tokens ahead),
+    the piece as ``verbalize.piece_tokens`` reads it."""
     n, kind, name, first, ahead = key
     tokens = piece_tokens(kind, name, first)
     slots = tuple(map(_SLOT_INTS.__getitem__, hashed_slots(tokens, n, DEFAULT_HASH_DIM, ahead)))
-    ahead = (tokens + ahead)[:n - 1]
-    if len(_piece_slots) < _PIECE_SLOTS_LIMIT:
-        found = _piece_slots[key] = slots, _aheads.setdefault(ahead, ahead)
-    else:
-        found = unkept[key] = slots, ahead
+    found = table[key] = slots, (tokens + ahead)[:n - 1]
     return found
 
 
-def _path_slots(n: int, pair, subgraphs) -> list[list[int]]:
+def _path_slots(n: int, pair, subgraphs, table: dict) -> list[list[int]]:
     """The slot in ``DEFAULT_HASH_DIM`` of every 1..n-gram of each
     subgraph's ranker input, in no fixed order.  A path is read piece by
     piece from its last node: a piece's slots are those of the n-grams that
     start in it, given the n - 1 tokens that follow it.  The pair's two
-    pieces come last, read once per pair and tokens ahead."""
-    get = _piece_slots.get
-    unkept: dict[tuple, tuple[tuple[int, ...], tuple[str, ...]]] = {}
+    pieces come last, read once per pair and tokens ahead.  Each piece is
+    read through ``table``, the caller's, which keeps what it reads; threads
+    may share it, as a piece two of them read at once gets the same entry."""
+    get = table.get
     pair_slots: dict[tuple[str, ...], tuple[int, ...]] = {}
     rows = []
     for subgraph in subgraphs:
         names, types, labels = subgraph.node_names, subgraph.node_types, subgraph.edge_labels
         i = len(labels)
         key = (n, types[i] or labels[i - 1], names[i], False, ())
-        slots, ahead = get(key) or unkept.get(key) or _read_piece(key, unkept)
+        slots, ahead = get(key) or _read_piece(table, key)
         row = list(slots)
         for i in range(i - 1, -1, -1):
             key = (n, types[i] or labels[i], names[i], i == 0, ahead)
-            slots, ahead = get(key) or unkept.get(key) or _read_piece(key, unkept)
+            slots, ahead = get(key) or _read_piece(table, key)
             row += slots
         found = pair_slots.get(ahead)
         if found is None:
             key = (n, None, pair[1], False, ahead)
-            second, second_ahead = get(key) or unkept.get(key) or _read_piece(key, unkept)
+            second, second_ahead = get(key) or _read_piece(table, key)
             key = (n, None, pair[0], True, second_ahead)
-            first = (get(key) or unkept.get(key) or _read_piece(key, unkept))[0]
+            first = (get(key) or _read_piece(table, key))[0]
             found = pair_slots[ahead] = second + first
         row += found
         rows.append(row)
     return rows
 
 
-def _hashed_matrix(n: int, pair, subgraphs) -> np.ndarray:
+def _hashed_matrix(n: int, pair, subgraphs, table: dict) -> np.ndarray:
     """Hashed counts of every 1..n-gram of each subgraph's ranker input, one
     int64 row per subgraph, from one bincount over ``row * DEFAULT_HASH_DIM +
-    slot`` of the slots :func:`_path_slots` reads."""
+    slot`` of the slots :func:`_path_slots` reads through ``table``."""
     dim = DEFAULT_HASH_DIM
-    rows = _path_slots(n, pair, subgraphs)
+    rows = _path_slots(n, pair, subgraphs, table)
     cells = np.repeat(np.arange(len(rows)) * dim, [len(row) for row in rows])
     cells += np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=len(cells))
     return np.bincount(cells, minlength=len(rows) * dim).reshape(len(rows), dim)
@@ -365,7 +367,8 @@ def score_subgraphs(model: RankerModel, pair: tuple[str, str],
         X = params.standardize(_dense_matrix(lm, pair, subgraphs))
         return np.tanh(X @ params.w1 + params.b1) @ params.w2 + params.b2
     if model.kind == GBDT:
-        return model.gbdt.predict(_hashed_matrix(model.gbdt.n, pair, subgraphs))
+        gbdt = model.gbdt
+        return gbdt.predict(_hashed_matrix(gbdt.n, pair, subgraphs, gbdt._pieces))
     if model.kind == SIMILARITY:
         pair_vec = dense_features(lm, tokenize(f"{pair[0]} - {pair[1]}"))
         scores = []
@@ -641,8 +644,9 @@ def train_gbdt_ranker(dataset: Sequence[RankedPairRecord], lm: NgramLM,
     records = _eligible_records(dataset, RMSE)
     y = np.asarray([mp.relscore for record in records for mp in record.metapaths],
                    dtype=np.float64)
-    counts = _sparse_counts(_hashed_matrix(lm.n, record_pair(record), record_subgraphs(record))
-                            for record in records)
+    table: dict = {}
+    counts = _sparse_counts(_hashed_matrix(lm.n, record_pair(record), record_subgraphs(record),
+                                           table) for record in records)
 
     base_score = float(y.mean())
     predictions = np.full(len(y), base_score)

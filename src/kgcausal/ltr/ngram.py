@@ -5,9 +5,9 @@ against one output row per vocabulary entry.  Training uses a sampled
 softmax, which scores each target against a few drawn negatives instead of
 the whole vocabulary.  After training, the embedding rows are mean-pooled
 into dense features, and every 1..n-gram is hashed to a slot of a fixed-size
-count vector for tree-based models.  :func:`hashed_slots` keeps nothing; the
-GBDT's feature reader keeps the slots of each ranker-input piece
-(``ltr.models``).
+count vector for tree-based models.  :func:`hashed_slots` keeps nothing; a
+GBDT fit, and each GBDT model, keeps the slots of the ranker-input pieces it
+reads in a table of its own (``ltr.models``).
 """
 
 from __future__ import annotations
@@ -126,10 +126,13 @@ def train_ngram_lm(corpus: Sequence[Sequence[str]], n: int = 2, d: int = DEFAULT
     ``n`` is at most MAX_ORDER.  Deterministic in ``seed``; the per-epoch
     mean sampled loss is kept on the model so callers can check it went
     down.  Tokens seen fewer than ``min_count`` times share the UNK entry,
-    which keeps downstream features free of one-off token noise.  The fit
-    stops with a ValueError at its first epoch whose mean loss is not finite.
+    which keeps downstream features free of one-off token noise.  A learning
+    rate of 0 or below is a ValueError, and the fit stops with one at its
+    first epoch whose mean loss is not finite.
     """
     checked_order(n)
+    if learning_rate <= 0:
+        raise ValueError(f"train_ngram_lm: learning rate must be positive, not {learning_rate!r}")
     if not corpus or all(len(s) < n for s in corpus):
         raise ValueError("corpus must contain at least one sequence of length >= n")
     vocab, contexts, targets = _vocab_and_windows(corpus, n, min_count)

@@ -6,7 +6,9 @@ constant: ``FULL``, ``TYPED_ARROWS``, ``PLAIN_ARROWS`` or ``HYPHEN``.
 A ranker input is a sequence of pieces, each one ``(kind, name, first)``:
 the pair's two, with ``kind`` None, then one per node of the path.  The LM
 corpus, the neural ranker and the GBDT read a piece's tokens through
-:func:`piece_tokens`; the GBDT hashes them piece by piece (``ltr.models``).
+:func:`piece_tokens`, which keeps nothing; the GBDT hashes them piece by
+piece, and each fit and each model keeps the slots of the pieces it reads
+(``ltr.models``).
 """
 
 from __future__ import annotations
@@ -78,28 +80,15 @@ def tokenize(text: str) -> list[str]:
     return [t if t in _MARKERS else t.lower() for t in text.split()]
 
 
-# Pieces whose tokens are kept, keyed (kind, name, first); once the table is
-# full, new keys are not kept.
-_TOKENS_LIMIT = 1 << 14
-_tokens: dict[tuple, tuple[str, ...]] = {}
-
-
 def piece_tokens(kind: Optional[str], name: str, first: bool) -> tuple[str, ...]:
     """The tokens of one piece of the ranker input.  With ``kind`` None it
     is one of the pair's two: CLS and the words of ``name``, the first
     variable, when ``first``, else the words of the second and SEP.
     Otherwise it is a node's: "-" unless the node is the path's first, then
     the words of its kind and of its name."""
-    key = (kind, name, first)
-    tokens = _tokens.get(key)
-    if tokens is None:
-        if kind is None:
-            tokens = (CLS, *tokenize(name)) if first else (*tokenize(name), SEP)
-        else:
-            tokens = tuple(tokenize(f"{kind} {name}" if first else f"- {kind} {name}"))
-        if len(_tokens) < _TOKENS_LIMIT:
-            _tokens[key] = tokens
-    return tokens
+    if kind is None:
+        return (CLS, *tokenize(name)) if first else (*tokenize(name), SEP)
+    return tuple(tokenize(f"{kind} {name}" if first else f"- {kind} {name}"))
 
 
 def ranker_input_tokens(pair: tuple[str, str], subgraph: MetapathSubgraph) -> list[str]:

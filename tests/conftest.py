@@ -9,6 +9,7 @@ import socket
 import socketserver
 import ssl
 import threading
+from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -232,7 +233,7 @@ def artifacts(tmp_path_factory):
     world = make_planted_world(n_pairs=24, flip_rate=0.2, seed=31)
     write_kg_jsonl(world, root / "kg.jsonl")
     write_instances_jsonl(world.instances, root / "pairs.jsonl")
-    (root / "mock.json").write_text(json.dumps(world.mock_config.to_dict()), encoding="utf-8")
+    (root / "mock.json").write_text(json.dumps(asdict(world.mock_config)), encoding="utf-8")
     config = {"kg": {"path": str(root / "kg.jsonl")},
               "llm": {"backend": "mock", "mock_config_path": str(root / "mock.json")},
               "sre": {"k_max": 3},

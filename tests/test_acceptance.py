@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 import random
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -321,7 +322,7 @@ def cli_world(tmp_path_factory):
     world = make_planted_world(n_pairs=30, flip_rate=0.02, seed=23)
     write_kg_jsonl(world, root / "kg.jsonl")
     write_instances_jsonl(world.instances, root / "pairs.jsonl")
-    (root / "mock.json").write_text(json.dumps(world.mock_config.to_dict()), encoding="utf-8")
+    (root / "mock.json").write_text(json.dumps(asdict(world.mock_config)), encoding="utf-8")
     config = {
         "kg": {"path": str(root / "kg.jsonl")},
         "llm": {"backend": "mock", "mock_config_path": str(root / "mock.json")},

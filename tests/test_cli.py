@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,7 @@ def workdir(tmp_path_factory):
     world = make_planted_world(n_pairs=30, flip_rate=0.0, seed=13)
     write_kg_jsonl(world, root / "kg.jsonl")
     write_instances_jsonl(world.instances, root / "pairs.jsonl")
-    (root / "mock.json").write_text(json.dumps(world.mock_config.to_dict()), encoding="utf-8")
+    (root / "mock.json").write_text(json.dumps(asdict(world.mock_config)), encoding="utf-8")
     config = {
         "kg": {"path": str(root / "kg.jsonl")},
         "llm": {"backend": "mock", "mock_config_path": str(root / "mock.json")},
@@ -800,22 +801,27 @@ class TestBadInputs:
         assert f"error: {bad}:1: " in err and message in err
         assert not result.exists()
 
-    @pytest.mark.parametrize("kind,section,failure", [
-        ("gbdt", "gbdt", "train_gbdt_ranker: round 1 train RMSE is inf"),
-        ("neural", "train", "train_neural_ranker: epoch 1 mean loss is nan"),
-        ("neural", "ngram", "train_ngram_lm: epoch 1 mean loss is nan"),
-        ("similarity", "ngram", "train_ngram_lm: epoch 1 mean loss is nan"),
-    ], ids=["gbdt-lr", "neural-train-lr", "neural-ngram-lr", "similarity-ngram-lr"])
+    @pytest.mark.parametrize("kind,section,lr,failure", [
+        ("gbdt", "gbdt", 1e308, "train_gbdt_ranker: round 1 train RMSE is inf"),
+        ("neural", "train", 1e308, "train_neural_ranker: epoch 1 mean loss is nan"),
+        ("neural", "ngram", 1e308, "train_ngram_lm: epoch 1 mean loss is nan"),
+        ("similarity", "ngram", 1e308, "train_ngram_lm: epoch 1 mean loss is nan"),
+        ("neural", "ngram", 0.0, "train_ngram_lm: learning rate must be positive, not 0.0"),
+        ("neural", "ngram", -0.5, "train_ngram_lm: learning rate must be positive, not -0.5"),
+    ], ids=["gbdt-lr", "neural-train-lr", "neural-ngram-lr", "similarity-ngram-lr",
+            "neural-ngram-lr-zero", "neural-ngram-lr-negative"])
     def test_diverged_train_exits_2_and_writes_nothing(self, pipeline, tmp_path, capsys,
-                                                       kind, section, failure):
+                                                       kind, section, lr, failure):
         """A learning rate of 1e308 trains to a loss that is not finite.  The
         fit stops at that epoch or round without a numpy warning, so train
         prints one error line and writes neither the model nor its
-        sidecar."""
+        sidecar.  An LM learning rate of 0 or below, which would leave the
+        embeddings at their draw or train them uphill, is refused the same
+        way before the LM's first epoch."""
         root, _, out = pipeline
         config = json.loads((root / "config.json").read_text())
         config["ranker"].update(kind=kind, train={"epochs": 5})
-        config["ranker"][section]["lr"] = 1e308
+        config["ranker"][section]["lr"] = lr
         runs = tmp_path / "runs"
         runs.mkdir()
         cfg = tmp_path / "config.json"

@@ -1,12 +1,14 @@
-"""Cached ranker-input pieces and their n-gram slots against their uncached
-definitions."""
+"""Ranker-input pieces and their n-gram slots, read through the tables of a
+fit or a model, against their definitions without tables."""
 
 from __future__ import annotations
 
-import importlib
+import dataclasses
+import gc
 import json
 import random
 import sys
+import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
@@ -14,17 +16,19 @@ import numpy as np
 import pytest
 
 from conftest import encode_ranker_input, make_subgraph
-from kgcausal.kg import MetapathSubgraph
+from kgcausal.kg import MetapathSubgraph, enumerate_subgraphs
+from kgcausal.llm import MockOracle
 from kgcausal.ltr import models
-from kgcausal.ltr.models import _hashed_matrix, _path_slots, ranker_input_tokens
-from kgcausal.ltr.ngram import DEFAULT_HASH_DIM, MAX_ORDER, hashed_slots
+from kgcausal.ltr.models import (TrainConfig, _hashed_matrix, _path_slots, ranker_input_tokens,
+                                 score_subgraphs, train_gbdt_ranker)
+from kgcausal.ltr.ngram import DEFAULT_HASH_DIM, MAX_ORDER, UNK, NgramLM, hashed_slots
+from kgcausal.relevance import rank_pair
+from kgcausal.synthetic import make_planted_world
 from kgcausal.util import read_fields, stable_hash
 from kgcausal.verbalize import CLS, SEP, piece_tokens, tokenize
 
 WORDS = ["FGF6", "fgf6", "Prostate", "cancer", "CLS", "SEP", "cls", "Sep", "-", "x", "TNF-a"]
 HASH_DIMS = (7, 256, 1024)
-# The package exports a function named verbalize, which shadows the module.
-verbalize_module = importlib.import_module("kgcausal.verbalize")
 
 
 def oracle_tokens(pair, subgraph):
@@ -75,18 +79,16 @@ def random_tokens(rng):
     return [rng.choice(WORDS).lower() for _ in range(rng.randint(0, 12))]
 
 
-@pytest.fixture
-def fresh_caches(monkeypatch):
-    monkeypatch.setattr(verbalize_module, "_tokens", {})
-    monkeypatch.setattr(models, "_piece_slots", {})
-    monkeypatch.setattr(models, "_aheads", {})
-
-
-@pytest.fixture
-def tiny_caches(monkeypatch, fresh_caches):
-    """Bounds of a few entries, so that the caches are full almost at once."""
-    monkeypatch.setattr(verbalize_module, "_TOKENS_LIMIT", 3)
-    monkeypatch.setattr(models, "_PIECE_SLOTS_LIMIT", 5)
+@pytest.fixture(scope="module")
+def planted():
+    """Ranked records of a small planted world, the order-2 LM a GBDT fit
+    reads (only its order), and a GBDT model fitted on them."""
+    world = make_planted_world(n_pairs=16, seed=3)
+    backend = MockOracle(world.mock_config)
+    records = [rank_pair(inst, enumerate_subgraphs(world.kg, (inst.e1, inst.e2), 4), backend)
+               for inst in world.instances]
+    lm = NgramLM(n=2, d=1, seed=0, vocab={UNK: 0}, embeddings=np.zeros((1, 1)))
+    return records, lm, train_gbdt_ranker(records, lm, TrainConfig(gbdt_rounds=3))
 
 
 def check_tokens(cases):
@@ -101,20 +103,18 @@ def check_slots(token_lists):
                 assert hashed_slots(tokens, n, hash_dim) == oracle_slots(tokens, n, hash_dim)
 
 
-def test_tokens_equal_the_uncached_encoding(fresh_caches):
+def test_tokens_equal_the_uncached_encoding():
     rng = random.Random(1)
-    cases = [random_case(rng) for _ in range(300)]
-    check_tokens(cases)
-    check_tokens(cases)  # now from the cache
+    check_tokens([random_case(rng) for _ in range(300)])
 
 
-def test_tokens_keep_markers_and_fill_empty_types_with_labels(fresh_caches):
+def test_tokens_keep_markers_and_fill_empty_types_with_labels():
     sg = make_subgraph(["CLS Gene", "b SEP"], types=["", "Disease"], labels=["Binds"])
     assert ranker_input_tokens(("A", "b c"), sg) == [
         "CLS", "a", "b", "c", "SEP", "binds", "CLS", "gene", "-", "disease", "b", "SEP"]
 
 
-def test_tokens_are_a_fresh_list_each_call(fresh_caches):
+def test_tokens_are_a_fresh_list_each_call():
     sg = make_subgraph(["x y", "z"])
     first = ranker_input_tokens(("P", "Q"), sg)
     expected = list(first)
@@ -125,33 +125,30 @@ def test_tokens_are_a_fresh_list_each_call(fresh_caches):
     assert second is not first
 
 
-def test_slots_equal_the_per_ngram_hash(fresh_caches):
+def test_slots_equal_the_per_ngram_hash():
     rng = random.Random(2)
     token_lists = [random_tokens(rng) for _ in range(100)]
     check_slots(token_lists)
 
 
-def test_counts_sum_to_the_ngram_count(fresh_caches):
+def test_counts_sum_to_the_ngram_count():
     slots = hashed_slots(["a", "b", "c", "d"], n=4, hash_dim=7)
     assert len(slots) == 4 + 3 + 2 + 1
     assert slots == hashed_slots(("a", "b", "c", "d"), n=4, hash_dim=7)
 
 
-def test_caches_stay_within_their_bounds(tiny_caches):
-    rng = random.Random(3)
-    check_tokens([random_case(rng) for _ in range(100)])
-    check_slots([random_tokens(rng) for _ in range(40)])
-    assert 0 < len(verbalize_module._tokens) <= 3
-
-
-def test_caches_under_threads(tiny_caches):
+def test_caches_under_threads():
+    """Tokens, slots and pieces read by 8 threads at once, the pieces through
+    one table that they share."""
     rng = random.Random(4)
     cases = [random_case(rng) for _ in range(60)]
     token_lists = [random_tokens(rng) for _ in range(20)]
+    table = {}
 
     def work(_):
         check_tokens(cases)
         check_slots(token_lists)
+        check_pieces(cases, table, orders=range(1, 4))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -160,19 +157,21 @@ def test_caches_under_threads(tiny_caches):
             list(pool.map(work, range(8), timeout=120))
     finally:
         sys.setswitchinterval(interval)
+    assert table
 
 
-def check_pieces(cases, orders=range(1, MAX_ORDER + 1)):
-    """Piece by piece, the slots of the whole input, in another order."""
+def check_pieces(cases, table, orders=range(1, MAX_ORDER + 1)):
+    """Piece by piece through ``table``, the slots of the whole input, in
+    another order."""
     for pair, subgraph in cases:
         tokens = oracle_tokens(pair, subgraph)
         assert ranker_input_tokens(pair, subgraph) == tokens
         for n in orders:
-            row, = _path_slots(n, pair, [subgraph])
+            row, = _path_slots(n, pair, [subgraph], table)
             assert Counter(row) == Counter(oracle_slots(tokens, n, DEFAULT_HASH_DIM))
 
 
-def test_slots_with_ahead_are_those_of_the_ngrams_starting_in_the_tokens(fresh_caches):
+def test_slots_with_ahead_are_those_of_the_ngrams_starting_in_the_tokens():
     rng = random.Random(5)
     for _ in range(100):
         tokens, ahead = random_tokens(rng), random_tokens(rng)
@@ -185,14 +184,15 @@ def test_slots_with_ahead_are_those_of_the_ngrams_starting_in_the_tokens(fresh_c
             assert hashed_slots(tuple(tokens), n, 7, tuple(ahead)) == expected
 
 
-def test_piecewise_slots_count_like_the_whole_input(fresh_caches):
+def test_piecewise_slots_count_like_the_whole_input():
     rng = random.Random(6)
     cases = [random_sparse_case(rng) for _ in range(40)]
-    check_pieces(cases)
-    check_pieces(cases)  # now from the tables
+    table = {}
+    check_pieces(cases, table)
+    check_pieces(cases, table)  # now from the table
 
 
-def test_pieces_shorter_than_the_order_and_empty_types(fresh_caches):
+def test_pieces_shorter_than_the_order_and_empty_types():
     """Empty node texts make empty or one-token pieces, so that a piece's
     n - 1 tokens ahead span several pieces; empty types fall back to the
     adjacent label."""
@@ -202,65 +202,49 @@ def test_pieces_shorter_than_the_order_and_empty_types(fresh_caches):
         ("T", " ", False), ("", "b c", False))]
     assert pieces == [("CLS", "p"), ("SEP",), ("a",), ("-", "x"), ("-", "t"), ("-", "b", "c")]
     assert ranker_input_tokens(("P", ""), sg) == [token for piece in pieces for token in piece]
-    check_pieces([(("P", ""), sg)])
+    check_pieces([(("P", ""), sg)], {})
 
 
-def test_piecewise_slots_within_tiny_bounds(tiny_caches):
-    rng = random.Random(7)
-    check_pieces([random_sparse_case(rng) for _ in range(30)], orders=range(1, 6))
-    assert 0 < len(models._piece_slots) <= 5
+def test_a_fits_entries_share_their_slot_ints(planted, monkeypatch):
+    """A fit reads every record through one table of its own, and an entry
+    holds no slot int of its own: its slots are items of one tuple of every
+    slot."""
+    records, lm, _ = planted
+    tables = []
 
+    def hashed_matrix(n, pair, subgraphs, table):
+        tables.append(table)
+        return _hashed_matrix(n, pair, subgraphs, table)
 
-def test_kept_entries_share_their_slot_ints_and_ahead_tuples(fresh_caches):
-    """A kept piece holds no slot int or ahead tuple of its own: its slots
-    are items of one tuple of every slot, and equal aheads are one tuple."""
-    rng = random.Random(10)
-    check_pieces([random_sparse_case(rng) for _ in range(30)], orders=range(1, 5))
-    assert models._piece_slots
-    aheads = {}
-    for slots, ahead in models._piece_slots.values():
+    monkeypatch.setattr(models, "_hashed_matrix", hashed_matrix)
+    train_gbdt_ranker(records, lm, TrainConfig(gbdt_rounds=1))
+    table = tables[0]
+    assert table and all(t is table for t in tables)
+    for slots, _ in table.values():
         assert all(slot is models._SLOT_INTS[slot] for slot in slots)
-        assert aheads.setdefault(ahead, ahead) is ahead
 
 
-def test_full_tables_keep_their_first_keys(tiny_caches):
-    """A full table takes no new key and keeps the entries it took first,
-    and what is read through it stays that of the uncached definitions."""
-    rng = random.Random(9)
-    cases = [random_sparse_case(rng) for _ in range(30)]
-
-    def tables():
-        return {"tokens": verbalize_module._tokens, "pieces": models._piece_slots}
-
-    check_pieces(cases[:4], orders=range(1, 5))
-    first = {name: dict(table) for name, table in tables().items()}
-    assert len(first["tokens"]) == 3
-    assert len(first["pieces"]) == 5
-    check_pieces(cases, orders=range(1, 5))
-    check_tokens(cases)
-    check_slots([random_tokens(rng) for _ in range(20)])
-    for name, table in tables().items():
-        assert list(table) == list(first[name])
-        assert all(table[key] is value for key, value in first[name].items())
-
-
-def test_piecewise_slots_under_threads(tiny_caches):
+def test_piecewise_slots_under_threads():
+    """8 threads that read the same pieces through one table."""
     rng = random.Random(8)
     cases = [random_sparse_case(rng) for _ in range(20)]
+    table = {}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            list(pool.map(lambda _: check_pieces(cases, orders=range(1, 5)), range(8),
+            list(pool.map(lambda _: check_pieces(cases, table, orders=range(1, 5)), range(8),
                           timeout=120))
     finally:
         sys.setswitchinterval(interval)
+    assert table
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_hashed_matrix_counts_the_slots_of_the_tokens(fresh_caches, artifacts, n):
-    """On the golden world's candidates, one row per path equal to the
-    bincount of the slots of its whole token list."""
+def test_hashed_matrix_counts_the_slots_of_the_tokens(artifacts, n):
+    """On the golden world's candidates, read through one table, one row per
+    path equal to the bincount of the slots of its whole token list."""
+    table = {}
     rows = 0
     for line in (artifacts / "candidates.jsonl").read_text(encoding="utf-8").splitlines():
         row = json.loads(line)
@@ -271,6 +255,46 @@ def test_hashed_matrix_counts_the_slots_of_the_tokens(fresh_caches, artifacts, n
         expected = np.stack([
             np.bincount(hashed_slots(ranker_input_tokens(pair, sg), n, DEFAULT_HASH_DIM),
                         minlength=DEFAULT_HASH_DIM) for sg in subgraphs])
-        assert np.array_equal(_hashed_matrix(n, pair, subgraphs), expected)
+        assert np.array_equal(_hashed_matrix(n, pair, subgraphs, table), expected)
         rows += len(subgraphs)
     assert rows
+
+
+def test_a_model_frees_its_pieces_with_itself(planted):
+    """A GBDT model keeps the pieces it scores, here ones its fit never
+    read, in a table of its own: once the model is dropped, traced memory is
+    back at its level before the scoring, and two models that score the same
+    paths share no entry."""
+    _, _, fitted = planted
+    rng = random.Random(11)
+    paths = [(pair, [subgraph]) for pair, subgraph in (random_case(rng) for _ in range(300))]
+
+    def fresh_model():
+        return dataclasses.replace(fitted, gbdt=dataclasses.replace(fitted.gbdt))
+
+    def score(model):
+        return [score_subgraphs(model, pair, subgraphs) for pair, subgraphs in paths]
+
+    score_subgraphs(fresh_model(), *paths[0])  # the imports of a first scoring
+    model = fresh_model()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        score(model)
+        kept = tracemalloc.get_traced_memory()[0] - before
+        del model
+        gc.collect()  # which empties the free lists that hold freed tuples
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept > 64 * 1024
+    assert after - before < kept / 20
+
+    one, two = fresh_model(), fresh_model()
+    for got, want in zip(score(one), score(two)):
+        assert np.array_equal(got, want)
+    assert len(one.gbdt._pieces) > 100
+    assert one.gbdt._pieces == two.gbdt._pieces
+    assert not {id(v) for v in one.gbdt._pieces.values()} \
+        & {id(v) for v in two.gbdt._pieces.values()}

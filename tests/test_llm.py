@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import warnings
+from dataclasses import asdict
 
 import pytest
 
@@ -131,9 +132,9 @@ class TestMockOracle:
 
     def test_config_json_round_trip(self, tmp_path):
         path = tmp_path / "mock.json"
-        path.write_text(json.dumps(MOTIF_CONFIG.to_dict()), encoding="utf-8")
+        path.write_text(json.dumps(asdict(MOTIF_CONFIG)), encoding="utf-8")
         assert read_json(path, lambda d: read_fields(MockOracleConfig, d)) == MOTIF_CONFIG
-        assert read_fields(MockOracleConfig, MOTIF_CONFIG.to_dict()) == MOTIF_CONFIG
+        assert read_fields(MockOracleConfig, asdict(MOTIF_CONFIG)) == MOTIF_CONFIG
 
 
 class TestLabelProbability:

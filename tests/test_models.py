@@ -711,8 +711,10 @@ class TestHistogramSplits:
         config = TrainConfig(gbdt_rounds=8, gbdt_max_depth=3, gbdt_learning_rate=0.3)
         model = train_gbdt_ranker(records, lm, config)
         records = [r for r in records if r.metapaths]
-        X = np.concatenate([models._hashed_matrix(lm.n, record_pair(r), record_subgraphs(r))
-                            for r in records]).astype(np.int64)
+        table = {}
+        X = np.concatenate([
+            models._hashed_matrix(lm.n, record_pair(r), record_subgraphs(r), table)
+            for r in records]).astype(np.int64)
         y = np.asarray([mp.relscore for r in records for mp in r.metapaths])
         assert 0 < np.count_nonzero(X) < 0.05 * X.size
         assert replay_trees(model, X, y, config.gbdt_max_depth, config)
@@ -721,8 +723,8 @@ class TestHistogramSplits:
 def test_gbdt_training_holds_only_the_nonzero_counts():
     """About 2,000 paths of about 23 nonzero counts each: the fit's peak
     stays under 4 KiB a path, where one dense int64 row of 1,024 hashed
-    counts is 8 KiB.  The n-gram slot cache, which is bounded and outlives
-    the fit, is filled by an untraced fit first."""
+    counts is 8 KiB.  The fit's own table of piece slots is traced with it;
+    an untraced fit first does the imports of a first fit."""
     world = make_planted_world(n_pairs=220, decoys_per_pair=8, seed=3)
     backend = MockOracle(world.mock_config)
     records = [rank_pair(inst, enumerate_subgraphs(world.kg, (inst.e1, inst.e2), max_hops=4),
