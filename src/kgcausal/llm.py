@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import http.client
+import io
 import json
 import logging
 import math
@@ -16,6 +17,7 @@ import os
 import random
 import re
 import select
+import socket
 import ssl
 import threading
 import time
@@ -55,6 +57,19 @@ _RETRIED_CLIENT_ERRORS = (429, 408)
 # the cap doubles with each further retry.
 TIMEOUT = 30.0
 BACKOFF_BASE = 0.25
+
+# http.client's limits on a response: the longest line, and the most lines
+# in one header block, the blank line that ends it included.  A body is read
+# at most _MAX_LINE bytes at a time, so a false length costs no more memory
+# than what arrives.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+_STATUS_LINE = re.compile(rb"HTTP/1\.(\d) ([1-9]\d\d)(?:[ \t][^\r\n]*)?\r?\n")
+# At most 32 digits: more than any body needs, fewer than int() refuses.
+_CONTENT_LENGTH = re.compile(r"[0-9]{1,32}")
+_CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,16}")
+# A request target http.client would send: printable ASCII, no spaces.
+_TARGET = re.compile(r"[\x21-\x7e]+")
 
 
 @dataclass(frozen=True)
@@ -287,10 +302,112 @@ def _logprob(value) -> float:
     return min(0.0, float(value))
 
 
+def _read_line(reader: io.BufferedReader) -> bytes:
+    line = reader.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise http.client.LineTooLong("response line")
+    return line
+
+
+def _read_headers(reader: io.BufferedReader) -> dict[str, str]:
+    """The header fields up to the blank line, by lowercased name.  A
+    repeated field keeps its first value; a repeated Content-Length must
+    repeat it."""
+    headers: dict[str, str] = {}
+    for _ in range(_MAX_HEADERS):
+        line = _read_line(reader)
+        if line in (b"\r\n", b"\n"):
+            return headers
+        name, colon, value = line.decode("latin-1").partition(":")
+        name, value = name.strip().lower(), value.strip()
+        if not colon or not name:
+            raise http.client.HTTPException(f"malformed header line {line[:60]!r}")
+        first = headers.setdefault(name, value)
+        if name == "content-length" and value != first:
+            raise http.client.HTTPException("conflicting Content-Length headers")
+    raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
+
+
+def _read_exactly(reader: io.BufferedReader, size: int) -> bytes:
+    parts = []
+    while size:
+        part = reader.read(min(size, _MAX_LINE))
+        if not part:
+            raise http.client.IncompleteRead(b"".join(parts), size)
+        parts.append(part)
+        size -= len(part)
+    return b"".join(parts)
+
+
+def _read_chunked(reader: io.BufferedReader) -> bytes:
+    """A chunked body; chunk extensions and trailer fields are dropped."""
+    parts = []
+    while True:
+        line = _read_line(reader)
+        size = line.partition(b";")[0].strip()
+        if not _CHUNK_SIZE.fullmatch(size):
+            raise http.client.HTTPException(f"bad chunk size line {line[:60]!r}")
+        if not (size := int(size, 16)):
+            _read_headers(reader)
+            return b"".join(parts)
+        parts.append(_read_exactly(reader, size))
+        if _read_exactly(reader, 2) != b"\r\n":
+            raise http.client.HTTPException("chunk data not followed by CRLF")
+
+
+def _read_response(reader: io.BufferedReader) -> tuple[int, dict[str, str], bytes, bool]:
+    """Status, header fields by lowercased name, body, and whether the
+    connection closes after it, of the next HTTP/1.x response on ``reader``;
+    1xx interim answers are skipped.  A response the client cannot frame
+    raises an http.client.HTTPException."""
+    status = 100
+    while status < 200:
+        line = _read_line(reader)
+        if not line:
+            raise http.client.RemoteDisconnected("remote end closed connection without response")
+        if not (match := _STATUS_LINE.fullmatch(line)):
+            raise http.client.BadStatusLine(repr(line[:60]))
+        headers = _read_headers(reader)
+        status = int(match[2])
+    will_close = match[1] == b"0" or "close" in headers.get("connection", "").lower()
+    if status in (204, 304):
+        return status, headers, b"", will_close
+    if "transfer-encoding" in headers:
+        if headers["transfer-encoding"].lower() != "chunked":
+            raise http.client.UnknownTransferEncoding(headers["transfer-encoding"])
+        # A Content-Length beside it may have framed the message differently
+        # for some hop in between (RFC 9112 section 6.3).
+        return status, headers, _read_chunked(reader), will_close or "content-length" in headers
+    if "content-length" in headers:
+        length = headers["content-length"]
+        if not _CONTENT_LENGTH.fullmatch(length):
+            raise http.client.HTTPException(f"bad Content-Length {length[:60]!r}")
+        return status, headers, _read_exactly(reader, int(length)), will_close
+    return status, headers, reader.read(), True
+
+
+def _closed_while_idle(sock: socket.socket) -> bool:
+    """Whether an idle connection's socket is readable, which means the
+    server closed or reset it.  ``poll`` takes any descriptor, where
+    ``select`` refuses those of 1,024 or more."""
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
+
+
+def _close_connection(conn: tuple[socket.socket, io.BufferedReader]) -> None:
+    sock, reader = conn
+    reader.close()
+    sock.close()
+
+
 class HttpBackend:
     """Client for OpenAI-compatible completion endpoints.
 
-    Transient failures (connection errors, HTTP 5xx, 429 and 408, a success
+    ``http.client`` only opens each connection: TCP, the ``CONNECT`` tunnel
+    through an https proxy, and TLS.  Each request then leaves in one write,
+    and :func:`_read_response` reads its answer from the connection's one
+    buffered reader.  Transient failures (connection errors, HTTP 5xx, 429 and 408, a success
     whose body is not JSON) are retried up to ``max_retries`` extra attempts,
     after the delay of :func:`_retry_delay`; other client errors are surfaced
     immediately.  A 307 or 308 to the same scheme and host is followed once
@@ -325,7 +442,17 @@ class HttpBackend:
             http.client.HTTPSConnection, context=ssl.create_default_context(**ca_args))
             if url.scheme == "https" else http.client.HTTPConnection)
         self._target = self._same_origin_target(endpoint)
-        self._idle: list[http.client.HTTPConnection] = []  # most recently used last
+        if self._target is None:
+            raise ValueError(f"endpoint {endpoint!r} is not an http or https URL")
+        # The header fields every request sends, encoded once.  Without
+        # Accept-Encoding a server may compress the answer.
+        host = url.netloc.rpartition("@")[2]
+        self._fields = (b"Host: " + host.encode("idna") + b"\r\nAccept-Encoding: identity\r\n"
+                        b"Content-Type: application/json\r\n"
+                        b"User-Agent: kgcausal/" + __version__.encode("ascii") + b"\r\n")
+        # Each pooled connection is its socket with the one reader of its
+        # responses; most recently used last.
+        self._idle: list[tuple[socket.socket, io.BufferedReader]] = []
         self._idle_lock = threading.Lock()
         self._jitter = random.Random()
         self._slots = threading.Semaphore(self.parallelism)
@@ -336,51 +463,66 @@ class HttpBackend:
         """Close the pooled connections; call once no request is in flight."""
         with self._idle_lock:
             while self._idle:
-                self._idle.pop().close()
+                _close_connection(self._idle.pop())
 
-    def _headers(self) -> dict:
-        headers = {"Content-Type": "application/json", "User-Agent": f"kgcausal/{__version__}"}
-        if self.credential_env:
-            secret = os.environ.get(self.credential_env)
-            if secret:
-                headers["Authorization"] = f"Bearer {secret}"
-        return headers
+    def _request(self, target: bytes, body: bytes) -> bytes:
+        """A POST of ``body`` to ``target``, as sent.  The credential is read
+        from the environment each time."""
+        secret = os.environ.get(self.credential_env) if self.credential_env else None
+        authorization = b""
+        if secret:
+            if "\r" in secret or "\n" in secret:
+                raise ValueError(f"{self.credential_env} holds a line break")
+            authorization = b"Authorization: Bearer %s\r\n" % secret.encode("latin-1")
+        return b"POST %s HTTP/1.1\r\n%s%sContent-Length: %d\r\n\r\n%s" % (
+            target, self._fields, authorization, len(body), body)
 
-    def _same_origin_target(self, location: str) -> Optional[str]:
-        """The request target of ``location`` if it has the endpoint's origin."""
+    def _same_origin_target(self, location: str) -> Optional[bytes]:
+        """The request target of ``location`` if it has the endpoint's origin
+        and is printable ASCII without spaces."""
         url = urllib.parse.urlsplit(urllib.parse.urljoin(self.endpoint, location))
         if url[:2] != urllib.parse.urlsplit(self.endpoint)[:2]:
             return None
-        if self._absolute_target:
-            return url.geturl()
-        return urllib.parse.urlunsplit(("", "", url.path or "/", url.query, ""))
+        target = (url.geturl() if self._absolute_target
+                  else urllib.parse.urlunsplit(("", "", url.path or "/", url.query, "")))
+        return target.encode("ascii") if _TARGET.fullmatch(target) else None
 
-    def _post(self, target: str, body: bytes) -> tuple[int, http.client.HTTPMessage, bytes]:
-        """Status, headers and body of one POST over the last idle connection
-        or a new one, pooled again unless it raised or the answer closes it."""
-        with self._idle_lock:
-            conn = self._idle.pop() if self._idle else None
-            # Readable while idle means the server closed or reset it.
-            while conn is not None and select.select([conn.sock], [], [], 0)[0]:
-                conn.close()
-                conn = self._idle.pop() if self._idle else None
-        if conn is None:
-            conn = self._new_connection(*self._address, timeout=TIMEOUT)
-            if self._tunnel:
-                conn.set_tunnel(*self._tunnel)
+    def _connect(self) -> tuple[socket.socket, io.BufferedReader]:
+        """A new connection, through the proxy tunnel and the TLS handshake
+        that http.client makes, with the reader of its responses."""
+        conn = self._new_connection(*self._address, timeout=TIMEOUT)
+        if self._tunnel:
+            conn.set_tunnel(*self._tunnel)
         try:
-            conn.request("POST", target, body, self._headers())
-            response = conn.getresponse()
-            answer = response.read()
+            conn.connect()
         except BaseException:
             conn.close()
             raise
-        if response.will_close:
-            conn.close()
+        return conn.sock, conn.sock.makefile("rb")
+
+    def _post(self, request: bytes) -> tuple[int, dict[str, str], bytes]:
+        """Status, header fields and body of the answer to ``request``, sent
+        in one write over the last idle connection or a new one; the
+        connection is pooled again unless it raised or the answer closes it."""
+        with self._idle_lock:
+            conn = self._idle.pop() if self._idle else None
+            while conn is not None and _closed_while_idle(conn[0]):
+                _close_connection(conn)
+                conn = self._idle.pop() if self._idle else None
+        if conn is None:
+            conn = self._connect()
+        try:
+            conn[0].sendall(request)
+            status, headers, answer, will_close = _read_response(conn[1])
+        except BaseException:
+            _close_connection(conn)
+            raise
+        if will_close:
+            _close_connection(conn)
         else:
             with self._idle_lock:
                 self._idle.append(conn)
-        return response.status, response.headers, answer
+        return status, headers, answer
 
     def complete(self, request: CompletionRequest) -> Completion:
         payload = {
@@ -401,24 +543,24 @@ class HttpBackend:
                     time.sleep(_retry_delay(attempt, retry_after, self._jitter))
                 retry_after = None
                 try:
-                    status, headers, answer = self._post(self._target, body)
-                    location = headers.get("Location")
+                    status, headers, answer = self._post(self._request(self._target, body))
+                    location = headers.get("location")
                     if status in (307, 308) and location and (
                             target := self._same_origin_target(location)):
-                        status, headers, answer = self._post(target, body)
+                        status, headers, answer = self._post(self._request(target, body))
                 except (OSError, http.client.HTTPException) as exc:
                     last_error = exc
                     logger.warning("backend attempt %d failed: %s", attempt + 1, exc)
                     continue
                 excerpt = answer.decode("utf-8", "replace")[:200]
                 if status >= 500 or status in _RETRIED_CLIENT_ERRORS:
-                    retry_after = headers.get("Retry-After")
+                    retry_after = headers.get("retry-after")
                     last_error = BackendUnavailable(f"HTTP {status}: {excerpt}")
                     logger.warning("backend attempt %d failed: HTTP %d", attempt + 1, status)
                     continue
                 if status >= 300:
                     raise BackendRejected(status, excerpt if status >= 400
-                                          else f"redirect to {headers.get('Location')}")
+                                          else f"redirect to {headers.get('location')}")
                 try:
                     parsed = json.loads(answer)
                 except ValueError as exc:

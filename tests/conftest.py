@@ -9,7 +9,7 @@ import socket
 import socketserver
 import ssl
 import threading
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -156,13 +156,24 @@ def hetionet_style_kg():
     return KnowledgeGraph(nodes, edges)
 
 
+@dataclass(frozen=True)
+class RawAnswer:
+    """A stub server script entry sent byte for byte, after which the server
+    closes the connection if ``close`` is set."""
+
+    data: bytes
+    close: bool = True
+
+
 class StubHandler(BaseHTTPRequestHandler):
     """Replays the scripted (status, body) or (status, body, headers)
-    responses of its server; a bytes body is sent as is, anything else as
-    JSON.  Records each request body and its Authorization header (None when
-    absent).  Speaks HTTP/1.1, so a client keeps its connection open between
-    requests, as with real completion endpoints; each response leaves in one
-    write with Nagle's algorithm off, so keep-alive adds no delayed-ACK wait."""
+    responses of its server, or a :class:`RawAnswer`; a bytes body is sent
+    as is, anything else as JSON.  Records each request body, its
+    Authorization header (None when absent), its request line with its
+    header fields in order, and the client's address.  Speaks HTTP/1.1, so a
+    client keeps its connection open between requests, as with real
+    completion endpoints; each response leaves in one write with Nagle's
+    algorithm off, so keep-alive adds no delayed-ACK wait."""
 
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
@@ -174,8 +185,15 @@ class StubHandler(BaseHTTPRequestHandler):
         with self.server.lock:
             self.server.requests.append(request)
             self.server.authorizations.append(self.headers.get("Authorization"))
+            self.server.heads.append((self.requestline, self.headers.items()))
+            self.server.peers.append(self.client_address)
             served = len(self.server.requests)
-        status, body, *headers = self.server.script[min(served, len(self.server.script)) - 1]
+        entry = self.server.script[min(served, len(self.server.script)) - 1]
+        if isinstance(entry, RawAnswer):
+            self.wfile.write(entry.data)
+            self.close_connection = entry.close
+            return
+        status, body, *headers = entry
         payload = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -190,16 +208,19 @@ class StubHandler(BaseHTTPRequestHandler):
 
 
 class StubServer(ThreadingHTTPServer):
-    """Serves :class:`StubHandler`; set ``script`` and read ``requests`` and
-    ``authorizations``.  ``disconnected`` is set once the server has closed
-    a connection, which it does after the client closed it or after an
-    answer with ``Connection: close``."""
+    """Serves :class:`StubHandler`; set ``script`` and read ``requests``,
+    ``authorizations``, ``heads`` and ``peers``.  ``disconnected`` is set
+    once the server has closed a connection, which it does after the client
+    closed it, after an answer with ``Connection: close`` or after a
+    closing :class:`RawAnswer`."""
 
     def __init__(self):
         super().__init__(("127.0.0.1", 0), StubHandler)
         self.script = [(200, {})]
         self.requests = []
         self.authorizations = []
+        self.heads = []
+        self.peers = []
         self.lock = threading.Lock()
         self.disconnected = threading.Event()
 
@@ -307,3 +328,40 @@ def connect_proxy():
 def ok_body(text="causal", logprob=-0.2):
     return {"choices": [{"text": text,
                          "logprobs": {"tokens": [text], "token_logprobs": [logprob]}}]}
+
+
+OK_JSON = json.dumps(ok_body()).encode("utf-8")
+# The Content-Length field of OK_JSON, the blank line, then OK_JSON.
+SIZED_OK = b"Content-Length: %d\r\n\r\n%s" % (len(OK_JSON), OK_JSON)
+
+
+def chunked(data: bytes, sizes=(7, 30)) -> bytes:
+    """``data`` as chunks of the given sizes and then the rest, with a chunk
+    extension and a trailer field."""
+    out, rest = b"", data
+    for size in sizes:
+        out += b"%x;note=1\r\n%s\r\n" % (size, rest[:size])
+        rest = rest[size:]
+    return out + b"%x\r\n%s\r\n0\r\nX-Trailer: done\r\n\r\n" % (len(rest), rest)
+
+
+# Answers the HTTP client cannot frame, by case.  Sent as a closing
+# RawAnswer, so a read past their end meets the end of the connection.
+HOSTILE_ANSWERS = {
+    "status-http-2": b"HTTP/2 200 OK\r\n\r\n" + OK_JSON,
+    "status-without-code": b"HTTP/1.1 OK\r\n\r\n" + OK_JSON,
+    "status-not-http": b"<html>gateway hiccup</html>\r\n",
+    "length-abc": b"HTTP/1.1 200 OK\r\nContent-Length: abc\r\n\r\n" + OK_JSON,
+    "length-negative": b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n" + OK_JSON,
+    "length-2**70": b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (2 ** 70, OK_JSON),
+    "two-lengths": b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\n" + SIZED_OK,
+    "truncated-body": b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (
+        len(OK_JSON) + 10, OK_JSON),
+    "bad-chunk-size": (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n"
+                       + OK_JSON + b"\r\n0\r\n\r\n"),
+    "gzip-transfer-coding": (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip, chunked\r\n\r\n"
+                             + chunked(OK_JSON)),
+    "header-line-over-64-KiB": (b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 65536
+                                + b"\r\n\r\n" + OK_JSON),
+    "100-header-fields": b"HTTP/1.1 200 OK" + b"\r\nX-Field: 1" * 100 + b"\r\n\r\n" + OK_JSON,
+}

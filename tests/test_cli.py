@@ -7,13 +7,14 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
-from conftest import ok_body
+from conftest import HOSTILE_ANSWERS, RawAnswer, ok_body
 from kgcausal import cli
 from kgcausal.cli import DEFAULT_CONFIG, EXIT_CONFIG, EXIT_DEGRADED, EXIT_OK, main
 from kgcausal.synthetic import make_planted_world, write_instances_jsonl, write_kg_jsonl
@@ -401,6 +402,30 @@ class TestTrainRankDiscoverEval:
         assert summary["skipped_backend_error"] == 1
         assert summary["predictions_written"] == len(world.instances) - 1
         assert summary["backend_calls"] == len(stub_server.requests) == len(world.instances)
+
+    @pytest.mark.parametrize("answer", HOSTILE_ANSWERS.values(), ids=HOSTILE_ANSWERS)
+    def test_discover_skips_a_pair_whose_answers_cannot_be_framed(
+            self, pipeline, stub_server, tmp_path, monkeypatch, capsys, answer):
+        root, world, out = pipeline
+        monkeypatch.setattr(time, "sleep", lambda seconds: None)
+        stub_server.script = [RawAnswer(answer)] * 2 + [(200, ok_body("causal"))]
+        config = {
+            "kg": {"path": str(root / "kg.jsonl")},
+            "llm": {"backend": "http", "model": "m", "max_retries": 1,
+                    "endpoint": f"http://127.0.0.1:{stub_server.server_address[1]}"},
+        }
+        cfg = tmp_path / "http.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        predictions = tmp_path / "predictions.jsonl"
+        code = run("discover", out / "model.json", root / "pairs.jsonl", "--config", cfg,
+                   "--out", predictions)
+        assert code == EXIT_DEGRADED
+        assert "Traceback" not in capsys.readouterr().err
+        rows = [json.loads(line) for line in predictions.read_text().splitlines()]
+        assert [row["qid"] for row in rows] == [inst.qid for inst in world.instances[1:]]
+        summary = json.loads(Path(str(predictions) + ".meta.json").read_text())["summary"]
+        assert summary["skipped_backend_error"] == 1
+        assert len(stub_server.requests) == len(world.instances) + 1
 
     def test_eval_of_a_partial_discover_counts_the_missing_pair_and_exits_1(
             self, pipeline, stub_server, tmp_path):

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import gc
+import http.client
 import json
 import math
+import os
+import random
+import resource
 import sys
 import threading
 import time
@@ -13,11 +17,23 @@ from dataclasses import asdict
 
 import pytest
 
-from conftest import TLS_CERT, FakeBackend, StubHandler, ok_body
+from conftest import (
+    HOSTILE_ANSWERS,
+    OK_JSON,
+    SIZED_OK,
+    TLS_CERT,
+    FakeBackend,
+    RawAnswer,
+    StubHandler,
+    chunked,
+    ok_body,
+)
+from kgcausal import __version__
 from kgcausal.errors import (
     BackendRejected,
     BackendUnavailable,
     CapabilityMissing,
+    KgcausalError,
     UnparseableLabel,
 )
 from kgcausal.llm import (
@@ -379,6 +395,23 @@ class TestHttpBackend:
         with pytest.raises(ValueError, match="not an http or https URL"):
             HttpBackend(endpoint=endpoint, model="m")
 
+    @pytest.mark.parametrize("endpoint", ["http://127.0.0.1/v1 completions",
+                                          "http://127.0.0.1/v1/complétions"],
+                             ids=["space", "non-ascii"])
+    def test_endpoint_whose_target_is_not_printable_ascii_is_rejected(self, endpoint):
+        with pytest.raises(ValueError, match="not an http or https URL"):
+            HttpBackend(endpoint=endpoint, model="m")
+
+    @pytest.mark.parametrize("location", ["/v2 completions", "/v2/complétions"],
+                             ids=["space", "non-ascii"])
+    def test_redirect_to_a_target_that_is_not_printable_ascii_is_rejected(
+            self, stub_server, location):
+        stub_server.script = [(307, b"", {"Location": location}), (200, ok_body())]
+        with pytest.raises(BackendRejected) as info:
+            self.backend(stub_server, max_retries=3).complete(CompletionRequest(prompt="p"))
+        assert info.value.status == 307
+        assert len(stub_server.requests) == 1
+
     def test_credential_header(self, stub_server, monkeypatch):
         monkeypatch.setenv("TEST_LLM_KEY", "sk-secret")
         stub_server.script = [(200, ok_body())]
@@ -498,6 +531,160 @@ class TestHttpBackend:
         backend.close()  # ends the tunnel before the proxy shuts down
         assert connect_proxy.connects == [f"127.0.0.1:{tls_stub_server.server_address[1]}"]
         assert len(tls_stub_server.requests) == 1
+
+    def test_request_head(self, stub_server):
+        stub_server.script = [(200, ok_body())]
+        port = stub_server.server_address[1]
+        backend = HttpBackend(endpoint=f"http://127.0.0.1:{port}/v1/completions?version=2",
+                              model="m")
+        self.opened.append(backend)
+        backend.complete(CompletionRequest(prompt="p"))
+        line, fields = stub_server.heads[0]
+        assert line == "POST /v1/completions?version=2 HTTP/1.1"
+        assert sorted(fields) == sorted([
+            ("Host", f"127.0.0.1:{port}"), ("Accept-Encoding", "identity"),
+            ("Content-Type", "application/json"), ("User-Agent", f"kgcausal/{__version__}"),
+            ("Content-Length", str(len(json.dumps(stub_server.requests[0]))))])
+
+    @pytest.mark.parametrize("endpoint, host", [
+        ("http://backend.invalid:8080/v1/completions", "backend.invalid:8080"),
+        ("http://backend.invalid/v1/completions?version=2", "backend.invalid")])
+    def test_http_proxy_is_sent_the_absolute_url(self, stub_server, monkeypatch, endpoint,
+                                                 host):
+        for name in ("http_proxy", "no_proxy", "NO_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("HTTP_PROXY", f"http://127.0.0.1:{stub_server.server_address[1]}")
+        stub_server.script = [(200, ok_body())]
+        backend = HttpBackend(endpoint=endpoint, model="m", max_retries=0)
+        self.opened.append(backend)
+        backend.complete(CompletionRequest(prompt="p"))
+        line, fields = stub_server.heads[0]
+        assert line == f"POST {endpoint} HTTP/1.1"
+        assert dict(fields)["Host"] == host
+
+    def test_credential_is_read_for_each_request(self, stub_server, monkeypatch):
+        stub_server.script = [(200, ok_body())]
+        backend = self.backend(stub_server, credential_env="TEST_LLM_KEY")
+        for secret in ("sk-one", "sk-two", None):
+            if secret:
+                monkeypatch.setenv("TEST_LLM_KEY", secret)
+            else:
+                monkeypatch.delenv("TEST_LLM_KEY", raising=False)
+            backend.complete(CompletionRequest(prompt="p"))
+        monkeypatch.setenv("TEST_LLM_KEY", "sk-three")
+        self.backend(stub_server).complete(CompletionRequest(prompt="p"))
+        assert stub_server.authorizations == ["Bearer sk-one", "Bearer sk-two", None, None]
+
+    def test_each_request_is_one_write(self, stub_server, monkeypatch):
+        class WriteRecorder:
+            """A socket that records each use of its send methods."""
+
+            def __init__(self, sock):
+                self.sock = sock
+                self.writes = []
+
+            def __getattr__(self, name):
+                if name.startswith("send"):
+                    self.writes.append(name)
+                return getattr(self.sock, name)
+
+        connect = http.client.HTTPConnection.connect
+        sockets = []
+
+        def recording_connect(conn):
+            connect(conn)
+            conn.sock = WriteRecorder(conn.sock)
+            sockets.append(conn.sock)
+
+        monkeypatch.setattr(http.client.HTTPConnection, "connect", recording_connect)
+        stub_server.script = [(200, ok_body())]
+        backend = self.backend(stub_server)
+        for _ in range(3):
+            assert backend.complete(CompletionRequest(prompt="p")).text == "causal"
+        assert len(sockets) == 1
+        assert sockets[0].writes == ["sendall"] * 3
+
+    def test_pooled_connection_past_descriptor_1024_is_reused(self, stub_server):
+        """select() refuses a descriptor of 1,024 or more; the check of an
+        idle connection must not."""
+        if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1200:
+            pytest.skip("the soft limit on open files is below 1,200")
+        stub_server.script = [(200, ok_body())]
+        fds = [os.open(os.devnull, os.O_RDONLY)]
+        try:
+            fds += [os.dup(fds[0]) for _ in range(1100)]
+            backend = self.backend(stub_server, max_retries=0)
+            for _ in range(2):
+                assert backend.complete(CompletionRequest(prompt="p")).text == "causal"
+        finally:
+            for fd in fds:
+                os.close(fd)
+        assert max(fds) >= 1024
+        assert len(stub_server.requests) == 2
+        assert stub_server.peers[0] == stub_server.peers[1]
+
+    @pytest.mark.parametrize("answer, pooled", [
+        (RawAnswer(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" + chunked(OK_JSON),
+                   close=False), True),
+        (RawAnswer(b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n" + OK_JSON),
+         False),
+        (RawAnswer(b"HTTP/1.1 200 OK\r\nConnection: close\r\n" + SIZED_OK, close=False), False),
+        (RawAnswer(b"HTTP/1.0 200 OK\r\n" + SIZED_OK, close=False), False),
+        (RawAnswer(b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\n" + SIZED_OK, close=False),
+         True),
+        (RawAnswer(b"HTTP/1.1 204 No Content\r\n\r\n", close=False), True),
+        (RawAnswer(b"HTTP/1.1 200 OK\r\n" + b"X-Field: 1\r\n" * 98 + SIZED_OK, close=False),
+         True),
+        (RawAnswer(b"HTTP/1.1 200 OK\r\nContent-Length: 999\r\nTransfer-Encoding: chunked\r\n\r\n"
+                   + chunked(OK_JSON), close=False), False),
+    ], ids=["chunked", "close-delimited", "connection-close", "http-1.0", "100-continue",
+            "204-then-retry", "99-header-fields", "chunked-beside-a-length"])
+    def test_framing(self, stub_server, answer, pooled):
+        """Each answer is read whole; its connection is used again only when
+        the answer leaves it open."""
+        stub_server.script = [answer, (200, ok_body())]
+        backend = self.backend(stub_server, max_retries=1)
+        for _ in range(2):
+            assert backend.complete(CompletionRequest(prompt="p")).text == "causal"
+        assert (stub_server.peers[0] == stub_server.peers[-1]) == pooled
+
+    @pytest.mark.parametrize("answer", HOSTILE_ANSWERS.values(), ids=HOSTILE_ANSWERS)
+    def test_unframeable_answer_is_retried_then_skips_its_pair(self, stub_server, sleeps,
+                                                               caplog, answer):
+        stub_server.script = [RawAnswer(answer)] * 3 + [(200, ok_body())]
+        backend = self.backend(stub_server, max_retries=2, parallelism=1)
+        result = map_pairs(lambda prompt: ask_label(backend, prompt), ["p1", "p2"], backend,
+                           qid=str)
+        assert result.skipped_backend_error == 1
+        assert [label for label, _, _ in result.records] == ["causal"]
+        assert len(stub_server.requests) == 4
+        assert len(sleeps) == 2
+        assert "skipping p1: backend unreachable after 3 attempts" in caplog.text
+
+    def test_mangled_answers_parse_or_raise_a_kgcausal_error(self, stub_server):
+        """A seeded fuzz of the response reader: valid answers cut short at
+        random points, or with one byte changed.  The client either returns
+        a completion or raises a KgcausalError, which the commands report;
+        any other exception is a traceback."""
+        rng = random.Random("fuzz:http")
+        valid = (b"HTTP/1.1 200 OK\r\n" + SIZED_OK,
+                 b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" + chunked(OK_JSON))
+        failures = []
+        for answer in valid:
+            for _ in range(60):
+                flipped = bytearray(answer)
+                flipped[rng.randrange(len(answer))] ^= rng.randrange(1, 256)
+                for mangled in (answer[:rng.randrange(len(answer))], bytes(flipped)):
+                    stub_server.script = [RawAnswer(mangled)]
+                    backend = self.backend(stub_server, max_retries=0)
+                    try:
+                        backend.complete(CompletionRequest(prompt="p"))
+                    except KgcausalError:
+                        pass
+                    except Exception as exc:  # a traceback at the command line
+                        failures.append(f"{mangled!r}: {type(exc).__name__}: {exc}")
+                    backend.close()
+        assert not failures, "\n".join(failures[:20])
 
 
 class TestMapPairs:
